@@ -35,7 +35,7 @@ from .errors import (
     QampError,
     ValidationError,
 )
-from .estimator import GEstimate, estimate_g, thread_cap
+from .estimator import GEstimate, estimate_g
 from .multiplier import (
     MANIPULATIONS,
     ProductResult,
@@ -89,7 +89,6 @@ __all__ = [
     "EstimateUnavailableError",
     "GEstimate",
     "estimate_g",
-    "thread_cap",
     "MANIPULATIONS",
     "ProductResult",
     "ResourceReport",

@@ -6,8 +6,9 @@ Reports are JSON with every float printed at 17 significant digits so values
 round-trip bit for bit.
 
 Exit codes: 0 success (and all requested verifications passed), 1 failed
-verification, 2 parse/parameter problems, 3 dimension mismatch, 4 the
-normalization estimate is undefined or unavailable.
+verification, 2 parse/parameter problems or a post-selection branch of zero
+weight, 3 dimension mismatch, 4 the normalization estimate is undefined (an
+operand without slack) or unavailable.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .encoder import EncodedBlock, decode, encode
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
+    MeasurementError,
     MethodUndefinedError,
     ParameterError,
     ValidationError,
@@ -303,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParameterError) as exc:
+    except (ValidationError, ParameterError, MeasurementError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DimensionError as exc:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, MethodUndefinedError, ParameterError, ValidationError
 
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
@@ -248,6 +248,13 @@ def prepared_to_obj(pm: PreparedMatrix) -> dict:
 
 
 def prepared_from_obj(obj) -> PreparedMatrix:
+    """Parse and validate the prepared document schema.
+
+    A zero slack amplitude is reported as :class:`MethodUndefinedError`: the
+    strict weight inequality then fails, and the normalization recovery
+    needs the slack.  Any other violation of :meth:`PreparedMatrix.validate`
+    is a :class:`ValidationError`.
+    """
     m = matrix_from_obj(obj)
     for key in ("b", "s_original", "c"):
         if key not in obj:
@@ -259,4 +266,9 @@ def prepared_from_obj(obj) -> PreparedMatrix:
         s_original=_require_number(obj["s_original"], "field s_original"),
         c=_require_number(obj["c"], "field c"),
     )
+    if pm.b == 0:
+        raise MethodUndefinedError(
+            "field b is zero: without slack the normalization recovery is undefined"
+        )
+    pm.validate()
     return pm

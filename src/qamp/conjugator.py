@@ -6,6 +6,9 @@ amplitudes (conjugating it); together that is the conjugate transpose.  The
 three operand manipulations reuse it: 1 and 2 conjugate-transpose the first
 or second operand in place, 3 exchanges the operands' roles by transposing
 both register pairs and swapping the two label qubits.
+
+Each stage copies the state once and applies its gates to the copy in
+place; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from .encoder import EncodedBlock
 from .errors import DimensionError, ParameterError
 from .registers import RegisterLayout
-from .statevector import GateSpec, StateVector, apply_gate
+from .statevector import GateSpec, StateVector, apply_gates
 
 
 def _conjugate_gates(layout: RegisterLayout, m: str, r: str, c: str, controls=()) -> list[GateSpec]:
@@ -29,9 +32,7 @@ def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
         raise DimensionError(
             f"row register {block.r} and column register {block.c} differ in width"
         )
-    for gate in _conjugate_gates(layout, block.m, block.r, block.c):
-        state = apply_gate(state, gate)
-    return state
+    return apply_gates(state, _conjugate_gates(layout, block.m, block.r, block.c))
 
 
 def _q_gates(which: int, layout: RegisterLayout, controls=()) -> list[GateSpec]:
@@ -56,9 +57,7 @@ def _q_gates(which: int, layout: RegisterLayout, controls=()) -> list[GateSpec]:
 def apply_q(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
     """Apply operand manipulation 1, 2 or 3.  Each is involutory and norm
     preserving (gates are SWAPs and one sign flip)."""
-    for gate in _q_gates(which, layout):
-        state = apply_gate(state, gate)
-    return state
+    return apply_gates(state, _q_gates(which, layout))
 
 
 def apply_q_controlled(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
@@ -69,6 +68,4 @@ def apply_q_controlled(state: StateVector, which: int, layout: RegisterLayout) -
     if not layout.control_flags_present:
         raise ParameterError("layout has no manipulation control flags")
     controls = ((layout.start(f"Q{which}"), 1),)
-    for gate in _q_gates(which, layout, controls):
-        state = apply_gate(state, gate)
-    return state
+    return apply_gates(state, _q_gates(which, layout, controls))

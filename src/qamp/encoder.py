@@ -11,6 +11,10 @@ placed directly:
 with every other amplitude zero, so all amplitudes are real and their
 squares sum to one.  State preparation is direct amplitude assignment; no
 gate-level preparation circuit is synthesized.
+
+Amplitudes are written and read through a register view: the state reshaped
+to one axis per subsystem, most significant subsystem first, so each
+encoding is a small (K, R, C, M) component tensor placed into a slice of it.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix
 from .errors import DimensionError, ParameterError, ValidationError
-from .registers import RegisterLayout, basis_index
-from .statevector import StateVector
+from .registers import RegisterLayout
+from .statevector import StateVector, _weight
 
 #: encode refuses states whose squared norm strays further than this from 1
 ENCODE_NORM_TOL = 1e-10
@@ -64,36 +68,76 @@ class EncodedBlock:
         fixed = (("B", 1), ("BT", 1)) + tuple(extra_fixed)
         return cls(layout, m="M1", r="R1", c="C2", k="K1", side="output", fixed=fixed)
 
-    def fixed_bits(self) -> int:
-        bits = 0
-        for name, value in self.fixed:
-            bits |= basis_index(self.layout, {name: value})
-        return bits
+    @property
+    def registers(self) -> tuple[str, str, str, str]:
+        """The block's subsystems in component-tensor order (K, R, C, M)."""
+        return (self.k, self.r, self.c, self.m)
+
+
+def _register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, list[str]]:
+    """``amps`` reshaped to one axis per subsystem, and the subsystem names
+    in axis order (most significant first)."""
+    if amps.shape != (1 << layout.total_qubits,):
+        raise DimensionError(
+            f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
+        )
+    names = sorted(layout.slices, key=layout.start, reverse=True)
+    return amps.reshape([1 << layout.width(name) for name in names]), names
+
+
+def _select(view: np.ndarray, names: list[str], pins: dict) -> np.ndarray:
+    """Subview with each pinned subsystem restricted to a value (kept as a
+    length-1 axis) or a slice of values."""
+    index = []
+    for name in names:
+        pin = pins.get(name, slice(None))
+        index.append(pin if isinstance(pin, slice) else slice(pin, pin + 1))
+    return view[tuple(index)]
+
+
+def _components(pm: PreparedMatrix) -> np.ndarray:
+    """Real amplitudes of one encoded matrix, indexed [K, R, C, M]."""
+    dim = pm.matrix.dim
+    tensor = np.zeros((2, dim, dim, 2))
+    tensor[1, :, :, 0] = pm.matrix.entries.real
+    tensor[1, :, :, 1] = pm.matrix.entries.imag
+    tensor[0, 0, 0] = (pm.b.real, pm.b.imag)
+    defect = abs(float(np.sum(tensor**2)) - 1.0)
+    if defect > ENCODE_NORM_TOL:
+        raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
+    return tensor
+
+
+def _spread(tensor: np.ndarray, registers, names: list[str]) -> np.ndarray:
+    """``tensor`` (one axis per entry of ``registers``) transposed into the
+    register view's axis order, with length-1 axes for every other subsystem."""
+    order = sorted(range(len(registers)), key=lambda i: names.index(registers[i]))
+    shape = [tensor.shape[registers.index(n)] if n in registers else 1 for n in names]
+    return tensor.transpose(order).reshape(shape)
+
+
+def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
+    """Float64 amplitudes of the product state of (prepared matrix, block)
+    pairs on disjoint blocks; every other subsystem is |0>."""
+    amps = np.zeros(1 << layout.total_qubits)
+    view, names = _register_view(amps, layout)
+    used = {name for _pm, block in operands for name in block.registers}
+    out = _select(view, names, {name: 0 for name in names if name not in used})
+    placed = [_spread(_components(pm), block.registers, names) for pm, block in operands]
+    if len(placed) == 1:
+        out[...] = placed[0]
+    else:
+        np.multiply(*placed, out=out)
+    return amps
 
 
 def encode(pm: PreparedMatrix, side: str, layout: RegisterLayout) -> StateVector:
-    """Write a prepared matrix into a fresh statevector on one side's
+    """Write a prepared matrix into a fresh real statevector on one side's
     subsystems; every other qubit stays in |0>."""
     block = EncodedBlock.for_side(layout, side)
     if pm.n != layout.n:
         raise DimensionError(f"matrix width n={pm.n} does not fit layout n={layout.n}")
-    amps = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
-    m_bit = 1 << layout.start(block.m)
-    r_pos = layout.start(block.r)
-    c_pos = layout.start(block.c)
-    k_bit = 1 << layout.start(block.k)
-    entries = pm.matrix.entries
-    for j in range(pm.matrix.dim):
-        for k in range(pm.matrix.dim):
-            base = (j << r_pos) | (k << c_pos) | k_bit
-            amps[base] = entries[j, k].real
-            amps[base | m_bit] = entries[j, k].imag
-    amps[0] = pm.b.real
-    amps[m_bit] = pm.b.imag
-    defect = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-    if defect > ENCODE_NORM_TOL:
-        raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
-    return StateVector(layout.total_qubits, amps)
+    return StateVector(layout.total_qubits, joint_amplitudes(layout, [(pm, block)]))
 
 
 def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, complex, float]:
@@ -106,27 +150,28 @@ def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, comp
     """
     layout = block.layout
     dim = 1 << layout.n
-    m_bit = 1 << layout.start(block.m)
-    r_pos = layout.start(block.r)
-    c_pos = layout.start(block.c)
-    k_bit = 1 << layout.start(block.k)
-    fixed = block.fixed_bits()
-    amps = state.amplitudes
-    entries = np.zeros((dim, dim), dtype=np.complex128)
-    support = np.empty(2 * dim * dim + 2, dtype=np.int64)
-    pos = 0
-    for j in range(dim):
-        for k in range(dim):
-            base = fixed | (j << r_pos) | (k << c_pos) | k_bit
-            entries[j, k] = complex(amps[base].real, amps[base | m_bit].real)
-            support[pos] = base
-            support[pos + 1] = base | m_bit
-            pos += 2
-    b = complex(amps[fixed].real, amps[fixed | m_bit].real)
-    support[pos] = fixed
-    support[pos + 1] = fixed | m_bit
-    off_support = np.ones(amps.size, dtype=bool)
-    off_support[support] = False
-    residual = float(np.sum(np.abs(amps[off_support]) ** 2))
-    residual += float(np.sum(amps[support].imag ** 2))
+    view, names = _register_view(state.amplitudes, layout)
+    pins = {name: 0 for name in names if name not in block.registers}
+    pins.update(block.fixed)
+    # weight off the block's slice, as disjoint parts: the subsystems pinned
+    # so far match, the next one does not
+    residual = 0.0
+    matched = {}
+    for name, value in pins.items():
+        for other in (slice(0, value), slice(value + 1, 1 << layout.width(name))):
+            if other.start < other.stop:
+                residual += _weight(_select(view, names, {**matched, name: other}))
+        matched[name] = value
+    block_axes = [names.index(name) for name in block.registers]
+    inside = _select(view, names, pins).transpose(
+        block_axes + [i for i in range(len(names)) if i not in block_axes]
+    ).reshape(2, dim, dim, 2)
+    support = np.zeros(inside.shape, dtype=bool)
+    support[1] = True
+    support[0, 0, 0] = True
+    residual += _weight(inside[~support]) + _weight(np.imag(inside[support]))
+    entries = np.empty((dim, dim), dtype=np.complex128)
+    entries.real = inside[1, :, :, 0].real
+    entries.imag = inside[1, :, :, 1].real
+    b = complex(inside[0, 0, 0, 0].real, inside[0, 0, 0, 1].real)
     return ComplexMatrix(layout.n, entries), b, residual

@@ -10,8 +10,6 @@ destroys the product state, so one extra run is nominally needed to keep it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,18 +54,6 @@ class GEstimate:
         return self.shots + 1
 
 
-def thread_cap() -> int:
-    """Worker cap from the QAMP_THREADS env var; 0 or unset picks the CPU count."""
-    raw = os.environ.get("QAMP_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterError(f"QAMP_THREADS must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ParameterError(f"QAMP_THREADS must be nonnegative, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
-
-
 def _shard_sizes(shots: int) -> list[int]:
     full, rem = divmod(shots, SHARD_SIZE)
     sizes = [SHARD_SIZE] * full
@@ -80,22 +66,15 @@ def _sample_zero_count(p_zero: float, shots: int, seed: int) -> int:
     """Total zero-outcome count over deterministic shards.
 
     The shard split depends only on ``shots`` and each draw only on a seed
-    spawned from ``seed``, so the total is independent of worker count, and
-    summation makes merge order irrelevant.
+    spawned from ``seed``, so the total is a fixed function of both.  Each
+    shard is one binomial draw of microseconds, drawn serially.
     """
     sizes = _shard_sizes(shots)
     seeds = np.random.SeedSequence(seed).spawn(len(sizes))
     p = min(1.0, max(0.0, p_zero))
-
-    def draw(size_and_seed):
-        size, child = size_and_seed
-        return int(np.random.default_rng(child).binomial(size, p))
-
-    workers = min(thread_cap(), len(sizes))
-    if workers <= 1:
-        return sum(draw(pair) for pair in zip(sizes, seeds))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(draw, zip(sizes, seeds)))
+    return sum(
+        int(np.random.default_rng(child).binomial(size, p)) for size, child in zip(sizes, seeds)
+    )
 
 
 def estimate_g(

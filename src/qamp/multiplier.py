@@ -29,10 +29,10 @@ import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix, dagger_oracle, matmul_oracle
 from .conjugator import apply_q
-from .encoder import EncodedBlock, decode, encode
+from .encoder import EncodedBlock, decode, joint_amplitudes
 from .errors import DimensionError, ParameterError
 from .registers import RegisterLayout, layout_for
-from .statevector import GateSpec, StateVector, apply_gate, project_and_renormalize
+from .statevector import GateSpec, StateVector, apply_gates, project_and_renormalize
 
 MANIPULATIONS = frozenset({"dagger1", "dagger2", "swap_order"})
 
@@ -65,46 +65,34 @@ class ProductResult:
     scale_back: float
 
 
-def _subsystem_mask(layout: RegisterLayout, names) -> int:
-    mask = 0
-    for name in names:
-        for q in layout.qubits(name):
-            mask |= 1 << q
-    return mask
-
-
 def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:
     """Joint state of both encoded operands over the full register.
 
-    Amplitudes are the products of the two encodings' amplitudes; ancillae
-    and any control flags start in |0>.
+    Amplitudes are the products of the two encodings' real amplitudes,
+    written in one broadcast multiply; ancillae and any control flags start
+    in |0>.
     """
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
     if pm1.n != layout.n:
         raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
-    e1 = encode(pm1, "first", layout)
-    e2 = encode(pm2, "second", layout)
-    side1 = _subsystem_mask(layout, ("M1", "R1", "C1", "K1"))
-    side2 = _subsystem_mask(layout, ("M2", "R2", "C2", "K2"))
-    rest = ((1 << layout.total_qubits) - 1) & ~(side1 | side2)
-    idx = np.arange(1 << layout.total_qubits, dtype=np.int64)
-    amps = np.where((idx & rest) == 0, e1.amplitudes[idx & side1] * e2.amplitudes[idx & side2], 0.0)
-    return StateVector(layout.total_qubits, amps)
+    operands = [
+        (pm1, EncodedBlock.for_side(layout, "first")),
+        (pm2, EncodedBlock.for_side(layout, "second")),
+    ]
+    return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
 
 
 def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Contraction CNOTs: C1 qubit j controls R2 qubit j, for every j."""
-    for cq, tq in zip(layout.qubits("C1"), layout.qubits("R2")):
-        state = apply_gate(state, GateSpec.cnot(cq, tq))
-    return state
+    return apply_gates(
+        state, [GateSpec.cnot(cq, tq) for cq, tq in zip(layout.qubits("C1"), layout.qubits("R2"))]
+    )
 
 
 def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Hadamard every C1 qubit, summing the contracted index into C1 = 0."""
-    for q in layout.qubits("C1"):
-        state = apply_gate(state, GateSpec.h(q))
-    return state
+    return apply_gates(state, [GateSpec.h(q) for q in layout.qubits("C1")])
 
 
 def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -118,11 +106,15 @@ def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
     """
     m1 = layout.start("M1")
     m2 = layout.start("M2")
-    state = apply_gate(state, GateSpec.z(m1, ((m2, 1),)))
-    state = apply_gate(state, GateSpec.x(m1, ((m2, 1),)))
-    state = apply_gate(state, GateSpec.h(m2))
-    state = apply_gate(state, GateSpec.cnot(layout.start("K1"), layout.start("K2")))
-    return state
+    return apply_gates(
+        state,
+        [
+            GateSpec.z(m1, ((m2, 1),)),
+            GateSpec.x(m1, ((m2, 1),)),
+            GateSpec.h(m2),
+            GateSpec.cnot(layout.start("K1"), layout.start("K2")),
+        ],
+    )
 
 
 def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -142,7 +134,7 @@ def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:
         )
     )
     gate = GateSpec.multi_controlled_x((layout.start("B"), layout.start("BT")), controls)
-    return apply_gate(state, gate)
+    return apply_gates(state, (gate,))
 
 
 def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:

@@ -1,13 +1,20 @@
-"""Dense statevector engine with bit-mask gate kernels.
+"""Dense statevector engine with in-place register-view gate kernels.
 
 Convention: qubit 0 is the least significant bit of the amplitude index, so
 the basis state |q_{Q-1} ... q_1 q_0> sits at index sum(q_i << i).
 
 Gates carry an explicit control list with per-control polarity; polarity-0
 controls fire on |0>, which is how the pipeline projects onto an all-zero
-subspace without extra NOT gates.  Kernels operate on a fresh copy of the
-amplitude array through pure elementwise writes to disjoint locations, so
-results are deterministic and inputs are never mutated.
+subspace without extra NOT gates.
+
+Every gate here is real, and the matrix encoding puts real and imaginary
+parts on separate basis states, so the pipeline runs on float64 amplitudes;
+complex128 states are supported for general use.  Kernels reshape the
+amplitudes to one length-2 axis per qubit and update strided views in
+place: controls pin their axis to the control polarity, X and SWAP exchange
+two slices, Z negates one, H combines two.  No index array or bit mask is
+built.  Public entry points never mutate their input: :func:`apply_gates`
+copies the state once and then runs a whole gate sequence on the copy.
 """
 
 from __future__ import annotations
@@ -23,47 +30,57 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 GATE_KINDS = ("X", "Z", "H", "SWAP", "CNOT", "MULTI_CONTROLLED")
 
-_index_cache: dict[int, np.ndarray] = {}
-
-
-def _indices(num_qubits: int) -> np.ndarray:
-    """Readonly 0..2**Q-1 index array, cached per width."""
-    got = _index_cache.get(num_qubits)
-    if got is None:
-        got = np.arange(1 << num_qubits, dtype=np.int64)
-        got.setflags(write=False)
-        _index_cache[num_qubits] = got
-    return got
-
-
-_bit_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _bit_is_one(num_qubits: int, qubit: int) -> np.ndarray:
-    """Readonly boolean array: bit ``qubit`` of each amplitude index."""
-    key = (num_qubits, qubit)
-    got = _bit_cache.get(key)
-    if got is None:
-        got = ((_indices(num_qubits) >> qubit) & 1).astype(bool)
-        got.setflags(write=False)
-        _bit_cache[key] = got
-    return got
-
 
 def _check_qubit(num_qubits: int, qubit: int) -> None:
     if not 0 <= qubit < num_qubits:
         raise DimensionError(f"qubit {qubit} out of range for a {num_qubits}-qubit state")
 
 
+def _check_outcome(outcome: int) -> None:
+    if outcome not in (0, 1):
+        raise ParameterError(f"outcome must be 0 or 1, got {outcome}")
+
+
+def _pinned(amps: np.ndarray, num_qubits: int, pins) -> np.ndarray:
+    """Writable view of the amplitudes whose qubits match every (qubit, bit)
+    pin.  Pinned axes keep length 1, so the view is an array even when every
+    qubit is pinned."""
+    index = [slice(None)] * num_qubits
+    for qubit, bit in pins:
+        # axis 0 of the C-ordered reshape is the most significant qubit
+        index[num_qubits - 1 - qubit] = slice(bit, bit + 1)
+    return amps.reshape((2,) * num_qubits)[tuple(index)]
+
+
+def _weight(view: np.ndarray) -> float:
+    """Sum of squared magnitudes over a strided view, without a temporary
+    the size of the view."""
+    if np.iscomplexobj(view):
+        return _weight(view.real) + _weight(view.imag)
+    axes = list(range(view.ndim))
+    return float(np.einsum(view, axes, view, axes, []))
+
+
+def _exchange(a: np.ndarray, b: np.ndarray) -> None:
+    held = a.copy()
+    a[...] = b
+    b[...] = held
+
+
 @dataclass
 class StateVector:
-    """Complex amplitudes over the 2**num_qubits basis states."""
+    """Amplitudes over the 2**num_qubits basis states.
+
+    A float64 array is kept as given; anything else is stored as complex128.
+    """
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.amplitudes, dtype=np.complex128)
+        arr = self.amplitudes
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
+            arr = np.asarray(arr, dtype=np.complex128)
         if self.num_qubits < 0 or arr.shape != (1 << self.num_qubits,):
             raise DimensionError(
                 f"expected {1 << max(self.num_qubits, 0)} amplitudes for "
@@ -77,10 +94,8 @@ class StateVector:
     def probability(self, qubit: int, outcome: int) -> float:
         """Exact marginal probability of reading ``qubit`` as ``outcome``."""
         _check_qubit(self.num_qubits, qubit)
-        if outcome not in (0, 1):
-            raise ParameterError(f"outcome must be 0 or 1, got {outcome}")
-        bit = (_indices(self.num_qubits) >> qubit) & 1
-        return float(np.sum(np.abs(self.amplitudes[bit == outcome]) ** 2))
+        _check_outcome(outcome)
+        return _weight(_pinned(self.amplitudes, self.num_qubits, ((qubit, outcome),)))
 
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
@@ -150,69 +165,62 @@ class GateSpec:
 
 
 def init_basis(num_qubits: int, basis_index: int) -> StateVector:
-    """State with amplitude 1 on a single basis index."""
+    """Real state with amplitude 1 on a single basis index."""
     if num_qubits < 0:
         raise DimensionError(f"qubit count must be nonnegative, got {num_qubits}")
     dim = 1 << num_qubits
     if not 0 <= basis_index < dim:
         raise ParameterError(f"basis index {basis_index} out of range for {num_qubits} qubits")
-    amps = np.zeros(dim, dtype=np.complex128)
+    amps = np.zeros(dim)
     amps[basis_index] = 1.0
     return StateVector(num_qubits, amps)
 
 
-def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
-    """Apply one gate, returning a new statevector.
-
-    Only amplitude pairs whose control bits match every polarity are touched;
-    all other amplitudes carry over unchanged.  Each kernel is expressed as a
-    whole-array gather/blend over the bit-mask selection, so the result is
-    bit-identical to a sequential pairwise update.
-    """
-    q = state.num_qubits
+def _apply_in_place(amps: np.ndarray, num_qubits: int, gate: GateSpec) -> None:
+    """Apply one gate to ``amps``, touching only the amplitudes whose control
+    bits match every polarity."""
     for t in gate.targets:
-        _check_qubit(q, t)
+        _check_qubit(num_qubits, t)
     for cq, _ in gate.controls:
-        _check_qubit(q, cq)
+        _check_qubit(num_qubits, cq)
 
-    idx = _indices(q)
-    match = None
-    if gate.controls:
-        cmask = 0
-        cpattern = 0
-        for cq, pol in gate.controls:
-            cmask |= 1 << cq
-            cpattern |= pol << cq
-        match = (idx & cmask) == cpattern
-
-    amps = state.amplitudes
+    def part(*pins):
+        return _pinned(amps, num_qubits, gate.controls + pins)
 
     if gate.kind in ("X", "CNOT", "MULTI_CONTROLLED"):
-        flip = 0
+        # flipping several targets is one slice exchange per target
         for t in gate.targets:
-            flip |= 1 << t
-        flipped = amps[idx ^ flip]
-        out = flipped if match is None else np.where(match, flipped, amps)
+            _exchange(part((t, 0)), part((t, 1)))
     elif gate.kind == "Z":
-        sel = _bit_is_one(q, gate.targets[0])
-        if match is not None:
-            sel = sel & match
-        out = np.where(sel, -amps, amps)
+        ones = part((gate.targets[0], 1))
+        np.negative(ones, out=ones)
     elif gate.kind == "H":
         t = gate.targets[0]
-        partner = amps[idx ^ (1 << t)]
-        # rows of the 2x2 kernel: (a + b) and (a - b), both scaled by 1/sqrt(2)
-        mixed = (np.where(_bit_is_one(q, t), -amps, amps) + partner) * _SQRT1_2
-        out = mixed if match is None else np.where(match, mixed, amps)
-    else:  # SWAP: exchange amplitudes where the two target bits differ
-        b0 = 1 << gate.targets[0]
-        b1 = 1 << gate.targets[1]
-        differ = _bit_is_one(q, gate.targets[0]) != _bit_is_one(q, gate.targets[1])
-        if match is not None:
-            differ = differ & match
-        out = amps[np.where(differ, idx ^ (b0 | b1), idx)]
+        a0, a1 = part((t, 0)), part((t, 1))
+        total = a0 + a1
+        np.subtract(a0, a1, out=a1)
+        np.multiply(a1, _SQRT1_2, out=a1)
+        np.multiply(total, _SQRT1_2, out=a0)
+    else:  # SWAP: exchange the slices where the two target bits differ
+        a, b = gate.targets
+        _exchange(part((a, 0), (b, 1)), part((a, 1), (b, 0)))
 
-    return StateVector(q, out)
+
+def apply_gates(state: StateVector, gates) -> StateVector:
+    """Apply a gate sequence, returning a new statevector.
+
+    The input is copied once and every gate then updates the copy in place,
+    so the input is never mutated and the dtype is kept.
+    """
+    out = state.copy()
+    for gate in gates:
+        _apply_in_place(out.amplitudes, out.num_qubits, gate)
+    return out
+
+
+def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
+    """Apply one gate, returning a new statevector; the input is unchanged."""
+    return apply_gates(state, (gate,))
 
 
 def tensor(state_a: StateVector, state_b: StateVector) -> StateVector:
@@ -230,16 +238,16 @@ def project_and_renormalize(
     selected outcome subspace.
     """
     _check_qubit(state.num_qubits, qubit)
-    if outcome not in (0, 1):
-        raise ParameterError(f"outcome must be 0 or 1, got {outcome}")
-    idx = _indices(state.num_qubits)
-    keep = ((idx >> qubit) & 1) == outcome
-    prob = float(np.sum(np.abs(state.amplitudes[keep]) ** 2))
+    _check_outcome(outcome)
+    pin = ((qubit, outcome),)
+    kept = _pinned(state.amplitudes, state.num_qubits, pin)
+    prob = _weight(kept)
     if prob == 0.0:
         raise MeasurementError(
             f"outcome {outcome} on qubit {qubit} has zero probability", probability=0.0
         )
-    amps = np.where(keep, state.amplitudes, 0.0) / math.sqrt(prob)
+    amps = np.zeros_like(state.amplitudes)
+    np.divide(kept, math.sqrt(prob), out=_pinned(amps, state.num_qubits, pin))
     return StateVector(state.num_qubits, amps), prob
 
 

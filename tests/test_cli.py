@@ -109,6 +109,29 @@ class TestMultiply:
         report = json.loads(capsys.readouterr().out)
         assert report["g"] == pytest.approx(math.sqrt(0.375), abs=1e-12)
 
+    def test_prepared_file_off_unit_norm_exit_2(self, tmp_path, capsys):
+        # |b|^2 + weight misses 1 by about 1.4e-11: within the encoder's
+        # tolerance, outside the prepared-matrix identity
+        doc = {**IDENTITY_HALF, "b": [math.sqrt(0.5) + 1e-11, 0.0], "s_original": 0.5, "c": 0.5}
+        prepared = write_json(tmp_path / "off.json", doc)
+        assert main(["multiply", prepared, prepared]) == 2
+        assert "deviates from 1" in capsys.readouterr().err
+
+    def test_zero_slack_prepared_file_exit_4(self, tmp_path, capsys):
+        nilpotent = {"n": 1, "entries": [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        prepared = write_json(tmp_path / "p.json", {**nilpotent, "b": [0.0, 0.0], "s_original": 1.0, "c": 1.0})
+        assert main(["multiply", prepared, prepared]) == 4
+        assert "undefined" in capsys.readouterr().err
+
+    def test_zero_weight_branch_exit_2(self, tmp_path, capsys):
+        # a valid nilpotent operand whose slack underflows in the product:
+        # the flagged branch has weight exactly zero
+        a = math.sqrt(1.0 - 1e-13)
+        nilpotent = {"n": 1, "entries": [[[0.0, 0.0], [a, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        prepared = write_json(tmp_path / "p.json", {**nilpotent, "b": [1e-200, 0.0], "s_original": 1.0, "c": 1.0})
+        assert main(["multiply", prepared, prepared]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_mismatched_n_exit_3(self, tmp_path, desk_matrix):
         big = write_json(
             tmp_path / "big.json",

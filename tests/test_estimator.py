@@ -11,7 +11,6 @@ from qamp import (
     PreparedMatrix,
     estimate_g,
     run_pipeline,
-    thread_cap,
 )
 from support import prepared_from_tilde, random_prepared
 
@@ -40,14 +39,6 @@ class TestEstimateG:
         a = estimate_g(pm1, pm2, shots=60_000, seed=21)
         b = estimate_g(pm1, pm2, shots=60_000, seed=21)
         assert a == b
-
-    def test_thread_cap_does_not_change_counts(self, monkeypatch):
-        pm1, pm2 = desk_pair()
-        monkeypatch.setenv("QAMP_THREADS", "1")
-        serial = estimate_g(pm1, pm2, shots=60_000, seed=31)
-        monkeypatch.setenv("QAMP_THREADS", "3")
-        threaded = estimate_g(pm1, pm2, shots=60_000, seed=31)
-        assert serial == threaded
 
     def test_exact_identity_random_inputs(self):
         rng = np.random.default_rng(211)
@@ -95,21 +86,3 @@ class TestEstimateG:
         with pytest.raises(ParameterError):
             estimate_g(pm1, pm2, shots=0, seed=0)
 
-
-class TestThreadCap:
-    def test_default_is_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("QAMP_THREADS", raising=False)
-        assert thread_cap() >= 1
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("QAMP_THREADS", "0")
-        assert thread_cap() >= 1
-
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("QAMP_THREADS", "2")
-        assert thread_cap() == 2
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("QAMP_THREADS", "many")
-        with pytest.raises(ParameterError):
-            thread_cap()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,3 +415,19 @@ class TestResourceReport:
     def test_rejects_n_below_one(self):
         with pytest.raises(ParameterError):
             resource_report(0)
+
+
+class TestMemory:
+    def test_peak_is_a_few_states(self):
+        # one copy per stage: the input and output states plus kernel
+        # temporaries of at most half a state
+        rng = np.random.default_rng(331)
+        pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
+        state_bytes = 8 << layout_for(3).total_qubits
+        tracemalloc.start()
+        try:
+            run_pipeline(pm1, pm2, {"dagger1", "dagger2", "swap_order"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"

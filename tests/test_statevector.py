@@ -6,24 +6,44 @@ from hypothesis import given, settings, strategies as st
 
 from qamp import (
     DimensionError,
+    EncodedBlock,
     GateSpec,
     MeasurementError,
     ParameterError,
     StateVector,
     ValidationError,
     apply_gate,
+    apply_q,
+    apply_q_controlled,
+    apply_w0,
+    apply_w1,
+    apply_w2,
+    apply_w3,
+    build_initial,
+    conditional_measure,
+    encode,
+    hermitian_conjugate,
     init_basis,
+    layout_for,
     project_and_renormalize,
+    run_pipeline,
     sample_measure,
     tensor,
 )
+from qamp import statevector
 from bruteforce import gate_unitary
+from support import random_prepared
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def random_state(rng, num_qubits):
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
+    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+
+
+def random_real_state(rng, num_qubits):
+    amps = rng.normal(size=1 << num_qubits)
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
 
@@ -158,6 +178,90 @@ class TestApplyGate:
         sv = random_state(rng, 3)
         out = apply_gate(sv, random_gate(rng, 3))
         assert abs(out.norm() - 1.0) < 1e-12
+
+
+class TestRealKernels:
+    """The float64 path: every circuit gate is real, so real states stay real."""
+
+    KINDS = [
+        GateSpec.x(1),
+        GateSpec.z(2, ((0, 1),)),
+        GateSpec.h(0),
+        GateSpec.h(3, ((1, 0),)),
+        GateSpec.swap(0, 3),
+        GateSpec.swap(1, 2, ((0, 1),)),
+        GateSpec.cnot(2, 1),
+        GateSpec.multi_controlled_x((0, 1), ((2, 0), (3, 1))),
+    ]
+
+    def test_state_keeps_float64_and_other_input_becomes_complex(self):
+        assert init_basis(2, 1).amplitudes.dtype == np.float64
+        assert StateVector(1, np.array([0.6, 0.8])).amplitudes.dtype == np.float64
+        assert StateVector(1, [0.6, 0.8]).amplitudes.dtype == np.complex128
+        assert StateVector(1, np.array([1, 0])).amplitudes.dtype == np.complex128
+
+    @pytest.mark.parametrize("gate", KINDS, ids=lambda g: g.kind)
+    def test_every_gate_kind_keeps_float64(self, gate):
+        sv = random_real_state(np.random.default_rng(5), 4)
+        out = apply_gate(sv, gate)
+        assert out.amplitudes.dtype == np.float64
+        assert np.allclose(out.amplitudes, gate_unitary(gate, 4) @ sv.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize(
+        "gate,num_qubits",
+        [
+            (GateSpec.h(0), 1),
+            (GateSpec.x(0), 1),
+            (GateSpec.z(0), 1),
+            (GateSpec.swap(0, 1), 2),
+            (GateSpec.h(1, ((0, 1),)), 2),
+            (GateSpec.multi_controlled_x((2,), ((0, 1), (1, 0))), 3),
+            (GateSpec.multi_controlled_x((0, 2), ((1, 1),)), 3),
+        ],
+        ids=lambda v: getattr(v, "kind", v),
+    )
+    def test_gate_covering_every_qubit(self, gate, num_qubits, dtype):
+        rng = np.random.default_rng(17)
+        amps = rng.normal(size=1 << num_qubits).astype(dtype)
+        if dtype is np.complex128:
+            amps = amps + 1j * rng.normal(size=1 << num_qubits)
+        sv = StateVector(num_qubits, amps)
+        out = apply_gate(sv, gate)
+        assert out.amplitudes.dtype == dtype
+        assert np.allclose(out.amplitudes, gate_unitary(gate, num_qubits) @ amps, atol=1e-12)
+
+    def test_pipeline_stages_keep_float64_and_leave_input_alone(self):
+        rng = np.random.default_rng(41)
+        layout = layout_for(1, with_controls=True)
+        pm1, pm2 = random_prepared(rng, 1, complex_b=True), random_prepared(rng, 1, complex_b=True)
+        block = EncodedBlock.for_side(layout, "second")
+        stages = [
+            lambda s: hermitian_conjugate(s, block),
+            *(lambda s, w=w: apply_q(s, w, layout) for w in (1, 2, 3)),
+            *(lambda s, w=w: apply_q_controlled(s, w, layout) for w in (1, 2, 3)),
+            *(lambda s, f=f: f(s, layout) for f in (apply_w0, apply_w1, apply_w2, apply_w3)),
+            lambda s: conditional_measure(s, layout)[0],
+        ]
+        assert encode(pm1, "first", layout).amplitudes.dtype == np.float64
+        state = build_initial(pm1, pm2, layout)
+        # set every control flag so the controlled manipulations act
+        for flag in ("Q1", "Q2", "Q3"):
+            state = apply_gate(state, GateSpec.x(layout.start(flag)))
+        for stage in stages:
+            before = state.amplitudes.copy()
+            out = stage(state)
+            assert out.amplitudes.dtype == np.float64
+            assert out.amplitudes is not state.amplitudes
+            assert np.array_equal(state.amplitudes, before)
+            state = out
+
+    def test_no_module_level_array_cache(self):
+        rng = np.random.default_rng(43)
+        run_pipeline(random_prepared(rng, 2), random_prepared(rng, 2), {"dagger1", "swap_order"})
+        for name, value in vars(statevector).items():
+            held = value.values() if isinstance(value, dict) else [value]
+            assert not any(isinstance(v, np.ndarray) for v in held), name
 
 
 class TestTensor:
