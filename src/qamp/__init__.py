@@ -57,8 +57,6 @@ from .statevector import (
     apply_gate,
     init_basis,
     project_and_renormalize,
-    sample_measure,
-    tensor,
 )
 
 __all__ = [
@@ -109,6 +107,4 @@ __all__ = [
     "apply_gate",
     "init_basis",
     "project_and_renormalize",
-    "sample_measure",
-    "tensor",
 ]

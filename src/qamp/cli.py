@@ -14,6 +14,7 @@ operand without slack) or unavailable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -246,7 +247,7 @@ def cmd_report(args) -> int:
         "version": __version__,
         "command": "report",
         "flags": {"n": args.n},
-        **rep.to_dict(),
+        **dataclasses.asdict(rep),
     }
     sys.stdout.write(dump_json(report))
     return EXIT_OK

@@ -20,7 +20,8 @@ from .errors import DimensionError, MethodUndefinedError, ParameterError, Valida
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
 
-#: tolerance on the slack identity |b|^2 + sum |entries|^2 = 1
+#: tolerance on the slack identity |b|^2 + sum |entries|^2 = 1, and relative
+#: tolerance on the scale record weight * (s_original + c)^2 = s_original
 NORM_TOL = 1e-12
 
 
@@ -74,8 +75,9 @@ class PreparedMatrix:
 
     ``matrix`` holds the original input divided by (s_original + c), and
     ``b`` is chosen so that |b|^2 + sum of squared entry magnitudes equals
-    one exactly.  :func:`prepare` guarantees both; :meth:`validate` rechecks
-    them on hand-built instances.
+    one exactly.  :func:`prepare` guarantees both, and records s_original and
+    c consistently with the scaled entries; :meth:`validate` rechecks all of
+    it on hand-built instances.
     """
 
     matrix: ComplexMatrix
@@ -92,13 +94,23 @@ class PreparedMatrix:
         """Factor mapping the scaled matrix back to the original input."""
         return self.s_original + self.c
 
-    def validate(self, tol: float = NORM_TOL) -> None:
+    def validate(self) -> None:
         w = self.matrix.weight()
         if w >= 1.0:
             raise ValidationError(f"scaled matrix weight {w} is not strictly below 1")
         total = abs(self.b) ** 2 + w
-        if abs(total - 1.0) > tol:
-            raise ValidationError(f"|b|^2 + weight = {total!r} deviates from 1 beyond {tol}")
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValidationError(f"|b|^2 + weight = {total!r} deviates from 1 beyond {NORM_TOL}")
+        s, c = self.s_original, self.c
+        if not (c > 0) or not (s >= 0):  # also rejects NaN
+            raise ValidationError(f"need c > 0 and s_original >= 0, got c={c!r}, s_original={s!r}")
+        # scaling by 1/(s + c) maps weight s to s / (s + c)^2
+        unscaled = w * self.scale**2
+        if abs(unscaled - s) > NORM_TOL * s:
+            raise ValidationError(
+                f"s_original={s!r} and c={c!r} disagree with the entries: "
+                f"weight * (s_original + c)^2 = {unscaled!r}"
+            )
 
     @classmethod
     def from_scaled(cls, matrix, b_phase: float = 0.0) -> "PreparedMatrix":

@@ -46,7 +46,6 @@ class EncodedBlock:
     r: str
     c: str
     k: str
-    side: str = "custom"
     fixed: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
@@ -56,9 +55,9 @@ class EncodedBlock:
     @classmethod
     def for_side(cls, layout: RegisterLayout, side: str) -> "EncodedBlock":
         if side == "first":
-            return cls(layout, m="M1", r="R1", c="C1", k="K1", side="first")
+            return cls(layout, m="M1", r="R1", c="C1", k="K1")
         if side == "second":
-            return cls(layout, m="M2", r="R2", c="C2", k="K2", side="second")
+            return cls(layout, m="M2", r="R2", c="C2", k="K2")
         raise ParameterError(f"side must be 'first' or 'second', got {side!r}")
 
     @classmethod
@@ -66,7 +65,7 @@ class EncodedBlock:
         """Block holding a decoded product: rows from the first operand,
         columns from the second, both ancillae post-selected to |1>."""
         fixed = (("B", 1), ("BT", 1)) + tuple(extra_fixed)
-        return cls(layout, m="M1", r="R1", c="C2", k="K1", side="output", fixed=fixed)
+        return cls(layout, m="M1", r="R1", c="C2", k="K1", fixed=fixed)
 
     @property
     def registers(self) -> tuple[str, str, str, str]:

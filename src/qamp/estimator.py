@@ -15,17 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexmat import PreparedMatrix
-from .conjugator import apply_q
 from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError
-from .multiplier import (
-    _check_manipulations,
-    apply_w0,
-    apply_w1,
-    apply_w2,
-    apply_w3,
-    build_initial,
-    conditional_measure,
-)
+from .multiplier import _check_manipulations, flagged_state
 from .registers import layout_for
 
 #: shots per sampling shard; the shard split is a function of shots alone
@@ -99,18 +90,7 @@ def estimate_g(
             "slack product is zero for these inputs, the recovery ratio is undefined"
         )
     layout = layout_for(pm1.n)
-    state = build_initial(pm1, pm2, layout)
-    if "swap_order" in manips:
-        state = apply_q(state, 3, layout)
-    if "dagger2" in manips:
-        state = apply_q(state, 2, layout)
-    if "dagger1" in manips:
-        state = apply_q(state, 1, layout)
-    state = apply_w0(state, layout)
-    state = apply_w1(state, layout)
-    state = apply_w2(state, layout)
-    state = apply_w3(state, layout)
-    state, _branch = conditional_measure(state, layout)
+    state, _branch = flagged_state(pm1, pm2, manips, layout)
 
     s1_tilde_exact = state.probability(layout.start("K1"), 0)
     zeros = _sample_zero_count(s1_tilde_exact, shots, seed)

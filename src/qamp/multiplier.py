@@ -18,6 +18,10 @@ Decoding the survivor on (M1, R1, C2, K1) yields the scaled product and
 slack divided by a normalization factor; the branch weight recovers that
 factor exactly, since payload amplitudes carry a uniform 2**-((n+1)/2)
 prefactor going into the measurement.
+
+:func:`flagged_state` is the one place this stage sequence, with the
+optional manipulations ahead of w0, is written; :func:`run_pipeline` and
+:func:`qamp.estimator.estimate_g` both read their results off its output.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from .registers import RegisterLayout, layout_for
 from .statevector import GateSpec, StateVector, apply_gates, project_and_renormalize
 
 MANIPULATIONS = frozenset({"dagger1", "dagger2", "swap_order"})
+
+#: (manipulation, conjugator stage) in circuit order: the operand exchange
+#: first, then the second operand's conjugation, then the first's
+MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
 
 
 def _check_manipulations(manipulations) -> frozenset:
@@ -187,6 +195,23 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     return matrix, b_hat
 
 
+def flagged_state(
+    pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations, layout: RegisterLayout
+) -> tuple[StateVector, float]:
+    """Run the circuit up to and including the conditional measurement.
+
+    Returns the renormalized flagged state and the branch's pre-projection
+    weight.  ``manipulations`` must already be checked.
+    """
+    state = build_initial(pm1, pm2, layout)
+    for name, which in MANIPULATION_STAGES:
+        if name in manipulations:
+            state = apply_q(state, which, layout)
+    for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
+        state = stage(state, layout)
+    return conditional_measure(state, layout)
+
+
 def run_pipeline(
     pm1: PreparedMatrix,
     pm2: PreparedMatrix,
@@ -195,24 +220,12 @@ def run_pipeline(
 ) -> ProductResult:
     """Run the whole circuit, decode, and verify against the classical oracle.
 
-    Manipulations apply in a fixed order: the operand exchange first, then
-    the second-operand conjugation, then the first's.
+    Manipulations apply in the order of :data:`MANIPULATION_STAGES`.
     """
     manips = _check_manipulations(manipulations)
     if layout is None:
         layout = layout_for(pm1.n)
-    state = build_initial(pm1, pm2, layout)
-    if "swap_order" in manips:
-        state = apply_q(state, 3, layout)
-    if "dagger2" in manips:
-        state = apply_q(state, 2, layout)
-    if "dagger1" in manips:
-        state = apply_q(state, 1, layout)
-    state = apply_w0(state, layout)
-    state = apply_w1(state, layout)
-    state = apply_w2(state, layout)
-    state = apply_w3(state, layout)
-    state, branch_probability = conditional_measure(state, layout)
+    state, branch_probability = flagged_state(pm1, pm2, manips, layout)
 
     # the flagged branch carries weight G^2 / 2^(n+1)
     g_exact = math.sqrt(branch_probability * float(1 << (layout.n + 1)))
@@ -253,17 +266,6 @@ class ResourceReport:
     w3_control_qubits: int
     w3_elementary_depth: int
     depth_total: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "qubits": self.qubits,
-            "qubits_with_controls": self.qubits_with_controls,
-            "gate_counts": dict(self.gate_counts),
-            "w3_control_qubits": self.w3_control_qubits,
-            "w3_elementary_depth": self.w3_elementary_depth,
-            "depth_total": self.depth_total,
-        }
 
 
 def resource_report(n: int) -> ResourceReport:

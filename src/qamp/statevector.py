@@ -223,12 +223,6 @@ def apply_gate(state: StateVector, gate: GateSpec) -> StateVector:
     return apply_gates(state, (gate,))
 
 
-def tensor(state_a: StateVector, state_b: StateVector) -> StateVector:
-    """Tensor product with ``state_b`` occupying the low-order qubits."""
-    amps = np.kron(state_a.amplitudes, state_b.amplitudes)
-    return StateVector(state_a.num_qubits + state_b.num_qubits, amps)
-
-
 def project_and_renormalize(
     state: StateVector, qubit: int, outcome: int
 ) -> tuple[StateVector, float]:
@@ -249,17 +243,3 @@ def project_and_renormalize(
     amps = np.zeros_like(state.amplitudes)
     np.divide(kept, math.sqrt(prob), out=_pinned(amps, state.num_qubits, pin))
     return StateVector(state.num_qubits, amps), prob
-
-
-def sample_measure(state: StateVector, qubit: int, rng_seed: int, shots: int) -> dict[int, int]:
-    """Counts of 0/1 outcomes for ``shots`` independent reads of ``qubit``.
-
-    Draws a single binomial from the exact marginal; deterministic for a
-    fixed seed.
-    """
-    if shots < 1:
-        raise ParameterError(f"shots must be at least 1, got {shots}")
-    p1 = min(1.0, max(0.0, state.probability(qubit, 1)))
-    rng = np.random.default_rng(rng_seed)
-    ones = int(rng.binomial(shots, p1))
-    return {0: shots - ones, 1: ones}

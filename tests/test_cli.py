@@ -128,9 +128,20 @@ class TestMultiply:
         # the flagged branch has weight exactly zero
         a = math.sqrt(1.0 - 1e-13)
         nilpotent = {"n": 1, "entries": [[[0.0, 0.0], [a, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
-        prepared = write_json(tmp_path / "p.json", {**nilpotent, "b": [1e-200, 0.0], "s_original": 1.0, "c": 1.0})
+        doc = {**nilpotent, "b": [1e-200, 0.0], "s_original": 1 - 1e-13, "c": 1e-13}
+        prepared = write_json(tmp_path / "p.json", doc)
         assert main(["multiply", prepared, prepared]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero probability" in err
+
+    def test_prepared_file_inconsistent_scale_exit_2(self, tmp_path, capsys):
+        # the desk file records s_original = 0.5; with 5.0 the rescaled
+        # product would silently come out 30.25 times too large
+        doc = {**IDENTITY_HALF, "b": [math.sqrt(0.5), 0.0], "s_original": 5.0, "c": 0.5}
+        prepared = write_json(tmp_path / "bad.json", doc)
+        assert main(["multiply", prepared, prepared]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "disagree with the entries" in err
 
     def test_mismatched_n_exit_3(self, tmp_path, desk_matrix):
         big = write_json(

@@ -185,6 +185,17 @@ class TestPreparedMatrix:
         with pytest.raises(ValidationError):
             bad.validate()
 
+    @pytest.mark.parametrize(
+        "s_original,c", [(0.5, 0.0), (-0.5, 2.0), (5.0, 0.5), (0.5, 0.5 + 1e-9)]
+    )
+    def test_validate_flags_inconsistent_scale_record(self, s_original, c):
+        # entries of weight 0.5 scaled from weight 0.5 need s_original + c = 1
+        ok = PreparedMatrix(ComplexMatrix(1, [[0.5, 0], [0, 0.5]]), math.sqrt(0.5), 0.5, 0.5)
+        ok.validate()
+        bad = PreparedMatrix(ok.matrix, ok.b, s_original, c)
+        with pytest.raises(ValidationError):
+            bad.validate()
+
 
 class TestMatmulOracle:
     def test_identity(self):

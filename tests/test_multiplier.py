@@ -20,6 +20,7 @@ from qamp import (
     conditional_measure,
     dagger_oracle,
     decode,
+    estimate_g,
     init_basis,
     layout_for,
     matmul_oracle,
@@ -353,6 +354,34 @@ class TestRunPipeline:
         res = run_pipeline(pm1, pm2)
         recovered = res.matrix_hat.entries * res.scale_back
         assert np.max(np.abs(recovered - a1.entries @ a2.entries)) < 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_is_its_stages_bit_for_bit(self, n):
+        rng = np.random.default_rng(211 + n)
+        pm1 = random_prepared(rng, n, complex_b=True)
+        pm2 = random_prepared(rng, n, complex_b=True)
+        layout = layout_for(n)
+        for manips in ALL_SUBSETS:
+            sv = build_initial(pm1, pm2, layout)
+            for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
+                if name in manips:
+                    sv = apply_q(sv, which, layout)
+            for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
+                sv = stage(sv, layout)
+            sv, branch = conditional_measure(sv, layout)
+            g = math.sqrt(branch * float(1 << (n + 1)))
+            decoded, b_decoded, _ = decode(sv, EncodedBlock.pipeline_output(layout))
+            entries = decoded.entries * g
+            if "swap_order" in manips:
+                entries = entries.T.copy()
+
+            res = run_pipeline(pm1, pm2, manips)
+            assert res.matrix_hat.entries.tobytes() == entries.tobytes()
+            assert np.array([res.b_hat]).tobytes() == np.array([b_decoded * g]).tobytes()
+            assert np.array([res.branch_probability]).tobytes() == np.array([branch]).tobytes()
+            s1_tilde = sv.probability(layout.start("K1"), 0)
+            est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
+            assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
 
     def test_unknown_manipulation_rejected(self):
         pm1, pm2 = desk_pair()

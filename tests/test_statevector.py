@@ -27,8 +27,6 @@ from qamp import (
     layout_for,
     project_and_renormalize,
     run_pipeline,
-    sample_measure,
-    tensor,
 )
 from qamp import statevector
 from bruteforce import gate_unitary
@@ -264,29 +262,6 @@ class TestRealKernels:
             assert not any(isinstance(v, np.ndarray) for v in held), name
 
 
-class TestTensor:
-    def test_low_order_occupancy(self):
-        out = tensor(init_basis(1, 0), init_basis(1, 1))
-        assert out.num_qubits == 2
-        assert out.amplitudes[0b01] == 1.0
-
-    def test_norm_multiplies(self):
-        a = StateVector(1, [0.6, 0.8])
-        b = StateVector(1, [1.0, 0.0])
-        assert tensor(a, b).norm() == pytest.approx(a.norm() * b.norm(), abs=1e-15)
-
-    def test_index_arithmetic_oracle(self):
-        rng = np.random.default_rng(61)
-        a = random_state(rng, 2)
-        b = random_state(rng, 2)
-        out = tensor(a, b)
-        for ia in range(4):
-            for ib in range(4):
-                assert out.amplitudes[(ia << 2) | ib] == pytest.approx(
-                    a.amplitudes[ia] * b.amplitudes[ib], abs=1e-15
-                )
-
-
 class TestProjection:
     def test_plus_state(self):
         sv = StateVector(1, [SQ2, SQ2])
@@ -312,27 +287,3 @@ class TestProjection:
                 abs(a) ** 2 for i, a in enumerate(sv.amplitudes) if (i >> q) & 1
             )
             assert got == pytest.approx(hand, abs=1e-12)
-
-
-class TestSampleMeasure:
-    def test_deterministic_state(self):
-        counts = sample_measure(init_basis(1, 0), 0, rng_seed=1, shots=100)
-        assert counts == {0: 100, 1: 0}
-
-    def test_plus_state_binomial_bound(self):
-        sv = StateVector(1, [SQ2, SQ2])
-        shots = 100_000
-        counts = sample_measure(sv, 0, rng_seed=12345, shots=shots)
-        freq = counts[1] / shots
-        stderr = math.sqrt(0.25 / shots)
-        assert abs(freq - 0.5) <= 5 * stderr
-
-    def test_same_seed_same_counts(self):
-        sv = StateVector(1, [0.6, 0.8j])
-        a = sample_measure(sv, 0, rng_seed=9, shots=5000)
-        b = sample_measure(sv, 0, rng_seed=9, shots=5000)
-        assert a == b
-
-    def test_shots_validation(self):
-        with pytest.raises(ParameterError):
-            sample_measure(init_basis(1, 0), 0, rng_seed=0, shots=0)
