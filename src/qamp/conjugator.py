@@ -7,22 +7,60 @@ three operand manipulations reuse it: 1 and 2 conjugate-transpose the first
 or second operand in place, 3 exchanges the operands' roles by transposing
 both register pairs and swapping the two label qubits.
 
-Each stage copies the state once and applies its gates to the copy in
-place; inputs are never mutated.
+Each circuit is a signed permutation of subsystem values, so each stage is
+one transposed copy of the register view into a new state, in which the
+exchanged subsystems trade axes; the conjugation then negates the label = 1
+half of the copy.  Inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .encoder import EncodedBlock
 from .errors import DimensionError, ParameterError
-from .registers import RegisterLayout
-from .statevector import GateSpec, StateVector, apply_gates
+from .registers import RegisterLayout, register_stage, select
+from .statevector import StateVector
 
 
-def _conjugate_gates(layout: RegisterLayout, m: str, r: str, c: str, controls=()) -> list[GateSpec]:
-    gates = [GateSpec.swap(a, b, controls) for a, b in zip(layout.qubits(r), layout.qubits(c))]
-    gates.append(GateSpec.z(layout.start(m), controls))
-    return gates
+def _exchanged_axes(names: list[str], *pairs: tuple[str, str]) -> list[int]:
+    """Axis permutation of the register view that trades each pair of
+    subsystems' axes."""
+    perm = list(range(len(names)))
+    for a, b in pairs:
+        i, j = names.index(a), names.index(b)
+        perm[i], perm[j] = j, i
+    return perm
+
+
+def _conjugate_kernel(m: str, r: str, c: str):
+    """Kernel exchanging registers ``r`` and ``c`` and negating label ``m`` = 1."""
+
+    def kernel(src, dst, names):
+        np.copyto(dst, src.transpose(_exchanged_axes(names, (r, c))))
+        imag = select(dst, names, {m: 1})
+        # negate one value of the innermost axis at a time: each part is then
+        # a single long strided run instead of many runs of that axis's length
+        for i in range(imag.shape[-1]):
+            np.negative(imag[..., i], out=imag[..., i])
+
+    return kernel
+
+
+def _exchange_kernel(src, dst, names):
+    """Kernel of manipulation 3: both register pairs and the labels trade places."""
+    perm = _exchanged_axes(names, ("R1", "C1"), ("R2", "C2"), ("M1", "M2"))
+    np.copyto(dst, src.transpose(perm))
+
+
+def _q_kernel(which: int):
+    if which == 1:
+        return _conjugate_kernel("M1", "R1", "C1")
+    if which == 2:
+        return _conjugate_kernel("M2", "R2", "C2")
+    if which == 3:
+        return _exchange_kernel
+    raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
 
 
 def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
@@ -32,40 +70,19 @@ def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
         raise DimensionError(
             f"row register {block.r} and column register {block.c} differ in width"
         )
-    return apply_gates(state, _conjugate_gates(layout, block.m, block.r, block.c))
-
-
-def _q_gates(which: int, layout: RegisterLayout, controls=()) -> list[GateSpec]:
-    if which == 1:
-        return _conjugate_gates(layout, "M1", "R1", "C1", controls)
-    if which == 2:
-        return _conjugate_gates(layout, "M2", "R2", "C2", controls)
-    if which == 3:
-        gates = [
-            GateSpec.swap(a, b, controls)
-            for a, b in zip(layout.qubits("R1"), layout.qubits("C1"))
-        ]
-        gates += [
-            GateSpec.swap(a, b, controls)
-            for a, b in zip(layout.qubits("R2"), layout.qubits("C2"))
-        ]
-        gates.append(GateSpec.swap(layout.start("M1"), layout.start("M2"), controls))
-        return gates
-    raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
+    return register_stage(state, layout, _conjugate_kernel(block.m, block.r, block.c))
 
 
 def apply_q(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
     """Apply operand manipulation 1, 2 or 3.  Each is involutory and norm
-    preserving (gates are SWAPs and one sign flip)."""
-    return apply_gates(state, _q_gates(which, layout))
+    preserving (a permutation of amplitudes with one sign flip)."""
+    return register_stage(state, layout, _q_kernel(which))
 
 
 def apply_q_controlled(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
     """Like :func:`apply_q` but active only where the matching control flag
     qubit is |1>; flags starting in a basis state are left unchanged."""
-    if which not in (1, 2, 3):
-        raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
+    kernel = _q_kernel(which)
     if not layout.control_flags_present:
         raise ParameterError("layout has no manipulation control flags")
-    controls = ((layout.start(f"Q{which}"), 1),)
-    return apply_gates(state, _q_gates(which, layout, controls))
+    return register_stage(state, layout, kernel, control=f"Q{which}")

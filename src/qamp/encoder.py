@@ -12,24 +12,33 @@ with every other amplitude zero, so all amplitudes are real and their
 squares sum to one.  State preparation is direct amplitude assignment; no
 gate-level preparation circuit is synthesized.
 
-Amplitudes are written and read through a register view: the state reshaped
-to one axis per subsystem, most significant subsystem first, so each
-encoding is a small (K, R, C, M) component tensor placed into a slice of it.
+Amplitudes are written and read through the register view of
+:mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
+tensor placed into a slice of it.
+
+:func:`joint_amplitudes` is where every pipeline state is first allocated,
+so it refuses a size whose run cannot fit in physical memory before
+allocating anything.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix
 from .errors import DimensionError, ParameterError, ValidationError
-from .registers import RegisterLayout
+from .registers import RegisterLayout, register_view, select
 from .statevector import StateVector, _weight
 
 #: encode refuses states whose squared norm strays further than this from 1
 ENCODE_NORM_TOL = 1e-10
+
+#: float64 states a run holds at its peak: every stage reads one state and
+#: writes one new one
+PEAK_STATES = 2
 
 
 @dataclass(frozen=True)
@@ -73,27 +82,6 @@ class EncodedBlock:
         return (self.k, self.r, self.c, self.m)
 
 
-def _register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, list[str]]:
-    """``amps`` reshaped to one axis per subsystem, and the subsystem names
-    in axis order (most significant first)."""
-    if amps.shape != (1 << layout.total_qubits,):
-        raise DimensionError(
-            f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
-        )
-    names = sorted(layout.slices, key=layout.start, reverse=True)
-    return amps.reshape([1 << layout.width(name) for name in names]), names
-
-
-def _select(view: np.ndarray, names: list[str], pins: dict) -> np.ndarray:
-    """Subview with each pinned subsystem restricted to a value (kept as a
-    length-1 axis) or a slice of values."""
-    index = []
-    for name in names:
-        pin = pins.get(name, slice(None))
-        index.append(pin if isinstance(pin, slice) else slice(pin, pin + 1))
-    return view[tuple(index)]
-
-
 def _components(pm: PreparedMatrix) -> np.ndarray:
     """Real amplitudes of one encoded matrix, indexed [K, R, C, M]."""
     dim = pm.matrix.dim
@@ -115,13 +103,29 @@ def _spread(tensor: np.ndarray, registers, names: list[str]) -> np.ndarray:
     return tensor.transpose(order).reshape(shape)
 
 
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
     """Float64 amplitudes of the product state of (prepared matrix, block)
-    pairs on disjoint blocks; every other subsystem is |0>."""
+    pairs on disjoint blocks; every other subsystem is |0>.
+
+    Raises :class:`ParameterError` before allocating when the run would not
+    fit in physical memory.
+    """
+    needed = PEAK_STATES * 8 * (1 << layout.total_qubits)
+    available = physical_memory_bytes()
+    if needed > available:
+        raise ParameterError(
+            f"n={layout.n} needs {needed} bytes for {PEAK_STATES} states of "
+            f"{layout.total_qubits} qubits, more than the {available} bytes of physical memory"
+        )
     amps = np.zeros(1 << layout.total_qubits)
-    view, names = _register_view(amps, layout)
+    view, names = register_view(amps, layout)
     used = {name for _pm, block in operands for name in block.registers}
-    out = _select(view, names, {name: 0 for name in names if name not in used})
+    out = select(view, names, {name: 0 for name in names if name not in used})
     placed = [_spread(_components(pm), block.registers, names) for pm, block in operands]
     if len(placed) == 1:
         out[...] = placed[0]
@@ -149,7 +153,7 @@ def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, comp
     """
     layout = block.layout
     dim = 1 << layout.n
-    view, names = _register_view(state.amplitudes, layout)
+    view, names = register_view(state.amplitudes, layout)
     pins = {name: 0 for name in names if name not in block.registers}
     pins.update(block.fixed)
     # weight off the block's slice, as disjoint parts: the subsystems pinned
@@ -159,10 +163,10 @@ def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, comp
     for name, value in pins.items():
         for other in (slice(0, value), slice(value + 1, 1 << layout.width(name))):
             if other.start < other.stop:
-                residual += _weight(_select(view, names, {**matched, name: other}))
+                residual += _weight(select(view, names, {**matched, name: other}))
         matched[name] = value
     block_axes = [names.index(name) for name in block.registers]
-    inside = _select(view, names, pins).transpose(
+    inside = select(view, names, pins).transpose(
         block_axes + [i for i in range(len(names)) if i not in block_axes]
     ).reshape(2, dim, dim, 2)
     support = np.zeros(inside.shape, dtype=bool)

@@ -22,6 +22,12 @@ prefactor going into the measurement.
 :func:`flagged_state` is the one place this stage sequence, with the
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
 :func:`qamp.estimator.estimate_g` both read their results off its output.
+
+Each of w0..w2 runs as one pass over the register view into a new state
+rather than gate by gate: w0 is one XOR permutation of R2 by C1, w1 one
+contraction of the C1 axis with the Sylvester Hadamard matrix, w2 one sum
+or difference per (M2, M1) column written straight to its relabeled K2
+slice.  w3 is a single multi-controlled gate of the gate engine.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from .complexmat import ComplexMatrix, PreparedMatrix, dagger_oracle, matmul_ora
 from .conjugator import apply_q
 from .encoder import EncodedBlock, decode, joint_amplitudes
 from .errors import DimensionError, ParameterError
-from .registers import RegisterLayout, layout_for
-from .statevector import GateSpec, StateVector, apply_gates, project_and_renormalize
+from .registers import RegisterLayout, layout_for, register_stage, select
+from .statevector import _SQRT1_2, GateSpec, StateVector, apply_gates, project_and_renormalize
 
 MANIPULATIONS = frozenset({"dagger1", "dagger2", "swap_order"})
 
@@ -92,15 +98,44 @@ def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayo
 
 
 def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Contraction CNOTs: C1 qubit j controls R2 qubit j, for every j."""
-    return apply_gates(
-        state, [GateSpec.cnot(cq, tq) for cq, tq in zip(layout.qubits("C1"), layout.qubits("R2"))]
-    )
+    """Contraction CNOTs: C1 qubit j controls R2 qubit j, for every j.
+
+    Together they XOR C1 into R2, so each (R2, C1) slice of the output is
+    copied from the input slice at R2 xor C1.
+    """
+
+    def kernel(src, dst, names):
+        axes = (names.index("R2"), names.index("C1"))
+        src, dst = np.moveaxis(src, axes, (0, 1)), np.moveaxis(dst, axes, (0, 1))
+        for r2 in range(dst.shape[0]):
+            for c1 in range(dst.shape[1]):
+                dst[r2, c1] = src[r2 ^ c1, c1]
+
+    return register_stage(state, layout, kernel)
+
+
+def _sylvester(n: int) -> np.ndarray:
+    """The 2**n x 2**n Hadamard transform, entries +-2**(-n/2)."""
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])
+    return h * 2.0 ** (-n / 2)
 
 
 def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Hadamard every C1 qubit, summing the contracted index into C1 = 0."""
-    return apply_gates(state, [GateSpec.h(q) for q in layout.qubits("C1")])
+    """Hadamard every C1 qubit, summing the contracted index into C1 = 0.
+
+    The layer is one contraction of the C1 axis with the Sylvester
+    Hadamard matrix, run as a batched matrix product.
+    """
+    hadamard = _sylvester(layout.n)
+
+    def kernel(src, dst, names):
+        axis = names.index("C1")
+        shape = (-1, src.shape[axis], math.prod(src.shape[axis + 1 :]))
+        np.matmul(hadamard, src.reshape(shape), out=dst.reshape(shape))
+
+    return register_stage(state, layout, kernel)
 
 
 def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -111,18 +146,30 @@ def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
     now holds, on M1 = 0, products of real parts minus products of imaginary
     parts, and on M1 = 1 the mixed sums, each scaled by a further 1/sqrt(2).
     Finally K2 flips where K1 = 1, landing all payload terms on K2 = 0.
+
+    Each output (M2, M1) column is one sum or difference of two input
+    columns, written straight into its destination with K2 reversed where
+    K1 = 1, and the whole output is then scaled once.
     """
-    m1 = layout.start("M1")
-    m2 = layout.start("M2")
-    return apply_gates(
-        state,
-        [
-            GateSpec.z(m1, ((m2, 1),)),
-            GateSpec.x(m1, ((m2, 1),)),
-            GateSpec.h(m2),
-            GateSpec.cnot(layout.start("K1"), layout.start("K2")),
-        ],
+    # (M2, M1) out <- (M2, M1) of the two input columns, combined by op
+    columns = (
+        ((0, 0), np.subtract, (0, 0), (1, 1)),
+        ((1, 0), np.add, (0, 0), (1, 1)),
+        ((0, 1), np.add, (0, 1), (1, 0)),
+        ((1, 1), np.subtract, (0, 1), (1, 0)),
     )
+
+    def kernel(src, dst, names):
+        for k1, k2 in ((0, slice(None)), (1, slice(None, None, -1))):
+            for (m2, m1), op, (a2, a1), (b2, b1) in columns:
+                op(
+                    select(src, names, {"K1": k1, "M2": a2, "M1": a1}),
+                    select(src, names, {"K1": k1, "M2": b2, "M1": b1}),
+                    out=select(dst, names, {"K1": k1, "K2": k2, "M2": m2, "M1": m1}),
+                )
+        np.multiply(dst, _SQRT1_2, out=dst)
+
+    return register_stage(state, layout, kernel)
 
 
 def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -252,8 +299,9 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator applies multi-controlled gates directly, so these numbers
-    describe the abstract circuit rather than the kernels.  The elementary
+    The simulator runs each stage as one register-level pass and applies
+    the multi-controlled gate of w3 directly, so these numbers describe the
+    abstract circuit rather than the kernels.  The elementary
     depth of the payload-flagging gate follows a chained-Toffoli model for a
     gate with k controls (2k - 3 layers, plus one CNOT to copy onto the
     second ancilla), which is linear in the control count.

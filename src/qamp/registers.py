@@ -5,6 +5,11 @@ a private convention.  Per operand there is an n-qubit row register (R) and
 column register (C), a one-qubit real/imaginary label (M) and a one-qubit
 slack flag (K); B and BT are the two post-selection ancillae and Q1..Q3 the
 optional manipulation-control flags.
+
+The register view is the state reshaped to one axis per subsystem, most
+significant subsystem first.  Encoding, decoding and every fused circuit
+stage address amplitudes through it, so each is a small number of slice
+operations on that view rather than one pass per gate.
 """
 
 from __future__ import annotations
@@ -12,7 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ParameterError, ValidationError
+import numpy as np
+
+from .errors import DimensionError, ParameterError, ValidationError
+from .statevector import StateVector
 
 #: canonical allocation order, from qubit 0 upward
 CANONICAL_ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")
@@ -82,3 +90,45 @@ def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
             raise ValidationError(f"value {value} overflows subsystem {name} of width {len(r)}")
         index |= v << r.start
     return index
+
+
+def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, list[str]]:
+    """``amps`` reshaped to one axis per subsystem, and the subsystem names
+    in axis order (most significant first)."""
+    if amps.shape != (1 << layout.total_qubits,):
+        raise DimensionError(
+            f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
+        )
+    names = sorted(layout.slices, key=layout.start, reverse=True)
+    return amps.reshape([1 << layout.width(name) for name in names]), names
+
+
+def select(view: np.ndarray, names: list[str], pins: Mapping) -> np.ndarray:
+    """Subview with each pinned subsystem restricted to a value (kept as a
+    length-1 axis) or a slice of values."""
+    index = []
+    for name in names:
+        pin = pins.get(name, slice(None))
+        index.append(pin if isinstance(pin, slice) else slice(pin, pin + 1))
+    return view[tuple(index)]
+
+
+def register_stage(
+    state: StateVector, layout: RegisterLayout, kernel, control: str | None = None
+) -> StateVector:
+    """Run one circuit stage as a single pass over the register view.
+
+    ``kernel(src, dst, names)`` must write every amplitude of the view
+    ``dst`` from the view ``src``; both have one axis per entry of ``names``.
+    With a ``control`` flag the kernel sees only the flag = 1 slice and the
+    flag = 0 slice is copied unchanged.  The output is a new statevector of
+    the input's dtype; the input is never mutated and no temporary is made.
+    """
+    out = np.empty_like(state.amplitudes)
+    src, names = register_view(state.amplitudes, layout)
+    dst, _ = register_view(out, layout)
+    if control is not None:
+        np.copyto(select(dst, names, {control: 0}), select(src, names, {control: 0}))
+        src, dst = select(src, names, {control: 1}), select(dst, names, {control: 1})
+    kernel(src, dst, names)
+    return StateVector(state.num_qubits, out)

@@ -15,6 +15,11 @@ place: controls pin their axis to the control polarity, X and SWAP exchange
 two slices, Z negates one, H combines two.  No index array or bit mask is
 built.  Public entry points never mutate their input: :func:`apply_gates`
 copies the state once and then runs a whole gate sequence on the copy.
+
+This gate engine is the general-purpose API and the reference the circuit
+stages are tested against.  The pipeline itself runs its manipulations and
+w0..w2 as whole-register passes (:func:`qamp.registers.register_stage`);
+only the multi-controlled w3 goes through :func:`apply_gates`.
 """
 
 from __future__ import annotations

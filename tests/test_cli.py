@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qamp import encoder
 from qamp.cli import main
 
 IDENTITY_HALF = {
@@ -133,6 +134,15 @@ class TestMultiply:
         assert main(["multiply", prepared, prepared]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero probability" in err
+
+    def test_oversized_run_refused_exit_2(self, tmp_path, capsys, monkeypatch):
+        # physical memory reported one byte short of two n = 2 float64 states
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 2 * 8 * (1 << 14) - 1)
+        entries = [[[0.1 * (j + k), 0.0] for k in range(4)] for j in range(4)]
+        a = write_json(tmp_path / "a.json", {"n": 2, "entries": entries})
+        assert main(["multiply", a, a]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "needs 262144 bytes" in err
 
     def test_prepared_file_inconsistent_scale_exit_2(self, tmp_path, capsys):
         # the desk file records s_original = 0.5; with 5.0 the rescaled

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from qamp import (
     decode,
     encode,
     layout_for,
+    run_pipeline,
 )
+from qamp import encoder
 from support import prepared_from_tilde, random_prepared
 
 
@@ -133,3 +136,25 @@ class TestDecode:
     def test_unknown_block_name_rejected(self):
         with pytest.raises(ParameterError):
             EncodedBlock(layout_for(1), m="M9", r="R1", c="C1", k="K1")
+
+
+class TestMemoryPreflight:
+    # n = 2 is 14 qubits: a run peaks at two float64 states of 8 * 2**14 bytes
+    NEEDED = 2 * 8 * (1 << 14)
+
+    def test_refuses_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)
+        pm = random_prepared(np.random.default_rng(5), 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"needs {self.NEEDED} bytes"):
+                run_pipeline(pm, pm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.NEEDED // 2
+
+    def test_runs_when_the_peak_just_fits(self, monkeypatch):
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED)
+        pm = random_prepared(np.random.default_rng(5), 2)
+        assert run_pipeline(pm, pm).oracle_error < 1e-10
