@@ -158,7 +158,7 @@ def cmd_multiply(args) -> int:
         manips.add("swap_order")
     pm1 = _load_operand(args.a, args.c)
     pm2 = _load_operand(args.b, args.c)
-    result = run_pipeline(pm1, pm2, manips)
+    result = run_pipeline(pm1, pm2, manips, verify=args.verify)
     rescaled = ComplexMatrix(result.matrix_hat.n, result.matrix_hat.entries * result.scale_back)
 
     report = {

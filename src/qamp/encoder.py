@@ -16,13 +16,14 @@ Amplitudes are written and read through the register view of
 :mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
 tensor placed into a slice of it.
 
-:func:`joint_amplitudes` is where every pipeline state is first allocated,
-so it refuses a size whose run cannot fit in physical memory before
-allocating anything.
+:func:`check_memory` refuses a size whose run cannot fit in physical memory;
+:func:`joint_amplitudes` calls it before allocating, and the pipeline calls
+it on the full register before its first allocation.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -36,8 +37,9 @@ from .statevector import StateVector, _weight
 #: encode refuses states whose squared norm strays further than this from 1
 ENCODE_NORM_TOL = 1e-10
 
-#: float64 states a run holds at its peak: every stage reads one state and
-#: writes one new one
+#: float64 states of the full register a run is allowed to hold at its peak;
+#: an upper bound, since the stages before flagging run on the ancilla-free
+#: quarter and a run peaks at that quarter plus one full state (1.25 states)
 PEAK_STATES = 2
 
 
@@ -108,13 +110,9 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
-    """Float64 amplitudes of the product state of (prepared matrix, block)
-    pairs on disjoint blocks; every other subsystem is |0>.
-
-    Raises :class:`ParameterError` before allocating when the run would not
-    fit in physical memory.
-    """
+def check_memory(layout: RegisterLayout) -> None:
+    """Raise :class:`ParameterError` when :data:`PEAK_STATES` float64 states
+    of ``layout`` would not fit in physical memory."""
     needed = PEAK_STATES * 8 * (1 << layout.total_qubits)
     available = physical_memory_bytes()
     if needed > available:
@@ -122,6 +120,18 @@ def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
             f"n={layout.n} needs {needed} bytes for {PEAK_STATES} states of "
             f"{layout.total_qubits} qubits, more than the {available} bytes of physical memory"
         )
+
+
+def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
+    """Float64 amplitudes of the product state of one or two (prepared
+    matrix, block) pairs on disjoint blocks; every other subsystem is |0>.
+
+    Runs :func:`check_memory` on ``layout`` before allocating.  A pair is
+    multiplied once per pair of label values: with both labels pinned the
+    innermost runs are the long register axes rather than the two-element
+    label axes.
+    """
+    check_memory(layout)
     amps = np.zeros(1 << layout.total_qubits)
     view, names = register_view(amps, layout)
     used = {name for _pm, block in operands for name in block.registers}
@@ -129,8 +139,15 @@ def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
     placed = [_spread(_components(pm), block.registers, names) for pm, block in operands]
     if len(placed) == 1:
         out[...] = placed[0]
-    else:
-        np.multiply(*placed, out=out)
+        return amps
+    first, second = placed
+    (_pm1, block1), (_pm2, block2) = operands
+    for m1, m2 in itertools.product((0, 1), repeat=2):
+        np.multiply(
+            select(first, names, {block1.m: m1}),
+            select(second, names, {block2.m: m2}),
+            out=select(out, names, {block1.m: m1, block2.m: m2}),
+        )
     return amps
 
 

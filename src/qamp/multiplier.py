@@ -1,4 +1,4 @@
-"""The multiplication pipeline over the full register.
+"""The multiplication pipeline.
 
 Starting from the joint state of the two encoded operands, the stages run
 in this order:
@@ -23,6 +23,14 @@ prefactor going into the measurement.
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
 :func:`qamp.estimator.estimate_g` both read their results off its output.
 
+Only w3 and the measurement touch the ancillae B and BT, so
+:func:`flagged_state` runs the build, the manipulations and w0..w2 on the
+working layout, the full layout without the ancillae (4n+4 qubits, a
+quarter of the full state), and :func:`flag_and_measure` brings the
+ancillae in as it flags and measures.  The stage functions address
+subsystems by name and run unchanged on either layout; :func:`apply_w3` and
+:func:`conditional_measure` stay as the full-register reference.
+
 Each of w0..w2 runs as one pass over the register view into a new state
 rather than gate by gate: w0 is one XOR permutation of R2 by C1, w1 one
 contraction of the C1 axis with the Sylvester Hadamard matrix, w2 one sum
@@ -39,12 +47,19 @@ import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix, dagger_oracle, matmul_oracle
 from .conjugator import apply_q
-from .encoder import EncodedBlock, decode, joint_amplitudes
-from .errors import DimensionError, ParameterError
-from .registers import RegisterLayout, layout_for, register_stage, select
+from .encoder import EncodedBlock, check_memory, decode, joint_amplitudes
+from .errors import DimensionError, MeasurementError, ParameterError
+from .registers import RegisterLayout, layout_for, register_stage, register_view, select
 from .statevector import _SQRT1_2, GateSpec, StateVector, apply_gates, project_and_renormalize
 
 MANIPULATIONS = frozenset({"dagger1", "dagger2", "swap_order"})
+
+#: the post-selection ancillae; only the payload flagging touches them
+ANCILLAE = ("B", "BT")
+
+#: subsystems that are all |0> exactly on the payload subspace, in the
+#: order of w3's controls
+PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 
 #: (manipulation, conjugator stage) in circuit order: the operand exchange
 #: first, then the second operand's conjugation, then the first's
@@ -80,11 +95,11 @@ class ProductResult:
 
 
 def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:
-    """Joint state of both encoded operands over the full register.
+    """Joint state of both encoded operands over ``layout``.
 
     Amplitudes are the products of the two encodings' real amplitudes,
-    written in one broadcast multiply; ancillae and any control flags start
-    in |0>.
+    written by :func:`qamp.encoder.joint_amplitudes`; ancillae, if the
+    layout has them, and any control flags start in |0>.
     """
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
@@ -179,16 +194,8 @@ def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:
     payload and slack terms come out with B = BT = 1, garbage stays at 0.
     Expects B and BT in |0> on the active support.
     """
-    controls = tuple(
-        (q, 0)
-        for q in (
-            *layout.qubits("C1"),
-            *layout.qubits("R2"),
-            layout.start("M2"),
-            layout.start("K2"),
-        )
-    )
-    gate = GateSpec.multi_controlled_x((layout.start("B"), layout.start("BT")), controls)
+    controls = tuple((q, 0) for name in PAYLOAD_ZEROS for q in layout.qubits(name))
+    gate = GateSpec.multi_controlled_x([layout.start(name) for name in ANCILLAE], controls)
     return apply_gates(state, (gate,))
 
 
@@ -196,6 +203,33 @@ def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[Sta
     """Project onto the flagged branch (BT = 1, equivalently B = 1) and
     renormalize; returns the branch's pre-projection weight."""
     return project_and_renormalize(state, layout.start("BT"), 1)
+
+
+def flag_and_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:
+    """:func:`apply_w3` followed by :func:`conditional_measure`, from a state
+    on the working layout (``layout`` without the ancillae, which are taken
+    to be in |0>).
+
+    The flagged branch is the payload slice (C1, R2, M2, K2 all 0) moved to
+    B = BT = 1, so it is written into a fresh zero state of ``layout``; its
+    weight is read over the BT = 1 half exactly as the measurement reads it,
+    and only that slice is renormalized.  The results are bit for bit those
+    of the two full-register steps.
+    """
+    working = layout.without(*ANCILLAE)
+    src, src_names = register_view(state.amplitudes, working)
+    amps = np.zeros(1 << layout.total_qubits, dtype=state.amplitudes.dtype)
+    dst, names = register_view(amps, layout)
+    payload = {name: 0 for name in PAYLOAD_ZEROS}
+    flagged = select(dst, names, {**payload, **{name: 1 for name in ANCILLAE}})
+    flagged[...] = select(src, src_names, payload).reshape(flagged.shape)
+    out = StateVector(layout.total_qubits, amps)
+    bt = layout.start("BT")
+    weight = out.probability(bt, 1)
+    if weight == 0.0:
+        raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
+    np.divide(flagged, math.sqrt(weight), out=flagged)
+    return out, weight
 
 
 def _transpose(m: ComplexMatrix) -> ComplexMatrix:
@@ -247,16 +281,21 @@ def flagged_state(
 ) -> tuple[StateVector, float]:
     """Run the circuit up to and including the conditional measurement.
 
-    Returns the renormalized flagged state and the branch's pre-projection
-    weight.  ``manipulations`` must already be checked.
+    Returns the renormalized flagged state on ``layout`` and the branch's
+    pre-projection weight.  ``manipulations`` must already be checked.
+    Everything before the flagging runs on the working layout, ``layout``
+    without the ancillae, a quarter of the full state; the memory check is
+    still made for the full layout, before anything is allocated.
     """
-    state = build_initial(pm1, pm2, layout)
+    check_memory(layout)
+    working = layout.without(*ANCILLAE)
+    state = build_initial(pm1, pm2, working)
     for name, which in MANIPULATION_STAGES:
         if name in manipulations:
-            state = apply_q(state, which, layout)
-    for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
-        state = stage(state, layout)
-    return conditional_measure(state, layout)
+            state = apply_q(state, which, working)
+    for stage in (apply_w0, apply_w1, apply_w2):
+        state = stage(state, working)
+    return flag_and_measure(state, layout)
 
 
 def run_pipeline(
@@ -264,10 +303,12 @@ def run_pipeline(
     pm2: PreparedMatrix,
     manipulations=(),
     layout: RegisterLayout | None = None,
+    verify: bool = True,
 ) -> ProductResult:
     """Run the whole circuit, decode, and verify against the classical oracle.
 
-    Manipulations apply in the order of :data:`MANIPULATION_STAGES`.
+    Manipulations apply in the order of :data:`MANIPULATION_STAGES`.  With
+    ``verify`` false the oracle is not run and ``oracle_error`` is NaN.
     """
     manips = _check_manipulations(manipulations)
     if layout is None:
@@ -283,8 +324,10 @@ def run_pipeline(
     matrix_hat = ComplexMatrix(layout.n, entries)
     b_hat = b_decoded * g_exact
 
-    expected, _expected_b = oracle_product(pm1, pm2, manips)
-    oracle_error = float(np.max(np.abs(matrix_hat.entries - expected.entries)))
+    oracle_error = math.nan
+    if verify:
+        expected, _expected_b = oracle_product(pm1, pm2, manips)
+        oracle_error = float(np.max(np.abs(matrix_hat.entries - expected.entries)))
     return ProductResult(
         matrix_hat=matrix_hat,
         b_hat=b_hat,
@@ -299,8 +342,8 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator runs each stage as one register-level pass and applies
-    the multi-controlled gate of w3 directly, so these numbers describe the
+    The simulator runs each stage as one register-level pass and the
+    flagging of w3 as one slice copy, so these numbers describe the
     abstract circuit rather than the kernels.  The elementary
     depth of the payload-flagging gate follows a chained-Toffoli model for a
     gate with k controls (2k - 3 layers, plus one CNOT to copy onto the

@@ -9,7 +9,10 @@ optional manipulation-control flags.
 The register view is the state reshaped to one axis per subsystem, most
 significant subsystem first.  Encoding, decoding and every fused circuit
 stage address amplitudes through it, so each is a small number of slice
-operations on that view rather than one pass per gate.
+operations on that view rather than one pass per gate.  A layout with some
+subsystems removed (:meth:`RegisterLayout.without`) holds the states on
+which those subsystems are |0>, which is how the pipeline leaves out its
+ancillae until it flags the payload.
 """
 
 from __future__ import annotations
@@ -50,6 +53,22 @@ class RegisterLayout:
 
     def width(self, name: str) -> int:
         return len(self.qubits(name))
+
+    def without(self, *names: str) -> "RegisterLayout":
+        """This layout with the named subsystems removed and the rest packed
+        down in the same order, so a state on it is this layout's state
+        restricted to those subsystems in |0>."""
+        for name in names:
+            self.qubits(name)  # raises on unknown subsystem
+        slices = {}
+        cursor = 0
+        for name, r in sorted(self.slices.items(), key=lambda item: item[1].start):
+            if name not in names:
+                slices[name] = range(cursor, cursor + len(r))
+                cursor += len(r)
+        return RegisterLayout(
+            n=self.n, slices=slices, control_flags_present=self.control_flags_present
+        )
 
     def summary(self) -> dict:
         """Plain structure for reports: name -> [first, last] qubit, plus totals."""

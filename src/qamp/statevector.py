@@ -18,8 +18,11 @@ copies the state once and then runs a whole gate sequence on the copy.
 
 This gate engine is the general-purpose API and the reference the circuit
 stages are tested against.  The pipeline itself runs its manipulations and
-w0..w2 as whole-register passes (:func:`qamp.registers.register_stage`);
-only the multi-controlled w3 goes through :func:`apply_gates`.
+w0..w2 as whole-register passes (:func:`qamp.registers.register_stage`) and
+its flagging and measurement as one slice copy
+(:func:`qamp.multiplier.flag_and_measure`); the multi-controlled w3 goes
+through :func:`apply_gates` only in the full-register reference
+:func:`qamp.multiplier.apply_w3`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qamp import encoder
+from qamp import encoder, multiplier
 from qamp.cli import main
 
 IDENTITY_HALF = {
@@ -164,6 +164,19 @@ class TestMultiply:
         assert main(["multiply", desk_matrix, desk_matrix, "--c", "0.5", "--no-verify"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "verify" not in report
+
+    @pytest.mark.parametrize("flags, calls", [(["--no-verify"], 0), ([], 1)], ids=["no_verify", "default"])
+    def test_oracle_runs_only_when_verifying(self, desk_matrix, monkeypatch, flags, calls):
+        seen = []
+        oracle = multiplier.oracle_product
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(multiplier, "oracle_product", counting)
+        assert main(["multiply", desk_matrix, desk_matrix, "--c", "0.5", *flags]) == 0
+        assert len(seen) == calls
 
     def test_deterministic_report(self, tmp_path, desk_matrix):
         # identical flags (including the output path) give identical bytes

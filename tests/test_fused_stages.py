@@ -6,7 +6,9 @@ to dense unitaries in ``test_statevector.py``.  The states are random dense
 vectors, not encodings, so every amplitude of the view is exercised.  The
 permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
-stage is also held to its brute-force unitary.
+stage is also held to its brute-force unitary.  The flagging step, which
+starts from the ancilla-free working register, is held bit for bit to w3
+followed by the conditional measurement on the full register.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 from qamp import (
     EncodedBlock,
     GateSpec,
+    MeasurementError,
     StateVector,
     apply_q,
     apply_q_controlled,
@@ -22,9 +25,11 @@ from qamp import (
     apply_w1,
     apply_w2,
     apply_w3,
+    conditional_measure,
     hermitian_conjugate,
     layout_for,
 )
+from qamp.multiplier import flag_and_measure
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 
@@ -134,3 +139,50 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
     for name, fused, _gates in stages(layout):
         got = fused(state).amplitudes
         assert np.max(np.abs(got - unitaries[name] @ state.amplitudes)) < 1e-15, name
+
+
+def embed_at_ancillae_zero(working_amps, layout):
+    """The full-layout state equal to ``working_amps`` where B = BT = 0 and
+    zero elsewhere, by index arithmetic: B and BT are adjacent qubits, so a
+    working index is a full index with those two bits cut out."""
+    b = layout.start("B")
+    assert layout.start("BT") == b + 1
+    full = np.arange(1 << layout.total_qubits)
+    kept = full[(full >> b) & 3 == 0]
+    working_index = (kept & ((1 << b) - 1)) | ((kept >> (b + 2)) << b)
+    amps = np.zeros(full.size, dtype=working_amps.dtype)
+    amps[kept] = working_amps[working_index]
+    return StateVector(layout.total_qubits, amps)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
+@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
+    layout = layout_for(n, with_controls=with_controls)
+    working = layout.without("B", "BT")
+    state = random_state(np.random.default_rng(2000 * n + with_controls), working.total_qubits, dtype)
+    before = state.amplitudes.copy()
+    got, got_weight = flag_and_measure(state, layout)
+    full = embed_at_ancillae_zero(state.amplitudes, layout)
+    want, want_weight = conditional_measure(apply_w3(full, layout), layout)
+    assert got.num_qubits == layout.total_qubits
+    assert got.amplitudes.dtype == want.amplitudes.dtype == dtype
+    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+    assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
+    assert state.amplitudes.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
+def test_flag_and_measure_zero_branch_is_an_error(with_controls):
+    # weight only off the payload subspace (M2 = 1): nothing gets flagged
+    layout = layout_for(2, with_controls=with_controls)
+    working = layout.without("B", "BT")
+    amps = np.zeros(1 << working.total_qubits)
+    amps[1 << working.start("M2")] = 1.0
+    with pytest.raises(MeasurementError) as got:
+        flag_and_measure(StateVector(working.total_qubits, amps), layout)
+    with pytest.raises(MeasurementError) as want:
+        conditional_measure(apply_w3(embed_at_ancillae_zero(amps, layout), layout), layout)
+    assert str(got.value) == str(want.value)
+    assert got.value.probability == want.value.probability == 0.0

@@ -81,6 +81,21 @@ class TestBuildInitial:
         sv = build_initial(pm1, pm2, layout_for(1))
         assert np.allclose(sv.amplitudes, bf_initial_state(pm1, pm2, 1), atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_working_layout_is_exactly_the_bruteforce_quarter(self, n):
+        # each amplitude is one product of two components, so the build on
+        # the ancilla-free layout equals the B = BT = 0 quarter exactly (up
+        # to the sign of zeros, which the brute force leaves unwritten)
+        rng = np.random.default_rng(153 + n)
+        pm1 = random_prepared(rng, n, complex_b=True)
+        pm2 = random_prepared(rng, n, complex_b=True)
+        working = layout_for(n).without("B", "BT")
+        sv = build_initial(pm1, pm2, working)
+        full = bf_initial_state(pm1, pm2, n)
+        quarter = 1 << working.total_qubits
+        assert np.array_equal(sv.amplitudes, full[:quarter].real)
+        assert not np.any(full[:quarter].imag) and not np.any(full[quarter:])
+
     def test_width_mismatch(self):
         rng = np.random.default_rng(157)
         with pytest.raises(DimensionError):
@@ -355,33 +370,46 @@ class TestRunPipeline:
         recovered = res.matrix_hat.entries * res.scale_back
         assert np.max(np.abs(recovered - a1.entries @ a2.entries)) < 1e-10
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_is_its_stages_bit_for_bit(self, n):
+        # the public stages on the full register, against run_pipeline (which
+        # runs them on the ancilla-free working register), also on a layout
+        # that carries the control flags
         rng = np.random.default_rng(211 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
-        layout = layout_for(n)
-        for manips in ALL_SUBSETS:
-            sv = build_initial(pm1, pm2, layout)
-            for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
-                if name in manips:
-                    sv = apply_q(sv, which, layout)
-            for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
-                sv = stage(sv, layout)
-            sv, branch = conditional_measure(sv, layout)
-            g = math.sqrt(branch * float(1 << (n + 1)))
-            decoded, b_decoded, _ = decode(sv, EncodedBlock.pipeline_output(layout))
-            entries = decoded.entries * g
-            if "swap_order" in manips:
-                entries = entries.T.copy()
+        for layout in (layout_for(n), layout_for(n, with_controls=True)):
+            for manips in ALL_SUBSETS:
+                sv = build_initial(pm1, pm2, layout)
+                for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
+                    if name in manips:
+                        sv = apply_q(sv, which, layout)
+                for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
+                    sv = stage(sv, layout)
+                sv, branch = conditional_measure(sv, layout)
+                g = math.sqrt(branch * float(1 << (n + 1)))
+                decoded, b_decoded, _ = decode(sv, EncodedBlock.pipeline_output(layout))
+                entries = decoded.entries * g
+                if "swap_order" in manips:
+                    entries = entries.T.copy()
 
-            res = run_pipeline(pm1, pm2, manips)
-            assert res.matrix_hat.entries.tobytes() == entries.tobytes()
-            assert np.array([res.b_hat]).tobytes() == np.array([b_decoded * g]).tobytes()
-            assert np.array([res.branch_probability]).tobytes() == np.array([branch]).tobytes()
-            s1_tilde = sv.probability(layout.start("K1"), 0)
-            est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
-            assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
+                res = run_pipeline(pm1, pm2, manips, layout)
+                assert res.matrix_hat.entries.tobytes() == entries.tobytes()
+                assert np.array([res.b_hat]).tobytes() == np.array([b_decoded * g]).tobytes()
+                assert np.array([res.branch_probability]).tobytes() == np.array([branch]).tobytes()
+                if layout.control_flags_present:
+                    continue
+                s1_tilde = sv.probability(layout.start("K1"), 0)
+                est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
+                assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
+
+    def test_no_verify_skips_the_oracle(self):
+        rng = np.random.default_rng(223)
+        pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
+        checked = run_pipeline(pm1, pm2, {"dagger1"})
+        unchecked = run_pipeline(pm1, pm2, {"dagger1"}, verify=False)
+        assert math.isnan(unchecked.oracle_error) and checked.oracle_error < 1e-10
+        assert unchecked.matrix_hat.entries.tobytes() == checked.matrix_hat.entries.tobytes()
 
     def test_unknown_manipulation_rejected(self):
         pm1, pm2 = desk_pair()
@@ -448,8 +476,8 @@ class TestResourceReport:
 
 class TestMemory:
     def test_peak_is_a_few_states(self):
-        # every stage holds only its input and its output state, with no
-        # kernel temporaries; the rest is small bookkeeping
+        # the stages before flagging hold two states of the ancilla-free
+        # quarter; flagging holds that quarter and the fresh full state
         rng = np.random.default_rng(331)
         pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
         state_bytes = 8 << layout_for(3).total_qubits
@@ -459,4 +487,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.25 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
+        assert peak <= 1.5 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"

@@ -53,6 +53,28 @@ class TestLayoutFor:
             assert layout.width(name) == 1
 
 
+class TestWithout:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("with_controls", [False, True])
+    def test_drops_ancillae_and_packs_the_rest_in_order(self, n, with_controls):
+        layout = layout_for(n, with_controls)
+        working = layout.without("B", "BT")
+        assert working.total_qubits == layout.total_qubits - 2
+        assert "B" not in working.slices and "BT" not in working.slices
+        offsets, _total = independent_offsets(n, with_controls)
+        kept = [name for name in sorted(offsets, key=offsets.get) if name not in ("B", "BT")]
+        assert list(working.slices) == kept
+        cursor = 0
+        for name in kept:
+            assert working.qubits(name) == range(cursor, cursor + layout.width(name))
+            cursor += layout.width(name)
+        assert working.n == n and working.control_flags_present == with_controls
+
+    def test_unknown_subsystem(self):
+        with pytest.raises(ParameterError):
+            layout_for(1).without("Q1")
+
+
 class TestBasisIndex:
     def test_all_zero(self):
         assert basis_index(layout_for(2), {}) == 0
