@@ -210,7 +210,8 @@ def cmd_conjugate(args) -> int:
     if matrix.n < 1:
         raise ParameterError("conjugate needs a matrix of width n >= 1")
     pm = prepare(matrix, DEFAULT_C)
-    layout = layout_for(matrix.n)
+    # the operand's own registers (M1, R1, C1, K1), 2n+2 qubits
+    layout = layout_for(matrix.n).without("M2", "R2", "C2", "K2", "B", "BT")
     block = EncodedBlock.for_side(layout, "first")
     state = hermitian_conjugate(encode(pm, "first", layout), block)
     decoded, _b, _residual = decode(state, block)

@@ -20,7 +20,7 @@ import numpy as np
 from .encoder import EncodedBlock
 from .errors import DimensionError, ParameterError
 from .registers import RegisterLayout, register_stage, select
-from .statevector import StateVector
+from .statevector import StateVector, _negate
 
 
 def _exchanged_axes(names: list[str], *pairs: tuple[str, str]) -> list[int]:
@@ -42,7 +42,7 @@ def _conjugate_kernel(m: str, r: str, c: str):
         # negate one value of the innermost axis at a time: each part is then
         # a single long strided run instead of many runs of that axis's length
         for i in range(imag.shape[-1]):
-            np.negative(imag[..., i], out=imag[..., i])
+            _negate(imag[..., i])
 
     return kernel
 

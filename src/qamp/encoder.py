@@ -164,9 +164,8 @@ def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, comp
     """Read (matrix, slack) back out of a statevector.
 
     The residual is the total squared weight found outside the encoding
-    support (including any imaginary amplitude parts, which a well-formed
-    encoding never has).  It is reported rather than enforced so pipeline
-    tests can assert that garbage really was removed.
+    support.  It is reported rather than enforced so pipeline tests can
+    assert that garbage really was removed.
     """
     layout = block.layout
     dim = 1 << layout.n
@@ -189,9 +188,9 @@ def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, comp
     support = np.zeros(inside.shape, dtype=bool)
     support[1] = True
     support[0, 0, 0] = True
-    residual += _weight(inside[~support]) + _weight(np.imag(inside[support]))
+    residual += _weight(inside[~support])
     entries = np.empty((dim, dim), dtype=np.complex128)
-    entries.real = inside[1, :, :, 0].real
-    entries.imag = inside[1, :, :, 1].real
-    b = complex(inside[0, 0, 0, 0].real, inside[0, 0, 0, 1].real)
+    entries.real = inside[1, :, :, 0]
+    entries.imag = inside[1, :, :, 1]
+    b = complex(inside[0, 0, 0, 0], inside[0, 0, 0, 1])
     return ComplexMatrix(layout.n, entries), b, residual

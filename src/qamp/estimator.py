@@ -5,6 +5,9 @@ On the flagged output state the slack branch (payload flag K1 = 0) carries
 that weight divided by the squared normalization factor, so measuring K1
 over many runs recovers the factor as a square-root ratio.  The measurement
 destroys the product state, so one extra run is nominally needed to keep it.
+
+The shots are independent draws from the exact K1 marginal, so their
+zero-outcome count is one binomial draw, a fixed function of (shots, seed).
 """
 
 from __future__ import annotations
@@ -19,8 +22,12 @@ from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterErr
 from .multiplier import _check_manipulations, flagged_state
 from .registers import layout_for
 
-#: shots per sampling shard; the shard split is a function of shots alone
+#: no longer used for sampling, which is one draw; kept only because the
+#: benchmark's replay reports ceil(shots / SHARD_SIZE) as ``estimator.shards``
 SHARD_SIZE = 25_000
+
+#: largest shot count the binomial draw accepts (an int64)
+MAX_SHOTS = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -45,27 +52,10 @@ class GEstimate:
         return self.shots + 1
 
 
-def _shard_sizes(shots: int) -> list[int]:
-    full, rem = divmod(shots, SHARD_SIZE)
-    sizes = [SHARD_SIZE] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
 def _sample_zero_count(p_zero: float, shots: int, seed: int) -> int:
-    """Total zero-outcome count over deterministic shards.
-
-    The shard split depends only on ``shots`` and each draw only on a seed
-    spawned from ``seed``, so the total is a fixed function of both.  Each
-    shard is one binomial draw of microseconds, drawn serially.
-    """
-    sizes = _shard_sizes(shots)
-    seeds = np.random.SeedSequence(seed).spawn(len(sizes))
+    """Zero-outcome count of ``shots`` draws with probability ``p_zero``."""
     p = min(1.0, max(0.0, p_zero))
-    return sum(
-        int(np.random.default_rng(child).binomial(size, p)) for size, child in zip(sizes, seeds)
-    )
+    return int(np.random.default_rng(seed).binomial(shots, p))
 
 
 def estimate_g(
@@ -82,8 +72,8 @@ def estimate_g(
     which has the identical distribution at a fraction of the cost.
     """
     manips = _check_manipulations(manipulations)
-    if shots < 1:
-        raise ParameterError(f"shots must be at least 1, got {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ParameterError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     s1 = float(abs(pm1.b * pm2.b) ** 2)
     if s1 == 0.0:
         raise MethodUndefinedError(

@@ -218,7 +218,7 @@ def flag_and_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateV
     """
     working = layout.without(*ANCILLAE)
     src, src_names = register_view(state.amplitudes, working)
-    amps = np.zeros(1 << layout.total_qubits, dtype=state.amplitudes.dtype)
+    amps = np.zeros(1 << layout.total_qubits)
     dst, names = register_view(amps, layout)
     payload = {name: 0 for name in PAYLOAD_ZEROS}
     flagged = select(dst, names, {**payload, **{name: 1 for name in ANCILLAE}})

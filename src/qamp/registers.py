@@ -140,8 +140,8 @@ def register_stage(
     ``kernel(src, dst, names)`` must write every amplitude of the view
     ``dst`` from the view ``src``; both have one axis per entry of ``names``.
     With a ``control`` flag the kernel sees only the flag = 1 slice and the
-    flag = 0 slice is copied unchanged.  The output is a new statevector of
-    the input's dtype; the input is never mutated and no temporary is made.
+    flag = 0 slice is copied unchanged.  The output is a new float64
+    statevector; the input is never mutated and no temporary is made.
     """
     out = np.empty_like(state.amplitudes)
     src, names = register_view(state.amplitudes, layout)

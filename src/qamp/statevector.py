@@ -8,13 +8,17 @@ controls fire on |0>, which is how the pipeline projects onto an all-zero
 subspace without extra NOT gates.
 
 Every gate here is real, and the matrix encoding puts real and imaginary
-parts on separate basis states, so the pipeline runs on float64 amplitudes;
-complex128 states are supported for general use.  Kernels reshape the
-amplitudes to one length-2 axis per qubit and update strided views in
-place: controls pin their axis to the control polarity, X and SWAP exchange
-two slices, Z negates one, H combines two.  No index array or bit mask is
-built.  Public entry points never mutate their input: :func:`apply_gates`
-copies the state once and then runs a whole gate sequence on the copy.
+parts on separate basis states, so every amplitude is real: states hold
+float64 amplitudes only, and complex input is refused rather than having
+its imaginary part dropped.  A real circuit maps a complex state as its
+real and imaginary parts, so such a state runs as two real states.
+
+Kernels reshape the amplitudes to one length-2 axis per qubit and update
+strided views in place: controls pin their axis to the control polarity,
+X and SWAP exchange two slices, Z negates one, H combines two.  No index
+array or bit mask is built.  Public entry points never mutate their input:
+:func:`apply_gates` copies the state once and then runs a whole gate
+sequence on the copy.
 
 This gate engine is the general-purpose API and the reference the circuit
 stages are tested against.  The pipeline itself runs its manipulations and
@@ -61,12 +65,17 @@ def _pinned(amps: np.ndarray, num_qubits: int, pins) -> np.ndarray:
 
 
 def _weight(view: np.ndarray) -> float:
-    """Sum of squared magnitudes over a strided view, without a temporary
-    the size of the view."""
-    if np.iscomplexobj(view):
-        return _weight(view.real) + _weight(view.imag)
+    """Sum of squares over a strided view, without a temporary the size of
+    the view."""
     axes = list(range(view.ndim))
     return float(np.einsum(view, axes, view, axes, []))
+
+
+def _negate(view: np.ndarray) -> None:
+    """Negate a view in place.  Multiplying by -1.0 gives the same bits as
+    ``np.negative``, which on numpy 2.4.6 (seen on an AVX-512 CPU) writes
+    wrong values through an output stride of 64 bytes."""
+    np.multiply(view, -1.0, out=view)
 
 
 def _exchange(a: np.ndarray, b: np.ndarray) -> None:
@@ -77,9 +86,10 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
 
 @dataclass
 class StateVector:
-    """Amplitudes over the 2**num_qubits basis states.
+    """Real amplitudes over the 2**num_qubits basis states.
 
-    A float64 array is kept as given; anything else is stored as complex128.
+    A float64 array is kept as given; other real input is converted to
+    float64, and complex input raises :class:`ValidationError`.
     """
 
     num_qubits: int
@@ -87,8 +97,11 @@ class StateVector:
 
     def __post_init__(self):
         arr = self.amplitudes
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
-            arr = np.asarray(arr, dtype=np.complex128)
+        if np.iscomplexobj(arr):
+            raise ValidationError(
+                "amplitudes must be real; run a complex state as its real and imaginary parts"
+            )
+        arr = np.asarray(arr, dtype=np.float64)
         if self.num_qubits < 0 or arr.shape != (1 << self.num_qubits,):
             raise DimensionError(
                 f"expected {1 << max(self.num_qubits, 0)} amplitudes for "
@@ -200,8 +213,7 @@ def _apply_in_place(amps: np.ndarray, num_qubits: int, gate: GateSpec) -> None:
         for t in gate.targets:
             _exchange(part((t, 0)), part((t, 1)))
     elif gate.kind == "Z":
-        ones = part((gate.targets[0], 1))
-        np.negative(ones, out=ones)
+        _negate(part((gate.targets[0], 1)))
     elif gate.kind == "H":
         t = gate.targets[0]
         a0, a1 = part((t, 0)), part((t, 1))
@@ -218,7 +230,7 @@ def apply_gates(state: StateVector, gates) -> StateVector:
     """Apply a gate sequence, returning a new statevector.
 
     The input is copied once and every gate then updates the copy in place,
-    so the input is never mutated and the dtype is kept.
+    so the input is never mutated.
     """
     out = state.copy()
     for gate in gates:

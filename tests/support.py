@@ -21,3 +21,17 @@ def random_prepared(rng, n, complex_b=False):
 def prepared_from_tilde(entries, b_phase=0.0):
     """Prepared matrix whose scaled entries are given directly."""
     return PreparedMatrix.from_scaled(np.array(entries, dtype=np.complex128), b_phase=b_phase)
+
+
+def real_parts(amps):
+    """The real states a state vector runs as: itself when real, its real and
+    imaginary parts when complex (every gate of the circuit is real, so it
+    maps a complex state part by part)."""
+    if np.iscomplexobj(amps):
+        return [amps.real.copy(), amps.imag.copy()]
+    return [amps]
+
+
+def join_parts(parts):
+    """Inverse of :func:`real_parts`."""
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]

@@ -6,6 +6,7 @@ import pytest
 
 from qamp import encoder, multiplier
 from qamp.cli import main
+from qamp.complexmat import ComplexMatrix, dagger_oracle
 
 IDENTITY_HALF = {
     "n": 1,
@@ -222,6 +223,20 @@ class TestConjugate:
         )
         assert np.max(np.abs(back - entries)) < 1e-12
 
+    def test_runs_on_the_operands_own_registers(self, tmp_path, capsys, monkeypatch):
+        # too little memory for a multiply at n = 2, plenty for the 2n+2
+        # qubits of one operand
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 2 * 8 * (1 << 14) - 1)
+        entries = np.random.default_rng(239).normal(size=(4, 4, 2))
+        src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
+        assert main(["multiply", src, src]) == 2
+        assert "needs 262144 bytes" in capsys.readouterr().err
+        assert main(["conjugate", src]) == 0
+        out = json.loads(capsys.readouterr().out)
+        got = np.array([[complex(*pair) for pair in row] for row in out["entries"]])
+        expected = dagger_oracle(ComplexMatrix(2, entries[..., 0] + 1j * entries[..., 1]))
+        assert np.max(np.abs(got - expected.entries)) < 1e-12
+
 
 class TestEstimateG:
     def test_desk_case(self, desk_matrix, tmp_path, capsys):
@@ -254,6 +269,11 @@ class TestEstimateG:
         )
         assert main(["estimate-g", prepared, prepared, "--shots", "10"]) == 4
         assert "undefined" in capsys.readouterr().err
+
+    def test_shots_beyond_int64_exit_2(self, desk_matrix, capsys):
+        assert main(["estimate-g", desk_matrix, desk_matrix, "--shots", str(2**63)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "shots" in err
 
 
 class TestReport:

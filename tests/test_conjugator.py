@@ -28,7 +28,7 @@ from support import prepared_from_tilde, random_prepared
 
 def random_full_state(rng, layout):
     dim = 1 << layout.total_qubits
-    amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    amps = rng.normal(size=dim)
     return StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
 
 

@@ -66,6 +66,13 @@ class TestEstimateG:
         daggered = estimate_g(pm1, pm2, {"dagger1", "dagger2"}, shots=100, seed=2)
         assert daggered.s1 == plain.s1
 
+    def test_all_slack_counts_every_shot(self):
+        # zero matrices leave the whole flagged weight on K1 = 0
+        zero = prepared_from_tilde([[0, 0], [0, 0]])
+        est = estimate_g(zero, zero, shots=7, seed=0)
+        assert est.s1_tilde_exact == 1.0
+        assert est.s1_tilde_sampled == 1.0 and est.g_hat == est.g_exact
+
     def test_zero_slack_is_method_undefined(self):
         # a degenerate carrier: the full weight sits in the entries, b = 0
         degenerate = PreparedMatrix(ComplexMatrix(1, [[1.0, 0], [0, 0]]), 0.0, 1.0, 1.0)
@@ -85,4 +92,9 @@ class TestEstimateG:
         pm1, pm2 = desk_pair()
         with pytest.raises(ParameterError):
             estimate_g(pm1, pm2, shots=0, seed=0)
+        # one past the largest count a single binomial draw takes
+        with pytest.raises(ParameterError, match="shots"):
+            estimate_g(pm1, pm2, shots=2**63, seed=0)
+        est = estimate_g(pm1, pm2, shots=2**63 - 1, seed=0)
+        assert abs(est.g_hat - est.g_exact) <= 5 * est.stderr
 

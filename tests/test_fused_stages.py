@@ -8,7 +8,8 @@ permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The flagging step, which
 starts from the ancilla-free working register, is held bit for bit to w3
-followed by the conditional measurement on the full register.
+followed by the conditional measurement on the full register.  States are
+float64 only; a complex128 draw runs as its real and imaginary parts.
 """
 
 import numpy as np
@@ -32,6 +33,7 @@ from qamp import (
 from qamp.multiplier import flag_and_measure
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
+from support import join_parts, real_parts
 
 W1_TOL = 1e-15
 
@@ -93,11 +95,12 @@ def stages(layout):
     return out
 
 
-def random_state(rng, num_qubits, dtype):
+def random_states(rng, num_qubits, dtype):
+    """One random unit-norm draw of ``dtype``, as the real states it runs as."""
     amps = rng.normal(size=1 << num_qubits)
     if dtype is np.complex128:
         amps = amps + 1j * rng.normal(size=1 << num_qubits)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))
+    return [StateVector(num_qubits, part) for part in real_parts(amps / np.linalg.norm(amps))]
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
@@ -106,23 +109,24 @@ def random_state(rng, num_qubits, dtype):
 def test_fused_stage_matches_its_gates(n, with_controls, dtype):
     layout = layout_for(n, with_controls=with_controls)
     rng = np.random.default_rng(1000 * n + with_controls)
-    state = random_state(rng, layout.total_qubits, dtype)
-    before = state.amplitudes.copy()
-    for name, fused, gates in stages(layout):
-        got = fused(state).amplitudes
-        want = apply_gates(state, gates).amplitudes
-        assert got.dtype == want.dtype == dtype, name
-        if name == "w1":
-            assert np.max(np.abs(got - want)) <= W1_TOL, name
-        else:
-            assert got.tobytes() == want.tobytes(), name
-    assert state.amplitudes.tobytes() == before.tobytes()
+    for state in random_states(rng, layout.total_qubits, dtype):
+        before = state.amplitudes.copy()
+        for name, fused, gates in stages(layout):
+            got = fused(state).amplitudes
+            want = apply_gates(state, gates).amplitudes
+            assert got.dtype == want.dtype == np.float64, name
+            if name == "w1":
+                assert np.max(np.abs(got - want)) <= W1_TOL, name
+            else:
+                assert got.tobytes() == want.tobytes(), name
+        assert state.amplitudes.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
 def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
     layout = layout_for(1)
-    state = random_state(np.random.default_rng(7), layout.total_qubits, dtype)
+    states = random_states(np.random.default_rng(7), layout.total_qubits, dtype)
+    amps = join_parts([state.amplitudes for state in states])
     unitaries = {
         "q1": bf_q(1, 1),
         "q2": bf_q(1, 2),
@@ -137,8 +141,8 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
     names = [name for name, _fused, _gates in stages(layout)]
     assert sorted(names) == sorted(unitaries)
     for name, fused, _gates in stages(layout):
-        got = fused(state).amplitudes
-        assert np.max(np.abs(got - unitaries[name] @ state.amplitudes)) < 1e-15, name
+        got = join_parts([fused(state).amplitudes for state in states])
+        assert np.max(np.abs(got - unitaries[name] @ amps)) < 1e-15, name
 
 
 def embed_at_ancillae_zero(working_amps, layout):
@@ -161,16 +165,17 @@ def embed_at_ancillae_zero(working_amps, layout):
 def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
     layout = layout_for(n, with_controls=with_controls)
     working = layout.without("B", "BT")
-    state = random_state(np.random.default_rng(2000 * n + with_controls), working.total_qubits, dtype)
-    before = state.amplitudes.copy()
-    got, got_weight = flag_and_measure(state, layout)
-    full = embed_at_ancillae_zero(state.amplitudes, layout)
-    want, want_weight = conditional_measure(apply_w3(full, layout), layout)
-    assert got.num_qubits == layout.total_qubits
-    assert got.amplitudes.dtype == want.amplitudes.dtype == dtype
-    assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
-    assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
-    assert state.amplitudes.tobytes() == before.tobytes()
+    rng = np.random.default_rng(2000 * n + with_controls)
+    for state in random_states(rng, working.total_qubits, dtype):
+        before = state.amplitudes.copy()
+        got, got_weight = flag_and_measure(state, layout)
+        full = embed_at_ancillae_zero(state.amplitudes, layout)
+        want, want_weight = conditional_measure(apply_w3(full, layout), layout)
+        assert got.num_qubits == layout.total_qubits
+        assert got.amplitudes.dtype == want.amplitudes.dtype == np.float64
+        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
+        assert state.amplitudes.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])

@@ -30,17 +30,12 @@ from qamp import (
 )
 from qamp import statevector
 from bruteforce import gate_unitary
-from support import random_prepared
+from support import join_parts, random_prepared, real_parts
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def random_state(rng, num_qubits):
-    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return StateVector(num_qubits, amps / np.linalg.norm(amps))
-
-
-def random_real_state(rng, num_qubits):
     amps = rng.normal(size=1 << num_qubits)
     return StateVector(num_qubits, amps / np.linalg.norm(amps))
 
@@ -192,18 +187,35 @@ class TestRealKernels:
         GateSpec.multi_controlled_x((0, 1), ((2, 0), (3, 1))),
     ]
 
-    def test_state_keeps_float64_and_other_input_becomes_complex(self):
+    def test_state_is_float64_and_complex_input_is_refused(self):
         assert init_basis(2, 1).amplitudes.dtype == np.float64
-        assert StateVector(1, np.array([0.6, 0.8])).amplitudes.dtype == np.float64
-        assert StateVector(1, [0.6, 0.8]).amplitudes.dtype == np.complex128
-        assert StateVector(1, np.array([1, 0])).amplitudes.dtype == np.complex128
+        kept = np.array([0.6, 0.8])
+        assert StateVector(1, kept).amplitudes is kept
+        assert StateVector(1, [0.6, 0.8]).amplitudes.dtype == np.float64
+        assert StateVector(1, np.array([1, 0])).amplitudes.dtype == np.float64
+        assert StateVector(1, np.array([1, 0], dtype=np.float32)).amplitudes.dtype == np.float64
+        for amps in ([0.6, 0.8j], np.array([0.6, 0.8j]), np.array([0.6, 0.8], dtype=complex)):
+            with pytest.raises(ValidationError, match="real"):
+                StateVector(1, amps)
 
     @pytest.mark.parametrize("gate", KINDS, ids=lambda g: g.kind)
     def test_every_gate_kind_keeps_float64(self, gate):
-        sv = random_real_state(np.random.default_rng(5), 4)
+        sv = random_state(np.random.default_rng(5), 4)
         out = apply_gate(sv, gate)
         assert out.amplitudes.dtype == np.float64
         assert np.allclose(out.amplitudes, gate_unitary(gate, 4) @ sv.amplitudes, atol=1e-12)
+
+    @pytest.mark.parametrize("lowest_free", [1, 2, 3, 4, 5])
+    def test_z_through_every_stride(self, lowest_free):
+        # controls on qubits 1 .. lowest_free - 1 leave the negated slice a
+        # stride of 2**lowest_free amplitudes (eight is 64 bytes)
+        gate = GateSpec.z(0, [(q, 1) for q in range(1, lowest_free)])
+        sv = random_state(np.random.default_rng(13), 6)
+        out = apply_gate(sv, gate).amplitudes
+        want = sv.amplitudes.copy()
+        hit = (np.arange(64) & ((1 << lowest_free) - 1)) == (1 << lowest_free) - 1
+        want[hit] = -want[hit]
+        assert out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     @pytest.mark.parametrize(
@@ -220,14 +232,14 @@ class TestRealKernels:
         ids=lambda v: getattr(v, "kind", v),
     )
     def test_gate_covering_every_qubit(self, gate, num_qubits, dtype):
+        # a complex state goes through a real gate as its two real parts
         rng = np.random.default_rng(17)
         amps = rng.normal(size=1 << num_qubits).astype(dtype)
         if dtype is np.complex128:
             amps = amps + 1j * rng.normal(size=1 << num_qubits)
-        sv = StateVector(num_qubits, amps)
-        out = apply_gate(sv, gate)
-        assert out.amplitudes.dtype == dtype
-        assert np.allclose(out.amplitudes, gate_unitary(gate, num_qubits) @ amps, atol=1e-12)
+        outs = [apply_gate(StateVector(num_qubits, part), gate).amplitudes for part in real_parts(amps)]
+        assert all(out.dtype == np.float64 for out in outs)
+        assert np.allclose(join_parts(outs), gate_unitary(gate, num_qubits) @ amps, atol=1e-12)
 
     def test_pipeline_stages_keep_float64_and_leave_input_alone(self):
         rng = np.random.default_rng(41)
