@@ -7,13 +7,22 @@ three operand manipulations reuse it: 1 and 2 conjugate-transpose the first
 or second operand in place, 3 exchanges the operands' roles by transposing
 both register pairs and swapping the two label qubits.
 
-Each circuit is a signed permutation of subsystem values, so each stage is
-one transposed copy of the register view into a new state, in which the
-exchanged subsystems trade axes; the conjugation then negates the label = 1
-half of the copy.  Inputs are never mutated.
+Each circuit is a signed permutation of subsystem values
+(:data:`Q_ACTIONS`), so each stage is one transposed copy of the register
+view into a new state, in which the exchanged subsystems trade axes; the
+conjugation then negates the label = 1 half of the copy.  Inputs are never
+mutated.
+
+On a product of encoded operands the same permutation only renames the
+blocks' subsystems and the sign lands on one operand's component tensor, so
+:func:`apply_q_to_operands` applies a manipulation before the joint state
+exists; the pipeline builds its manipulated state that way, and
+:func:`apply_q` stays as the circuit on a whole state.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -21,6 +30,20 @@ from .encoder import EncodedBlock
 from .errors import DimensionError, ParameterError
 from .registers import RegisterLayout, register_stage, select
 from .statevector import StateVector, _negate
+
+#: manipulation -> (subsystem pairs whose values trade places, label whose
+#: value-1 half changes sign, or None)
+Q_ACTIONS = {
+    1: ((("R1", "C1"),), "M1"),
+    2: ((("R2", "C2"),), "M2"),
+    3: ((("R1", "C1"), ("R2", "C2"), ("M1", "M2")), None),
+}
+
+
+def _q_action(which: int):
+    if which not in (1, 2, 3):
+        raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
+    return Q_ACTIONS[which]
 
 
 def _exchanged_axes(names: list[str], *pairs: tuple[str, str]) -> list[int]:
@@ -33,34 +56,21 @@ def _exchanged_axes(names: list[str], *pairs: tuple[str, str]) -> list[int]:
     return perm
 
 
-def _conjugate_kernel(m: str, r: str, c: str):
-    """Kernel exchanging registers ``r`` and ``c`` and negating label ``m`` = 1."""
+def _permutation_kernel(pairs, label: str | None):
+    """Kernel trading each pair of subsystems' values and negating
+    ``label`` = 1, if a label is given."""
 
     def kernel(src, dst, names):
-        np.copyto(dst, src.transpose(_exchanged_axes(names, (r, c))))
-        imag = select(dst, names, {m: 1})
+        np.copyto(dst, src.transpose(_exchanged_axes(names, *pairs)))
+        if label is None:
+            return
+        imag = select(dst, names, {label: 1})
         # negate one value of the innermost axis at a time: each part is then
         # a single long strided run instead of many runs of that axis's length
         for i in range(imag.shape[-1]):
             _negate(imag[..., i])
 
     return kernel
-
-
-def _exchange_kernel(src, dst, names):
-    """Kernel of manipulation 3: both register pairs and the labels trade places."""
-    perm = _exchanged_axes(names, ("R1", "C1"), ("R2", "C2"), ("M1", "M2"))
-    np.copyto(dst, src.transpose(perm))
-
-
-def _q_kernel(which: int):
-    if which == 1:
-        return _conjugate_kernel("M1", "R1", "C1")
-    if which == 2:
-        return _conjugate_kernel("M2", "R2", "C2")
-    if which == 3:
-        return _exchange_kernel
-    raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
 
 
 def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
@@ -70,19 +80,44 @@ def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
         raise DimensionError(
             f"row register {block.r} and column register {block.c} differ in width"
         )
-    return register_stage(state, layout, _conjugate_kernel(block.m, block.r, block.c))
+    return register_stage(state, layout, _permutation_kernel(((block.r, block.c),), block.m))
 
 
 def apply_q(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
     """Apply operand manipulation 1, 2 or 3.  Each is involutory and norm
     preserving (a permutation of amplitudes with one sign flip)."""
-    return register_stage(state, layout, _q_kernel(which))
+    return register_stage(state, layout, _permutation_kernel(*_q_action(which)))
 
 
 def apply_q_controlled(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
     """Like :func:`apply_q` but active only where the matching control flag
     qubit is |1>; flags starting in a basis state are left unchanged."""
-    kernel = _q_kernel(which)
+    kernel = _permutation_kernel(*_q_action(which))
     if not layout.control_flags_present:
         raise ParameterError("layout has no manipulation control flags")
     return register_stage(state, layout, kernel, control=f"Q{which}")
+
+
+def apply_q_to_operands(operands, which: int) -> list[tuple[np.ndarray, EncodedBlock]]:
+    """Manipulation ``which`` on a product state given by its factors, (component
+    tensor indexed [K, R, C, M], block) pairs on disjoint blocks.
+
+    The traded subsystems trade names in every block, and the operand whose
+    label now sits on the negated label has the label = 1 half of its tensor
+    negated (in a copy).  The product of the returned factors equals
+    :func:`apply_q` of the product of the given ones, value for value; on
+    the amplitudes the factors write it is equal bit for bit, since
+    (-a)*b = -(a*b) exactly.
+    """
+    pairs, label = _q_action(which)
+    trade = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
+    out = []
+    for tensor, block in operands:
+        block = dataclasses.replace(
+            block, **{f: trade.get(getattr(block, f), getattr(block, f)) for f in "mrck"}
+        )
+        if block.m == label:
+            tensor = tensor.copy()
+            _negate(tensor[..., 1])
+        out.append((tensor, block))
+    return out

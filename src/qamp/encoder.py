@@ -14,7 +14,13 @@ gate-level preparation circuit is synthesized.
 
 Amplitudes are written and read through the register view of
 :mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
-tensor placed into a slice of it.
+tensor placed into a slice of it.  :func:`joint_amplitudes` writes a
+product of such tensors in one pass, whatever blocks they sit on; the
+pipeline's build hands it tensors and blocks that the operand
+manipulations have already signed and renamed.  Reading back is split the
+same way: :func:`read_block` reads the component tensor of a block,
+:func:`residual` weighs everything outside the encoding support, and
+:func:`decode` does both.
 
 :func:`check_memory` refuses a size whose run cannot fit in physical memory;
 :func:`joint_amplitudes` calls it before allocating, and the pipeline calls
@@ -38,8 +44,9 @@ from .statevector import StateVector, _weight
 ENCODE_NORM_TOL = 1e-10
 
 #: float64 states of the full register a run is allowed to hold at its peak;
-#: an upper bound, since the stages before flagging run on the ancilla-free
-#: quarter and a run peaks at that quarter plus one full state (1.25 states)
+#: an upper bound, since everything before flagging runs on the ancilla-free
+#: quarter and the flagging keeps only the small payload block, so a run
+#: peaks at two quarter states (0.5 states)
 PEAK_STATES = 2
 
 
@@ -123,8 +130,9 @@ def check_memory(layout: RegisterLayout) -> None:
 
 
 def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
-    """Float64 amplitudes of the product state of one or two (prepared
-    matrix, block) pairs on disjoint blocks; every other subsystem is |0>.
+    """Float64 amplitudes of the product state of one or two (component
+    tensor, block) pairs on disjoint blocks, each tensor indexed [K, R, C, M]
+    as :func:`_components` returns it; every other subsystem is |0>.
 
     Runs :func:`check_memory` on ``layout`` before allocating.  A pair is
     multiplied once per pair of label values: with both labels pinned the
@@ -134,14 +142,14 @@ def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
     check_memory(layout)
     amps = np.zeros(1 << layout.total_qubits)
     view, names = register_view(amps, layout)
-    used = {name for _pm, block in operands for name in block.registers}
+    used = {name for _tensor, block in operands for name in block.registers}
     out = select(view, names, {name: 0 for name in names if name not in used})
-    placed = [_spread(_components(pm), block.registers, names) for pm, block in operands]
+    placed = [_spread(tensor, block.registers, names) for tensor, block in operands]
     if len(placed) == 1:
         out[...] = placed[0]
         return amps
     first, second = placed
-    (_pm1, block1), (_pm2, block2) = operands
+    (_t1, block1), (_t2, block2) = operands
     for m1, m2 in itertools.product((0, 1), repeat=2):
         np.multiply(
             select(first, names, {block1.m: m1}),
@@ -157,40 +165,64 @@ def encode(pm: PreparedMatrix, side: str, layout: RegisterLayout) -> StateVector
     block = EncodedBlock.for_side(layout, side)
     if pm.n != layout.n:
         raise DimensionError(f"matrix width n={pm.n} does not fit layout n={layout.n}")
-    return StateVector(layout.total_qubits, joint_amplitudes(layout, [(pm, block)]))
+    return StateVector(layout.total_qubits, joint_amplitudes(layout, [(_components(pm), block)]))
 
 
-def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, complex, float]:
-    """Read (matrix, slack) back out of a statevector.
-
-    The residual is the total squared weight found outside the encoding
-    support.  It is reported rather than enforced so pipeline tests can
-    assert that garbage really was removed.
-    """
-    layout = block.layout
-    dim = 1 << layout.n
-    view, names = register_view(state.amplitudes, layout)
+def _pins(block: EncodedBlock, names: list[str]) -> dict:
+    """Value of every subsystem outside the block: its fixed value, else 0."""
     pins = {name: 0 for name in names if name not in block.registers}
     pins.update(block.fixed)
-    # weight off the block's slice, as disjoint parts: the subsystems pinned
-    # so far match, the next one does not
-    residual = 0.0
-    matched = {}
-    for name, value in pins.items():
-        for other in (slice(0, value), slice(value + 1, 1 << layout.width(name))):
-            if other.start < other.stop:
-                residual += _weight(select(view, names, {**matched, name: other}))
-        matched[name] = value
+    return pins
+
+
+def _inside(view: np.ndarray, names: list[str], block: EncodedBlock) -> np.ndarray:
+    """The block's component tensor, indexed [K, R, C, M], as a view."""
+    dim = 1 << block.layout.n
     block_axes = [names.index(name) for name in block.registers]
-    inside = select(view, names, pins).transpose(
-        block_axes + [i for i in range(len(names)) if i not in block_axes]
-    ).reshape(2, dim, dim, 2)
-    support = np.zeros(inside.shape, dtype=bool)
-    support[1] = True
-    support[0, 0, 0] = True
-    residual += _weight(inside[~support])
+    rest = [i for i in range(len(names)) if i not in block_axes]
+    inside = select(view, names, _pins(block, names))
+    return inside.transpose(block_axes + rest).reshape(2, dim, dim, 2)
+
+
+def read_block(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, complex]:
+    """Read (matrix, slack) out of the block's component tensor, with every
+    other subsystem at its pinned value."""
+    view, names = register_view(state.amplitudes, block.layout)
+    inside = _inside(view, names, block)
+    dim = inside.shape[1]
     entries = np.empty((dim, dim), dtype=np.complex128)
     entries.real = inside[1, :, :, 0]
     entries.imag = inside[1, :, :, 1]
     b = complex(inside[0, 0, 0, 0], inside[0, 0, 0, 1])
-    return ComplexMatrix(layout.n, entries), b, residual
+    return ComplexMatrix(block.layout.n, entries), b
+
+
+def residual(state: StateVector, block: EncodedBlock) -> float:
+    """Total squared weight of ``state`` outside the block's encoding support."""
+    layout = block.layout
+    view, names = register_view(state.amplitudes, layout)
+    # weight off the block's slice, as disjoint parts: the subsystems pinned
+    # so far match, the next one does not
+    total = 0.0
+    matched = {}
+    for name, value in _pins(block, names).items():
+        for other in (slice(0, value), slice(value + 1, 1 << layout.width(name))):
+            if other.start < other.stop:
+                total += _weight(select(view, names, {**matched, name: other}))
+        matched[name] = value
+    inside = _inside(view, names, block)
+    support = np.zeros(inside.shape, dtype=bool)
+    support[1] = True
+    support[0, 0, 0] = True
+    return total + _weight(inside[~support])
+
+
+def decode(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, complex, float]:
+    """Read (matrix, slack) back out of a statevector, with its
+    :func:`residual`.
+
+    The residual is reported rather than enforced so pipeline tests can
+    assert that garbage really was removed.
+    """
+    matrix, b = read_block(state, block)
+    return matrix, b, residual(state, block)

@@ -6,7 +6,8 @@ that weight divided by the squared normalization factor, so measuring K1
 over many runs recovers the factor as a square-root ratio.  The measurement
 destroys the product state, so one extra run is nominally needed to keep it.
 
-The shots are independent draws from the exact K1 marginal, so their
+The shots are independent draws from the exact K1 marginal, which is read
+off the flagged payload block as an exactly rounded weight, so their
 zero-outcome count is one binomial draw, a fixed function of (shots, seed).
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .complexmat import PreparedMatrix
 from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError
-from .multiplier import _check_manipulations, flagged_state
+from .multiplier import _check_manipulations, flagged_state, payload_block
 from .registers import layout_for
 
 #: no longer used for sampling, which is one draw; kept only because the
@@ -80,9 +81,9 @@ def estimate_g(
             "slack product is zero for these inputs, the recovery ratio is undefined"
         )
     layout = layout_for(pm1.n)
-    state, _branch = flagged_state(pm1, pm2, manips, layout)
+    block, _branch = flagged_state(pm1, pm2, manips, layout)
 
-    s1_tilde_exact = state.probability(layout.start("K1"), 0)
+    s1_tilde_exact = block.probability(payload_block(layout).layout.start("K1"), 0)
     zeros = _sample_zero_count(s1_tilde_exact, shots, seed)
     if zeros == 0:
         raise EstimateUnavailableError(
@@ -91,8 +92,11 @@ def estimate_g(
         )
     p_hat = zeros / shots
     g_hat = math.sqrt(s1 / p_hat)
-    # delta-method propagation of the binomial standard error through sqrt(s1/p)
-    stderr = 0.5 * g_hat * math.sqrt((1.0 - p_hat) / (p_hat * shots))
+    # delta-method propagation of the binomial standard error through
+    # sqrt(s1/p); with every shot on K1 = 0 it would read 0 and claim an
+    # exact result, so it is then taken half a shot short of p = 1
+    p, q = (p_hat, 1.0 - p_hat) if zeros < shots else (1.0 - 0.5 / shots, 0.5 / shots)
+    stderr = 0.5 * math.sqrt(s1 / p) * math.sqrt(q / (p * shots))
     return GEstimate(
         s1=s1,
         s1_tilde_exact=float(s1_tilde_exact),

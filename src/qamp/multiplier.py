@@ -23,13 +23,20 @@ prefactor going into the measurement.
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
 :func:`qamp.estimator.estimate_g` both read their results off its output.
 
-Only w3 and the measurement touch the ancillae B and BT, so
-:func:`flagged_state` runs the build, the manipulations and w0..w2 on the
+The manipulations act on the initial product state, where each is a
+signed permutation of one operand's encoding, so :func:`build_initial`
+writes the manipulated state directly
+(:func:`qamp.conjugator.apply_q_to_operands`) instead of running
+:func:`qamp.conjugator.apply_q` over the whole state.  Only w3 and the
+measurement touch the ancillae B and BT, so the build and w0..w2 run on the
 working layout, the full layout without the ancillae (4n+4 qubits, a
-quarter of the full state), and :func:`flag_and_measure` brings the
-ancillae in as it flags and measures.  The stage functions address
-subsystems by name and run unchanged on either layout; :func:`apply_w3` and
-:func:`conditional_measure` stay as the full-register reference.
+quarter of the full state).  The flagged branch is the payload slice of the
+last working state, so :func:`flag_and_measure` copies out just that block
+(M1, R1, C2, K1 and any control flags, 2**(2n+2) amplitudes without flags)
+and the product and the estimator's K1 weight are read from it.  The stage
+functions address subsystems by name and run unchanged on either layout;
+:func:`apply_w3` and :func:`conditional_measure` stay as the full-register
+reference, and the block and its weight are bit for bit theirs.
 
 Each of w0..w2 runs as one pass over the register view into a new state
 rather than gate by gate: w0 is one XOR permutation of R2 by C1, w1 one
@@ -46,11 +53,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix, dagger_oracle, matmul_oracle
-from .conjugator import apply_q
-from .encoder import EncodedBlock, check_memory, decode, joint_amplitudes
+from .conjugator import apply_q_to_operands
+from .encoder import EncodedBlock, _components, check_memory, joint_amplitudes, read_block
 from .errors import DimensionError, MeasurementError, ParameterError
 from .registers import RegisterLayout, layout_for, register_stage, register_view, select
-from .statevector import _SQRT1_2, GateSpec, StateVector, apply_gates, project_and_renormalize
+from .statevector import (
+    _SQRT1_2,
+    GateSpec,
+    StateVector,
+    _weight,
+    apply_gates,
+    project_and_renormalize,
+)
 
 MANIPULATIONS = frozenset({"dagger1", "dagger2", "swap_order"})
 
@@ -94,21 +108,35 @@ class ProductResult:
     scale_back: float
 
 
-def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:
-    """Joint state of both encoded operands over ``layout``.
+def build_initial(
+    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations=()
+) -> StateVector:
+    """Joint state of both encoded operands over ``layout``, with
+    ``manipulations`` already applied.
 
     Amplitudes are the products of the two encodings' real amplitudes,
-    written by :func:`qamp.encoder.joint_amplitudes`; ancillae, if the
-    layout has them, and any control flags start in |0>.
+    written once by :func:`qamp.encoder.joint_amplitudes`; ancillae, if the
+    layout has them, and any control flags start in |0>.  Each manipulation,
+    in :data:`MANIPULATION_STAGES` order, renames the operands' subsystems
+    and signs one operand's components first
+    (:func:`qamp.conjugator.apply_q_to_operands`).  The result equals the
+    build followed by :func:`qamp.conjugator.apply_q` per manipulation,
+    value for value; wherever the build writes an amplitude it is equal bit
+    for bit, and elsewhere (ancillae or control flags not |0>) the stage
+    chain leaves -0.0 where this leaves +0.0.
     """
+    manips = _check_manipulations(manipulations)
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
     if pm1.n != layout.n:
         raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
     operands = [
-        (pm1, EncodedBlock.for_side(layout, "first")),
-        (pm2, EncodedBlock.for_side(layout, "second")),
+        (_components(pm1), EncodedBlock.for_side(layout, "first")),
+        (_components(pm2), EncodedBlock.for_side(layout, "second")),
     ]
+    for name, which in MANIPULATION_STAGES:
+        if name in manips:
+            operands = apply_q_to_operands(operands, which)
     return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
 
 
@@ -205,31 +233,35 @@ def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[Sta
     return project_and_renormalize(state, layout.start("BT"), 1)
 
 
+def payload_block(layout: RegisterLayout) -> EncodedBlock:
+    """Where :func:`flag_and_measure` leaves the product: (M1, R1, C2, K1)
+    on ``layout`` without the ancillae and the payload-zero subsystems, a
+    layout that keeps any control flags."""
+    return EncodedBlock(layout.without(*ANCILLAE, *PAYLOAD_ZEROS), m="M1", r="R1", c="C2", k="K1")
+
+
 def flag_and_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:
     """:func:`apply_w3` followed by :func:`conditional_measure`, from a state
     on the working layout (``layout`` without the ancillae, which are taken
-    to be in |0>).
+    to be in |0>), kept to the payload block.
 
-    The flagged branch is the payload slice (C1, R2, M2, K2 all 0) moved to
-    B = BT = 1, so it is written into a fresh zero state of ``layout``; its
-    weight is read over the BT = 1 half exactly as the measurement reads it,
-    and only that slice is renormalized.  The results are bit for bit those
-    of the two full-register steps.
+    w3 moves the payload slice (C1, R2, M2, K2 all 0) to B = BT = 1 and
+    nothing else lands there, so the flagged branch is that slice.  It is
+    copied out as a state on ``payload_block(layout).layout``, weighed and
+    renormalized.  The block is bit for bit the B = BT = 1 payload slice of
+    the two full-register steps, which leave zeros everywhere else, and the
+    weight is bit for bit theirs: both are exactly rounded sums of the same
+    nonzero squares.  The input is not mutated.
     """
-    working = layout.without(*ANCILLAE)
-    src, src_names = register_view(state.amplitudes, working)
-    amps = np.zeros(1 << layout.total_qubits)
-    dst, names = register_view(amps, layout)
-    payload = {name: 0 for name in PAYLOAD_ZEROS}
-    flagged = select(dst, names, {**payload, **{name: 1 for name in ANCILLAE}})
-    flagged[...] = select(src, src_names, payload).reshape(flagged.shape)
-    out = StateVector(layout.total_qubits, amps)
-    bt = layout.start("BT")
-    weight = out.probability(bt, 1)
+    src, names = register_view(state.amplitudes, layout.without(*ANCILLAE))
+    # a C-ordered copy of the slice is the block in its own layout's order
+    amps = np.array(select(src, names, {name: 0 for name in PAYLOAD_ZEROS})).reshape(-1)
+    weight = _weight(amps)
     if weight == 0.0:
+        bt = layout.start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
-    np.divide(flagged, math.sqrt(weight), out=flagged)
-    return out, weight
+    np.divide(amps, math.sqrt(weight), out=amps)
+    return StateVector(payload_block(layout).layout.total_qubits, amps), weight
 
 
 def _transpose(m: ComplexMatrix) -> ComplexMatrix:
@@ -281,18 +313,16 @@ def flagged_state(
 ) -> tuple[StateVector, float]:
     """Run the circuit up to and including the conditional measurement.
 
-    Returns the renormalized flagged state on ``layout`` and the branch's
-    pre-projection weight.  ``manipulations`` must already be checked.
-    Everything before the flagging runs on the working layout, ``layout``
-    without the ancillae, a quarter of the full state; the memory check is
-    still made for the full layout, before anything is allocated.
+    Returns the renormalized flagged block, a state on
+    ``payload_block(layout).layout``, and the branch's pre-projection
+    weight.  The build, which writes the manipulations, and w0..w2 run on
+    the working layout, ``layout`` without the ancillae, a quarter of the
+    full state; the memory check is still made for the full layout, before
+    anything is allocated.
     """
     check_memory(layout)
     working = layout.without(*ANCILLAE)
-    state = build_initial(pm1, pm2, working)
-    for name, which in MANIPULATION_STAGES:
-        if name in manipulations:
-            state = apply_q(state, which, working)
+    state = build_initial(pm1, pm2, working, manipulations)
     for stage in (apply_w0, apply_w1, apply_w2):
         state = stage(state, working)
     return flag_and_measure(state, layout)
@@ -313,11 +343,11 @@ def run_pipeline(
     manips = _check_manipulations(manipulations)
     if layout is None:
         layout = layout_for(pm1.n)
-    state, branch_probability = flagged_state(pm1, pm2, manips, layout)
+    block, branch_probability = flagged_state(pm1, pm2, manips, layout)
 
     # the flagged branch carries weight G^2 / 2^(n+1)
     g_exact = math.sqrt(branch_probability * float(1 << (layout.n + 1)))
-    decoded, b_decoded, _residual = decode(state, EncodedBlock.pipeline_output(layout))
+    decoded, b_decoded = read_block(block, payload_block(layout))
     entries = decoded.entries * g_exact
     if "swap_order" in manips:
         entries = entries.T.copy()
@@ -342,12 +372,13 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator runs each stage as one register-level pass and the
-    flagging of w3 as one slice copy, so these numbers describe the
-    abstract circuit rather than the kernels.  The elementary
-    depth of the payload-flagging gate follows a chained-Toffoli model for a
-    gate with k controls (2k - 3 layers, plus one CNOT to copy onto the
-    second ancilla), which is linear in the control count.
+    The simulator writes the manipulations into the build, runs each of
+    w0..w2 as one register-level pass and the flagging of w3 as one copy of
+    the payload block, so these numbers describe the abstract circuit rather
+    than the kernels.  The elementary depth of the payload-flagging gate
+    follows a chained-Toffoli model for a gate with k controls (2k - 3
+    layers, plus one CNOT to copy onto the second ancilla), which is linear
+    in the control count.
     """
 
     n: int

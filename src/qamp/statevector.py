@@ -20,17 +20,23 @@ array or bit mask is built.  Public entry points never mutate their input:
 :func:`apply_gates` copies the state once and then runs a whole gate
 sequence on the copy.
 
+Weights (:meth:`StateVector.probability`, :func:`project_and_renormalize`
+and the residual of :func:`qamp.encoder.decode`) are exactly rounded sums
+of the nonzero squares, so a branch weighs the same, bit for bit, whether
+it is read off a full-register state or off the payload block alone.
+
 This gate engine is the general-purpose API and the reference the circuit
-stages are tested against.  The pipeline itself runs its manipulations and
-w0..w2 as whole-register passes (:func:`qamp.registers.register_stage`) and
-its flagging and measurement as one slice copy
-(:func:`qamp.multiplier.flag_and_measure`); the multi-controlled w3 goes
-through :func:`apply_gates` only in the full-register reference
-:func:`qamp.multiplier.apply_w3`.
+stages are tested against.  The pipeline itself writes its manipulations
+into the build, runs w0..w2 as whole-register passes
+(:func:`qamp.registers.register_stage`) and its flagging and measurement as
+one copy of the payload block (:func:`qamp.multiplier.flag_and_measure`);
+the multi-controlled w3 goes through :func:`apply_gates` only in the
+full-register reference :func:`qamp.multiplier.apply_w3`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +45,9 @@ import numpy as np
 from .errors import DimensionError, MeasurementError, ParameterError, ValidationError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+#: squares handed to ``math.fsum`` at a time by :func:`_weight`
+_FSUM_CHUNK = 1 << 16
 
 GATE_KINDS = ("X", "Z", "H", "SWAP", "CNOT", "MULTI_CONTROLLED")
 
@@ -65,10 +74,16 @@ def _pinned(amps: np.ndarray, num_qubits: int, pins) -> np.ndarray:
 
 
 def _weight(view: np.ndarray) -> float:
-    """Sum of squares over a strided view, without a temporary the size of
-    the view."""
-    axes = list(range(view.ndim))
-    return float(np.einsum(view, axes, view, axes, []))
+    """Exactly rounded sum of squares over a view: ``math.fsum`` of the
+    squares of its nonzero amplitudes.  The result depends neither on the
+    order of the amplitudes nor on how many zeros the view carries, so a
+    subspace weighs the same, bit for bit, in every state that holds it.
+    The squares reach ``math.fsum`` a chunk at a time, so a dense view never
+    becomes one Python float per amplitude at once."""
+    squares = view[view != 0]  # a copy, squared in place
+    np.multiply(squares, squares, out=squares)
+    chunks = (squares[i : i + _FSUM_CHUNK].tolist() for i in range(0, squares.size, _FSUM_CHUNK))
+    return math.fsum(itertools.chain.from_iterable(chunks))
 
 
 def _negate(view: np.ndarray) -> None:

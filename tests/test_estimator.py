@@ -73,6 +73,25 @@ class TestEstimateG:
         assert est.s1_tilde_exact == 1.0
         assert est.s1_tilde_sampled == 1.0 and est.g_hat == est.g_exact
 
+    def test_all_slack_stderr_is_half_a_shot_short(self):
+        # every shot lands on K1 = 0, where the delta method would claim an
+        # exact result; the error is taken at p = 1 - 1/(2 shots) instead
+        zero = prepared_from_tilde([[0, 0], [0, 0]])
+        for shots in (7, 10**6):
+            est = estimate_g(zero, zero, shots=shots, seed=0)
+            assert est.s1_tilde_sampled == 1.0
+            p = 1.0 - 1.0 / (2 * shots)
+            want = 0.5 * math.sqrt(est.s1 / p) * math.sqrt((1.0 - p) / (p * shots))
+            assert est.stderr == pytest.approx(want, rel=1e-9)
+            assert est.stderr > 0.0
+
+    def test_stderr_with_a_one_outcome_is_the_delta_method(self):
+        pm1, pm2 = desk_pair()
+        est = estimate_g(pm1, pm2, shots=1000, seed=5)
+        p = est.s1_tilde_sampled
+        assert p < 1.0
+        assert est.stderr == 0.5 * est.g_hat * math.sqrt((1.0 - p) / (p * est.shots))
+
     def test_zero_slack_is_method_undefined(self):
         # a degenerate carrier: the full weight sits in the entries, b = 0
         degenerate = PreparedMatrix(ComplexMatrix(1, [[1.0, 0], [0, 0]]), 0.0, 1.0, 1.0)

@@ -7,9 +7,10 @@ vectors, not encodings, so every amplitude of the view is exercised.  The
 permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The flagging step, which
-starts from the ancilla-free working register, is held bit for bit to w3
-followed by the conditional measurement on the full register.  States are
-float64 only; a complex128 draw runs as its real and imaginary parts.
+starts from the ancilla-free working register and keeps only the payload
+block, is held bit for bit to the payload slice of w3 followed by the
+conditional measurement on the full register.  States are float64 only; a
+complex128 draw runs as its real and imaginary parts.
 """
 
 import numpy as np
@@ -30,7 +31,8 @@ from qamp import (
     hermitian_conjugate,
     layout_for,
 )
-from qamp.multiplier import flag_and_measure
+from qamp.multiplier import PAYLOAD_ZEROS, flag_and_measure, payload_block
+from qamp.registers import register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 from support import join_parts, real_parts
@@ -171,9 +173,17 @@ def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
         got, got_weight = flag_and_measure(state, layout)
         full = embed_at_ancillae_zero(state.amplitudes, layout)
         want, want_weight = conditional_measure(apply_w3(full, layout), layout)
-        assert got.num_qubits == layout.total_qubits
+        assert got.num_qubits == payload_block(layout).layout.total_qubits
         assert got.amplitudes.dtype == want.amplitudes.dtype == np.float64
-        assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        # the block is the reference's B = BT = 1 payload slice, in the
+        # slice's own C order, and the reference holds nothing else
+        rest = want.amplitudes.copy()
+        view, names = register_view(rest, layout)
+        pins = {**{name: 0 for name in PAYLOAD_ZEROS}, "B": 1, "BT": 1}
+        flagged = select(view, names, pins)
+        assert got.amplitudes.tobytes() == np.ascontiguousarray(flagged).tobytes()
+        flagged[...] = 0.0
+        assert not np.any(rest)
         assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
         assert state.amplitudes.tobytes() == before.tobytes()
 

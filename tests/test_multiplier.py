@@ -32,6 +32,7 @@ from support import prepared_from_tilde, random_prepared
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
+    bf_q,
     bf_run,
 )
 
@@ -95,6 +96,52 @@ class TestBuildInitial:
         quarter = 1 << working.total_qubits
         assert np.array_equal(sv.amplitudes, full[:quarter].real)
         assert not np.any(full[:quarter].imag) and not np.any(full[quarter:])
+
+    @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_folds_the_manipulations(self, n, with_controls):
+        # the manipulated build on the working layout (the one the pipeline
+        # builds on) against the plain build followed by Q3, Q2 and Q1:
+        # equal in value, and in bits wherever the build writes; with control
+        # flags the stage chain negates the zeros of the flag != 0 slices,
+        # which the build leaves at +0.0
+        rng = np.random.default_rng(157 + n)
+        pm1 = random_prepared(rng, n, complex_b=True)
+        pm2 = random_prepared(rng, n, complex_b=True)
+        layout = layout_for(n, with_controls=with_controls).without("B", "BT")
+        plain = build_initial(pm1, pm2, layout)
+        index = np.arange(plain.amplitudes.size)
+        written = np.ones(index.size, dtype=bool)
+        if with_controls:
+            for flag in ("Q1", "Q2", "Q3"):
+                written &= (index >> layout.start(flag)) & 1 == 0
+        for manips in ALL_SUBSETS:
+            folded = build_initial(pm1, pm2, layout, manips)
+            chain = plain
+            for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
+                if name in manips:
+                    chain = apply_q(chain, which, layout)
+            assert np.array_equal(folded.amplitudes, chain.amplitudes), sorted(manips)
+            assert folded.amplitudes[written].tobytes() == chain.amplitudes[written].tobytes()
+            assert not np.any(folded.amplitudes[~written])
+
+    def test_fold_matches_bruteforce_n1(self):
+        rng = np.random.default_rng(156)
+        pm1 = random_prepared(rng, 1, complex_b=True)
+        pm2 = random_prepared(rng, 1, complex_b=True)
+        for manips in ALL_SUBSETS:
+            folded = build_initial(pm1, pm2, layout_for(1), manips)
+            want = bf_initial_state(pm1, pm2, 1)
+            for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
+                if name in manips:
+                    want = bf_q(1, which) @ want
+            assert not np.any(want.imag)
+            assert np.array_equal(folded.amplitudes, want.real), sorted(manips)
+
+    def test_unknown_manipulation_rejected(self):
+        pm1, pm2 = desk_pair()
+        with pytest.raises(ParameterError):
+            build_initial(pm1, pm2, layout_for(1), {"transpose"})
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(157)
@@ -476,8 +523,8 @@ class TestResourceReport:
 
 class TestMemory:
     def test_peak_is_a_few_states(self):
-        # the stages before flagging hold two states of the ancilla-free
-        # quarter; flagging holds that quarter and the fresh full state
+        # the build and w0..w2 hold at most two states of the ancilla-free
+        # quarter, and flagging copies out only the small payload block
         rng = np.random.default_rng(331)
         pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
         state_bytes = 8 << layout_for(3).total_qubits
@@ -487,4 +534,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
+        assert peak <= 0.6 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"

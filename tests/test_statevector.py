@@ -299,3 +299,34 @@ class TestProjection:
                 abs(a) ** 2 for i, a in enumerate(sv.amplitudes) if (i >> q) & 1
             )
             assert got == pytest.approx(hand, abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_subnormal=True),
+            min_size=1,
+            max_size=16,
+        ),
+        zeros=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_probability_is_exactly_rounded(self, values, zeros, seed):
+        # the weight is math.fsum of the squares, bit for bit, whatever the
+        # order of the amplitudes and however many zeros surround them
+        want = math.fsum(v * v for v in values)
+        num_qubits = max(len(values) - 1, 0).bit_length()
+        amps = np.zeros(1 << num_qubits)
+        amps[: len(values)] = values
+        # the weight of the whole state, read as the outcome-1 branch of a
+        # new top qubit
+        got = StateVector(num_qubits + 1, np.concatenate([np.zeros_like(amps), amps]))
+        assert np.array([got.probability(num_qubits, 1)]).tobytes() == np.array([want]).tobytes()
+        rng = np.random.default_rng(seed)
+        wide = np.zeros(amps.size << zeros)
+        wide[rng.choice(wide.size, size=amps.size, replace=False)] = rng.permutation(amps)
+        moved = StateVector(num_qubits + zeros + 1, np.concatenate([np.zeros_like(wide), wide]))
+        top = num_qubits + zeros
+        assert np.array([moved.probability(top, 1)]).tobytes() == np.array([want]).tobytes()
+        if want:
+            _, prob = project_and_renormalize(moved, top, 1)
+            assert np.array([prob]).tobytes() == np.array([want]).tobytes()
