@@ -176,22 +176,24 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
     Deliberately a plain triple loop; this is the independent check every
     decoded quantum product is held against, so it stays free of the array
-    machinery used elsewhere.
+    machinery used elsewhere.  It runs on Python floats, rows of ``a`` and
+    columns of ``b``, which round exactly as float64 scalars do.
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
-    dim = a.dim
-    a0, a1 = a.entries.real, a.entries.imag
-    b0, b1 = b.entries.real, b.entries.imag
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for j in range(dim):
-        for k in range(dim):
+    a0, a1 = a.entries.real.tolist(), a.entries.imag.tolist()
+    b0, b1 = b.entries.real.T.tolist(), b.entries.imag.T.tolist()
+    out = []
+    for a0j, a1j in zip(a0, a1):
+        row = []
+        for b0k, b1k in zip(b0, b1):
             re = 0.0
             im = 0.0
-            for l in range(dim):
-                re += a0[j, l] * b0[l, k] - a1[j, l] * b1[l, k]
-                im += a0[j, l] * b1[l, k] + a1[j, l] * b0[l, k]
-            out[j, k] = complex(re, im)
+            for a0jl, a1jl, b0lk, b1lk in zip(a0j, a1j, b0k, b1k):
+                re += a0jl * b0lk - a1jl * b1lk
+                im += a0jl * b1lk + a1jl * b0lk
+            row.append(complex(re, im))
+        out.append(row)
     return ComplexMatrix(a.n, out)
 
 

@@ -22,9 +22,10 @@ same way: :func:`read_block` reads the component tensor of a block,
 :func:`residual` weighs everything outside the encoding support, and
 :func:`decode` does both.
 
-:func:`check_memory` refuses a size whose run cannot fit in physical memory;
-:func:`joint_amplitudes` calls it before allocating, and the pipeline calls
-it on the full register before its first allocation.
+:func:`check_memory` refuses a layout whose stages cannot fit in physical
+memory, and :func:`joint_amplitudes` calls it before allocating;
+:func:`require_memory` is the comparison behind it, which the pipeline also
+makes for its own, smaller peak before its first allocation.
 """
 
 from __future__ import annotations
@@ -42,12 +43,6 @@ from .statevector import StateVector, _weight
 
 #: encode refuses states whose squared norm strays further than this from 1
 ENCODE_NORM_TOL = 1e-10
-
-#: float64 states of the full register a run is allowed to hold at its peak;
-#: an upper bound, since everything before flagging runs on the ancilla-free
-#: quarter and the flagging keeps only the small payload block, so a run
-#: peaks at two quarter states (0.5 states)
-PEAK_STATES = 2
 
 
 @dataclass(frozen=True)
@@ -117,16 +112,23 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def check_memory(layout: RegisterLayout) -> None:
-    """Raise :class:`ParameterError` when :data:`PEAK_STATES` float64 states
-    of ``layout`` would not fit in physical memory."""
-    needed = PEAK_STATES * 8 * (1 << layout.total_qubits)
+def require_memory(layout: RegisterLayout, needed: int, what: str) -> None:
+    """Raise :class:`ParameterError`, naming the bytes, when ``needed`` bytes
+    for ``what`` would not fit in physical memory."""
     available = physical_memory_bytes()
     if needed > available:
         raise ParameterError(
-            f"n={layout.n} needs {needed} bytes for {PEAK_STATES} states of "
-            f"{layout.total_qubits} qubits, more than the {available} bytes of physical memory"
+            f"n={layout.n} needs {needed} bytes for {what}, "
+            f"more than the {available} bytes of physical memory"
         )
+
+
+def check_memory(layout: RegisterLayout) -> None:
+    """Raise :class:`ParameterError` when two float64 states of ``layout``,
+    what a stage on it holds (its input and its output), would not fit in
+    physical memory."""
+    needed = 2 * 8 * (1 << layout.total_qubits)
+    require_memory(layout, needed, f"2 states of {layout.total_qubits} qubits")
 
 
 def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:

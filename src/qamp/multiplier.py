@@ -23,26 +23,42 @@ prefactor going into the measurement.
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
 :func:`qamp.estimator.estimate_g` both read their results off its output.
 
-The manipulations act on the initial product state, where each is a
-signed permutation of one operand's encoding, so :func:`build_initial`
-writes the manipulated state directly
-(:func:`qamp.conjugator.apply_q_to_operands`) instead of running
-:func:`qamp.conjugator.apply_q` over the whole state.  Only w3 and the
-measurement touch the ancillae B and BT, so the build and w0..w2 run on the
-working layout, the full layout without the ancillae (4n+4 qubits, a
-quarter of the full state).  The flagged branch is the payload slice of the
-last working state, so :func:`flag_and_measure` copies out just that block
-(M1, R1, C2, K1 and any control flags, 2**(2n+2) amplitudes without flags)
-and the product and the estimator's K1 weight are read from it.  The stage
-functions address subsystems by name and run unchanged on either layout;
-:func:`apply_w3` and :func:`conditional_measure` stay as the full-register
-reference, and the block and its weight are bit for bit theirs.
+The run path is three passes over a working register and one small copy.
+Only w3 and the measurement touch the ancillae B and BT, so everything
+before them runs on the full layout without the ancillae (4n+4 qubits, a
+quarter of the full state), and its subsystems are repacked in
+:data:`KERNEL_ORDER`, a private order that suits the kernels
+(:func:`working_layout`): C1 is the outermost axis of the register view and
+K2, K1, M2, M1 come next, so w1 is one matrix product over C1 and every
+pin of w2 selects whole blocks of the three innermost registers.  The
+canonical layout stays the public qubit convention.
 
-Each of w0..w2 runs as one pass over the register view into a new state
-rather than gate by gate: w0 is one XOR permutation of R2 by C1, w1 one
+- The build writes the manipulations and w0.  Each manipulation is a
+  signed permutation of one operand's encoding, so it renames the operands'
+  subsystems and signs a component tensor
+  (:func:`qamp.conjugator.apply_q_to_operands`), and on the product state w0
+  is a permutation too: the C1 = c slice is the first operand's factor at
+  C1 = c times the second's with R2 xor c (``_build_through_w0``).
+- w1 and w2 are one pass each, into a new state.
+- :func:`flag_and_measure` copies out just the payload block (M1, R1, C2,
+  K1 and any control flags, 2**(2n+2) amplitudes without flags) in the
+  canonical order of ``payload_block(layout).layout``; the product and the
+  estimator's K1 weight are read from it.
+
+The stage functions address subsystems by name and run unchanged on any
+layout.  :func:`build_initial`, :func:`apply_w0`, :func:`apply_w3` and
+:func:`conditional_measure` stay as the full-register reference, and the
+run path's block and weight are bit for bit theirs.
+
+As public stages, w0..w2 each run as one pass over the register view into
+a new state rather than gate by gate: w0 is one XOR permutation of R2 by C1, w1 one
 contraction of the C1 axis with the Sylvester Hadamard matrix, w2 one sum
 or difference per (M2, M1) column written straight to its relabeled K2
 slice.  w3 is a single multi-controlled gate of the gate engine.
+
+Before allocating, a run is refused when its :func:`peak_bytes` (two
+working states, the payload block and :data:`RUNTIME_BYTES`) exceed
+physical memory.
 """
 
 from __future__ import annotations
@@ -54,7 +70,14 @@ import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix, dagger_oracle, matmul_oracle
 from .conjugator import apply_q_to_operands
-from .encoder import EncodedBlock, _components, check_memory, joint_amplitudes, read_block
+from .encoder import (
+    EncodedBlock,
+    _components,
+    _spread,
+    joint_amplitudes,
+    read_block,
+    require_memory,
+)
 from .errors import DimensionError, MeasurementError, ParameterError
 from .registers import RegisterLayout, layout_for, register_stage, register_view, select
 from .statevector import (
@@ -78,6 +101,17 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: (manipulation, conjugator stage) in circuit order: the operand exchange
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
+
+#: resident bytes of the process around a run's states: the interpreter,
+#: numpy and its BLAS work buffers (36 MB before an n = 5 run on Python
+#: 3.11 with numpy 2.4, and a further 0.4 MB during it)
+RUNTIME_BYTES = 64 << 20
+
+#: the working register's subsystems from qubit 0 upward: C1 is the
+#: outermost axis of its register view, so w1 is one matrix product over
+#: it, and K2, K1, M2 and M1 come next, so every pin of w2 selects whole
+#: (R1, R2, C2) blocks
+KERNEL_ORDER = ("C2", "R2", "R1", "M1", "M2", "K1", "K2", "C1")
 
 
 def _check_manipulations(manipulations) -> frozenset:
@@ -108,6 +142,25 @@ class ProductResult:
     scale_back: float
 
 
+def _operands(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
+    """The two operands' (component tensor, block) pairs on ``layout``, with
+    each manipulation, in :data:`MANIPULATION_STAGES` order, applied by
+    :func:`qamp.conjugator.apply_q_to_operands`."""
+    manips = _check_manipulations(manipulations)
+    if pm1.n != pm2.n:
+        raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
+    if pm1.n != layout.n:
+        raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
+    operands = [
+        (_components(pm1), EncodedBlock.for_side(layout, "first")),
+        (_components(pm2), EncodedBlock.for_side(layout, "second")),
+    ]
+    for name, which in MANIPULATION_STAGES:
+        if name in manips:
+            operands = apply_q_to_operands(operands, which)
+    return operands
+
+
 def build_initial(
     pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations=()
 ) -> StateVector:
@@ -125,19 +178,38 @@ def build_initial(
     for bit, and elsewhere (ancillae or control flags not |0>) the stage
     chain leaves -0.0 where this leaves +0.0.
     """
-    manips = _check_manipulations(manipulations)
-    if pm1.n != pm2.n:
-        raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
-    if pm1.n != layout.n:
-        raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
-    operands = [
-        (_components(pm1), EncodedBlock.for_side(layout, "first")),
-        (_components(pm2), EncodedBlock.for_side(layout, "second")),
-    ]
-    for name, which in MANIPULATION_STAGES:
-        if name in manips:
-            operands = apply_q_to_operands(operands, which)
+    operands = _operands(pm1, pm2, layout, manipulations)
     return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
+
+
+def _build_through_w0(
+    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
+) -> StateVector:
+    """:func:`build_initial` followed by :func:`apply_w0`, written in one
+    pass and equal to them bit for bit.
+
+    On the product state w0 only moves amplitudes: the C1 = c slice takes
+    the second operand's factor at R2 xor c.  C1 is a subsystem of the first
+    operand's block and R2 of the second's, whatever the manipulations
+    renamed, so each C1 slice is one product of the first factor at C1 = c
+    and the second factor with its R2 axis permuted.  Any control flags are
+    |0>.  No memory check is made; :func:`flagged_state` makes its own.
+    """
+    (first, block1), (second, block2) = _operands(pm1, pm2, layout, manipulations)
+    amps = np.zeros(1 << layout.total_qubits)
+    view, names = register_view(amps, layout)
+    used = {*block1.registers, *block2.registers}
+    out = select(view, names, {name: 0 for name in names if name not in used})
+    first = _spread(first, block1.registers, names)
+    second = _spread(second, block2.registers, names)
+    indices = np.arange(1 << layout.n)
+    for c in range(1 << layout.n):
+        np.multiply(
+            select(first, names, {"C1": c}),
+            np.take(second, indices ^ c, axis=names.index("R2")),
+            out=select(out, names, {"C1": c}),
+        )
+    return StateVector(layout.total_qubits, amps)
 
 
 def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -240,22 +312,41 @@ def payload_block(layout: RegisterLayout) -> EncodedBlock:
     return EncodedBlock(layout.without(*ANCILLAE, *PAYLOAD_ZEROS), m="M1", r="R1", c="C2", k="K1")
 
 
+def working_layout(layout: RegisterLayout) -> RegisterLayout:
+    """The run path's working register: ``layout`` without the ancillae,
+    its subsystems repacked in :data:`KERNEL_ORDER` (any control flags
+    above them)."""
+    return layout.without(*ANCILLAE).repacked(*KERNEL_ORDER)
+
+
+def peak_bytes(layout: RegisterLayout) -> int:
+    """Resident bytes of a process at the peak of a run on ``layout``: two
+    float64 working states (a stage's input and its output), the payload
+    block copied out of the last of them, and :data:`RUNTIME_BYTES`."""
+    working, block = working_layout(layout), payload_block(layout).layout
+    return 8 * ((2 << working.total_qubits) + (1 << block.total_qubits)) + RUNTIME_BYTES
+
+
 def flag_and_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:
     """:func:`apply_w3` followed by :func:`conditional_measure`, from a state
-    on the working layout (``layout`` without the ancillae, which are taken
-    to be in |0>), kept to the payload block.
+    on ``working_layout(layout)`` (the ancillae are taken to be in |0>),
+    kept to the payload block.
 
     w3 moves the payload slice (C1, R2, M2, K2 all 0) to B = BT = 1 and
     nothing else lands there, so the flagged branch is that slice.  It is
-    copied out as a state on ``payload_block(layout).layout``, weighed and
-    renormalized.  The block is bit for bit the B = BT = 1 payload slice of
-    the two full-register steps, which leave zeros everywhere else, and the
-    weight is bit for bit theirs: both are exactly rounded sums of the same
-    nonzero squares.  The input is not mutated.
+    copied out as a state on ``payload_block(layout).layout``, in that
+    layout's qubit order, then weighed and renormalized.  The block is bit
+    for bit the B = BT = 1 payload slice of the two full-register steps,
+    which leave zeros everywhere else, and the weight is bit for bit theirs:
+    both are exactly rounded sums of the same nonzero squares.  The input is
+    not mutated.
     """
-    src, names = register_view(state.amplitudes, layout.without(*ANCILLAE))
-    # a C-ordered copy of the slice is the block in its own layout's order
-    amps = np.array(select(src, names, {name: 0 for name in PAYLOAD_ZEROS})).reshape(-1)
+    block = payload_block(layout).layout
+    src, names = register_view(state.amplitudes, working_layout(layout))
+    flagged = select(src, names, {name: 0 for name in PAYLOAD_ZEROS})
+    # the block's axes in its own view order, then the pinned length-1 axes
+    axes = [names.index(name) for name in (*block.view_names, *PAYLOAD_ZEROS)]
+    amps = np.ascontiguousarray(flagged.transpose(axes)).reshape(-1)
     weight = _weight(amps)
     if weight == 0.0:
         bt = layout.start("BT")
@@ -315,15 +406,19 @@ def flagged_state(
 
     Returns the renormalized flagged block, a state on
     ``payload_block(layout).layout``, and the branch's pre-projection
-    weight.  The build, which writes the manipulations, and w0..w2 run on
-    the working layout, ``layout`` without the ancillae, a quarter of the
-    full state; the memory check is still made for the full layout, before
-    anything is allocated.
+    weight.  The build (which writes the manipulations and w0), w1 and w2
+    are three passes over ``working_layout(layout)``, a quarter of the full
+    state; before anything is allocated the run is refused if its
+    :func:`peak_bytes` would not fit in physical memory.
     """
-    check_memory(layout)
-    working = layout.without(*ANCILLAE)
-    state = build_initial(pm1, pm2, working, manipulations)
-    for stage in (apply_w0, apply_w1, apply_w2):
+    working = working_layout(layout)
+    require_memory(
+        layout,
+        peak_bytes(layout),
+        f"two working states of {working.total_qubits} qubits, the payload block and the runtime",
+    )
+    state = _build_through_w0(pm1, pm2, working, manipulations)
+    for stage in (apply_w1, apply_w2):
         state = stage(state, working)
     return flag_and_measure(state, layout)
 
@@ -372,13 +467,13 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator writes the manipulations into the build, runs each of
-    w0..w2 as one register-level pass and the flagging of w3 as one copy of
-    the payload block, so these numbers describe the abstract circuit rather
-    than the kernels.  The elementary depth of the payload-flagging gate
-    follows a chained-Toffoli model for a gate with k controls (2k - 3
-    layers, plus one CNOT to copy onto the second ancilla), which is linear
-    in the control count.
+    The simulator writes the manipulations and w0 into the build, runs w1
+    and w2 as one register-level pass each and the flagging of w3 as one
+    copy of the payload block, so these numbers describe the abstract
+    circuit rather than the kernels.  The elementary depth of the
+    payload-flagging gate follows a chained-Toffoli model for a gate with k
+    controls (2k - 3 layers, plus one CNOT to copy onto the second
+    ancilla), which is linear in the control count.
     """
 
     n: int

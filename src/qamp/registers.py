@@ -12,7 +12,11 @@ stage address amplitudes through it, so each is a small number of slice
 operations on that view rather than one pass per gate.  A layout with some
 subsystems removed (:meth:`RegisterLayout.without`) holds the states on
 which those subsystems are |0>, which is how the pipeline leaves out its
-ancillae until it flags the payload.
+ancillae until it flags the payload.  A repacked layout
+(:meth:`RegisterLayout.repacked`) holds the same subsystems in another
+qubit order; the pipeline's working register is one, ordered so that its
+kernels run over contiguous blocks, while :func:`layout_for` stays the
+public qubit convention.
 """
 
 from __future__ import annotations
@@ -54,21 +58,41 @@ class RegisterLayout:
     def width(self, name: str) -> int:
         return len(self.qubits(name))
 
+    @property
+    def view_names(self) -> list[str]:
+        """Subsystem names in register-view axis order, most significant first."""
+        return sorted(self.slices, key=self.start, reverse=True)
+
+    def _packed(self, names) -> "RegisterLayout":
+        """The named subsystems, at their widths, packed from qubit 0 upward."""
+        slices = {}
+        cursor = 0
+        for name in names:
+            slices[name] = range(cursor, cursor + self.width(name))
+            cursor += self.width(name)
+        return RegisterLayout(
+            n=self.n, slices=slices, control_flags_present=self.control_flags_present
+        )
+
     def without(self, *names: str) -> "RegisterLayout":
         """This layout with the named subsystems removed and the rest packed
         down in the same order, so a state on it is this layout's state
         restricted to those subsystems in |0>."""
         for name in names:
             self.qubits(name)  # raises on unknown subsystem
-        slices = {}
-        cursor = 0
-        for name, r in sorted(self.slices.items(), key=lambda item: item[1].start):
-            if name not in names:
-                slices[name] = range(cursor, cursor + len(r))
-                cursor += len(r)
-        return RegisterLayout(
-            n=self.n, slices=slices, control_flags_present=self.control_flags_present
-        )
+        return self._packed(name for name in self.view_names[::-1] if name not in names)
+
+    def repacked(self, *names: str) -> "RegisterLayout":
+        """This layout with the named subsystems packed from qubit 0 upward in
+        the given order and the rest above them in their current order.  A
+        state on it holds the same amplitudes as one on this layout, with the
+        qubits in another order."""
+        for name in names:
+            self.qubits(name)  # raises on unknown subsystem
+        if len(set(names)) != len(names):
+            raise ParameterError(f"subsystems named twice in {names}")
+        rest = [name for name in self.view_names[::-1] if name not in names]
+        return self._packed([*names, *rest])
 
     def summary(self) -> dict:
         """Plain structure for reports: name -> [first, last] qubit, plus totals."""
@@ -118,7 +142,7 @@ def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray,
         raise DimensionError(
             f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
         )
-    names = sorted(layout.slices, key=layout.start, reverse=True)
+    names = layout.view_names
     return amps.reshape([1 << layout.width(name) for name in names]), names
 
 

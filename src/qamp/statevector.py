@@ -27,7 +27,7 @@ it is read off a full-register state or off the payload block alone.
 
 This gate engine is the general-purpose API and the reference the circuit
 stages are tested against.  The pipeline itself writes its manipulations
-into the build, runs w0..w2 as whole-register passes
+and w0 into the build, runs w1 and w2 as whole-register passes
 (:func:`qamp.registers.register_stage`) and its flagging and measurement as
 one copy of the payload block (:func:`qamp.multiplier.flag_and_measure`);
 the multi-controlled w3 goes through :func:`apply_gates` only in the

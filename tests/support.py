@@ -3,6 +3,7 @@
 import numpy as np
 
 from qamp import ComplexMatrix, PreparedMatrix, prepare
+from qamp.registers import register_view
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -35,3 +36,30 @@ def real_parts(amps):
 def join_parts(parts):
     """Inverse of :func:`real_parts`."""
     return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+def matmul_oracle_numpy(a, b):
+    """The component-formula product as a triple loop over numpy float64
+    scalars: the reference that ``matmul_oracle``'s loop over Python floats
+    must equal byte for byte."""
+    dim = a.dim
+    a0, a1 = a.entries.real, a.entries.imag
+    b0, b1 = b.entries.real, b.entries.imag
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for j in range(dim):
+        for k in range(dim):
+            re = 0.0
+            im = 0.0
+            for l in range(dim):
+                re += a0[j, l] * b0[l, k] - a1[j, l] * b1[l, k]
+                im += a0[j, l] * b1[l, k] + a1[j, l] * b0[l, k]
+            out[j, k] = complex(re, im)
+    return ComplexMatrix(a.n, out)
+
+
+def reorder(amps, src, dst):
+    """Amplitudes of a state on layout ``src`` rewritten for ``dst``, a
+    layout of the same subsystems in another qubit order."""
+    view, names = register_view(amps, src)
+    axes = [names.index(name) for name in dst.view_names]
+    return np.ascontiguousarray(view.transpose(axes)).reshape(-1)

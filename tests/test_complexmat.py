@@ -19,7 +19,7 @@ from qamp import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from support import random_matrix
+from support import matmul_oracle_numpy, random_matrix
 
 
 def matmul_swapped_loops(a, b):
@@ -220,6 +220,33 @@ class TestMatmulOracle:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             matmul_oracle(ComplexMatrix(1, np.eye(2)), ComplexMatrix(2, np.eye(4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=3).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from([0.0, -0.0]),
+                        st.floats(min_value=1e-8, max_value=1e8),
+                        st.floats(min_value=-1e8, max_value=-1e-8),
+                    ),
+                    min_size=4 << 2 * n,
+                    max_size=4 << 2 * n,
+                ),
+            )
+        )
+    )
+    def test_python_float_loop_is_the_numpy_scalar_loop(self, drawn):
+        # same formula and accumulation order, so the same bits, signed
+        # zeros included
+        n, values = drawn
+        entries = np.empty((2, 1 << n, 1 << n), dtype=np.complex128)
+        entries.real, entries.imag = np.array(values).reshape(2, 2, 1 << n, 1 << n)
+        a, b = (ComplexMatrix(n, e) for e in entries)
+        got = matmul_oracle(a, b).entries
+        assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
 
     def test_bilinear(self):
         rng = np.random.default_rng(37)

@@ -9,8 +9,10 @@ Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The flagging step, which
 starts from the ancilla-free working register and keeps only the payload
 block, is held bit for bit to the payload slice of w3 followed by the
-conditional measurement on the full register.  States are float64 only; a
-complex128 draw runs as its real and imaginary parts.
+conditional measurement on the full register; its input is drawn on the
+run path's kernel-ordered working register and reordered by name for the
+reference.  States are float64 only; a complex128 draw runs as its real and
+imaginary parts.
 """
 
 import numpy as np
@@ -31,11 +33,11 @@ from qamp import (
     hermitian_conjugate,
     layout_for,
 )
-from qamp.multiplier import PAYLOAD_ZEROS, flag_and_measure, payload_block
+from qamp.multiplier import PAYLOAD_ZEROS, flag_and_measure, payload_block, working_layout
 from qamp.registers import register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
-from support import join_parts, real_parts
+from support import join_parts, real_parts, reorder
 
 W1_TOL = 1e-15
 
@@ -147,10 +149,31 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
         assert np.max(np.abs(got - unitaries[name] @ amps)) < 1e-15, name
 
 
+@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_order_stages_match_the_canonical_order(n, with_controls):
+    # w1 and w2 on the run path's kernel-ordered working register against
+    # the same stage on the canonical working register, byte for byte once
+    # the axes are reordered by name
+    layout = layout_for(n, with_controls=with_controls)
+    working, canonical = working_layout(layout), layout.without("B", "BT")
+    rng = np.random.default_rng(3000 * n + with_controls)
+    (state,) = random_states(rng, working.total_qubits, np.float64)
+    amps = reorder(state.amplitudes, working, canonical)
+    on_canonical = StateVector(canonical.total_qubits, amps)
+    for stage in (apply_w1, apply_w2):
+        got = stage(state, working).amplitudes
+        want = stage(on_canonical, canonical).amplitudes
+        assert got.tobytes() == reorder(want, canonical, working).tobytes(), stage.__name__
+
+
 def embed_at_ancillae_zero(working_amps, layout):
-    """The full-layout state equal to ``working_amps`` where B = BT = 0 and
-    zero elsewhere, by index arithmetic: B and BT are adjacent qubits, so a
-    working index is a full index with those two bits cut out."""
+    """The full-layout state equal to ``working_amps``, a state on
+    ``working_layout(layout)``, where B = BT = 0 and zero elsewhere.  Once
+    reordered to the canonical qubit order it is placed by index arithmetic:
+    B and BT are adjacent qubits, so a canonical working index is a full
+    index with those two bits cut out."""
+    working_amps = reorder(working_amps, working_layout(layout), layout.without("B", "BT"))
     b = layout.start("B")
     assert layout.start("BT") == b + 1
     full = np.arange(1 << layout.total_qubits)
@@ -166,7 +189,7 @@ def embed_at_ancillae_zero(working_amps, layout):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
     layout = layout_for(n, with_controls=with_controls)
-    working = layout.without("B", "BT")
+    working = working_layout(layout)
     rng = np.random.default_rng(2000 * n + with_controls)
     for state in random_states(rng, working.total_qubits, dtype):
         before = state.amplitudes.copy()
@@ -192,7 +215,7 @@ def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
 def test_flag_and_measure_zero_branch_is_an_error(with_controls):
     # weight only off the payload subspace (M2 = 1): nothing gets flagged
     layout = layout_for(2, with_controls=with_controls)
-    working = layout.without("B", "BT")
+    working = working_layout(layout)
     amps = np.zeros(1 << working.total_qubits)
     amps[1 << working.start("M2")] = 1.0
     with pytest.raises(MeasurementError) as got:

@@ -28,7 +28,9 @@ from qamp import (
     resource_report,
     run_pipeline,
 )
-from support import prepared_from_tilde, random_prepared
+from qamp import multiplier
+from qamp.multiplier import _build_through_w0, flagged_state, working_layout
+from support import prepared_from_tilde, random_prepared, reorder
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -137,6 +139,24 @@ class TestBuildInitial:
                     want = bf_q(1, which) @ want
             assert not np.any(want.imag)
             assert np.array_equal(folded.amplitudes, want.real), sorted(manips)
+
+    @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_run_path_build_folds_w0(self, n, with_controls):
+        # the run path's build on its kernel-ordered working register against
+        # build_initial followed by apply_w0, byte for byte: on that register,
+        # and on the canonical working register once reordered by name
+        rng = np.random.default_rng(163 + n)
+        pm1 = random_prepared(rng, n, complex_b=True)
+        pm2 = random_prepared(rng, n, complex_b=True)
+        layout = layout_for(n, with_controls=with_controls)
+        working, canonical = working_layout(layout), layout.without("B", "BT")
+        for manips in ALL_SUBSETS:
+            folded = _build_through_w0(pm1, pm2, working, manips).amplitudes
+            want = apply_w0(build_initial(pm1, pm2, working, manips), working).amplitudes
+            assert folded.tobytes() == want.tobytes(), sorted(manips)
+            chain = apply_w0(build_initial(pm1, pm2, canonical, manips), canonical).amplitudes
+            assert folded.tobytes() == reorder(chain, canonical, working).tobytes(), sorted(manips)
 
     def test_unknown_manipulation_rejected(self):
         pm1, pm2 = desk_pair()
@@ -449,6 +469,28 @@ class TestRunPipeline:
                 s1_tilde = sv.probability(layout.start("K1"), 0)
                 est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
                 assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
+
+    def test_run_path_is_build_then_two_passes(self, monkeypatch):
+        # w0 is written by the build, so the run makes no call to apply_w0
+        # and the register stages it runs are w1 and w2 alone
+        passes = []
+
+        def counted(state, layout, kernel, control=None):
+            passes.append(layout)
+            return register_stage(state, layout, kernel, control)
+
+        def refused(*_args):
+            raise AssertionError("the run path called a full-register reference stage")
+
+        register_stage = multiplier.register_stage
+        monkeypatch.setattr(multiplier, "register_stage", counted)
+        for name in ("apply_w0", "build_initial", "joint_amplitudes"):
+            monkeypatch.setattr(multiplier, name, refused)
+        rng = np.random.default_rng(227)
+        pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
+        layout = layout_for(2)
+        flagged_state(pm1, pm2, {"dagger1", "dagger2", "swap_order"}, layout)
+        assert passes == [working_layout(layout)] * 2
 
     def test_no_verify_skips_the_oracle(self):
         rng = np.random.default_rng(223)
