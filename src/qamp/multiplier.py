@@ -23,42 +23,52 @@ prefactor going into the measurement.
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
 :func:`qamp.estimator.estimate_g` both read their results off its output.
 
-The run path is three passes over a working register and one small copy.
-Only w3 and the measurement touch the ancillae B and BT, so everything
-before them runs on the full layout without the ancillae (4n+4 qubits, a
-quarter of the full state), and its subsystems are repacked in
+The run path computes only the backward light cone of the flagged branch:
+the same circuit and kernels, evaluated only where an amplitude can still
+reach the payload slice (C1, R2, M2 and K2 all 0) that the measurement
+keeps.  Only w3 and the measurement touch the ancillae B and BT, so the
+register before them is the full layout without the ancillae, repacked in
 :data:`KERNEL_ORDER`, a private order that suits the kernels
 (:func:`working_layout`): C1 is the outermost axis of the register view and
 K2, K1, M2, M1 come next, so w1 is one matrix product over C1 and every
-pin of w2 selects whole blocks of the three innermost registers.  The
-canonical layout stays the public qubit convention.
+pin of w2 selects whole blocks of the inner registers.  The canonical
+layout stays the public qubit convention.  Walking back from the flagged
+branch:
 
-- The build writes the manipulations and w0.  Each manipulation is a
-  signed permutation of one operand's encoding, so it renames the operands'
-  subsystems and signs a component tensor
-  (:func:`qamp.conjugator.apply_q_to_operands`), and on the product state w0
-  is a permutation too: the C1 = c slice is the first operand's factor at
-  C1 = c times the second's with R2 xor c (``_build_through_w0``).
-- w1 and w2 are one pass each, into a new state.
+- w2 reads only the C1 = R2 = 0 slice of its input,
+- w1's C1 = 0 row reads every C1 value, but only at R2 = 0,
+- w0 fills (C1 = c, R2 = 0) from the build's (C1 = c, R2 = c).
+
+So a run is:
+
+- The build writes the manipulations and w0, on R2 = 0 only
+  (:func:`cone_layout`, 3n+4 qubits, 2**-(n+2) of the full state).  Each
+  manipulation is a signed permutation of one operand's encoding, so it
+  renames the operands' subsystems and signs a component tensor
+  (:func:`qamp.conjugator.apply_q_to_operands`), and the C1 = c slice is
+  the first operand's factor at C1 = c times the second's at R2 = c
+  (``_build_through_w0``).
+- w1 is the C1 = 0 row of its matrix product (``_w1_row``), a state on
+  ``cone_layout(layout).without("C1")``, and w2 is one pass over that row.
 - :func:`flag_and_measure` copies out just the payload block (M1, R1, C2,
   K1 and any control flags, 2**(2n+2) amplitudes without flags) in the
   canonical order of ``payload_block(layout).layout``; the product and the
   estimator's K1 weight are read from it.
 
 The stage functions address subsystems by name and run unchanged on any
-layout.  :func:`build_initial`, :func:`apply_w0`, :func:`apply_w3` and
-:func:`conditional_measure` stay as the full-register reference, and the
-run path's block and weight are bit for bit theirs.
+layout.  :func:`build_initial` and :func:`apply_w0`..:func:`apply_w3` on the
+whole register, and :func:`conditional_measure`, stay as the full-register
+reference, and the run path's block and weight are bit for bit theirs.
 
 As public stages, w0..w2 each run as one pass over the register view into
-a new state rather than gate by gate: w0 is one XOR permutation of R2 by C1, w1 one
-contraction of the C1 axis with the Sylvester Hadamard matrix, w2 one sum
-or difference per (M2, M1) column written straight to its relabeled K2
-slice.  w3 is a single multi-controlled gate of the gate engine.
+a new state rather than gate by gate: w0 is one XOR permutation of R2 by
+C1, w1 one contraction of the C1 axis with the Sylvester Hadamard matrix,
+w2 one sum or difference per (M2, M1) column written straight to its
+relabeled K2 slice.  w3 is a single multi-controlled gate of the gate engine.
 
 Before allocating, a run is refused when its :func:`peak_bytes` (two
-working states, the payload block and :data:`RUNTIME_BYTES`) exceed
-physical memory.
+cone states, the payload block and :data:`RUNTIME_BYTES`) exceed physical
+memory.
 """
 
 from __future__ import annotations
@@ -110,7 +120,7 @@ RUNTIME_BYTES = 64 << 20
 #: the working register's subsystems from qubit 0 upward: C1 is the
 #: outermost axis of its register view, so w1 is one matrix product over
 #: it, and K2, K1, M2 and M1 come next, so every pin of w2 selects whole
-#: (R1, R2, C2) blocks
+#: blocks of the registers below them
 KERNEL_ORDER = ("C2", "R2", "R1", "M1", "M2", "K1", "K2", "C1")
 
 
@@ -185,31 +195,34 @@ def build_initial(
 def _build_through_w0(
     pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
 ) -> StateVector:
-    """:func:`build_initial` followed by :func:`apply_w0`, written in one
-    pass and equal to them bit for bit.
+    """The R2 = 0 slice of :func:`build_initial` followed by :func:`apply_w0`,
+    written in one pass and equal to it bit for bit: a state on
+    ``layout.without("R2")``.
 
     On the product state w0 only moves amplitudes: the C1 = c slice takes
-    the second operand's factor at R2 xor c.  C1 is a subsystem of the first
-    operand's block and R2 of the second's, whatever the manipulations
-    renamed, so each C1 slice is one product of the first factor at C1 = c
-    and the second factor with its R2 axis permuted.  Any control flags are
-    |0>.  No memory check is made; :func:`flagged_state` makes its own.
+    the second operand's factor at R2 xor c, so at R2 = 0 it is the first
+    operand's factor at C1 = c times the second's at R2 = c.  C1 is a
+    subsystem of the first operand's block and R2 of the second's, whatever
+    the manipulations renamed.  Any control flags are |0>.  No memory check
+    is made; :func:`flagged_state` makes its own.
     """
     (first, block1), (second, block2) = _operands(pm1, pm2, layout, manipulations)
-    amps = np.zeros(1 << layout.total_qubits)
-    view, names = register_view(amps, layout)
+    qubits = layout.total_qubits - layout.width("R2")
+    amps = np.zeros(1 << qubits)
+    # the slice seen through the axes of ``layout``, R2 kept at length 1
+    names = layout.view_names
+    view = amps.reshape([1 if name == "R2" else 1 << layout.width(name) for name in names])
     used = {*block1.registers, *block2.registers}
     out = select(view, names, {name: 0 for name in names if name not in used})
     first = _spread(first, block1.registers, names)
     second = _spread(second, block2.registers, names)
-    indices = np.arange(1 << layout.n)
     for c in range(1 << layout.n):
         np.multiply(
             select(first, names, {"C1": c}),
-            np.take(second, indices ^ c, axis=names.index("R2")),
+            select(second, names, {"R2": c}),
             out=select(out, names, {"C1": c}),
         )
-    return StateVector(layout.total_qubits, amps)
+    return StateVector(qubits, amps)
 
 
 def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -251,6 +264,22 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
         np.matmul(hadamard, src.reshape(shape), out=dst.reshape(shape))
 
     return register_stage(state, layout, kernel)
+
+
+def _w1_row(state: StateVector, layout: RegisterLayout) -> StateVector:
+    """The C1 = 0 row of :func:`apply_w1`, bit for bit: a state on
+    ``layout.without("C1")``.
+
+    The product takes the first two rows of the Hadamard matrix and keeps
+    the first: a one-row product runs as a matrix-vector product, whose
+    sums can differ from :func:`apply_w1`'s in the last bit.
+    """
+    src, names = register_view(state.amplitudes, layout)
+    axis = names.index("C1")
+    shape = (-1, src.shape[axis], math.prod(src.shape[axis + 1 :]))
+    rows = np.matmul(_sylvester(layout.n)[:2], src.reshape(shape))
+    row = np.ascontiguousarray(rows[:, 0]).reshape(-1)
+    return StateVector(layout.total_qubits - layout.width("C1"), row)
 
 
 def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -315,44 +344,56 @@ def payload_block(layout: RegisterLayout) -> EncodedBlock:
 def working_layout(layout: RegisterLayout) -> RegisterLayout:
     """The run path's working register: ``layout`` without the ancillae,
     its subsystems repacked in :data:`KERNEL_ORDER` (any control flags
-    above them)."""
+    above them).  A run never holds all of it: the build addresses the
+    operands on it and writes only its :func:`cone_layout` slice."""
     return layout.without(*ANCILLAE).repacked(*KERNEL_ORDER)
+
+
+def cone_layout(layout: RegisterLayout) -> RegisterLayout:
+    """The light cone of the flagged branch at w0's output: the working
+    register on R2 = 0, 3n+4 qubits plus any control flags.  w1 writes the
+    flagged branch only from its C1 = 0 row, which reads every C1 value but
+    only at R2 = 0, and w0 fills that slice from the build."""
+    return working_layout(layout).without("R2")
 
 
 def peak_bytes(layout: RegisterLayout) -> int:
     """Resident bytes of a process at the peak of a run on ``layout``: two
-    float64 working states (a stage's input and its output), the payload
-    block copied out of the last of them, and :data:`RUNTIME_BYTES`."""
-    working, block = working_layout(layout), payload_block(layout).layout
-    return 8 * ((2 << working.total_qubits) + (1 << block.total_qubits)) + RUNTIME_BYTES
+    float64 states on ``cone_layout(layout)``, which bound what a run holds
+    at once for every n >= 1 (the build's output beside the two rows of
+    w1's product, then those rows beside w2's output), the payload block
+    copied out of w2's output, and :data:`RUNTIME_BYTES`."""
+    cone, block = cone_layout(layout), payload_block(layout).layout
+    return 8 * ((2 << cone.total_qubits) + (1 << block.total_qubits)) + RUNTIME_BYTES
 
 
 def flag_and_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:
     """:func:`apply_w3` followed by :func:`conditional_measure`, from a state
-    on ``working_layout(layout)`` (the ancillae are taken to be in |0>),
-    kept to the payload block.
+    on ``cone_layout(layout).without("C1")`` (the ancillae are taken to be
+    in |0>, and C1 and R2 in |0> too), kept to the payload block.
 
     w3 moves the payload slice (C1, R2, M2, K2 all 0) to B = BT = 1 and
-    nothing else lands there, so the flagged branch is that slice.  It is
-    copied out as a state on ``payload_block(layout).layout``, in that
-    layout's qubit order, then weighed and renormalized.  The block is bit
-    for bit the B = BT = 1 payload slice of the two full-register steps,
-    which leave zeros everywhere else, and the weight is bit for bit theirs:
-    both are exactly rounded sums of the same nonzero squares.  The input is
-    not mutated.
+    nothing else lands there, so the flagged branch is the input's
+    M2 = K2 = 0 slice.  It is copied out as a state on
+    ``payload_block(layout).layout``, in that layout's qubit order, then
+    weighed and renormalized.  The block is bit for bit the B = BT = 1
+    payload slice of the two full-register steps, which leave zeros
+    everywhere else, and the weight is bit for bit theirs: both are exactly
+    rounded sums of the same nonzero squares.  The input is not mutated.
     """
     block = payload_block(layout).layout
-    src, names = register_view(state.amplitudes, working_layout(layout))
-    flagged = select(src, names, {name: 0 for name in PAYLOAD_ZEROS})
+    src, names = register_view(state.amplitudes, cone_layout(layout).without("C1"))
+    pinned = [name for name in PAYLOAD_ZEROS if name in names]
+    flagged = select(src, names, {name: 0 for name in pinned})
     # the block's axes in its own view order, then the pinned length-1 axes
-    axes = [names.index(name) for name in (*block.view_names, *PAYLOAD_ZEROS)]
+    axes = [names.index(name) for name in (*block.view_names, *pinned)]
     amps = np.ascontiguousarray(flagged.transpose(axes)).reshape(-1)
     weight = _weight(amps)
     if weight == 0.0:
         bt = layout.start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
     np.divide(amps, math.sqrt(weight), out=amps)
-    return StateVector(payload_block(layout).layout.total_qubits, amps), weight
+    return StateVector(block.total_qubits, amps), weight
 
 
 def _transpose(m: ComplexMatrix) -> ComplexMatrix:
@@ -406,20 +447,23 @@ def flagged_state(
 
     Returns the renormalized flagged block, a state on
     ``payload_block(layout).layout``, and the branch's pre-projection
-    weight.  The build (which writes the manipulations and w0), w1 and w2
-    are three passes over ``working_layout(layout)``, a quarter of the full
-    state; before anything is allocated the run is refused if its
-    :func:`peak_bytes` would not fit in physical memory.
+    weight.  Only the amplitudes that can reach the flagged branch are
+    computed: the build (which writes the manipulations and w0) writes the
+    R2 = 0 slice of the working register, :func:`cone_layout`; w1 keeps its
+    C1 = 0 row, and w2 runs on that row.  Before anything is allocated the
+    run is refused if its :func:`peak_bytes` would not fit in physical
+    memory.
     """
     working = working_layout(layout)
+    cone = working.without("R2")  # the same as cone_layout(layout)
     require_memory(
         layout,
         peak_bytes(layout),
-        f"two working states of {working.total_qubits} qubits, the payload block and the runtime",
+        f"two cone states of {cone.total_qubits} qubits, the payload block and the runtime",
     )
     state = _build_through_w0(pm1, pm2, working, manipulations)
-    for stage in (apply_w1, apply_w2):
-        state = stage(state, working)
+    state = _w1_row(state, cone)
+    state = apply_w2(state, cone.without("C1"))
     return flag_and_measure(state, layout)
 
 
@@ -468,12 +512,12 @@ class ResourceReport:
     """Analytic circuit-size accounting.
 
     The simulator writes the manipulations and w0 into the build, runs w1
-    and w2 as one register-level pass each and the flagging of w3 as one
-    copy of the payload block, so these numbers describe the abstract
-    circuit rather than the kernels.  The elementary depth of the
-    payload-flagging gate follows a chained-Toffoli model for a gate with k
-    controls (2k - 3 layers, plus one CNOT to copy onto the second
-    ancilla), which is linear in the control count.
+    and w2 only on the amplitudes that reach the flagged branch and the
+    flagging of w3 as one copy of the payload block, so these numbers
+    describe the abstract circuit rather than the kernels.  The elementary
+    depth of the payload-flagging gate follows a chained-Toffoli model for a
+    gate with k controls (2k - 3 layers, plus one CNOT to copy onto the
+    second ancilla), which is linear in the control count.
     """
 
     n: int

@@ -12,7 +12,8 @@ stage address amplitudes through it, so each is a small number of slice
 operations on that view rather than one pass per gate.  A layout with some
 subsystems removed (:meth:`RegisterLayout.without`) holds the states on
 which those subsystems are |0>, which is how the pipeline leaves out its
-ancillae until it flags the payload.  A repacked layout
+ancillae until it flags the payload, and the subsystems it pins to 0 on
+the way to the flagged branch.  A repacked layout
 (:meth:`RegisterLayout.repacked`) holds the same subsystems in another
 qubit order; the pipeline's working register is one, ordered so that its
 kernels run over contiguous blocks, while :func:`layout_for` stays the

@@ -26,12 +26,15 @@ of the nonzero squares, so a branch weighs the same, bit for bit, whether
 it is read off a full-register state or off the payload block alone.
 
 This gate engine is the general-purpose API and the reference the circuit
-stages are tested against.  The pipeline itself writes its manipulations
-and w0 into the build, runs w1 and w2 as whole-register passes
-(:func:`qamp.registers.register_stage`) and its flagging and measurement as
-one copy of the payload block (:func:`qamp.multiplier.flag_and_measure`);
-the multi-controlled w3 goes through :func:`apply_gates` only in the
-full-register reference :func:`qamp.multiplier.apply_w3`.
+stages are tested against.  The pipeline itself computes only the
+amplitudes that reach its flagged branch: the build writes the
+manipulations and w0 on the R2 = 0 slice of its working register, w1 keeps
+the C1 = 0 row of its matrix product, w2 is one register pass over that
+row (:func:`qamp.registers.register_stage`), and the flagging and
+measurement are one copy of the payload block
+(:func:`qamp.multiplier.flag_and_measure`); the multi-controlled w3 goes
+through :func:`apply_gates` only in the full-register reference
+:func:`qamp.multiplier.apply_w3`.
 """
 
 from __future__ import annotations

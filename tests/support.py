@@ -3,7 +3,7 @@
 import numpy as np
 
 from qamp import ComplexMatrix, PreparedMatrix, prepare
-from qamp.registers import register_view
+from qamp.registers import register_view, select
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -63,3 +63,10 @@ def reorder(amps, src, dst):
     view, names = register_view(amps, src)
     axes = [names.index(name) for name in dst.view_names]
     return np.ascontiguousarray(view.transpose(axes)).reshape(-1)
+
+
+def pinned(amps, layout, pins):
+    """Amplitudes of a state on ``layout`` with each pinned subsystem at its
+    value: a state on ``layout.without(*pins)``."""
+    view, names = register_view(amps, layout)
+    return np.ascontiguousarray(select(view, names, pins)).reshape(-1)

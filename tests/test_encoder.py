@@ -139,11 +139,11 @@ class TestDecode:
 
 
 class TestMemoryPreflight:
-    # n = 2 is 14 qubits: a run peaks at two float64 states of the 12-qubit
-    # working register, the 6-qubit payload block copied out of the last and
-    # the 64 MiB runtime allowance
-    WORKING_STATE = 8 * (1 << 12)
-    NEEDED = 2 * WORKING_STATE + 8 * (1 << 6) + (64 << 20)
+    # n = 2 is 14 qubits: a run is allowed two float64 states of the 10-qubit
+    # cone (the working register's R2 = 0 slice), the 6-qubit payload block
+    # and the 64 MiB runtime allowance
+    CONE_STATE = 8 * (1 << 10)
+    NEEDED = 2 * CONE_STATE + 8 * (1 << 6) + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)
@@ -155,7 +155,7 @@ class TestMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.WORKING_STATE
+        assert peak < self.CONE_STATE
 
     def test_runs_when_the_peak_just_fits(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED)

@@ -6,13 +6,14 @@ to dense unitaries in ``test_statevector.py``.  The states are random dense
 vectors, not encodings, so every amplitude of the view is exercised.  The
 permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
-stage is also held to its brute-force unitary.  The flagging step, which
-starts from the ancilla-free working register and keeps only the payload
-block, is held bit for bit to the payload slice of w3 followed by the
-conditional measurement on the full register; its input is drawn on the
-run path's kernel-ordered working register and reordered by name for the
-reference.  States are float64 only; a complex128 draw runs as its real and
-imaginary parts.
+stage is also held to its brute-force unitary.  The run path's w1 row
+(the C1 = 0 row of w1 on the R2 = 0 slice) is held bit for bit to that
+slice of w1 on the whole working register.  The flagging step, which
+starts from that row and keeps only the payload block, is held bit for
+bit to the payload slice of w3 followed by the conditional measurement on
+the full register; its input is drawn on the run path's kernel-ordered
+row and embedded by name for the reference.  States are float64 only; a
+complex128 draw runs as its real and imaginary parts.
 """
 
 import numpy as np
@@ -33,11 +34,18 @@ from qamp import (
     hermitian_conjugate,
     layout_for,
 )
-from qamp.multiplier import PAYLOAD_ZEROS, flag_and_measure, payload_block, working_layout
+from qamp.multiplier import (
+    PAYLOAD_ZEROS,
+    _w1_row,
+    cone_layout,
+    flag_and_measure,
+    payload_block,
+    working_layout,
+)
 from qamp.registers import register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
-from support import join_parts, real_parts, reorder
+from support import join_parts, pinned, real_parts, reorder
 
 W1_TOL = 1e-15
 
@@ -167,13 +175,39 @@ def test_kernel_order_stages_match_the_canonical_order(n, with_controls):
         assert got.tobytes() == reorder(want, canonical, working).tobytes(), stage.__name__
 
 
-def embed_at_ancillae_zero(working_amps, layout):
-    """The full-layout state equal to ``working_amps``, a state on
-    ``working_layout(layout)``, where B = BT = 0 and zero elsewhere.  Once
-    reordered to the canonical qubit order it is placed by index arithmetic:
-    B and BT are adjacent qubits, so a canonical working index is a full
-    index with those two bits cut out."""
-    working_amps = reorder(working_amps, working_layout(layout), layout.without("B", "BT"))
+@pytest.mark.parametrize(
+    "n, with_controls",
+    [(n, False) for n in (1, 2, 3, 4)] + [(n, True) for n in (1, 2, 3)],
+    ids=["1-plain", "2-plain", "3-plain", "4-plain", "1-flags", "2-flags", "3-flags"],
+)
+def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
+    # the run path's w1 reads only the R2 = 0 slice and keeps only C1 = 0;
+    # odd and even n both, since a one-row (matrix-vector) product differs
+    # from w1's in the last bit at some n of each
+    layout = layout_for(n, with_controls=with_controls)
+    working, cone = working_layout(layout), cone_layout(layout)
+    rng = np.random.default_rng(4000 * n + with_controls)
+    (state,) = random_states(rng, working.total_qubits, np.float64)
+    want = pinned(apply_w1(state, working).amplitudes, working, {"C1": 0, "R2": 0})
+    r2_zero = StateVector(cone.total_qubits, pinned(state.amplitudes, working, {"R2": 0}))
+    got = _w1_row(r2_zero, cone)
+    assert got.num_qubits == cone.without("C1").total_qubits
+    assert got.amplitudes.tobytes() == want.tobytes()
+
+
+def embed_at_ancillae_zero(row_amps, layout):
+    """The full-layout state equal to ``row_amps``, a state on
+    ``cone_layout(layout).without("C1")``, where B = BT = C1 = R2 = 0 and
+    zero elsewhere.  Once placed on the working register and reordered to
+    the canonical qubit order it is placed by index arithmetic: B and BT are
+    adjacent qubits, so a canonical working index is a full index with those
+    two bits cut out."""
+    working = working_layout(layout)
+    working_amps = np.zeros(1 << working.total_qubits, dtype=row_amps.dtype)
+    view, names = register_view(working_amps, working)
+    row = select(view, names, {"C1": 0, "R2": 0})
+    row[...] = row_amps.reshape(row.shape)
+    working_amps = reorder(working_amps, working, layout.without("B", "BT"))
     b = layout.start("B")
     assert layout.start("BT") == b + 1
     full = np.arange(1 << layout.total_qubits)
@@ -189,9 +223,9 @@ def embed_at_ancillae_zero(working_amps, layout):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
     layout = layout_for(n, with_controls=with_controls)
-    working = working_layout(layout)
+    row = cone_layout(layout).without("C1")
     rng = np.random.default_rng(2000 * n + with_controls)
-    for state in random_states(rng, working.total_qubits, dtype):
+    for state in random_states(rng, row.total_qubits, dtype):
         before = state.amplitudes.copy()
         got, got_weight = flag_and_measure(state, layout)
         full = embed_at_ancillae_zero(state.amplitudes, layout)
@@ -215,11 +249,11 @@ def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
 def test_flag_and_measure_zero_branch_is_an_error(with_controls):
     # weight only off the payload subspace (M2 = 1): nothing gets flagged
     layout = layout_for(2, with_controls=with_controls)
-    working = working_layout(layout)
-    amps = np.zeros(1 << working.total_qubits)
-    amps[1 << working.start("M2")] = 1.0
+    row = cone_layout(layout).without("C1")
+    amps = np.zeros(1 << row.total_qubits)
+    amps[1 << row.start("M2")] = 1.0
     with pytest.raises(MeasurementError) as got:
-        flag_and_measure(StateVector(working.total_qubits, amps), layout)
+        flag_and_measure(StateVector(row.total_qubits, amps), layout)
     with pytest.raises(MeasurementError) as want:
         conditional_measure(apply_w3(embed_at_ancillae_zero(amps, layout), layout), layout)
     assert str(got.value) == str(want.value)

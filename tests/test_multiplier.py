@@ -29,8 +29,8 @@ from qamp import (
     run_pipeline,
 )
 from qamp import multiplier
-from qamp.multiplier import _build_through_w0, flagged_state, working_layout
-from support import prepared_from_tilde, random_prepared, reorder
+from qamp.multiplier import _build_through_w0, cone_layout, flagged_state, working_layout
+from support import pinned, prepared_from_tilde, random_prepared, reorder
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -143,20 +143,24 @@ class TestBuildInitial:
     @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_run_path_build_folds_w0(self, n, with_controls):
-        # the run path's build on its kernel-ordered working register against
-        # build_initial followed by apply_w0, byte for byte: on that register,
-        # and on the canonical working register once reordered by name
+        # the run path's build, the R2 = 0 slice of its kernel-ordered working
+        # register, against that slice of build_initial followed by apply_w0,
+        # byte for byte: on that register, and on the canonical working
+        # register once reordered by name
         rng = np.random.default_rng(163 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
         layout = layout_for(n, with_controls=with_controls)
         working, canonical = working_layout(layout), layout.without("B", "BT")
         for manips in ALL_SUBSETS:
-            folded = _build_through_w0(pm1, pm2, working, manips).amplitudes
+            folded = _build_through_w0(pm1, pm2, working, manips)
+            assert folded.num_qubits == cone_layout(layout).total_qubits
+            folded = folded.amplitudes
             want = apply_w0(build_initial(pm1, pm2, working, manips), working).amplitudes
-            assert folded.tobytes() == want.tobytes(), sorted(manips)
+            assert folded.tobytes() == pinned(want, working, {"R2": 0}).tobytes(), sorted(manips)
             chain = apply_w0(build_initial(pm1, pm2, canonical, manips), canonical).amplitudes
-            assert folded.tobytes() == reorder(chain, canonical, working).tobytes(), sorted(manips)
+            chain = pinned(reorder(chain, canonical, working), working, {"R2": 0})
+            assert folded.tobytes() == chain.tobytes(), sorted(manips)
 
     def test_unknown_manipulation_rejected(self):
         pm1, pm2 = desk_pair()
@@ -470,9 +474,11 @@ class TestRunPipeline:
                 est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
                 assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
 
-    def test_run_path_is_build_then_two_passes(self, monkeypatch):
-        # w0 is written by the build, so the run makes no call to apply_w0
-        # and the register stages it runs are w1 and w2 alone
+    def test_run_path_is_the_light_cone(self, monkeypatch):
+        # the build writes w0's R2 = 0 slice and w1 keeps its C1 = 0 row
+        # without a register stage, so the one register stage of a run is w2
+        # on that row; no full-register reference stage and no whole working
+        # register is built
         passes = []
 
         def counted(state, layout, kernel, control=None):
@@ -484,13 +490,13 @@ class TestRunPipeline:
 
         register_stage = multiplier.register_stage
         monkeypatch.setattr(multiplier, "register_stage", counted)
-        for name in ("apply_w0", "build_initial", "joint_amplitudes"):
+        for name in ("apply_w0", "apply_w1", "build_initial", "joint_amplitudes"):
             monkeypatch.setattr(multiplier, name, refused)
         rng = np.random.default_rng(227)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
         layout = layout_for(2)
         flagged_state(pm1, pm2, {"dagger1", "dagger2", "swap_order"}, layout)
-        assert passes == [working_layout(layout)] * 2
+        assert passes == [cone_layout(layout).without("C1")]
 
     def test_no_verify_skips_the_oracle(self):
         rng = np.random.default_rng(223)
@@ -565,8 +571,9 @@ class TestResourceReport:
 
 class TestMemory:
     def test_peak_is_a_few_states(self):
-        # the build and w0..w2 hold at most two states of the ancilla-free
-        # quarter, and flagging copies out only the small payload block
+        # the largest state of a run is the build's R2 = 0 slice of the
+        # working register, 2**-(n+2) of the full state, and what w1 and w2
+        # write beside it is smaller again
         rng = np.random.default_rng(331)
         pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
         state_bytes = 8 << layout_for(3).total_qubits
@@ -576,4 +583,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.6 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
+        assert peak <= 0.1 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
