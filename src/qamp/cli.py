@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -254,7 +255,10 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so :func:`main` reuses it for every call."""
     parser = argparse.ArgumentParser(
         prog="qamp",
         description="Amplitude-encoded matrix operations on a statevector simulator.",

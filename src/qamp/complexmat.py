@@ -174,26 +174,27 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
 def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Reference product accumulated entrywise from real/imaginary components.
 
-    Deliberately a plain triple loop; this is the independent check every
-    decoded quantum product is held against, so it stays free of the array
-    machinery used elsewhere.  It runs on Python floats, rows of ``a`` and
-    columns of ``b``, which round exactly as float64 scalars do.
+    This is the independent check every decoded quantum product is held
+    against, so it uses no matrix product, BLAS call or reduction, which
+    would reorder the sums.  Every (j, k) entry accumulates, from +0.0 and
+    over the inner index l in order, re += a0*b0 - a1*b1 and
+    im += a0*b1 + a1*b0: the plain triple loop, with each step of l run as
+    elementwise float64 operations over all (j, k) at once, so each entry
+    rounds exactly as the scalar loop does.
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
-    a0, a1 = a.entries.real.tolist(), a.entries.imag.tolist()
-    b0, b1 = b.entries.real.T.tolist(), b.entries.imag.T.tolist()
-    out = []
-    for a0j, a1j in zip(a0, a1):
-        row = []
-        for b0k, b1k in zip(b0, b1):
-            re = 0.0
-            im = 0.0
-            for a0jl, a1jl, b0lk, b1lk in zip(a0j, a1j, b0k, b1k):
-                re += a0jl * b0lk - a1jl * b1lk
-                im += a0jl * b1lk + a1jl * b0lk
-            row.append(complex(re, im))
-        out.append(row)
+    a0, a1 = a.entries.real, a.entries.imag
+    b0, b1 = b.entries.real, b.entries.imag
+    re = np.zeros((a.dim, a.dim))
+    im = np.zeros((a.dim, a.dim))
+    for l in range(a.dim):
+        a0l, a1l = a0[:, l, None], a1[:, l, None]
+        re += a0l * b0[l] - a1l * b1[l]
+        im += a0l * b1[l] + a1l * b0[l]
+    out = np.empty((a.dim, a.dim), dtype=np.complex128)
+    # set separately: re + 1j * im would turn an imaginary -0.0 into +0.0
+    out.real, out.imag = re, im
     return ComplexMatrix(a.n, out)
 
 

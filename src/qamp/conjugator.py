@@ -46,7 +46,7 @@ def _q_action(which: int):
     return Q_ACTIONS[which]
 
 
-def _exchanged_axes(names: list[str], *pairs: tuple[str, str]) -> list[int]:
+def _exchanged_axes(names: tuple[str, ...], *pairs: tuple[str, str]) -> list[int]:
     """Axis permutation of the register view that trades each pair of
     subsystems' axes."""
     perm = list(range(len(names)))

@@ -99,7 +99,7 @@ def _components(pm: PreparedMatrix) -> np.ndarray:
     return tensor
 
 
-def _spread(tensor: np.ndarray, registers, names: list[str]) -> np.ndarray:
+def _spread(tensor: np.ndarray, registers, names: tuple[str, ...]) -> np.ndarray:
     """``tensor`` (one axis per entry of ``registers``) transposed into the
     register view's axis order, with length-1 axes for every other subsystem."""
     order = sorted(range(len(registers)), key=lambda i: names.index(registers[i]))
@@ -170,14 +170,14 @@ def encode(pm: PreparedMatrix, side: str, layout: RegisterLayout) -> StateVector
     return StateVector(layout.total_qubits, joint_amplitudes(layout, [(_components(pm), block)]))
 
 
-def _pins(block: EncodedBlock, names: list[str]) -> dict:
+def _pins(block: EncodedBlock, names: tuple[str, ...]) -> dict:
     """Value of every subsystem outside the block: its fixed value, else 0."""
     pins = {name: 0 for name in names if name not in block.registers}
     pins.update(block.fixed)
     return pins
 
 
-def _inside(view: np.ndarray, names: list[str], block: EncodedBlock) -> np.ndarray:
+def _inside(view: np.ndarray, names: tuple[str, ...], block: EncodedBlock) -> np.ndarray:
     """The block's component tensor, indexed [K, R, C, M], as a view."""
     dim = 1 << block.layout.n
     block_axes = [names.index(name) for name in block.registers]

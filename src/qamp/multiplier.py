@@ -215,13 +215,9 @@ def _build_through_w0(
     used = {*block1.registers, *block2.registers}
     out = select(view, names, {name: 0 for name in names if name not in used})
     first = _spread(first, block1.registers, names)
-    second = _spread(second, block2.registers, names)
-    for c in range(1 << layout.n):
-        np.multiply(
-            select(first, names, {"C1": c}),
-            select(second, names, {"R2": c}),
-            out=select(out, names, {"C1": c}),
-        )
+    # the second factor's R2 axis moved onto C1, so its C1 = c slice is R2 = c
+    second = np.swapaxes(_spread(second, block2.registers, names), *map(names.index, ("R2", "C1")))
+    np.multiply(first, second, out=out)
     return StateVector(qubits, amps)
 
 
@@ -243,11 +239,23 @@ def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
 
 
 def _sylvester(n: int) -> np.ndarray:
-    """The 2**n x 2**n Hadamard transform, entries +-2**(-n/2)."""
-    h = np.ones((1, 1))
-    for _ in range(n):
-        h = np.block([[h, h], [h, -h]])
-    return h * 2.0 ** (-n / 2)
+    """The 2**n x 2**n Hadamard transform: entry (j, k) is 2**(-n/2) with
+    the sign (-1)**popcount(j & k)."""
+    index = np.arange(1 << n)
+    both = index[:, None] & index
+    parity = np.zeros_like(both)
+    for bit in range(n):
+        parity ^= both >> bit
+    scale = 2.0 ** (-n / 2)
+    return np.where(parity & 1, -scale, scale)
+
+
+def _sylvester_rows(n: int) -> np.ndarray:
+    """The first two rows of :func:`_sylvester`: row 0 is all +2**(-n/2),
+    row 1 alternates in sign."""
+    rows = np.full((2, 1 << n), 2.0 ** (-n / 2))
+    rows[1, 1::2] *= -1.0
+    return rows
 
 
 def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -277,7 +285,7 @@ def _w1_row(state: StateVector, layout: RegisterLayout) -> StateVector:
     src, names = register_view(state.amplitudes, layout)
     axis = names.index("C1")
     shape = (-1, src.shape[axis], math.prod(src.shape[axis + 1 :]))
-    rows = np.matmul(_sylvester(layout.n)[:2], src.reshape(shape))
+    rows = np.matmul(_sylvester_rows(layout.n), src.reshape(shape))
     row = np.ascontiguousarray(rows[:, 0]).reshape(-1)
     return StateVector(layout.total_qubits - layout.width("C1"), row)
 

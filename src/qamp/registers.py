@@ -22,7 +22,9 @@ public qubit convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -37,13 +39,23 @@ CONTROL_FLAGS = ("Q1", "Q2", "Q3")
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Immutable name-to-qubit-range map for matrices of size 2**n."""
+    """Immutable name-to-qubit-range map for matrices of size 2**n.
+
+    Layouts are shared: :func:`layout_for` returns one instance per
+    argument pair, and each instance keeps the layouts derived from it by
+    :meth:`without` and :meth:`repacked`, so a run derives each of its
+    layouts once per process.  ``slices`` is therefore read-only.
+    """
 
     n: int
     slices: Mapping[str, range]
     control_flags_present: bool
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
+    def __post_init__(self):
+        object.__setattr__(self, "slices", MappingProxyType(dict(self.slices)))
+
+    @cached_property
     def total_qubits(self) -> int:
         return sum(len(r) for r in self.slices.values())
 
@@ -59,10 +71,24 @@ class RegisterLayout:
     def width(self, name: str) -> int:
         return len(self.qubits(name))
 
-    @property
-    def view_names(self) -> list[str]:
+    @cached_property
+    def view_names(self) -> tuple[str, ...]:
         """Subsystem names in register-view axis order, most significant first."""
-        return sorted(self.slices, key=self.start, reverse=True)
+        return tuple(sorted(self.slices, key=self.start, reverse=True))
+
+    def _derive(self, repack: bool, names: tuple[str, ...]) -> "RegisterLayout":
+        """:meth:`repacked` or :meth:`without` of ``names``, built on first
+        use and then kept on this instance."""
+        key = (repack, names)
+        layout = self._derived.get(key)
+        if layout is None:
+            for name in names:
+                self.qubits(name)  # raises on unknown subsystem
+            if len(set(names)) != len(names):
+                raise ParameterError(f"subsystems named twice in {names}")
+            rest = [name for name in self.view_names[::-1] if name not in names]
+            layout = self._derived[key] = self._packed([*names, *rest] if repack else rest)
+        return layout
 
     def _packed(self, names) -> "RegisterLayout":
         """The named subsystems, at their widths, packed from qubit 0 upward."""
@@ -78,22 +104,17 @@ class RegisterLayout:
     def without(self, *names: str) -> "RegisterLayout":
         """This layout with the named subsystems removed and the rest packed
         down in the same order, so a state on it is this layout's state
-        restricted to those subsystems in |0>."""
-        for name in names:
-            self.qubits(name)  # raises on unknown subsystem
-        return self._packed(name for name in self.view_names[::-1] if name not in names)
+        restricted to those subsystems in |0>.  An unknown or repeated name
+        raises :class:`ParameterError`."""
+        return self._derive(False, names)
 
     def repacked(self, *names: str) -> "RegisterLayout":
         """This layout with the named subsystems packed from qubit 0 upward in
         the given order and the rest above them in their current order.  A
         state on it holds the same amplitudes as one on this layout, with the
-        qubits in another order."""
-        for name in names:
-            self.qubits(name)  # raises on unknown subsystem
-        if len(set(names)) != len(names):
-            raise ParameterError(f"subsystems named twice in {names}")
-        rest = [name for name in self.view_names[::-1] if name not in names]
-        return self._packed([*names, *rest])
+        qubits in another order.  An unknown or repeated name raises
+        :class:`ParameterError`."""
+        return self._derive(True, names)
 
     def summary(self) -> dict:
         """Plain structure for reports: name -> [first, last] qubit, plus totals."""
@@ -104,8 +125,10 @@ class RegisterLayout:
         }
 
 
+@lru_cache(maxsize=64)
 def layout_for(n: int, with_controls: bool = False) -> RegisterLayout:
-    """Canonical layout: 4n+6 qubits, plus 3 when control flags are requested."""
+    """Canonical layout: 4n+6 qubits, plus 3 when control flags are
+    requested.  Repeated calls return the same (immutable) instance."""
     if n < 1:
         raise ParameterError(f"matrix register width must be at least 1, got {n}")
     widths = {name: (n if name in ("R1", "C1", "R2", "C2") else 1) for name in CANONICAL_ORDER}
@@ -136,7 +159,7 @@ def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
     return index
 
 
-def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, list[str]]:
+def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, tuple[str, ...]]:
     """``amps`` reshaped to one axis per subsystem, and the subsystem names
     in axis order (most significant first)."""
     if amps.shape != (1 << layout.total_qubits,):
@@ -147,7 +170,7 @@ def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray,
     return amps.reshape([1 << layout.width(name) for name in names]), names
 
 
-def select(view: np.ndarray, names: list[str], pins: Mapping) -> np.ndarray:
+def select(view: np.ndarray, names: tuple[str, ...], pins: Mapping) -> np.ndarray:
     """Subview with each pinned subsystem restricted to a value (kept as a
     length-1 axis) or a slice of values."""
     index = []

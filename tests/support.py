@@ -40,8 +40,8 @@ def join_parts(parts):
 
 def matmul_oracle_numpy(a, b):
     """The component-formula product as a triple loop over numpy float64
-    scalars: the reference that ``matmul_oracle``'s loop over Python floats
-    must equal byte for byte."""
+    scalars: the reference that ``matmul_oracle``'s elementwise steps over
+    the inner index must equal byte for byte."""
     dim = a.dim
     a0, a1 = a.entries.real, a.entries.imag
     b0, b1 = b.entries.real, b.entries.imag
@@ -55,6 +55,16 @@ def matmul_oracle_numpy(a, b):
                 im += a0[j, l] * b1[l, k] + a1[j, l] * b0[l, k]
             out[j, k] = complex(re, im)
     return ComplexMatrix(a.n, out)
+
+
+def sylvester_block(n):
+    """The 2**n x 2**n Hadamard matrix by the recursive ``np.block``
+    construction, scaled by 2**(-n/2): the reference for
+    ``multiplier._sylvester`` and the rows of ``multiplier._sylvester_rows``."""
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.block([[h, h], [h, -h]])
+    return h * 2.0 ** (-n / 2)
 
 
 def reorder(amps, src, dst):

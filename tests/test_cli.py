@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qamp import encoder, multiplier
-from qamp.cli import main
-from qamp.complexmat import ComplexMatrix, dagger_oracle
+from qamp.cli import build_parser, main
+from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj
 
 IDENTITY_HALF = {
     "n": 1,
@@ -293,3 +293,27 @@ class TestReport:
 
     def test_rejects_n_below_one(self, capsys):
         assert main(["report", "--n", "0"]) == 2
+
+
+class TestParser:
+    def test_one_parser_per_process_keeps_no_parse_state(self, tmp_path, capsys):
+        # main builds the parser once per process; each command must print
+        # and return what it does on a freshly built parser, whatever the
+        # commands before it set
+        rng = np.random.default_rng(12)
+        a, b = (
+            write_json(tmp_path / f"{name}.json", matrix_to_obj(ComplexMatrix(2, rng.normal(size=(4, 4)))))
+            for name in "ab"
+        )
+        commands = [
+            ["multiply", a, b, "--no-verify", "--c", "0.8"],
+            ["multiply", a, b],
+            ["estimate-g", a, b, "--shots", "2000", "--seed", "3"],
+        ]
+        build_parser.cache_clear()
+        shared = [(main(argv), capsys.readouterr().out) for argv in commands]
+        assert build_parser.cache_info().misses == 1
+        for argv, want in zip(commands, shared):
+            build_parser.cache_clear()
+            assert (main(argv), capsys.readouterr().out) == want
+        assert "verify" not in json.loads(shared[0][1]) and "verify" in json.loads(shared[1][1])

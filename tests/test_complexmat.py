@@ -248,6 +248,24 @@ class TestMatmulOracle:
         got = matmul_oracle(a, b).entries
         assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_is_the_numpy_scalar_loop_at_run_sizes(self, n):
+        # the case above stops at n = 3; runs hold products at n = 4 and
+        # above against the oracle.  Entries mix +0.0, -0.0 and magnitudes
+        # from 1e-8 to 1e8 of either sign.
+        rng = np.random.default_rng(50 + n)
+        shape = (2, 2, 1 << n, 1 << n)  # (real/imaginary, operand, row, column)
+        for _ in range(2):
+            magnitude = 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+            kind = rng.integers(0, 4, size=shape)
+            entries = np.empty(shape[1:], dtype=np.complex128)
+            entries.real, entries.imag = np.choose(
+                kind, [np.zeros(shape), np.full(shape, -0.0), magnitude, -magnitude]
+            )
+            a, b = (ComplexMatrix(n, e) for e in entries)
+            got = matmul_oracle(a, b).entries
+            assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
+
     def test_bilinear(self):
         rng = np.random.default_rng(37)
         a, b, c = (random_matrix(rng, 1) for _ in range(3))

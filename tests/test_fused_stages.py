@@ -36,6 +36,8 @@ from qamp import (
 )
 from qamp.multiplier import (
     PAYLOAD_ZEROS,
+    _sylvester,
+    _sylvester_rows,
     _w1_row,
     cone_layout,
     flag_and_measure,
@@ -45,7 +47,7 @@ from qamp.multiplier import (
 from qamp.registers import register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
-from support import join_parts, pinned, real_parts, reorder
+from support import join_parts, pinned, real_parts, reorder, sylvester_block
 
 W1_TOL = 1e-15
 
@@ -193,6 +195,16 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
     got = _w1_row(r2_zero, cone)
     assert got.num_qubits == cone.without("C1").total_qubits
     assert got.amplitudes.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sylvester_is_the_block_construction(n):
+    # every entry is exactly +-2**(-n/2), with the recursive construction's
+    # signs; w1 multiplies by the matrix and the run path's w1 row by its
+    # first two rows
+    want = sylvester_block(n)
+    assert _sylvester(n).tobytes() == want.tobytes()
+    assert _sylvester_rows(n).tobytes() == want[:2].tobytes()
 
 
 def embed_at_ancillae_zero(row_amps, layout):

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from qamp import ParameterError, ValidationError, basis_index, layout_for
+from qamp.registers import RegisterLayout
 
 # independent slice-offset computation from the documented canonical order
 ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT", "Q1", "Q2", "Q3")
@@ -34,6 +35,20 @@ class TestLayoutFor:
     def test_rejects_n_below_one(self):
         with pytest.raises(ParameterError):
             layout_for(0)
+
+    @pytest.mark.parametrize("with_controls", [False, True])
+    def test_repeated_calls_give_equal_layouts(self, with_controls):
+        assert layout_for(3, with_controls) == layout_for(3, with_controls)
+        assert layout_for(3, with_controls) != layout_for(4, with_controls)
+
+    def test_shared_layouts_are_read_only(self):
+        # layout_for and the derived layouts are shared by every caller
+        for layout in (layout_for(2), layout_for(2).without("B", "BT")):
+            with pytest.raises(TypeError):
+                layout.slices["M1"] = range(5, 6)
+            with pytest.raises(TypeError):
+                del layout.slices["M1"]
+        assert layout_for(2).qubits("M1") == range(0, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("with_controls", [False, True])
@@ -71,8 +86,28 @@ class TestWithout:
         assert working.n == n and working.control_flags_present == with_controls
 
     def test_unknown_subsystem(self):
+        layout = layout_for(1)
+        for _ in range(2):  # also once the valid derivations are kept
+            layout.without("B", "BT")
+            with pytest.raises(ParameterError):
+                layout.without("Q1")
+            with pytest.raises(ParameterError):
+                layout.without("B", "Q1")
+
+    def test_repeated_subsystem(self):
+        layout = layout_for(1)
+        layout.without("B")
         with pytest.raises(ParameterError):
-            layout_for(1).without("Q1")
+            layout.without("B", "B")
+
+    @pytest.mark.parametrize("with_controls", [False, True])
+    def test_kept_derivations_equal_fresh_ones(self, with_controls):
+        layout = layout_for(2, with_controls)
+        fresh = RegisterLayout(layout.n, dict(layout.slices), with_controls)
+        for names in (("B", "BT"), ("BT", "B"), ("C1",), ()):
+            assert layout.without(*names) is layout.without(*names)
+            assert layout.without(*names) == fresh.without(*names)
+            assert layout.repacked(*names) == fresh.repacked(*names)
 
 
 class TestRepacked:
@@ -102,10 +137,13 @@ class TestRepacked:
         assert repacked.start("K2") == 0 and repacked.start("C1") == 1 and repacked.start("Q3") == 3
 
     def test_unknown_or_repeated_subsystem(self):
-        with pytest.raises(ParameterError):
-            layout_for(1).repacked("Q1")
-        with pytest.raises(ParameterError):
-            layout_for(1).repacked("C1", "C1")
+        layout = layout_for(1)
+        for _ in range(2):  # also once the valid derivations are kept
+            layout.repacked("C1", "K2")
+            with pytest.raises(ParameterError):
+                layout.repacked("Q1")
+            with pytest.raises(ParameterError):
+                layout.repacked("C1", "C1")
 
 
 class TestBasisIndex:
