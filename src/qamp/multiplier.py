@@ -250,14 +250,6 @@ def _sylvester(n: int) -> np.ndarray:
     return np.where(parity & 1, -scale, scale)
 
 
-def _sylvester_rows(n: int) -> np.ndarray:
-    """The first two rows of :func:`_sylvester`: row 0 is all +2**(-n/2),
-    row 1 alternates in sign."""
-    rows = np.full((2, 1 << n), 2.0 ** (-n / 2))
-    rows[1, 1::2] *= -1.0
-    return rows
-
-
 def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Hadamard every C1 qubit, summing the contracted index into C1 = 0.
 
@@ -285,7 +277,7 @@ def _w1_row(state: StateVector, layout: RegisterLayout) -> StateVector:
     src, names = register_view(state.amplitudes, layout)
     axis = names.index("C1")
     shape = (-1, src.shape[axis], math.prod(src.shape[axis + 1 :]))
-    rows = np.matmul(_sylvester_rows(layout.n), src.reshape(shape))
+    rows = np.matmul(_sylvester(layout.n)[:2], src.reshape(shape))
     row = np.ascontiguousarray(rows[:, 0]).reshape(-1)
     return StateVector(layout.total_qubits - layout.width("C1"), row)
 
@@ -463,7 +455,7 @@ def flagged_state(
     memory.
     """
     working = working_layout(layout)
-    cone = working.without("R2")  # the same as cone_layout(layout)
+    cone = cone_layout(layout)
     require_memory(
         layout,
         peak_bytes(layout),

@@ -22,6 +22,7 @@ public qubit convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -125,10 +126,15 @@ class RegisterLayout:
         }
 
 
-@lru_cache(maxsize=64)
 def layout_for(n: int, with_controls: bool = False) -> RegisterLayout:
     """Canonical layout: 4n+6 qubits, plus 3 when control flags are
-    requested.  Repeated calls return the same (immutable) instance."""
+    requested.  Repeated calls with equal arguments, however they are
+    passed, return the same (immutable) instance."""
+    return _layout_for(operator.index(n), bool(with_controls))
+
+
+@lru_cache(maxsize=64)
+def _layout_for(n: int, with_controls: bool) -> RegisterLayout:
     if n < 1:
         raise ParameterError(f"matrix register width must be at least 1, got {n}")
     widths = {name: (n if name in ("R1", "C1", "R2", "C2") else 1) for name in CANONICAL_ORDER}

@@ -60,7 +60,7 @@ def matmul_oracle_numpy(a, b):
 def sylvester_block(n):
     """The 2**n x 2**n Hadamard matrix by the recursive ``np.block``
     construction, scaled by 2**(-n/2): the reference for
-    ``multiplier._sylvester`` and the rows of ``multiplier._sylvester_rows``."""
+    ``multiplier._sylvester``."""
     h = np.ones((1, 1))
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])

@@ -37,7 +37,6 @@ from qamp import (
 from qamp.multiplier import (
     PAYLOAD_ZEROS,
     _sylvester,
-    _sylvester_rows,
     _w1_row,
     cone_layout,
     flag_and_measure,
@@ -204,7 +203,6 @@ def test_sylvester_is_the_block_construction(n):
     # first two rows
     want = sylvester_block(n)
     assert _sylvester(n).tobytes() == want.tobytes()
-    assert _sylvester_rows(n).tobytes() == want[:2].tobytes()
 
 
 def embed_at_ancillae_zero(row_amps, layout):

@@ -41,6 +41,12 @@ class TestLayoutFor:
         assert layout_for(3, with_controls) == layout_for(3, with_controls)
         assert layout_for(3, with_controls) != layout_for(4, with_controls)
 
+    def test_one_instance_per_argument_pair(self):
+        # however the arguments are passed, a process derives each layout once
+        assert layout_for(3, True) is layout_for(3, with_controls=True)
+        assert layout_for(3) is layout_for(3, False) is layout_for(n=3, with_controls=0)
+        assert layout_for(3).without("B") is layout_for(3, False).without("B")
+
     def test_shared_layouts_are_read_only(self):
         # layout_for and the derived layouts are shared by every caller
         for layout in (layout_for(2), layout_for(2).without("B", "BT")):
