@@ -23,51 +23,44 @@ prefactor going into the measurement.
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
 :func:`qamp.estimator.estimate_g` both read their results off its output.
 
-The run path computes only the backward light cone of the flagged branch:
-the same circuit and kernels, evaluated only where an amplitude can still
-reach the payload slice (C1, R2, M2 and K2 all 0) that the measurement
-keeps.  Only w3 and the measurement touch the ancillae B and BT, so the
-register before them is the full layout without the ancillae, repacked in
-:data:`KERNEL_ORDER`, a private order that suits the kernels
-(:func:`working_layout`): C1 is the outermost axis of the register view and
-K2, K1, M2, M1 come next, so w1 is one matrix product over C1 and every
-pin of w2 selects whole blocks of the inner registers.  The canonical
-layout stays the public qubit convention.  Walking back from the flagged
-branch:
+The run path computes only what reaches the flagged branch, the payload
+slice (C1, R2, M2 and K2 all 0) that the measurement keeps, and never
+holds a register state.  Walking back from that branch:
 
-- w2 reads only the C1 = R2 = 0 slice of its input,
-- w1's C1 = 0 row reads every C1 value, but only at R2 = 0,
-- w0 fills (C1 = c, R2 = 0) from the build's (C1 = c, R2 = c).
-
-So a run is:
-
-- The build writes the manipulations and w0, on R2 = 0 only
-  (:func:`cone_layout`, 3n+4 qubits, 2**-(n+2) of the full state).  Each
+- w3 and the measurement keep w2's M2 = K2 = 0 output;
+- w2 reads only the C1 = R2 = 0 row of w1's output;
+- w1's C1 = 0 row is 2**(-n/2) times the sum over c of w0's (C1 = c,
+  R2 = 0) slice;
+- w0 fills that slice from the build's (C1 = c, R2 = c), which is the
+  first operand's factor at C1 = c times the second's at R2 = c.  Each
   manipulation is a signed permutation of one operand's encoding, so it
-  renames the operands' subsystems and signs a component tensor
-  (:func:`qamp.conjugator.apply_q_to_operands`), and the C1 = c slice is
-  the first operand's factor at C1 = c times the second's at R2 = c
-  (``_build_through_w0``).
-- w1 is the C1 = 0 row of its matrix product (``_w1_row``), a state on
-  ``cone_layout(layout).without("C1")``, and w2 is one pass over that row.
-- :func:`flag_and_measure` copies out just the payload block (M1, R1, C2,
-  K1 and any control flags, 2**(2n+2) amplitudes without flags) in the
-  canonical order of ``payload_block(layout).layout``; the product and the
-  estimator's K1 weight are read from it.
+  only renames the operands' subsystems and signs a component tensor
+  (:func:`qamp.conjugator.apply_q_to_operands`).
+
+So a run is two steps.  :func:`_w1_row` sums the row from the two
+component tensors, one outer product per c, into one 2**(n+2) x 2**(n+2)
+array.  :func:`flag_and_measure` writes w2's flagged output from the row
+straight into the payload block (M1, R1, C2 and K1, 2**(2n+2) amplitudes)
+in the order of ``payload_block(layout).layout``, then weighs and
+renormalizes it.  The product and the estimator's K1 weight are read from
+that block.  Control flags mean nothing on this path, so a layout that has
+them is refused.
 
 The stage functions address subsystems by name and run unchanged on any
-layout.  :func:`build_initial` and :func:`apply_w0`..:func:`apply_w3` on the
-whole register, and :func:`conditional_measure`, stay as the full-register
-reference, and the run path's block and weight are bit for bit theirs.
+layout.  :func:`build_initial`, :func:`apply_w0`..:func:`apply_w3` on the
+whole register and :func:`conditional_measure` stay as the full-register
+reference, and the run path's block and weight are bit for bit theirs:
+w1's ordered sum is the one the row makes, and every flagged amplitude
+comes from the same operations in both.
 
 As public stages, w0..w2 each run as one pass over the register view into
 a new state rather than gate by gate: w0 is one XOR permutation of R2 by
-C1, w1 one contraction of the C1 axis with the Sylvester Hadamard matrix,
+C1, w1 an ordered sum over the C1 axis with the Sylvester Hadamard matrix,
 w2 one sum or difference per (M2, M1) column written straight to its
 relabeled K2 slice.  w3 is a single multi-controlled gate of the gate engine.
 
-Before allocating, a run is refused when its :func:`peak_bytes` (two
-cone states, the payload block and :data:`RUNTIME_BYTES`) exceed physical
+Before allocating, a run is refused when its :func:`peak_bytes` (w1's row,
+what a run holds beside it and :data:`RUNTIME_BYTES`) exceed physical
 memory.
 """
 
@@ -83,7 +76,6 @@ from .conjugator import apply_q_to_operands
 from .encoder import (
     EncodedBlock,
     _components,
-    _spread,
     joint_amplitudes,
     read_block,
     require_memory,
@@ -112,17 +104,14 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
 
-#: resident bytes of the process around a run's states: the interpreter,
-#: numpy and its BLAS work buffers (36 MB before an n = 5 run on Python
-#: 3.11 with numpy 2.4, and a further 0.4 MB during it)
+#: amplitudes of w1's row that :func:`_w1_row` completes at a time, so the
+#: band and the term added to it stay in a 2 MiB L2 cache (the n = 8 row
+#: took 0.53 s summed in such bands, 0.85 s summed whole)
+BAND = 1 << 16
+
+#: resident bytes of the process around a run's arrays: the interpreter and
+#: numpy (36 MB before an n = 5 run on Python 3.11 with numpy 2.4)
 RUNTIME_BYTES = 64 << 20
-
-#: the working register's subsystems from qubit 0 upward: C1 is the
-#: outermost axis of its register view, so w1 is one matrix product over
-#: it, and K2, K1, M2 and M1 come next, so every pin of w2 selects whole
-#: blocks of the registers below them
-KERNEL_ORDER = ("C2", "R2", "R1", "M1", "M2", "K1", "K2", "C1")
-
 
 def _check_manipulations(manipulations) -> frozenset:
     manips = frozenset(manipulations)
@@ -192,35 +181,6 @@ def build_initial(
     return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
 
 
-def _build_through_w0(
-    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
-) -> StateVector:
-    """The R2 = 0 slice of :func:`build_initial` followed by :func:`apply_w0`,
-    written in one pass and equal to it bit for bit: a state on
-    ``layout.without("R2")``.
-
-    On the product state w0 only moves amplitudes: the C1 = c slice takes
-    the second operand's factor at R2 xor c, so at R2 = 0 it is the first
-    operand's factor at C1 = c times the second's at R2 = c.  C1 is a
-    subsystem of the first operand's block and R2 of the second's, whatever
-    the manipulations renamed.  Any control flags are |0>.  No memory check
-    is made; :func:`flagged_state` makes its own.
-    """
-    (first, block1), (second, block2) = _operands(pm1, pm2, layout, manipulations)
-    qubits = layout.total_qubits - layout.width("R2")
-    amps = np.zeros(1 << qubits)
-    # the slice seen through the axes of ``layout``, R2 kept at length 1
-    names = layout.view_names
-    view = amps.reshape([1 if name == "R2" else 1 << layout.width(name) for name in names])
-    used = {*block1.registers, *block2.registers}
-    out = select(view, names, {name: 0 for name in names if name not in used})
-    first = _spread(first, block1.registers, names)
-    # the second factor's R2 axis moved onto C1, so its C1 = c slice is R2 = c
-    second = np.swapaxes(_spread(second, block2.registers, names), *map(names.index, ("R2", "C1")))
-    np.multiply(first, second, out=out)
-    return StateVector(qubits, amps)
-
-
 def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Contraction CNOTs: C1 qubit j controls R2 qubit j, for every j.
 
@@ -253,33 +213,61 @@ def _sylvester(n: int) -> np.ndarray:
 def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Hadamard every C1 qubit, summing the contracted index into C1 = 0.
 
-    The layer is one contraction of the C1 axis with the Sylvester
-    Hadamard matrix, run as a batched matrix product.
+    The layer contracts the C1 axis with the Sylvester Hadamard matrix H as
+    an ordered sum, with no matrix product: each output slice C1 = j starts
+    from +0.0 and adds H[j, c] * x[c] elementwise over c in order.  Its
+    C1 = 0 slice is therefore the sum the run path accumulates
+    (:func:`_w1_row`), bit for bit.
     """
     hadamard = _sylvester(layout.n)
 
     def kernel(src, dst, names):
-        axis = names.index("C1")
-        shape = (-1, src.shape[axis], math.prod(src.shape[axis + 1 :]))
-        np.matmul(hadamard, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = (np.moveaxis(view, names.index("C1"), 0) for view in (src, dst))
+        term = np.empty_like(src[0])
+        for out, signs in zip(dst, hadamard):
+            out[...] = 0.0
+            for x, h in zip(src, signs):
+                np.multiply(x, h, out=term)
+                np.add(out, term, out=out)
 
     return register_stage(state, layout, kernel)
 
 
-def _w1_row(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """The C1 = 0 row of :func:`apply_w1`, bit for bit: a state on
-    ``layout.without("C1")``.
+def _w1_row(
+    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The C1 = R2 = 0 slice of :func:`apply_w1` after :func:`apply_w0` on
+    the manipulated :func:`build_initial`, bit for bit, without that state.
 
-    The product takes the first two rows of the Hadamard matrix and keeps
-    the first: a one-row product runs as a matrix-vector product, whose
-    sums can differ from :func:`apply_w1`'s in the last bit.
+    Returns the row as an array with one axis per subsystem, and the
+    subsystem names of its axes: the first operand's K1, R1 and label, then
+    the second's K2, C2 and label (the operand exchange crosses the labels).
+
+    On the product state w0 only moves amplitudes: at R2 = 0 its C1 = c
+    slice is the first operand's factor at C1 = c times the second's at
+    R2 = c, whatever the manipulations renamed, since C1 stays in the first
+    operand's block and R2 in the second's.  Row 0 of the Hadamard matrix
+    is 2**(-n/2) throughout, so the row is the sum over c of 2**(-n/2)
+    times the outer product of those two factors, accumulated in c order
+    from +0.0 as :func:`apply_w1` does.  The row is completed a band of
+    :data:`BAND` amplitudes at a time, and every amplitude still takes its
+    terms in c order.
     """
-    src, names = register_view(state.amplitudes, layout)
-    axis = names.index("C1")
-    shape = (-1, src.shape[axis], math.prod(src.shape[axis + 1 :]))
-    rows = np.matmul(_sylvester(layout.n)[:2], src.reshape(shape))
-    row = np.ascontiguousarray(rows[:, 0]).reshape(-1)
-    return StateVector(layout.total_qubits - layout.width("C1"), row)
+    (first, block1), (second, block2) = _operands(pm1, pm2, layout, manipulations)
+    dim = 1 << layout.n
+    front1, front2 = ("C1", "K1", "R1", block1.m), ("R2", "K2", "C2", block2.m)
+    first = first.transpose([block1.registers.index(name) for name in front1]).reshape(dim, -1)
+    second = second.transpose([block2.registers.index(name) for name in front2]).reshape(dim, -1)
+    row = np.zeros((first.shape[1], second.shape[1]))
+    bands = max(1, row.size // BAND)
+    term = np.empty((row.shape[0] // bands, row.shape[1]))
+    scale = _sylvester(layout.n)[0, 0]
+    for rows, firsts in zip(np.split(row, bands), np.split(first, bands, axis=1)):
+        for f, s in zip(firsts, second):
+            np.multiply(f[:, None], s, out=term)
+            np.multiply(term, scale, out=term)
+            np.add(rows, term, out=rows)
+    return row.reshape(2, dim, 2, 2, dim, 2), (*front1[1:], *front2[1:])
 
 
 def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -341,53 +329,48 @@ def payload_block(layout: RegisterLayout) -> EncodedBlock:
     return EncodedBlock(layout.without(*ANCILLAE, *PAYLOAD_ZEROS), m="M1", r="R1", c="C2", k="K1")
 
 
-def working_layout(layout: RegisterLayout) -> RegisterLayout:
-    """The run path's working register: ``layout`` without the ancillae,
-    its subsystems repacked in :data:`KERNEL_ORDER` (any control flags
-    above them).  A run never holds all of it: the build addresses the
-    operands on it and writes only its :func:`cone_layout` slice."""
-    return layout.without(*ANCILLAE).repacked(*KERNEL_ORDER)
-
-
-def cone_layout(layout: RegisterLayout) -> RegisterLayout:
-    """The light cone of the flagged branch at w0's output: the working
-    register on R2 = 0, 3n+4 qubits plus any control flags.  w1 writes the
-    flagged branch only from its C1 = 0 row, which reads every C1 value but
-    only at R2 = 0, and w0 fills that slice from the build."""
-    return working_layout(layout).without("R2")
-
-
 def peak_bytes(layout: RegisterLayout) -> int:
-    """Resident bytes of a process at the peak of a run on ``layout``: two
-    float64 states on ``cone_layout(layout)``, which bound what a run holds
-    at once for every n >= 1 (the build's output beside the two rows of
-    w1's product, then those rows beside w2's output), the payload block
-    copied out of w2's output, and :data:`RUNTIME_BYTES`."""
-    cone, block = cone_layout(layout), payload_block(layout).layout
-    return 8 * ((2 << cone.total_qubits) + (1 << block.total_qubits)) + RUNTIME_BYTES
+    """Resident bytes of a process at the peak of a run on ``layout``,
+    bounded by everything a run allocates held at once: w1's row of
+    2**(2n+4) float64 amplitudes, the band of terms added to it, the two
+    operand tensors, the payload block and the squares of its weight (a
+    quarter of the row each), and :data:`RUNTIME_BYTES`."""
+    row = 1 << (2 * layout.n + 4)
+    return 8 * (2 * row + min(row, BAND)) + RUNTIME_BYTES
 
 
-def flag_and_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:
-    """:func:`apply_w3` followed by :func:`conditional_measure`, from a state
-    on ``cone_layout(layout).without("C1")`` (the ancillae are taken to be
-    in |0>, and C1 and R2 in |0> too), kept to the payload block.
+def flag_and_measure(
+    row: np.ndarray, names: tuple[str, ...], layout: RegisterLayout
+) -> tuple[StateVector, float]:
+    """:func:`apply_w2`, :func:`apply_w3` and :func:`conditional_measure`
+    from w1's row (:func:`_w1_row`: axes named by ``names``, with C1, R2
+    and the ancillae taken to be in |0>), kept to the payload block.
 
-    w3 moves the payload slice (C1, R2, M2, K2 all 0) to B = BT = 1 and
-    nothing else lands there, so the flagged branch is the input's
-    M2 = K2 = 0 slice.  It is copied out as a state on
-    ``payload_block(layout).layout``, in that layout's qubit order, then
-    weighed and renormalized.  The block is bit for bit the B = BT = 1
-    payload slice of the two full-register steps, which leave zeros
-    everywhere else, and the weight is bit for bit theirs: both are exactly
-    rounded sums of the same nonzero squares.  The input is not mutated.
+    w3 moves the payload slice (C1, R2, M2 and K2 all 0) to B = BT = 1 and
+    nothing else lands there, so the flagged branch is w2's M2 = K2 = 0
+    output.  w2 writes K2 = 0 there from K2 = K1, and per K1 value M1 = 0
+    from row(M2, M1) = (0, 0) minus (1, 1) and M1 = 1 from (0, 1) plus
+    (1, 0), scaled by sqrt(1/2).  These are written straight into a state
+    on ``payload_block(layout).layout``, which is then weighed and
+    renormalized.  The block is bit for bit the B = BT = 1 payload slice of
+    the full-register stages, which leave zeros everywhere else, and the
+    weight is bit for bit theirs: both are exactly rounded sums of the same
+    nonzero squares.  The row is not mutated.
     """
     block = payload_block(layout).layout
-    src, names = register_view(state.amplitudes, cone_layout(layout).without("C1"))
-    pinned = [name for name in PAYLOAD_ZEROS if name in names]
-    flagged = select(src, names, {name: 0 for name in pinned})
-    # the block's axes in its own view order, then the pinned length-1 axes
-    axes = [names.index(name) for name in (*block.view_names, *pinned)]
-    amps = np.ascontiguousarray(flagged.transpose(axes)).reshape(-1)
+    amps = np.empty(1 << block.total_qubits)
+    view, view_names = register_view(amps, block)
+    out = view.transpose([view_names.index(name) for name in ("K1", "M1", "R1", "C2")])
+
+    def column(k, m2, m1):
+        # the row's (R1, C2) matrix at K1 = K2 = k and (M2, M1) = (m2, m1)
+        pins = {"K1": k, "K2": k, "M2": m2, "M1": m1}
+        return row[tuple(pins.get(name, slice(None)) for name in names)]
+
+    for k in (0, 1):
+        np.subtract(column(k, 0, 0), column(k, 1, 1), out=out[k, 0])
+        np.add(column(k, 0, 1), column(k, 1, 0), out=out[k, 1])
+    np.multiply(amps, _SQRT1_2, out=amps)
     weight = _weight(amps)
     if weight == 0.0:
         bt = layout.start("BT")
@@ -447,24 +430,15 @@ def flagged_state(
 
     Returns the renormalized flagged block, a state on
     ``payload_block(layout).layout``, and the branch's pre-projection
-    weight.  Only the amplitudes that can reach the flagged branch are
-    computed: the build (which writes the manipulations and w0) writes the
-    R2 = 0 slice of the working register, :func:`cone_layout`; w1 keeps its
-    C1 = 0 row, and w2 runs on that row.  Before anything is allocated the
-    run is refused if its :func:`peak_bytes` would not fit in physical
-    memory.
+    weight.  Only w1's row (:func:`_w1_row`) and the block are computed
+    (:func:`flag_and_measure`).  A layout with control flags is refused
+    (:class:`ParameterError`), and so is a run whose :func:`peak_bytes`
+    would not fit in physical memory, before anything is allocated.
     """
-    working = working_layout(layout)
-    cone = cone_layout(layout)
-    require_memory(
-        layout,
-        peak_bytes(layout),
-        f"two cone states of {cone.total_qubits} qubits, the payload block and the runtime",
-    )
-    state = _build_through_w0(pm1, pm2, working, manipulations)
-    state = _w1_row(state, cone)
-    state = apply_w2(state, cone.without("C1"))
-    return flag_and_measure(state, layout)
+    if layout.control_flags_present:
+        raise ParameterError("the run path takes a layout without control flags")
+    require_memory(layout, peak_bytes(layout), "W1's row, what is held beside it and the runtime")
+    return flag_and_measure(*_w1_row(pm1, pm2, layout, manipulations), layout)
 
 
 def run_pipeline(
@@ -511,9 +485,8 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator writes the manipulations and w0 into the build, runs w1
-    and w2 only on the amplitudes that reach the flagged branch and the
-    flagging of w3 as one copy of the payload block, so these numbers
+    The simulator computes only w1's row from the operands and writes w2's
+    flagged output straight into the payload block, so these numbers
     describe the abstract circuit rather than the kernels.  The elementary
     depth of the payload-flagging gate follows a chained-Toffoli model for a
     gate with k controls (2k - 3 layers, plus one CNOT to copy onto the

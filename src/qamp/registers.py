@@ -11,13 +11,8 @@ significant subsystem first.  Encoding, decoding and every fused circuit
 stage address amplitudes through it, so each is a small number of slice
 operations on that view rather than one pass per gate.  A layout with some
 subsystems removed (:meth:`RegisterLayout.without`) holds the states on
-which those subsystems are |0>, which is how the pipeline leaves out its
-ancillae until it flags the payload, and the subsystems it pins to 0 on
-the way to the flagged branch.  A repacked layout
-(:meth:`RegisterLayout.repacked`) holds the same subsystems in another
-qubit order; the pipeline's working register is one, ordered so that its
-kernels run over contiguous blocks, while :func:`layout_for` stays the
-public qubit convention.
+which those subsystems are |0>: the pipeline's payload block is one, and
+so is the operand register that ``qamp conjugate`` runs on.
 """
 
 from __future__ import annotations
@@ -44,8 +39,8 @@ class RegisterLayout:
 
     Layouts are shared: :func:`layout_for` returns one instance per
     argument pair, and each instance keeps the layouts derived from it by
-    :meth:`without` and :meth:`repacked`, so a run derives each of its
-    layouts once per process.  ``slices`` is therefore read-only.
+    :meth:`without`, so a process derives each layout once.  ``slices`` is
+    therefore read-only.
     """
 
     n: int
@@ -77,45 +72,29 @@ class RegisterLayout:
         """Subsystem names in register-view axis order, most significant first."""
         return tuple(sorted(self.slices, key=self.start, reverse=True))
 
-    def _derive(self, repack: bool, names: tuple[str, ...]) -> "RegisterLayout":
-        """:meth:`repacked` or :meth:`without` of ``names``, built on first
-        use and then kept on this instance."""
-        key = (repack, names)
-        layout = self._derived.get(key)
+    def without(self, *names: str) -> "RegisterLayout":
+        """This layout with the named subsystems removed and the rest packed
+        down in the same order, so a state on it is this layout's state
+        restricted to those subsystems in |0>.  An unknown or repeated name
+        raises :class:`ParameterError`.  Built on first use, then kept on
+        this instance."""
+        layout = self._derived.get(names)
         if layout is None:
             for name in names:
                 self.qubits(name)  # raises on unknown subsystem
             if len(set(names)) != len(names):
                 raise ParameterError(f"subsystems named twice in {names}")
-            rest = [name for name in self.view_names[::-1] if name not in names]
-            layout = self._derived[key] = self._packed([*names, *rest] if repack else rest)
+            slices = {}
+            cursor = 0
+            for name in self.view_names[::-1]:
+                if name not in names:
+                    slices[name] = range(cursor, cursor + self.width(name))
+                    cursor += self.width(name)
+            layout = RegisterLayout(
+                n=self.n, slices=slices, control_flags_present=self.control_flags_present
+            )
+            self._derived[names] = layout
         return layout
-
-    def _packed(self, names) -> "RegisterLayout":
-        """The named subsystems, at their widths, packed from qubit 0 upward."""
-        slices = {}
-        cursor = 0
-        for name in names:
-            slices[name] = range(cursor, cursor + self.width(name))
-            cursor += self.width(name)
-        return RegisterLayout(
-            n=self.n, slices=slices, control_flags_present=self.control_flags_present
-        )
-
-    def without(self, *names: str) -> "RegisterLayout":
-        """This layout with the named subsystems removed and the rest packed
-        down in the same order, so a state on it is this layout's state
-        restricted to those subsystems in |0>.  An unknown or repeated name
-        raises :class:`ParameterError`."""
-        return self._derive(False, names)
-
-    def repacked(self, *names: str) -> "RegisterLayout":
-        """This layout with the named subsystems packed from qubit 0 upward in
-        the given order and the rest above them in their current order.  A
-        state on it holds the same amplitudes as one on this layout, with the
-        qubits in another order.  An unknown or repeated name raises
-        :class:`ParameterError`."""
-        return self._derive(True, names)
 
     def summary(self) -> dict:
         """Plain structure for reports: name -> [first, last] qubit, plus totals."""
@@ -195,7 +174,8 @@ def register_stage(
     ``dst`` from the view ``src``; both have one axis per entry of ``names``.
     With a ``control`` flag the kernel sees only the flag = 1 slice and the
     flag = 0 slice is copied unchanged.  The output is a new float64
-    statevector; the input is never mutated and no temporary is made.
+    statevector and the input is never mutated; the stage itself makes no
+    temporary.
     """
     out = np.empty_like(state.amplitudes)
     src, names = register_view(state.amplitudes, layout)

@@ -26,15 +26,12 @@ of the nonzero squares, so a branch weighs the same, bit for bit, whether
 it is read off a full-register state or off the payload block alone.
 
 This gate engine is the general-purpose API and the reference the circuit
-stages are tested against.  The pipeline itself computes only the
-amplitudes that reach its flagged branch: the build writes the
-manipulations and w0 on the R2 = 0 slice of its working register, w1 keeps
-the C1 = 0 row of its matrix product, w2 is one register pass over that
-row (:func:`qamp.registers.register_stage`), and the flagging and
-measurement are one copy of the payload block
-(:func:`qamp.multiplier.flag_and_measure`); the multi-controlled w3 goes
-through :func:`apply_gates` only in the full-register reference
-:func:`qamp.multiplier.apply_w3`.
+stages are tested against.  The pipeline itself holds no register state:
+it sums w1's C1 = 0 row straight from the two operands' component tensors
+and writes w2's flagged output from it into the payload block
+(:func:`qamp.multiplier.flag_and_measure`), whose weight is
+:func:`_weight`'s; the multi-controlled w3 goes through :func:`apply_gates`
+only in the full-register reference :func:`qamp.multiplier.apply_w3`.
 """
 
 from __future__ import annotations

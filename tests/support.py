@@ -67,14 +67,6 @@ def sylvester_block(n):
     return h * 2.0 ** (-n / 2)
 
 
-def reorder(amps, src, dst):
-    """Amplitudes of a state on layout ``src`` rewritten for ``dst``, a
-    layout of the same subsystems in another qubit order."""
-    view, names = register_view(amps, src)
-    axes = [names.index(name) for name in dst.view_names]
-    return np.ascontiguousarray(view.transpose(axes)).reshape(-1)
-
-
 def pinned(amps, layout, pins):
     """Amplitudes of a state on ``layout`` with each pinned subsystem at its
     value: a state on ``layout.without(*pins)``."""

@@ -139,15 +139,17 @@ class TestDecode:
 
 
 class TestMemoryPreflight:
-    # n = 2 is 14 qubits: a run is allowed two float64 states of the 10-qubit
-    # cone (the working register's R2 = 0 slice), the 6-qubit payload block
-    # and the 64 MiB runtime allowance
-    CONE_STATE = 8 * (1 << 10)
-    NEEDED = 2 * CONE_STATE + 8 * (1 << 6) + (64 << 20)
+    # n = 5: a run is allowed w1's row of 2**14 float64 amplitudes, a band of
+    # terms as large (the whole row at this n), another row's worth for the
+    # operand tensors, the payload block and its squares, and the 64 MiB
+    # runtime allowance; the row (128 KiB) is well above what raising the
+    # refusal allocates
+    ROW = 8 * (1 << 14)
+    NEEDED = 3 * ROW + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)
-        pm = random_prepared(np.random.default_rng(5), 2)
+        pm = random_prepared(np.random.default_rng(5), 5)
         tracemalloc.start()
         try:
             with pytest.raises(ParameterError, match=f"needs {self.NEEDED} bytes"):
@@ -155,9 +157,9 @@ class TestMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.CONE_STATE
+        assert peak < self.ROW
 
     def test_runs_when_the_peak_just_fits(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED)
-        pm = random_prepared(np.random.default_rng(5), 2)
+        pm = random_prepared(np.random.default_rng(5), 5)
         assert run_pipeline(pm, pm).oracle_error < 1e-10

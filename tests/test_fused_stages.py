@@ -6,15 +6,16 @@ to dense unitaries in ``test_statevector.py``.  The states are random dense
 vectors, not encodings, so every amplitude of the view is exercised.  The
 permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
-stage is also held to its brute-force unitary.  The run path's w1 row
-(the C1 = 0 row of w1 on the R2 = 0 slice) is held bit for bit to that
-slice of w1 on the whole working register.  The flagging step, which
-starts from that row and keeps only the payload block, is held bit for
-bit to the payload slice of w3 followed by the conditional measurement on
-the full register; its input is drawn on the run path's kernel-ordered
-row and embedded by name for the reference.  States are float64 only; a
-complex128 draw runs as its real and imaginary parts.
+stage is also held to its brute-force unitary.  The run path's w1 row is
+held bit for bit to the C1 = R2 = 0 slice of w1 after w0 on the
+manipulated build, and the flagging step, which runs w2 from that row and
+keeps only the payload block, bit for bit to the payload slice of w2, w3
+and the conditional measurement on the full register; its input is a
+random row, embedded by name for the reference.  States are float64 only;
+a complex128 draw runs as its real and imaginary parts.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -30,23 +31,23 @@ from qamp import (
     apply_w1,
     apply_w2,
     apply_w3,
+    build_initial,
     conditional_measure,
     hermitian_conjugate,
     layout_for,
 )
 from qamp.multiplier import (
+    MANIPULATIONS,
     PAYLOAD_ZEROS,
     _sylvester,
     _w1_row,
-    cone_layout,
     flag_and_measure,
     payload_block,
-    working_layout,
 )
 from qamp.registers import register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
-from support import join_parts, pinned, real_parts, reorder, sylvester_block
+from support import join_parts, pinned, random_prepared, real_parts, sylvester_block
 
 W1_TOL = 1e-15
 
@@ -158,113 +159,97 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
         assert np.max(np.abs(got - unitaries[name] @ amps)) < 1e-15, name
 
 
-@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_kernel_order_stages_match_the_canonical_order(n, with_controls):
-    # w1 and w2 on the run path's kernel-ordered working register against
-    # the same stage on the canonical working register, byte for byte once
-    # the axes are reordered by name
-    layout = layout_for(n, with_controls=with_controls)
-    working, canonical = working_layout(layout), layout.without("B", "BT")
-    rng = np.random.default_rng(3000 * n + with_controls)
-    (state,) = random_states(rng, working.total_qubits, np.float64)
-    amps = reorder(state.amplitudes, working, canonical)
-    on_canonical = StateVector(canonical.total_qubits, amps)
-    for stage in (apply_w1, apply_w2):
-        got = stage(state, working).amplitudes
-        want = stage(on_canonical, canonical).amplitudes
-        assert got.tobytes() == reorder(want, canonical, working).tobytes(), stage.__name__
-
-
-@pytest.mark.parametrize(
-    "n, with_controls",
-    [(n, False) for n in (1, 2, 3, 4)] + [(n, True) for n in (1, 2, 3)],
-    ids=["1-plain", "2-plain", "3-plain", "4-plain", "1-flags", "2-flags", "3-flags"],
-)
-def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
-    # the run path's w1 reads only the R2 = 0 slice and keeps only C1 = 0;
-    # odd and even n both, since a one-row (matrix-vector) product differs
-    # from w1's in the last bit at some n of each
-    layout = layout_for(n, with_controls=with_controls)
-    working, cone = working_layout(layout), cone_layout(layout)
-    rng = np.random.default_rng(4000 * n + with_controls)
-    (state,) = random_states(rng, working.total_qubits, np.float64)
-    want = pinned(apply_w1(state, working).amplitudes, working, {"C1": 0, "R2": 0})
-    r2_zero = StateVector(cone.total_qubits, pinned(state.amplitudes, working, {"R2": 0}))
-    got = _w1_row(r2_zero, cone)
-    assert got.num_qubits == cone.without("C1").total_qubits
-    assert got.amplitudes.tobytes() == want.tobytes()
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_w1_row_is_the_c1_zero_row_of_w1(n):
+    # the run path sums w1's C1 = 0 row over the R2 = 0 slice straight from
+    # the operand tensors; odd and even n both, since the Hadamard scale is
+    # a power of two only at even n
+    layout = layout_for(n)
+    working = layout.without("B", "BT")
+    row_layout = working.without("C1", "R2")
+    rng = np.random.default_rng(4000 * n)
+    pm1 = random_prepared(rng, n, complex_b=True)
+    pm2 = random_prepared(rng, n, complex_b=True)
+    for r in range(4):
+        for manips in itertools.combinations(sorted(MANIPULATIONS), r):
+            state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
+            want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0})
+            row, names = _w1_row(pm1, pm2, layout, manips)
+            assert sorted(names) == sorted(row_layout.view_names)
+            got = row.transpose([names.index(name) for name in row_layout.view_names])
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), manips
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sylvester_is_the_block_construction(n):
     # every entry is exactly +-2**(-n/2), with the recursive construction's
-    # signs; w1 multiplies by the matrix and the run path's w1 row by its
-    # first two rows
+    # signs; w1 sums with it and the run path's w1 row with its first row
     want = sylvester_block(n)
     assert _sylvester(n).tobytes() == want.tobytes()
 
 
-def embed_at_ancillae_zero(row_amps, layout):
-    """The full-layout state equal to ``row_amps``, a state on
-    ``cone_layout(layout).without("C1")``, where B = BT = C1 = R2 = 0 and
-    zero elsewhere.  Once placed on the working register and reordered to
-    the canonical qubit order it is placed by index arithmetic: B and BT are
-    adjacent qubits, so a canonical working index is a full index with those
-    two bits cut out."""
-    working = working_layout(layout)
-    working_amps = np.zeros(1 << working.total_qubits, dtype=row_amps.dtype)
-    view, names = register_view(working_amps, working)
-    row = select(view, names, {"C1": 0, "R2": 0})
-    row[...] = row_amps.reshape(row.shape)
-    working_amps = reorder(working_amps, working, layout.without("B", "BT"))
-    b = layout.start("B")
-    assert layout.start("BT") == b + 1
-    full = np.arange(1 << layout.total_qubits)
-    kept = full[(full >> b) & 3 == 0]
-    working_index = (kept & ((1 << b) - 1)) | ((kept >> (b + 2)) << b)
-    amps = np.zeros(full.size, dtype=working_amps.dtype)
-    amps[kept] = working_amps[working_index]
+#: the row's axis names without and with the operand exchange, which
+#: crosses the labels of the two operands
+ROW_NAMES = {
+    "plain": ("K1", "R1", "M1", "K2", "C2", "M2"),
+    "crossed": ("K1", "R1", "M2", "K2", "C2", "M1"),
+}
+
+
+def embed_row(row, names, layout):
+    """The full-layout state equal to ``row`` (axes named by ``names``)
+    where C1, R2, B and BT are 0, and zero elsewhere."""
+    amps = np.zeros(1 << layout.total_qubits, dtype=row.dtype)
+    view, view_names = register_view(amps, layout)
+    pins = {"C1": 0, "R2": 0, "B": 0, "BT": 0}
+    kept = [name for name in view_names if name not in pins]
+    view[tuple(pins.get(name, slice(None)) for name in view_names)] = row.transpose(
+        [names.index(name) for name in kept]
+    )
     return StateVector(layout.total_qubits, amps)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
-@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
+@pytest.mark.parametrize("labels", ["plain", "crossed"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_flag_and_measure_is_w3_then_measure(n, with_controls, dtype):
-    layout = layout_for(n, with_controls=with_controls)
-    row = cone_layout(layout).without("C1")
-    rng = np.random.default_rng(2000 * n + with_controls)
-    for state in random_states(rng, row.total_qubits, dtype):
-        before = state.amplitudes.copy()
-        got, got_weight = flag_and_measure(state, layout)
-        full = embed_at_ancillae_zero(state.amplitudes, layout)
-        want, want_weight = conditional_measure(apply_w3(full, layout), layout)
+def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
+    layout = layout_for(n)
+    names = ROW_NAMES[labels]
+    rng = np.random.default_rng(2000 * n + (labels == "crossed"))
+    for state in random_states(rng, 2 * n + 4, dtype):
+        row = state.amplitudes.reshape(2, 1 << n, 2, 2, 1 << n, 2)
+        before = row.copy()
+        got, got_weight = flag_and_measure(row, names, layout)
+        full = embed_row(row, names, layout)
+        want, want_weight = conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
         assert got.num_qubits == payload_block(layout).layout.total_qubits
         assert got.amplitudes.dtype == want.amplitudes.dtype == np.float64
         # the block is the reference's B = BT = 1 payload slice, in the
         # slice's own C order, and the reference holds nothing else
         rest = want.amplitudes.copy()
-        view, names = register_view(rest, layout)
+        view, view_names = register_view(rest, layout)
         pins = {**{name: 0 for name in PAYLOAD_ZEROS}, "B": 1, "BT": 1}
-        flagged = select(view, names, pins)
+        flagged = select(view, view_names, pins)
         assert got.amplitudes.tobytes() == np.ascontiguousarray(flagged).tobytes()
         flagged[...] = 0.0
         assert not np.any(rest)
         assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
-        assert state.amplitudes.tobytes() == before.tobytes()
+        assert row.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
-def test_flag_and_measure_zero_branch_is_an_error(with_controls):
-    # weight only off the payload subspace (M2 = 1): nothing gets flagged
-    layout = layout_for(2, with_controls=with_controls)
-    row = cone_layout(layout).without("C1")
-    amps = np.zeros(1 << row.total_qubits)
-    amps[1 << row.start("M2")] = 1.0
+@pytest.mark.parametrize("labels", ["plain", "crossed"])
+def test_flag_and_measure_zero_branch_is_an_error(labels):
+    # weight only off the payload subspace (M2 = 1, and K2 != K1 so that
+    # w2 keeps it there): nothing gets flagged
+    layout = layout_for(2)
+    names = ROW_NAMES[labels]
+    row = np.zeros((2, 4, 2, 2, 4, 2))
+    pins = {"K1": 1, "K2": 0, "M2": 1, "M1": 0, "R1": 0, "C2": 0}
+    row[tuple(pins[name] for name in names)] = 1.0
     with pytest.raises(MeasurementError) as got:
-        flag_and_measure(StateVector(row.total_qubits, amps), layout)
+        flag_and_measure(row, names, layout)
+    full = embed_row(row, names, layout)
     with pytest.raises(MeasurementError) as want:
-        conditional_measure(apply_w3(embed_at_ancillae_zero(amps, layout), layout), layout)
+        conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
     assert str(got.value) == str(want.value)
     assert got.value.probability == want.value.probability == 0.0

@@ -29,8 +29,8 @@ from qamp import (
     run_pipeline,
 )
 from qamp import multiplier
-from qamp.multiplier import _build_through_w0, cone_layout, flagged_state, working_layout
-from support import pinned, prepared_from_tilde, random_prepared, reorder
+from qamp.multiplier import flagged_state
+from support import prepared_from_tilde, random_prepared
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -139,28 +139,6 @@ class TestBuildInitial:
                     want = bf_q(1, which) @ want
             assert not np.any(want.imag)
             assert np.array_equal(folded.amplitudes, want.real), sorted(manips)
-
-    @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_run_path_build_folds_w0(self, n, with_controls):
-        # the run path's build, the R2 = 0 slice of its kernel-ordered working
-        # register, against that slice of build_initial followed by apply_w0,
-        # byte for byte: on that register, and on the canonical working
-        # register once reordered by name
-        rng = np.random.default_rng(163 + n)
-        pm1 = random_prepared(rng, n, complex_b=True)
-        pm2 = random_prepared(rng, n, complex_b=True)
-        layout = layout_for(n, with_controls=with_controls)
-        working, canonical = working_layout(layout), layout.without("B", "BT")
-        for manips in ALL_SUBSETS:
-            folded = _build_through_w0(pm1, pm2, working, manips)
-            assert folded.num_qubits == cone_layout(layout).total_qubits
-            folded = folded.amplitudes
-            want = apply_w0(build_initial(pm1, pm2, working, manips), working).amplitudes
-            assert folded.tobytes() == pinned(want, working, {"R2": 0}).tobytes(), sorted(manips)
-            chain = apply_w0(build_initial(pm1, pm2, canonical, manips), canonical).amplitudes
-            chain = pinned(reorder(chain, canonical, working), working, {"R2": 0})
-            assert folded.tobytes() == chain.tobytes(), sorted(manips)
 
     def test_unknown_manipulation_rejected(self):
         pm1, pm2 = desk_pair()
@@ -444,59 +422,66 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_is_its_stages_bit_for_bit(self, n):
         # the public stages on the full register, against run_pipeline (which
-        # runs them on the ancilla-free working register), also on a layout
-        # that carries the control flags
+        # computes only w1's row and the payload block)
         rng = np.random.default_rng(211 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
-        for layout in (layout_for(n), layout_for(n, with_controls=True)):
-            for manips in ALL_SUBSETS:
-                sv = build_initial(pm1, pm2, layout)
-                for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
-                    if name in manips:
-                        sv = apply_q(sv, which, layout)
-                for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
-                    sv = stage(sv, layout)
-                sv, branch = conditional_measure(sv, layout)
-                g = math.sqrt(branch * float(1 << (n + 1)))
-                decoded, b_decoded, _ = decode(sv, EncodedBlock.pipeline_output(layout))
-                entries = decoded.entries * g
-                if "swap_order" in manips:
-                    entries = entries.T.copy()
+        layout = layout_for(n)
+        for manips in ALL_SUBSETS:
+            sv = build_initial(pm1, pm2, layout)
+            for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
+                if name in manips:
+                    sv = apply_q(sv, which, layout)
+            for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
+                sv = stage(sv, layout)
+            sv, branch = conditional_measure(sv, layout)
+            g = math.sqrt(branch * float(1 << (n + 1)))
+            decoded, b_decoded, _ = decode(sv, EncodedBlock.pipeline_output(layout))
+            entries = decoded.entries * g
+            if "swap_order" in manips:
+                entries = entries.T.copy()
 
-                res = run_pipeline(pm1, pm2, manips, layout)
-                assert res.matrix_hat.entries.tobytes() == entries.tobytes()
-                assert np.array([res.b_hat]).tobytes() == np.array([b_decoded * g]).tobytes()
-                assert np.array([res.branch_probability]).tobytes() == np.array([branch]).tobytes()
-                if layout.control_flags_present:
-                    continue
-                s1_tilde = sv.probability(layout.start("K1"), 0)
-                est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
-                assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
+            res = run_pipeline(pm1, pm2, manips, layout)
+            assert res.matrix_hat.entries.tobytes() == entries.tobytes()
+            assert np.array([res.b_hat]).tobytes() == np.array([b_decoded * g]).tobytes()
+            assert np.array([res.branch_probability]).tobytes() == np.array([branch]).tobytes()
+            s1_tilde = sv.probability(layout.start("K1"), 0)
+            est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
+            assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
+
+    def test_control_flag_layout_refused(self):
+        # the flags mean nothing on the run path: only apply_q_controlled,
+        # a reference stage, reads them
+        rng = np.random.default_rng(229)
+        pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
+        layout = layout_for(2, with_controls=True)
+        with pytest.raises(ParameterError, match="control flags"):
+            run_pipeline(pm1, pm2, (), layout)
+        with pytest.raises(ParameterError, match="control flags"):
+            flagged_state(pm1, pm2, {"dagger1"}, layout)
 
     def test_run_path_is_the_light_cone(self, monkeypatch):
-        # the build writes w0's R2 = 0 slice and w1 keeps its C1 = 0 row
-        # without a register stage, so the one register stage of a run is w2
-        # on that row; no full-register reference stage and no whole working
-        # register is built
-        passes = []
+        # a run sums w1's row straight from the operand tensors and writes
+        # the payload block from it: no register stage, no full-register
+        # reference stage, no joint state and no matrix product
+        def refused(*_args, **_kwargs):
+            raise AssertionError("the run path called a full-register step")
 
-        def counted(state, layout, kernel, control=None):
-            passes.append(layout)
-            return register_stage(state, layout, kernel, control)
-
-        def refused(*_args):
-            raise AssertionError("the run path called a full-register reference stage")
-
-        register_stage = multiplier.register_stage
-        monkeypatch.setattr(multiplier, "register_stage", counted)
-        for name in ("apply_w0", "apply_w1", "build_initial", "joint_amplitudes"):
+        for name in (
+            "register_stage",
+            "build_initial",
+            "joint_amplitudes",
+            "apply_w0",
+            "apply_w1",
+            "apply_w2",
+        ):
             monkeypatch.setattr(multiplier, name, refused)
+        monkeypatch.setattr(np, "matmul", refused)
         rng = np.random.default_rng(227)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
         layout = layout_for(2)
-        flagged_state(pm1, pm2, {"dagger1", "dagger2", "swap_order"}, layout)
-        assert passes == [cone_layout(layout).without("C1")]
+        block, _weight = flagged_state(pm1, pm2, {"dagger1", "dagger2", "swap_order"}, layout)
+        assert block.num_qubits == multiplier.payload_block(layout).layout.total_qubits
 
     def test_no_verify_skips_the_oracle(self):
         rng = np.random.default_rng(223)
@@ -571,9 +556,8 @@ class TestResourceReport:
 
 class TestMemory:
     def test_peak_is_a_few_states(self):
-        # the largest state of a run is the build's R2 = 0 slice of the
-        # working register, 2**-(n+2) of the full state, and what w1 and w2
-        # write beside it is smaller again
+        # the largest array of a run is w1's row, 2**-(2n+2) of the full
+        # state, and what it holds beside the row is smaller again
         rng = np.random.default_rng(331)
         pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
         state_bytes = 8 << layout_for(3).total_qubits
@@ -584,3 +568,18 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
+
+    def test_peak_is_a_few_rows(self):
+        # w1's row at n = 5 is 8 * 2**(2n+4) bytes (128 KiB); the whole run,
+        # oracle included, holds no more than four of them at once, while
+        # the 3n+4-qubit light cone alone would take 4 MiB
+        rng = np.random.default_rng(337)
+        pm1, pm2 = random_prepared(rng, 5, complex_b=True), random_prepared(rng, 5, complex_b=True)
+        row_bytes = 8 << (2 * 5 + 4)
+        tracemalloc.start()
+        try:
+            run_pipeline(pm1, pm2, {"dagger1", "dagger2", "swap_order"})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * row_bytes, f"peak {peak / row_bytes:.2f} x w1's row"

@@ -113,43 +113,6 @@ class TestWithout:
         for names in (("B", "BT"), ("BT", "B"), ("C1",), ()):
             assert layout.without(*names) is layout.without(*names)
             assert layout.without(*names) == fresh.without(*names)
-            assert layout.repacked(*names) == fresh.repacked(*names)
-
-
-class TestRepacked:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("with_controls", [False, True])
-    def test_named_first_from_qubit_zero_then_the_rest_in_order(self, n, with_controls):
-        layout = layout_for(n, with_controls).without("B", "BT")
-        named = ("C2", "R2", "R1", "M1", "M2", "K1", "K2", "C1")
-        repacked = layout.repacked(*named)
-        rest = [name for name in layout.slices if name not in named]
-        cursor = 0
-        for name in (*named, *rest):
-            assert repacked.qubits(name) == range(cursor, cursor + layout.width(name))
-            cursor += layout.width(name)
-        assert repacked.total_qubits == layout.total_qubits == cursor
-        assert repacked.n == n and repacked.control_flags_present == with_controls
-
-    def test_same_basis_state_under_both_orders(self):
-        # a basis state keeps its per-subsystem values; only its index moves
-        layout = layout_for(2, with_controls=True)
-        repacked = layout.repacked("K2", "C1", "Q3")
-        assignment = {"M1": 1, "R1": 2, "C1": 3, "K2": 1, "Q3": 1}
-        index = basis_index(repacked, assignment)
-        for name, value in assignment.items():
-            r = repacked.qubits(name)
-            assert (index >> r.start) & ((1 << len(r)) - 1) == value
-        assert repacked.start("K2") == 0 and repacked.start("C1") == 1 and repacked.start("Q3") == 3
-
-    def test_unknown_or_repeated_subsystem(self):
-        layout = layout_for(1)
-        for _ in range(2):  # also once the valid derivations are kept
-            layout.repacked("C1", "K2")
-            with pytest.raises(ParameterError):
-                layout.repacked("Q1")
-            with pytest.raises(ParameterError):
-                layout.repacked("C1", "C1")
 
 
 class TestBasisIndex:
