@@ -8,7 +8,7 @@ permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path's w1 row is
 held bit for bit to the C1 = R2 = 0 slice of w1 after w0 on the
-manipulated build, and the flagging step, which runs w2 from that row and
+manipulated build, with and without control flags, and the flagging step, which runs w2 from that row and
 keeps only the payload block, bit for bit to the payload slice of w2, w3
 and the conditional measurement on the full register; its input is a
 random row, embedded by name for the reference.  States are float64 only;
@@ -44,7 +44,7 @@ from qamp.multiplier import (
     flag_and_measure,
     payload_block,
 )
-from qamp.registers import register_view, select
+from qamp.registers import CONTROL_FLAGS, register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 from support import join_parts, pinned, random_prepared, real_parts, sylvester_block
@@ -159,21 +159,33 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
         assert np.max(np.abs(got - unitaries[name] @ amps)) < 1e-15, name
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_w1_row_is_the_c1_zero_row_of_w1(n):
+@pytest.mark.parametrize(
+    "n, with_controls",
+    [(n, False) for n in (1, 2, 3, 4)] + [(n, True) for n in (1, 2, 3)],
+    ids=["1-plain", "2-plain", "3-plain", "4-plain", "1-flags", "2-flags", "3-flags"],
+)
+def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
     # the run path sums w1's C1 = 0 row over the R2 = 0 slice straight from
     # the operand tensors; odd and even n both, since the Hadamard scale is
-    # a power of two only at even n
-    layout = layout_for(n)
+    # a power of two only at even n.  The reference stages still take
+    # control flags: they start in |0> and no stage here touches them, so
+    # the row is the flags-zero slice and the rest stays zero
+    layout = layout_for(n, with_controls=with_controls)
     working = layout.without("B", "BT")
-    row_layout = working.without("C1", "R2")
-    rng = np.random.default_rng(4000 * n)
+    flags = {name: 0 for name in CONTROL_FLAGS if with_controls}
+    row_layout = working.without("C1", "R2", *flags)
+    rng = np.random.default_rng(4000 * n + with_controls)
     pm1 = random_prepared(rng, n, complex_b=True)
     pm2 = random_prepared(rng, n, complex_b=True)
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
             state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
-            want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0})
+            want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, **flags})
+            if flags:
+                rest = state.amplitudes.copy()
+                view, view_names = register_view(rest, working)
+                select(view, view_names, flags)[...] = 0.0
+                assert not np.any(rest), manips
             row, names = _w1_row(pm1, pm2, layout, manips)
             assert sorted(names) == sorted(row_layout.view_names)
             got = row.transpose([names.index(name) for name in row_layout.view_names])
