@@ -149,32 +149,38 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
+#: manipulation -> the option that asks for it
+MANIPULATION_OPTIONS = {"dagger1": "dagger_a", "dagger2": "dagger_b", "swap_order": "swap_order"}
+
+
+def _add_operand_arguments(p: argparse.ArgumentParser) -> None:
+    """The two operands, the manipulation flags and the slack parameter for
+    raw inputs, shared by ``multiply`` and ``estimate-g``."""
+    p.add_argument("a", help="first operand (matrix or prepared JSON file)")
+    p.add_argument("b", help="second operand (matrix or prepared JSON file)")
+    p.add_argument("--dagger-a", action="store_true", help="conjugate-transpose the first operand")
+    p.add_argument("--dagger-b", action="store_true", help="conjugate-transpose the second operand")
+    p.add_argument("--swap-order", action="store_true", help="exchange the operands' roles")
+    p.add_argument("--c", type=float, default=DEFAULT_C, help="slack parameter for raw inputs")
+
+
+def _load_operands(args):
+    """(first operand, second operand, manipulations, report flags) from the
+    arguments of :func:`_add_operand_arguments`."""
+    manips = {name for name, option in MANIPULATION_OPTIONS.items() if getattr(args, option)}
+    flags = {name: getattr(args, name) for name in ("a", "b", *MANIPULATION_OPTIONS.values(), "c")}
+    return _load_operand(args.a, args.c), _load_operand(args.b, args.c), manips, flags
+
+
 def cmd_multiply(args) -> int:
-    manips = set()
-    if args.dagger_a:
-        manips.add("dagger1")
-    if args.dagger_b:
-        manips.add("dagger2")
-    if args.swap_order:
-        manips.add("swap_order")
-    pm1 = _load_operand(args.a, args.c)
-    pm2 = _load_operand(args.b, args.c)
+    pm1, pm2, manips, flags = _load_operands(args)
     result = run_pipeline(pm1, pm2, manips, verify=args.verify)
     rescaled = ComplexMatrix(result.matrix_hat.n, result.matrix_hat.entries * result.scale_back)
 
     report = {
         "version": __version__,
         "command": "multiply",
-        "flags": {
-            "a": args.a,
-            "b": args.b,
-            "dagger_a": args.dagger_a,
-            "dagger_b": args.dagger_b,
-            "swap_order": args.swap_order,
-            "c": args.c,
-            "verify": args.verify,
-            "output": args.output,
-        },
+        "flags": {**flags, "verify": args.verify, "output": args.output},
         "layout": layout_for(pm1.n).summary(),
         "manipulations": sorted(manips),
         "matrix_hat": matrix_to_obj(result.matrix_hat),
@@ -222,13 +228,12 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_estimate_g(args) -> int:
-    pm1 = _load_operand(args.a, DEFAULT_C)
-    pm2 = _load_operand(args.b, DEFAULT_C)
-    est = estimate_g(pm1, pm2, (), shots=args.shots, seed=args.seed)
+    pm1, pm2, manips, flags = _load_operands(args)
+    est = estimate_g(pm1, pm2, manips, shots=args.shots, seed=args.seed)
     report = {
         "version": __version__,
         "command": "estimate-g",
-        "flags": {"a": args.a, "b": args.b, "shots": args.shots, "seed": args.seed},
+        "flags": {**flags, "shots": args.shots, "seed": args.seed},
         "s1": est.s1,
         "s1_tilde_exact": est.s1_tilde_exact,
         "s1_tilde_sampled": est.s1_tilde_sampled,
@@ -273,12 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("multiply", help="run the multiplication pipeline on two inputs")
-    p.add_argument("a", help="first operand (matrix or prepared JSON file)")
-    p.add_argument("b", help="second operand (matrix or prepared JSON file)")
-    p.add_argument("--dagger-a", action="store_true", help="conjugate-transpose the first operand")
-    p.add_argument("--dagger-b", action="store_true", help="conjugate-transpose the second operand")
-    p.add_argument("--swap-order", action="store_true", help="exchange the operands' roles")
-    p.add_argument("--c", type=float, default=DEFAULT_C, help="slack parameter for raw inputs")
+    _add_operand_arguments(p)
     p.add_argument(
         "--verify",
         action=argparse.BooleanOptionalAction,
@@ -294,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conjugate)
 
     p = sub.add_parser("estimate-g", help="recover the normalization factor by sampling")
-    p.add_argument("a", help="first operand (matrix or prepared JSON file)")
-    p.add_argument("b", help="second operand (matrix or prepared JSON file)")
+    _add_operand_arguments(p)
     p.add_argument("--shots", type=int, default=100_000, help="number of sampled runs")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(func=cmd_estimate_g)

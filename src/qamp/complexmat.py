@@ -20,6 +20,13 @@ from .errors import DimensionError, MethodUndefinedError, ParameterError, Valida
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
 
+#: amplitudes of products in one block of :func:`matmul_oracle`'s sum, a
+#: chunk of inner indices by a band of rows (the buffer they are added from
+#: has one more slot, for the running sum); 2**15 would put an n = 5 run
+#: above four of w1's rows, and with 2**12 every chunk from n = 6 on is a
+#: single inner index, which pays two copies of the running sum per index
+ORACLE_BLOCK = 1 << 14
+
 #: tolerance on the slack identity |b|^2 + sum |entries|^2 = 1, and relative
 #: tolerance on the scale record weight * (s_original + c)^2 = s_original
 NORM_TOL = 1e-12
@@ -104,8 +111,9 @@ class PreparedMatrix:
         s, c = self.s_original, self.c
         if not (c > 0) or not (s >= 0):  # also rejects NaN
             raise ValidationError(f"need c > 0 and s_original >= 0, got c={c!r}, s_original={s!r}")
+        _check_scale(s, c, ValidationError)
         # scaling by 1/(s + c) maps weight s to s / (s + c)^2
-        unscaled = w * self.scale**2
+        unscaled = w * self.scale * self.scale
         if abs(unscaled - s) > NORM_TOL * s:
             raise ValidationError(
                 f"s_original={s!r} and c={c!r} disagree with the entries: "
@@ -147,19 +155,31 @@ def pad_to_square(rows: Sequence[Sequence[complex]]) -> ComplexMatrix:
     return ComplexMatrix(n, out)
 
 
+def _check_scale(s: float, c: float, error: type) -> None:
+    """Raise ``error`` when the squared scale (s + c)^2 overflows float64:
+    rescaling a product by (s1 + c)(s2 + c), or checking a scale record,
+    would then read inf."""
+    scale = s + c
+    if not math.isfinite(scale * scale):
+        raise error(f"the scale (s + c)^2 overflows float64 for s={s!r} and c={c!r}")
+
+
 def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> PreparedMatrix:
     """Scale ``a`` by 1/(s + c), s its squared-magnitude sum, and attach slack.
 
     The slack amplitude is real and nonnegative unless ``b_phase`` is given.
     For c <= 1/4 certain weights s make the scaled sum reach 1, in which case
     no valid slack exists and a parameter error is raised; any c > 1/4 is safe
-    for every finite input.
+    for every finite input.  A c that is not finite, or whose squared scale
+    (s + c)^2 overflows float64, is a parameter error too: the scale record
+    could not be written as JSON or multiplied back.
     """
-    if not (c > 0):  # also rejects NaN
-        raise ParameterError(f"slack parameter c must be positive, got {c}")
+    if not (c > 0) or not math.isfinite(c):  # also rejects NaN
+        raise ParameterError(f"slack parameter c must be positive and finite, got {c}")
     if not np.all(np.isfinite(a.entries)):
         raise ValidationError("matrix entries must be finite")
     s = a.weight()
+    _check_scale(s, c, ParameterError)
     scaled = ComplexMatrix(a.n, a.entries / (s + c))
     w = scaled.weight()
     if w >= 1.0:
@@ -171,28 +191,63 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
     return PreparedMatrix(matrix=scaled, b=complex(b), s_original=s, c=float(c))
 
 
+def block_shape(terms: int, rows: int, width: int, cap: int) -> tuple[int, int]:
+    """(chunk, band) for an ordered sum of ``terms`` arrays of shape
+    (``rows``, ``width``) taken a block at a time: ``chunk`` terms by
+    ``band`` rows, plus one slot for the band's running sum, in at most
+    ``cap`` amplitudes, or one term and one row when even that is larger."""
+    chunk = min(terms, max(1, cap // width - 1))
+    band = min(rows, max(1, cap // ((chunk + 1) * width)))
+    return chunk, band
+
+
 def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Reference product accumulated entrywise from real/imaginary components.
 
     This is the independent check every decoded quantum product is held
-    against, so it uses no matrix product, BLAS call or reduction, which
-    would reorder the sums.  Every (j, k) entry accumulates, from +0.0 and
-    over the inner index l in order, re += a0*b0 - a1*b1 and
-    im += a0*b1 + a1*b0: the plain triple loop, with each step of l run as
-    elementwise float64 operations over all (j, k) at once, so each entry
-    rounds exactly as the scalar loop does.
+    against, so it uses no matrix product or BLAS call, which would reorder
+    the sums.  Every (j, k) entry accumulates, from +0.0 and over the inner
+    index l in order, re += a0*b0 - a1*b1 and im += a0*b1 + a1*b0: the
+    plain triple loop, run a block of (l, j) values at a time
+    (:func:`block_shape`, at most :data:`ORACLE_BLOCK` amplitudes).  Per
+    block and part, one einsum per component writes that component's
+    products for every (l, j, k) of the block, one subtraction or addition
+    combines them, and one reduction along l adds them onto the running
+    sum of the band's rows, held in the block's first slot; numpy reduces
+    along that leading axis one slice after another, so in l order.  Each
+    entry therefore rounds exactly as the scalar loop does.  (einsum writes
+    a zero product as +0.0, but a sum that starts at +0.0 never holds -0.0,
+    and adding either zero to it gives the same bits.)
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
-    a0, a1 = a.entries.real, a.entries.imag
-    b0, b1 = b.entries.real, b.entries.imag
-    re = np.zeros((a.dim, a.dim))
-    im = np.zeros((a.dim, a.dim))
-    for l in range(a.dim):
-        a0l, a1l = a0[:, l, None], a1[:, l, None]
-        re += a0l * b0[l] - a1l * b1[l]
-        im += a0l * b1[l] + a1l * b0[l]
-    out = np.empty((a.dim, a.dim), dtype=np.complex128)
+    dim = a.dim
+    # components as contiguous rows: a's transposed, so row l is column l
+    a0, a1 = np.array((a.entries.real.T, a.entries.imag.T))
+    b0, b1 = np.array((b.entries.real, b.entries.imag))
+    re = np.zeros((dim, dim))
+    im = np.zeros((dim, dim))
+    chunk, band = block_shape(dim, dim, dim, ORACLE_BLOCK)
+    summed = np.empty((chunk + 1) * band * dim)
+    other = np.empty(chunk * band * dim)
+    for j in range(0, dim, band):
+        js = slice(j, j + band)
+        for l in range(0, dim, chunk):
+            ls = slice(l, l + chunk)
+            shape = (min(chunk, dim - l), min(band, dim - j), dim)
+            block = summed[: (shape[0] + 1) * shape[1] * dim].reshape(-1, *shape[1:])
+            products = other[: block[1:].size].reshape(shape)
+            # re += x0*y0 - x1*y1 and im += x0*y0 + x1*y1, for each l in order
+            for part, (x0, y0), (x1, y1), combine in (
+                (re, (a0, b0), (a1, b1), np.subtract),
+                (im, (a0, b1), (a1, b0), np.add),
+            ):
+                np.copyto(block[0], part[js])
+                np.einsum("lj,lk->ljk", x0[ls, js], y0[ls], out=block[1:])
+                np.einsum("lj,lk->ljk", x1[ls, js], y1[ls], out=products)
+                combine(block[1:], products, out=block[1:])
+                np.add.reduce(block, axis=0, out=part[js])
+    out = np.empty((dim, dim), dtype=np.complex128)
     # set separately: re + 1j * im would turn an imaginary -0.0 into +0.0
     out.real, out.imag = re, im
     return ComplexMatrix(a.n, out)

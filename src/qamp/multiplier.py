@@ -35,11 +35,16 @@ holds a register state.  Walking back from that branch:
   first operand's factor at C1 = c times the second's at R2 = c.  Each
   manipulation is a signed permutation of one operand's encoding, so it
   only renames the operands' subsystems and signs a component tensor
-  (:func:`qamp.conjugator.apply_q_to_operands`).
+  (:func:`qamp.conjugator.apply_q_to_operands`).  The renamed blocks and
+  signs depend only on the layout and the manipulations, so each pair is
+  derived once and kept on the layout.
 
 So a run is two steps.  :func:`_w1_row` sums the row from the two
 component tensors, one outer product per c, into one 2**(n+2) x 2**(n+2)
-array.  :func:`flag_and_measure` writes w2's flagged output from the row
+array.  It takes the sum a block at a time, a chunk of c values by a band
+of rows in at most :data:`BLOCK` amplitudes, with a few numpy calls per
+block, and every amplitude still takes its terms in c order.
+:func:`flag_and_measure` writes w2's flagged output from the row
 straight into the payload block (M1, R1, C2 and K1, 2**(2n+2) amplitudes)
 in the order of ``payload_block(layout).layout``, then weighs and
 renormalizes it.  The product and the estimator's K1 weight are read from
@@ -71,7 +76,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexmat import ComplexMatrix, PreparedMatrix, dagger_oracle, matmul_oracle
+from .complexmat import (
+    ComplexMatrix,
+    PreparedMatrix,
+    block_shape,
+    dagger_oracle,
+    matmul_oracle,
+)
 from .conjugator import apply_q_to_operands
 from .encoder import (
     EncodedBlock,
@@ -86,6 +97,7 @@ from .statevector import (
     _SQRT1_2,
     GateSpec,
     StateVector,
+    _negate,
     _weight,
     apply_gates,
     project_and_renormalize,
@@ -104,10 +116,11 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
 
-#: amplitudes of w1's row that :func:`_w1_row` completes at a time, so the
-#: band and the term added to it stay in a 2 MiB L2 cache (the n = 8 row
-#: took 0.53 s summed in such bands, 0.85 s summed whole)
-BAND = 1 << 16
+#: amplitudes in one block of :func:`_w1_row`'s terms (a chunk of c values
+#: by a band of the row's rows, plus the slot that carries the band's
+#: running sum), 256 KiB, so a block stays in a 2 MiB L2 cache; up to n = 6
+#: a chunk holds every c, and from n = 4 on the rows are split into bands
+BLOCK = 1 << 15
 
 #: resident bytes of the process around a run's arrays: the interpreter and
 #: numpy (36 MB before an n = 5 run on Python 3.11 with numpy 2.4)
@@ -141,22 +154,40 @@ class ProductResult:
     scale_back: float
 
 
+def _manipulated_blocks(layout: RegisterLayout, manips: frozenset):
+    """The two operands' blocks on ``layout`` after ``manips``, each with
+    whether the label = 1 half of its tensor ends negated: what
+    :func:`qamp.conjugator.apply_q_to_operands` makes of the
+    :meth:`~qamp.encoder.EncodedBlock.for_side` blocks, in
+    :data:`MANIPULATION_STAGES` order.  The sign is read off a probe tensor
+    with one amplitude per label value."""
+    probe = np.ones((1, 1, 1, 2))
+    operands = [(probe, EncodedBlock.for_side(layout, side)) for side in ("first", "second")]
+    for name, which in MANIPULATION_STAGES:
+        if name in manips:
+            operands = apply_q_to_operands(operands, which)
+    return tuple((block, bool(tensor[0, 0, 0, 1] < 0)) for tensor, block in operands)
+
+
 def _operands(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
     """The two operands' (component tensor, block) pairs on ``layout``, with
-    each manipulation, in :data:`MANIPULATION_STAGES` order, applied by
-    :func:`qamp.conjugator.apply_q_to_operands`."""
+    each manipulation, in :data:`MANIPULATION_STAGES` order, applied as
+    :func:`qamp.conjugator.apply_q_to_operands` applies it.  The renamed
+    blocks and signs depend only on ``layout`` and the manipulations, so
+    they are derived once (:func:`_manipulated_blocks`) and kept on the
+    layout; a run only builds the two tensors and negates a label half in
+    place, which gives apply_q_to_operands' bits, since negation is exact."""
     manips = _check_manipulations(manipulations)
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
     if pm1.n != layout.n:
         raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
-    operands = [
-        (_components(pm1), EncodedBlock.for_side(layout, "first")),
-        (_components(pm2), EncodedBlock.for_side(layout, "second")),
-    ]
-    for name, which in MANIPULATION_STAGES:
-        if name in manips:
-            operands = apply_q_to_operands(operands, which)
+    operands = []
+    for pm, (block, negated) in zip((pm1, pm2), layout.kept(_manipulated_blocks, manips)):
+        tensor = _components(pm)
+        if negated:
+            _negate(tensor[..., 1])
+        operands.append((tensor, block))
     return operands
 
 
@@ -249,9 +280,16 @@ def _w1_row(
     operand's block and R2 in the second's.  Row 0 of the Hadamard matrix
     is 2**(-n/2) throughout, so the row is the sum over c of 2**(-n/2)
     times the outer product of those two factors, accumulated in c order
-    from +0.0 as :func:`apply_w1` does.  The row is completed a band of
-    :data:`BAND` amplitudes at a time, and every amplitude still takes its
-    terms in c order.
+    from +0.0 as :func:`apply_w1` does.
+
+    The sum is taken a block at a time
+    (:func:`qamp.complexmat.block_shape`, at most :data:`BLOCK`
+    amplitudes): one einsum writes the outer products of a chunk of c
+    values for a band of rows, one multiply scales them, and one reduction
+    along the chunk adds them, in c order, onto the band's running sum held
+    in the block's first slot.  (einsum writes a zero product as +0.0, but
+    the running sum starts at +0.0, so never holds -0.0, and adding either
+    zero to it gives the same bits.)
     """
     (first, block1), (second, block2) = _operands(pm1, pm2, layout, manipulations)
     dim = 1 << layout.n
@@ -259,14 +297,18 @@ def _w1_row(
     first = first.transpose([block1.registers.index(name) for name in front1]).reshape(dim, -1)
     second = second.transpose([block2.registers.index(name) for name in front2]).reshape(dim, -1)
     row = np.zeros((first.shape[1], second.shape[1]))
-    bands = max(1, row.size // BAND)
-    term = np.empty((row.shape[0] // bands, row.shape[1]))
-    scale = _sylvester(layout.n)[0, 0]
-    for rows, firsts in zip(np.split(row, bands), np.split(first, bands, axis=1)):
-        for f, s in zip(firsts, second):
-            np.multiply(f[:, None], s, out=term)
-            np.multiply(term, scale, out=term)
-            np.add(rows, term, out=rows)
+    chunk, band = block_shape(dim, *row.shape, BLOCK)
+    slots = np.empty((chunk + 1) * band * row.shape[1])
+    scale = 2.0 ** (-layout.n / 2)
+    for r in range(0, row.shape[0], band):
+        rows = row[r : r + band]
+        for c in range(0, dim, chunk):
+            factors = first[c : c + chunk, r : r + band]
+            block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
+            np.copyto(block[0], rows)
+            np.einsum("cr,cs->crs", factors, second[c : c + chunk], out=block[1:])
+            np.multiply(block[1:], scale, out=block[1:])
+            np.add.reduce(block, axis=0, out=rows)
     return row.reshape(2, dim, 2, 2, dim, 2), (*front1[1:], *front2[1:])
 
 
@@ -322,29 +364,37 @@ def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[Sta
     return project_and_renormalize(state, layout.start("BT"), 1)
 
 
+def _payload_block(layout: RegisterLayout) -> EncodedBlock:
+    return EncodedBlock(layout.without(*ANCILLAE, *PAYLOAD_ZEROS), m="M1", r="R1", c="C2", k="K1")
+
+
 def payload_block(layout: RegisterLayout) -> EncodedBlock:
     """Where :func:`flag_and_measure` leaves the product: (M1, R1, C2, K1)
     on ``layout`` without the ancillae and the payload-zero subsystems, a
-    layout that keeps any control flags."""
-    return EncodedBlock(layout.without(*ANCILLAE, *PAYLOAD_ZEROS), m="M1", r="R1", c="C2", k="K1")
+    layout that keeps any control flags.  Built once per layout."""
+    return layout.kept(_payload_block)
 
 
 def peak_bytes(layout: RegisterLayout) -> int:
     """Resident bytes of a process at the peak of a run on ``layout``,
     bounded by everything a run allocates held at once: w1's row of
-    2**(2n+4) float64 amplitudes, the band of terms added to it, the two
-    operand tensors, the payload block and the squares of its weight (a
-    quarter of the row each), and :data:`RUNTIME_BYTES`."""
+    2**(2n+4) float64 amplitudes, the block of terms added to it (at most
+    :data:`BLOCK` amplitudes), the two operand tensors, the payload block
+    and the squares of its weight (a quarter of the row each), and
+    :data:`RUNTIME_BYTES`."""
     row = 1 << (2 * layout.n + 4)
-    return 8 * (2 * row + min(row, BAND)) + RUNTIME_BYTES
+    return 8 * (2 * row + BLOCK) + RUNTIME_BYTES
 
 
 def flag_and_measure(
     row: np.ndarray, names: tuple[str, ...], layout: RegisterLayout
 ) -> tuple[StateVector, float]:
     """:func:`apply_w2`, :func:`apply_w3` and :func:`conditional_measure`
-    from w1's row (:func:`_w1_row`: axes named by ``names``, with C1, R2
-    and the ancillae taken to be in |0>), kept to the payload block.
+    from w1's row (:func:`_w1_row`, with C1, R2 and the ancillae taken to
+    be in |0>), kept to the payload block.  The row's axes are K1, R1, the
+    first operand's label, K2, C2 and the second's label, as ``names``
+    gives them; only the labels' order, plain (M1, M2) or crossed by the
+    operand exchange (M2, M1), is read from it.
 
     w3 moves the payload slice (C1, R2, M2 and K2 all 0) to B = BT = 1 and
     nothing else lands there, so the flagged branch is w2's M2 = K2 = 0
@@ -361,15 +411,12 @@ def flag_and_measure(
     amps = np.empty(1 << block.total_qubits)
     view, view_names = register_view(amps, block)
     out = view.transpose([view_names.index(name) for name in ("K1", "M1", "R1", "C2")])
-
-    def column(k, m2, m1):
-        # the row's (R1, C2) matrix at K1 = K2 = k and (M2, M1) = (m2, m1)
-        pins = {"K1": k, "K2": k, "M2": m2, "M1": m1}
-        return row[tuple(pins.get(name, slice(None)) for name in names)]
-
+    if names[2] == "M2":  # crossed labels: put M1 on axis 2 and M2 on axis 5
+        row = row.swapaxes(2, 5)
     for k in (0, 1):
-        np.subtract(column(k, 0, 0), column(k, 1, 1), out=out[k, 0])
-        np.add(column(k, 0, 1), column(k, 1, 0), out=out[k, 1])
+        # row[k, :, m1, k, :, m2] is the (R1, C2) matrix at K1 = K2 = k
+        np.subtract(row[k, :, 0, k, :, 0], row[k, :, 1, k, :, 1], out=out[k, 0])
+        np.add(row[k, :, 1, k, :, 0], row[k, :, 0, k, :, 1], out=out[k, 1])
     np.multiply(amps, _SQRT1_2, out=amps)
     weight = _weight(amps)
     if weight == 0.0:

@@ -38,9 +38,9 @@ class RegisterLayout:
     """Immutable name-to-qubit-range map for matrices of size 2**n.
 
     Layouts are shared: :func:`layout_for` returns one instance per
-    argument pair, and each instance keeps the layouts derived from it by
-    :meth:`without`, so a process derives each layout once.  ``slices`` is
-    therefore read-only.
+    argument pair, and each instance keeps what is derived from it
+    (:meth:`kept`), such as the layouts of :meth:`without`, so a process
+    derives each once.  ``slices`` is therefore read-only.
     """
 
     n: int
@@ -72,29 +72,24 @@ class RegisterLayout:
         """Subsystem names in register-view axis order, most significant first."""
         return tuple(sorted(self.slices, key=self.start, reverse=True))
 
+    def kept(self, derive, *args):
+        """``derive(self, *args)``, computed on the first call with these
+        arguments and then kept on this instance: for values that depend
+        only on the layout and ``args``, which must be hashable."""
+        key = (derive, args)
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = derive(self, *args)
+            return value
+
     def without(self, *names: str) -> "RegisterLayout":
         """This layout with the named subsystems removed and the rest packed
         down in the same order, so a state on it is this layout's state
         restricted to those subsystems in |0>.  An unknown or repeated name
         raises :class:`ParameterError`.  Built on first use, then kept on
         this instance."""
-        layout = self._derived.get(names)
-        if layout is None:
-            for name in names:
-                self.qubits(name)  # raises on unknown subsystem
-            if len(set(names)) != len(names):
-                raise ParameterError(f"subsystems named twice in {names}")
-            slices = {}
-            cursor = 0
-            for name in self.view_names[::-1]:
-                if name not in names:
-                    slices[name] = range(cursor, cursor + self.width(name))
-                    cursor += self.width(name)
-            layout = RegisterLayout(
-                n=self.n, slices=slices, control_flags_present=self.control_flags_present
-            )
-            self._derived[names] = layout
-        return layout
+        return self.kept(_without, *names)
 
     def summary(self) -> dict:
         """Plain structure for reports: name -> [first, last] qubit, plus totals."""
@@ -103,6 +98,22 @@ class RegisterLayout:
             "total_qubits": self.total_qubits,
             "subsystems": {name: [r.start, r.stop - 1] for name, r in self.slices.items()},
         }
+
+
+def _without(layout: RegisterLayout, *names: str) -> RegisterLayout:
+    for name in names:
+        layout.qubits(name)  # raises on unknown subsystem
+    if len(set(names)) != len(names):
+        raise ParameterError(f"subsystems named twice in {names}")
+    slices = {}
+    cursor = 0
+    for name in layout.view_names[::-1]:
+        if name not in names:
+            slices[name] = range(cursor, cursor + layout.width(name))
+            cursor += layout.width(name)
+    return RegisterLayout(
+        n=layout.n, slices=slices, control_flags_present=layout.control_flags_present
+    )
 
 
 def layout_for(n: int, with_controls: bool = False) -> RegisterLayout:

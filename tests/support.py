@@ -3,6 +3,7 @@
 import numpy as np
 
 from qamp import ComplexMatrix, PreparedMatrix, prepare
+from qamp.complexmat import block_shape
 from qamp.registers import register_view, select
 
 
@@ -17,6 +18,44 @@ def random_prepared(rng, n, complex_b=False):
     c = rng.uniform(0.3, 2.0)
     phase = rng.uniform(0.0, 2.0 * np.pi) if complex_b else None
     return prepare(random_matrix(rng, n), c, b_phase=phase)
+
+
+def mixed_entries(rng, n):
+    """Complex entries whose components mix +0.0, -0.0 and magnitudes from
+    1e-8 to 1e8 of either sign."""
+    shape = (2, 1 << n, 1 << n)  # (real/imaginary, row, column)
+    magnitude = 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+    kind = rng.integers(0, 4, size=shape)
+    entries = np.empty(shape[1:], dtype=np.complex128)
+    entries.real, entries.imag = np.choose(
+        kind, [np.zeros(shape), np.full(shape, -0.0), magnitude, -magnitude]
+    )
+    return entries
+
+
+#: block caps, from the number of terms of an ordered sum and the width of
+#: a term's row, that bring ``block_shape`` to each of its boundaries
+BLOCK_CAPS = {
+    "one-term-chunks": lambda terms, width: 2 * width,
+    "partial-last-chunk": lambda terms, width: 4 * width,
+    "partial-last-band": lambda terms, width: 3 * (terms + 1) * width,
+}
+
+
+def block_cap(case, terms, rows, width):
+    """The cap of ``BLOCK_CAPS[case]`` for a sum of ``terms`` arrays of shape
+    (rows, width), checked to reach that boundary: every chunk one term and
+    every band one row; chunks of several terms, the last one partial; or
+    every term in one chunk and bands of several rows, the last one partial."""
+    cap = BLOCK_CAPS[case](terms, width)
+    chunk, band = block_shape(terms, rows, width, cap)
+    if case == "one-term-chunks":
+        assert chunk == 1 and band == 1
+    elif case == "partial-last-chunk":
+        assert 1 < chunk < terms and terms % chunk and band == 1
+    else:
+        assert chunk == terms and 1 < band < rows and rows % band
+    return cap
 
 
 def prepared_from_tilde(entries, b_phase=0.0):

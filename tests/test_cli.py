@@ -1,12 +1,14 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qamp import encoder, multiplier
 from qamp.cli import build_parser, main
-from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj
+from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj, prepare
+from qamp.estimator import estimate_g
 
 IDENTITY_HALF = {
     "n": 1,
@@ -66,6 +68,25 @@ class TestPrepare:
 
     def test_missing_file_exit_2(self):
         assert main(["prepare", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize("c", ["inf", "-inf", "nan"])
+    def test_non_finite_c_exit_2(self, tmp_path, desk_matrix, capsys, c):
+        # "c": inf would be written as a file that is not JSON
+        dst = tmp_path / "p.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["prepare", desk_matrix, f"--c={c}", "-o", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "slack parameter c" in err
+        assert not dst.exists()
+
+    def test_overflowing_scale_exit_2(self, desk_matrix, capsys):
+        # (s + c)^2 = 1e400: the scale record would read inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["prepare", desk_matrix, "--c", "1e200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "c=1e+200" in err and "overflows" in err
 
 
 class TestMultiply:
@@ -138,13 +159,13 @@ class TestMultiply:
 
     def test_oversized_run_refused_exit_2(self, tmp_path, capsys, monkeypatch):
         # physical memory reported one byte short of an n = 2 run's peak: two
-        # w1 rows of 2**8 amplitudes, a band of terms as large and the runtime
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67115008 - 1)
+        # w1 rows of 2**8 amplitudes, a block of 2**15 terms and the runtime
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67375104 - 1)
         entries = [[[0.1 * (j + k), 0.0] for k in range(4)] for j in range(4)]
         a = write_json(tmp_path / "a.json", {"n": 2, "entries": entries})
         assert main(["multiply", a, a]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "needs 67115008 bytes" in err
+        assert err.startswith("error: ") and "needs 67375104 bytes" in err
 
     def test_prepared_file_inconsistent_scale_exit_2(self, tmp_path, capsys):
         # the desk file records s_original = 0.5; with 5.0 the rescaled
@@ -154,6 +175,22 @@ class TestMultiply:
         assert main(["multiply", prepared, prepared]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "disagree with the entries" in err
+
+    def test_overflowing_scale_exit_2(self, tmp_path, capsys):
+        # the rescaling (s1 + c)(s2 + c) = 1e400 would overflow; neither a
+        # raw operand nor a prepared file with such a c is multiplied
+        identity = {"n": 1, "entries": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+        zero = {"n": 1, "entries": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        identity = write_json(tmp_path / "i.json", identity)
+        doc = {**zero, "b": [1.0, 0.0], "s_original": 0.0, "c": 1e200}
+        prepared = write_json(tmp_path / "p.json", doc)
+        for argv in (["multiply", identity, identity, "--c", "1e200"], ["multiply", prepared, prepared]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and "c=1e+200" in captured.err
 
     def test_mismatched_n_exit_3(self, tmp_path, desk_matrix):
         big = write_json(
@@ -227,11 +264,11 @@ class TestConjugate:
     def test_runs_on_the_operands_own_registers(self, tmp_path, capsys, monkeypatch):
         # too little memory for a multiply at n = 2, plenty for the 2n+2
         # qubits of one operand
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67115008 - 1)
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67375104 - 1)
         entries = np.random.default_rng(239).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
         assert main(["multiply", src, src]) == 2
-        assert "needs 67115008 bytes" in capsys.readouterr().err
+        assert "needs 67375104 bytes" in capsys.readouterr().err
         assert main(["conjugate", src]) == 0
         out = json.loads(capsys.readouterr().out)
         got = np.array([[complex(*pair) for pair in row] for row in out["entries"]])
@@ -270,6 +307,53 @@ class TestEstimateG:
         )
         assert main(["estimate-g", prepared, prepared, "--shots", "10"]) == 4
         assert "undefined" in capsys.readouterr().err
+
+    def test_c_option_equals_prepared_input(self, tmp_path, capsys):
+        # estimate-g --c C on raw files estimates g for the operands that
+        # prepare --c C writes, to the bit
+        rng = np.random.default_rng(41)
+        raw = [
+            write_json(tmp_path / f"{name}.json", matrix_to_obj(ComplexMatrix(2, rng.normal(size=(4, 4)))))
+            for name in "ab"
+        ]
+        prepared = [str(tmp_path / f"p{name}.json") for name in "ab"]
+        for src, dst in zip(raw, prepared):
+            assert main(["prepare", src, "--c", "0.7", "-o", dst]) == 0
+        fields = tuple(f'  "{name}": ' for name in ("g_exact", "g_hat", "stderr"))
+        reports = []
+        for argv in ([*raw, "--c", "0.7"], prepared, raw):
+            assert main(["estimate-g", *argv, "--shots", "3000", "--seed", "5"]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            reports.append([line for line in lines if line.startswith(fields)])
+        assert len(reports[0]) == len(fields)
+        assert reports[0] == reports[1]
+        assert reports[0] != reports[2]  # the default c = 1 prepares other operands
+
+    def test_manipulation_flags(self, tmp_path, capsys):
+        rng = np.random.default_rng(43)
+        matrices = [ComplexMatrix(2, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for _ in "ab"]
+        a, b = (write_json(tmp_path / f"{name}.json", matrix_to_obj(m)) for name, m in zip("ab", matrices))
+        pm1, pm2 = (prepare(m, 1.0) for m in matrices)
+        for options, manips in (
+            ([], set()),
+            (["--dagger-a", "--swap-order"], {"dagger1", "swap_order"}),
+            (["--dagger-b"], {"dagger2"}),
+        ):
+            assert main(["estimate-g", a, b, *options, "--shots", "1000", "--seed", "2"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            want = estimate_g(pm1, pm2, manips, shots=1000, seed=2)
+            assert report["s1_tilde_exact"] == want.s1_tilde_exact
+            assert report["g_hat"] == want.g_hat
+            assert report["flags"] == {
+                "a": a,
+                "b": b,
+                "dagger_a": "dagger1" in manips,
+                "dagger_b": "dagger2" in manips,
+                "swap_order": "swap_order" in manips,
+                "c": 1.0,
+                "shots": 1000,
+                "seed": 2,
+            }
 
     def test_shots_beyond_int64_exit_2(self, desk_matrix, capsys):
         assert main(["estimate-g", desk_matrix, desk_matrix, "--shots", str(2**63)]) == 2

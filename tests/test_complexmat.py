@@ -19,7 +19,8 @@ from qamp import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from support import matmul_oracle_numpy, random_matrix
+from qamp import complexmat
+from support import BLOCK_CAPS, block_cap, matmul_oracle_numpy, mixed_entries, random_matrix
 
 
 def matmul_swapped_loops(a, b):
@@ -263,6 +264,20 @@ class TestMatmulOracle:
                 kind, [np.zeros(shape), np.full(shape, -0.0), magnitude, -magnitude]
             )
             a, b = (ComplexMatrix(n, e) for e in entries)
+            got = matmul_oracle(a, b).entries
+            assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CAPS))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_is_the_numpy_scalar_loop_in_every_block_shape(self, n, case, monkeypatch):
+        # at run sizes a block holds every l, and only n >= 6 has more than
+        # one; with the cap brought down the blocks split the l range and
+        # the rows as they do there, and the bits must not move
+        dim = 1 << n
+        monkeypatch.setattr(complexmat, "ORACLE_BLOCK", block_cap(case, dim, dim, dim))
+        rng = np.random.default_rng(60 + n)
+        for _ in range(2):
+            a, b = (ComplexMatrix(n, mixed_entries(rng, n)) for _ in range(2))
             got = matmul_oracle(a, b).entries
             assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
 

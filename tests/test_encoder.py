@@ -139,13 +139,12 @@ class TestDecode:
 
 
 class TestMemoryPreflight:
-    # n = 5: a run is allowed w1's row of 2**14 float64 amplitudes, a band of
-    # terms as large (the whole row at this n), another row's worth for the
-    # operand tensors, the payload block and its squares, and the 64 MiB
-    # runtime allowance; the row (128 KiB) is well above what raising the
-    # refusal allocates
+    # n = 5: a run is allowed w1's row of 2**14 float64 amplitudes, a block
+    # of 2**15 terms, another row's worth for the operand tensors, the
+    # payload block and its squares, and the 64 MiB runtime allowance; the
+    # row (128 KiB) is well above what raising the refusal allocates
     ROW = 8 * (1 << 14)
-    NEEDED = 3 * ROW + (64 << 20)
+    NEEDED = 2 * ROW + 8 * (1 << 15) + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)

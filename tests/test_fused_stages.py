@@ -8,7 +8,8 @@ permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path's w1 row is
 held bit for bit to the C1 = R2 = 0 slice of w1 after w0 on the
-manipulated build, with and without control flags, and the flagging step, which runs w2 from that row and
+manipulated build, with and without control flags and with its block cap
+brought down to each block boundary, and the flagging step, which runs w2 from that row and
 keeps only the payload block, bit for bit to the payload slice of w2, w3
 and the conditional measurement on the full register; its input is a
 random row, embedded by name for the reference.  States are float64 only;
@@ -21,6 +22,7 @@ import numpy as np
 import pytest
 
 from qamp import (
+    ComplexMatrix,
     EncodedBlock,
     GateSpec,
     MeasurementError,
@@ -35,6 +37,8 @@ from qamp import (
     conditional_measure,
     hermitian_conjugate,
     layout_for,
+    multiplier,
+    prepare,
 )
 from qamp.multiplier import (
     MANIPULATIONS,
@@ -47,7 +51,16 @@ from qamp.multiplier import (
 from qamp.registers import CONTROL_FLAGS, register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
-from support import join_parts, pinned, random_prepared, real_parts, sylvester_block
+from support import (
+    BLOCK_CAPS,
+    block_cap,
+    join_parts,
+    mixed_entries,
+    pinned,
+    random_prepared,
+    real_parts,
+    sylvester_block,
+)
 
 W1_TOL = 1e-15
 
@@ -190,6 +203,32 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
             assert sorted(names) == sorted(row_layout.view_names)
             got = row.transpose([names.index(name) for name in row_layout.view_names])
             assert np.ascontiguousarray(got).tobytes() == want.tobytes(), manips
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
+    # the row is summed a block at a time, and at n <= 4 the default block
+    # holds every c; with the cap brought down the blocks split the c range
+    # and the rows as they do from n = 6 on, and the row must not move.
+    # Operand components mix +-0.0 with magnitudes of either sign
+    layout = layout_for(n)
+    working = layout.without("B", "BT")
+    row_layout = working.without("C1", "R2")
+    dim = 1 << n
+    caps = {case: block_cap(case, dim, 4 * dim, 4 * dim) for case in BLOCK_CAPS}
+    rng = np.random.default_rng(4100 + n)
+    pm1, pm2 = (
+        prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase) for phase in (None, 2.0)
+    )
+    for r in range(4):
+        for manips in itertools.combinations(sorted(MANIPULATIONS), r):
+            state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
+            want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0}).tobytes()
+            for case, cap in caps.items():
+                monkeypatch.setattr(multiplier, "BLOCK", cap)
+                row, names = _w1_row(pm1, pm2, layout, manips)
+                got = row.transpose([names.index(name) for name in row_layout.view_names])
+                assert np.ascontiguousarray(got).tobytes() == want, (manips, case)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

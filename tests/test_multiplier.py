@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -29,7 +30,9 @@ from qamp import (
     run_pipeline,
 )
 from qamp import multiplier
-from qamp.multiplier import flagged_state
+from qamp.conjugator import apply_q_to_operands
+from qamp.multiplier import MANIPULATION_STAGES, flagged_state
+from qamp.registers import RegisterLayout
 from support import prepared_from_tilde, random_prepared
 from bruteforce import (
     bf_initial_state,
@@ -151,6 +154,64 @@ class TestBuildInitial:
             build_initial(random_prepared(rng, 1), random_prepared(rng, 2), layout_for(1))
         with pytest.raises(DimensionError):
             build_initial(random_prepared(rng, 1), random_prepared(rng, 1), layout_for(2))
+
+
+class TestManipulatedBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_are_what_apply_q_to_operands_makes(self, n):
+        # the blocks and signs kept per (layout, manipulations) against
+        # apply_q_to_operands on the for_side blocks with real tensors
+        layout = layout_for(n)
+        dim = 1 << n
+        rng = np.random.default_rng(170 + n)
+        tensors = [rng.normal(size=(2, dim, dim, 2)) for _ in range(2)]
+        for manips in ALL_SUBSETS:
+            operands = [
+                (tensor, EncodedBlock.for_side(layout, side))
+                for tensor, side in zip(tensors, ("first", "second"))
+            ]
+            for name, which in MANIPULATION_STAGES:
+                if name in manips:
+                    operands = apply_q_to_operands(operands, which)
+            kept = layout.kept(multiplier._manipulated_blocks, manips)
+            assert len(kept) == 2
+            for (tensor, block), original, (kept_block, negated) in zip(operands, tensors, kept):
+                assert kept_block == block, sorted(manips)
+                signed = original.copy()
+                if negated:
+                    signed[..., 1] *= -1.0
+                assert tensor.tobytes() == signed.tobytes(), sorted(manips)
+
+    def test_second_run_derives_nothing(self, monkeypatch):
+        # a fresh layout instance keeps nothing yet; the first run of each
+        # manipulation set derives its blocks, a second run only looks them up
+        calls = {"apply_q_to_operands": 0, "replace": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            multiplier, "apply_q_to_operands", counting("apply_q_to_operands", apply_q_to_operands)
+        )
+        monkeypatch.setattr(dataclasses, "replace", counting("replace", dataclasses.replace))
+        shared = layout_for(2)
+        layout = RegisterLayout(n=2, slices=shared.slices, control_flags_present=False)
+        rng = np.random.default_rng(173)
+        pm1, pm2 = random_prepared(rng, 2, complex_b=True), random_prepared(rng, 2, complex_b=True)
+        for manips in ALL_SUBSETS:
+            want = run_pipeline(pm1, pm2, manips, shared)
+            before = dict(calls)
+            first = run_pipeline(pm1, pm2, manips, layout)
+            assert calls["apply_q_to_operands"] - before["apply_q_to_operands"] == len(manips)
+            before = dict(calls)
+            second = run_pipeline(pm1, pm2, manips, layout)
+            assert calls == before, sorted(manips)
+            for got in (first, second):
+                assert got.matrix_hat.entries.tobytes() == want.matrix_hat.entries.tobytes()
 
 
 class TestW0:
