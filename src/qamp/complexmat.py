@@ -49,7 +49,7 @@ class ComplexMatrix:
             raise DimensionError(
                 f"expected a {dim}x{dim} matrix for n={self.n}, got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValidationError("matrix entries must be finite")
         self.entries = arr
 
@@ -221,10 +221,33 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
-    dim = a.dim
-    # components as contiguous rows: a's transposed, so row l is column l
-    a0, a1 = np.array((a.entries.real.T, a.entries.imag.T))
-    b0, b1 = np.array((b.entries.real, b.entries.imag))
+    return ComplexMatrix(a.n, _matmul(a.entries, b.entries))
+
+
+def _parts(entries: np.ndarray, conjugate: bool, transpose: bool) -> np.ndarray:
+    """The real and imaginary parts of ``entries``, conjugated and
+    transposed when asked, as one contiguous array of shape (2, dim, dim).
+    The conjugation multiplies the imaginary part by -1.0, an exact sign
+    flip, as :meth:`numpy.ndarray.conj` makes it."""
+    view = entries.T if transpose else entries
+    parts = np.array((view.real, view.imag))
+    if conjugate:
+        np.multiply(parts[1], -1.0, out=parts[1])
+    return parts
+
+
+def _matmul(
+    a: np.ndarray, b: np.ndarray, dagger_a=False, dagger_b=False, transpose=False
+) -> np.ndarray:
+    """The entries of :func:`matmul_oracle` of ``a`` and ``b``, each taken
+    as its conjugate transpose when asked, and of the product's transpose
+    when asked, read from the entries' components without building the
+    daggered matrices: bit for bit ``matmul_oracle`` of
+    :func:`dagger_oracle` and a transpose."""
+    dim = len(a)
+    # a's components as contiguous rows, so row l is column l of the factor
+    a0, a1 = _parts(a, dagger_a, not dagger_a)
+    b0, b1 = _parts(b, dagger_b, dagger_b)
     re = np.zeros((dim, dim))
     im = np.zeros((dim, dim))
     chunk, band = block_shape(dim, dim, dim, ORACLE_BLOCK)
@@ -249,8 +272,8 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
                 np.add.reduce(block, axis=0, out=part[js])
     out = np.empty((dim, dim), dtype=np.complex128)
     # set separately: re + 1j * im would turn an imaginary -0.0 into +0.0
-    out.real, out.imag = re, im
-    return ComplexMatrix(a.n, out)
+    out.real, out.imag = (re.T, im.T) if transpose else (re, im)
+    return out
 
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:

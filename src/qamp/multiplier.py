@@ -39,11 +39,13 @@ holds a register state.  Walking back from that branch:
   signs depend only on the layout and the manipulations, so each pair is
   derived once and kept on the layout.
 
-So a run is two steps.  :func:`_w1_row` sums the row from the two
-component tensors, one outer product per c, into one 2**(n+2) x 2**(n+2)
-array.  It takes the sum a block at a time, a chunk of c values by a band
-of rows in at most :data:`BLOCK` amplitudes, with a few numpy calls per
-block, and every amplitude still takes its terms in c order.
+So a run is two steps.  :func:`_w1_row` writes the row, one
+2**(n+2) x 2**(n+2) array, from the two component tensors.  Only its
+K1 = K2 = 1 quarter sums one outer product per c: an operand's K = 0 slab
+holds just the slack, so every other amplitude takes its c = 0 term alone.
+The quarter's sum is taken a block at a time, a chunk of c values by a
+band of rows in at most :data:`BLOCK` amplitudes, with a few numpy calls
+per block, and every amplitude still takes its terms in c order.
 :func:`flag_and_measure` writes w2's flagged output from the row
 straight into the payload block (M1, R1, C2 and K1, 2**(2n+2) amplitudes)
 in the order of ``payload_block(layout).layout``, then weighs and
@@ -76,13 +78,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexmat import (
-    ComplexMatrix,
-    PreparedMatrix,
-    block_shape,
-    dagger_oracle,
-    matmul_oracle,
-)
+from .complexmat import ComplexMatrix, PreparedMatrix, _matmul, block_shape
 from .conjugator import apply_q_to_operands
 from .encoder import (
     EncodedBlock,
@@ -116,10 +112,11 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
 
-#: amplitudes in one block of :func:`_w1_row`'s terms (a chunk of c values
-#: by a band of the row's rows, plus the slot that carries the band's
-#: running sum), 256 KiB, so a block stays in a 2 MiB L2 cache; up to n = 6
-#: a chunk holds every c, and from n = 4 on the rows are split into bands
+#: amplitudes in one block of the terms :func:`_w1_row` sums over its
+#: K1 = K2 = 1 quarter (a chunk of c values by a band of the quarter's
+#: rows, plus the slot that carries the band's running sum), 256 KiB, so a
+#: block stays in a 2 MiB L2 cache; up to n = 6 a chunk holds every c, and
+#: from n = 5 on the rows are split into bands
 BLOCK = 1 << 15
 
 #: resident bytes of the process around a run's arrays: the interpreter and
@@ -282,7 +279,14 @@ def _w1_row(
     times the outer product of those two factors, accumulated in c order
     from +0.0 as :func:`apply_w1` does.
 
-    The sum is taken a block at a time
+    Only the K1 = K2 = 1 quarter of the row takes that sum over every c.
+    A manipulation never renames K, and an operand's K = 0 slab holds only
+    the slack, at R = C = 0, so every term with K1 = 0 or K2 = 0 is +-0.0
+    for c > 0.  Added to a sum that started at +0.0, those zeros change
+    nothing, so the other three quarters are the c = 0 term alone plus
+    +0.0 (which turns a -0.0 into +0.0, as the sum does).
+
+    The quarter's sum is taken a block at a time
     (:func:`qamp.complexmat.block_shape`, at most :data:`BLOCK`
     amplitudes): one einsum writes the outer products of a chunk of c
     values for a band of rows, one multiply scales them, and one reduction
@@ -296,12 +300,18 @@ def _w1_row(
     front1, front2 = ("C1", "K1", "R1", block1.m), ("R2", "K2", "C2", block2.m)
     first = first.transpose([block1.registers.index(name) for name in front1]).reshape(dim, -1)
     second = second.transpose([block2.registers.index(name) for name in front2]).reshape(dim, -1)
-    row = np.zeros((first.shape[1], second.shape[1]))
-    chunk, band = block_shape(dim, *row.shape, BLOCK)
-    slots = np.empty((chunk + 1) * band * row.shape[1])
     scale = 2.0 ** (-layout.n / 2)
-    for r in range(0, row.shape[0], band):
-        rows = row[r : r + band]
+    row = np.outer(first[0], second[0])
+    np.multiply(row, scale, out=row)
+    np.add(row, 0.0, out=row)
+    # K is the leading axis of both sides, so K1 = K2 = 1 is the last quarter
+    half = 2 * dim
+    first, second, quarter = first[:, half:], second[:, half:], row[half:, half:]
+    quarter[...] = 0.0
+    chunk, band = block_shape(dim, *quarter.shape, BLOCK)
+    slots = np.empty((chunk + 1) * band * half)
+    for r in range(0, half, band):
+        rows = quarter[r : r + band]
         for c in range(0, dim, chunk):
             factors = first[c : c + chunk, r : r + band]
             block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
@@ -426,10 +436,6 @@ def flag_and_measure(
     return StateVector(block.total_qubits, amps), weight
 
 
-def _transpose(m: ComplexMatrix) -> ComplexMatrix:
-    return ComplexMatrix(m.n, m.entries.T.copy())
-
-
 def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -> tuple[ComplexMatrix, complex]:
     """Classical expected (matrix, slack) for a manipulation set.
 
@@ -443,31 +449,33 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
       exchange alone          -> A2 A1
       exchange + conjugate 1  -> transpose(A1 A2^dagger)
       exchange + conjugate 2  -> transpose(A1^dagger A2)
-      exchange + both         -> (A1 A2)^dagger
+      exchange + both         -> (A1 A2)^dagger = A2^dagger A1^dagger
+
+    Each is :func:`qamp.complexmat.matmul_oracle` of
+    :func:`qamp.complexmat.dagger_oracle` factors, transposed where shown,
+    bit for bit, taken straight from the operands' entries.
     """
     manips = _check_manipulations(manipulations)
     d1 = "dagger1" in manips
     d2 = "dagger2" in manips
-    a1, a2 = pm1.matrix, pm2.matrix
+    a1, a2 = pm1.matrix.entries, pm2.matrix.entries
     b1, b2 = complex(pm1.b), complex(pm2.b)
     if "swap_order" not in manips:
-        left = dagger_oracle(a1) if d1 else a1
-        right = dagger_oracle(a2) if d2 else a2
-        matrix = matmul_oracle(left, right)
+        entries = _matmul(a1, a2, d1, d2)
         b_hat = (b1.conjugate() if d1 else b1) * (b2.conjugate() if d2 else b2)
     elif d1 and d2:
-        matrix = matmul_oracle(dagger_oracle(a2), dagger_oracle(a1))
+        entries = _matmul(a2, a1, True, True)
         b_hat = (b1 * b2).conjugate()
     elif d1:
-        matrix = _transpose(matmul_oracle(a1, dagger_oracle(a2)))
+        entries = _matmul(a1, a2, False, True, transpose=True)
         b_hat = b1 * b2.conjugate()
     elif d2:
-        matrix = _transpose(matmul_oracle(dagger_oracle(a1), a2))
+        entries = _matmul(a1, a2, True, False, transpose=True)
         b_hat = b1.conjugate() * b2
     else:
-        matrix = matmul_oracle(a2, a1)
+        entries = _matmul(a2, a1)
         b_hat = b1 * b2
-    return matrix, b_hat
+    return ComplexMatrix(pm1.n, entries), b_hat
 
 
 def flagged_state(

@@ -207,15 +207,16 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
-    # the row is summed a block at a time, and at n <= 4 the default block
-    # holds every c; with the cap brought down the blocks split the c range
-    # and the rows as they do from n = 6 on, and the row must not move.
-    # Operand components mix +-0.0 with magnitudes of either sign
+    # the K1 = K2 = 1 quarter of the row, (2 dim) x (2 dim), is summed a
+    # block at a time, and at n <= 4 the default block holds all of it;
+    # with the cap brought down the blocks split the c range and the rows
+    # as they do from n = 5 on, and the row must not move.  Operand
+    # components mix +-0.0 with magnitudes of either sign
     layout = layout_for(n)
     working = layout.without("B", "BT")
     row_layout = working.without("C1", "R2")
     dim = 1 << n
-    caps = {case: block_cap(case, dim, 4 * dim, 4 * dim) for case in BLOCK_CAPS}
+    caps = {case: block_cap(case, dim, 2 * dim, 2 * dim) for case in BLOCK_CAPS}
     rng = np.random.default_rng(4100 + n)
     pm1, pm2 = (
         prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase) for phase in (None, 2.0)

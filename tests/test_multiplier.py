@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qamp import (
+    ComplexMatrix,
     DimensionError,
     EncodedBlock,
     MeasurementError,
@@ -26,6 +27,7 @@ from qamp import (
     layout_for,
     matmul_oracle,
     oracle_product,
+    prepare,
     resource_report,
     run_pipeline,
 )
@@ -33,7 +35,7 @@ from qamp import multiplier
 from qamp.conjugator import apply_q_to_operands
 from qamp.multiplier import MANIPULATION_STAGES, flagged_state
 from qamp.registers import RegisterLayout
-from support import prepared_from_tilde, random_prepared
+from support import mixed_entries, prepared_from_tilde, random_prepared
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -213,6 +215,27 @@ class TestManipulatedBlocks:
             for got in (first, second):
                 assert got.matrix_hat.entries.tobytes() == want.matrix_hat.entries.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slack_slab_is_zero_off_the_corner(self, n):
+        # _w1_row sums over c only where K1 = K2 = 1: that needs each
+        # operand's K axis to stay its own K whatever the manipulations
+        # renamed, and its K = 0 slab to be zero everywhere but R = C = 0
+        layout = layout_for(n)
+        rng = np.random.default_rng(176 + n)
+        pm1, pm2 = (
+            prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase)
+            for phase in (None, 2.0)
+        )
+        for manips in ALL_SUBSETS:
+            operands = multiplier._operands(pm1, pm2, layout, manips)
+            for (tensor, block), k in zip(operands, ("K1", "K2")):
+                assert block.k == k, sorted(manips)
+                # the tensor's axes are the block's (K, R, C, label)
+                slab = tensor[0].copy()
+                assert np.any(slab[0, 0]), sorted(manips)
+                slab[0, 0] = 0.0
+                assert not np.any(slab), sorted(manips)
+
 
 class TestW0:
     def test_cnot_truth_table(self):
@@ -390,6 +413,42 @@ class TestW3AndMeasurement:
         sv = init_basis(layout.total_qubits, basis_index(layout, {"M2": 1}))
         with pytest.raises(MeasurementError):
             conditional_measure(sv, layout)
+
+
+class TestOracleProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_is_the_composition_of_the_public_oracles(self, n):
+        # oracle_product reads the daggered and transposed factors straight
+        # from the operands' components; it must give the bits of the
+        # compositions its docstring lists, written with the public oracles.
+        # Components mix +-0.0, which a conjugation flips
+        rng = np.random.default_rng(190 + n)
+        pm1, pm2 = (
+            prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase)
+            for phase in (None, 2.0)
+        )
+        a1, a2 = pm1.matrix, pm2.matrix
+
+        def transpose(m):
+            return ComplexMatrix(m.n, m.entries.T.copy())
+
+        def dagger(m, active):
+            return dagger_oracle(m) if active else m
+
+        for manips in ALL_SUBSETS:
+            d1, d2 = "dagger1" in manips, "dagger2" in manips
+            if "swap_order" not in manips:
+                want = matmul_oracle(dagger(a1, d1), dagger(a2, d2))
+            elif d1 and d2:
+                want = matmul_oracle(dagger_oracle(a2), dagger_oracle(a1))
+            elif d1:
+                want = transpose(matmul_oracle(a1, dagger_oracle(a2)))
+            elif d2:
+                want = transpose(matmul_oracle(dagger_oracle(a1), a2))
+            else:
+                want = matmul_oracle(a2, a1)
+            got, _b = oracle_product(pm1, pm2, manips)
+            assert got.entries.tobytes() == want.entries.tobytes(), sorted(manips)
 
 
 class TestRunPipeline:
