@@ -1,11 +1,14 @@
-"""One run_pipeline at width n with all three manipulations, checked.
+"""One run_pipeline and one estimate_g at width n with all three
+manipulations, checked.
 
     PYTHONPATH=src python3 .github/one_run.py N
 
 Exits 1 unless the decoded product matches the oracle within ORACLE_TOL,
-the branch weight is g^2 / 2^(n+1) to 1e-10 and ru_maxrss, the whole
-process's peak resident size, stays under the bytes the memory preflight
-asked for.  Prints the run's wall time beside that of its own oracle call.
+the branch weight is g^2 / 2^(n+1) to 1e-10, the estimator's exact K1 = 0
+weight, read off the flagged block, is |b1 b2|^2 / g^2 to 1e-10 (10^4
+shots, seed 0), and ru_maxrss, the whole process's peak resident size,
+stays under the bytes the memory preflight asked for.  Prints the run's
+wall time beside those of its own oracle call and of the estimate.
 """
 
 import resource
@@ -14,7 +17,15 @@ import time
 
 import numpy as np
 
-from qamp import ORACLE_TOL, ComplexMatrix, layout_for, oracle_product, prepare, run_pipeline
+from qamp import (
+    ORACLE_TOL,
+    ComplexMatrix,
+    estimate_g,
+    layout_for,
+    oracle_product,
+    prepare,
+    run_pipeline,
+)
 from qamp.multiplier import peak_bytes
 
 n, manips = int(sys.argv[1]), {"dagger1", "dagger2", "swap_order"}
@@ -24,18 +35,26 @@ pm1, pm2 = (
     prepare(ComplexMatrix(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))), 1.0)
     for _ in range(2)
 )
+# the estimate runs first: beside each run the process holds only the
+# operands and small results, as peak_bytes allows for
+start = time.perf_counter()
+est = estimate_g(pm1, pm2, manips, shots=10**4, seed=0)
+estimate_wall = time.perf_counter() - start
 start = time.perf_counter()
 res = run_pipeline(pm1, pm2, manips)
 wall = time.perf_counter() - start
-maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 start = time.perf_counter()
 expected, b = oracle_product(pm1, pm2, manips)
 oracle_wall = time.perf_counter() - start
+maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 g2 = abs(b) ** 2 + expected.weight()
 drift = abs(res.branch_probability - g2 / 2 ** (n + 1))
+s1_drift = abs(est.s1_tilde_exact - abs(pm1.b * pm2.b) ** 2 / g2)
 needed = peak_bytes(layout_for(n))
 print(
-    f"n={n} wall {wall:.3f} s, oracle_product {oracle_wall:.3f} s, ru_maxrss {maxrss} of "
-    f"{needed} bytes asked, oracle_error {res.oracle_error:.3e}, branch drift {drift:.3e}"
+    f"n={n} wall {wall:.3f} s, oracle_product {oracle_wall:.3f} s, estimate_g {estimate_wall:.3f} s, "
+    f"ru_maxrss {maxrss} of {needed} bytes asked, oracle_error {res.oracle_error:.3e}, "
+    f"branch drift {drift:.3e}, s1_tilde drift {s1_drift:.3e}"
 )
-sys.exit(0 if res.oracle_error <= ORACLE_TOL and drift <= 1e-10 and maxrss < needed else 1)
+ok = res.oracle_error <= ORACLE_TOL and drift <= 1e-10 and s1_drift <= 1e-10 and maxrss < needed
+sys.exit(0 if ok else 1)

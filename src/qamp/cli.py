@@ -25,6 +25,7 @@ from . import __version__
 from .complexmat import (
     ComplexMatrix,
     ORACLE_TOL,
+    _check_c,
     matrix_from_obj,
     matrix_to_obj,
     prepare,
@@ -115,9 +116,12 @@ def dump_json(obj) -> str:
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:  # a directory, no permission, ...
+        raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _load_json(path: str):
@@ -126,7 +130,11 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"cannot read {path}: no such file") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:  # a directory, no permission, ...
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except (ValueError, RecursionError) as exc:
+        # json.JSONDecodeError, text that is not UTF-8, an integer literal
+        # past Python's digit limit, or nesting past the recursion limit
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -166,7 +174,9 @@ def _add_operand_arguments(p: argparse.ArgumentParser) -> None:
 
 def _load_operands(args):
     """(first operand, second operand, manipulations, report flags) from the
-    arguments of :func:`_add_operand_arguments`."""
+    arguments of :func:`_add_operand_arguments`.  ``--c`` is checked even
+    when both operands are prepared files, since the report echoes it."""
+    _check_c(args.c)
     manips = {name for name, option in MANIPULATION_OPTIONS.items() if getattr(args, option)}
     flags = {name: getattr(args, name) for name in ("a", "b", *MANIPULATION_OPTIONS.values(), "c")}
     return _load_operand(args.a, args.c), _load_operand(args.b, args.c), manips, flags

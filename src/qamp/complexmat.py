@@ -20,12 +20,13 @@ from .errors import DimensionError, MethodUndefinedError, ParameterError, Valida
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
 
-#: amplitudes of products in one block of :func:`matmul_oracle`'s sum, a
-#: chunk of inner indices by a band of rows (the buffer they are added from
-#: has one more slot, for the running sum); 2**15 would put an n = 5 run
-#: above four of w1's rows, and with 2**12 every chunk from n = 6 on is a
-#: single inner index, which pays two copies of the running sum per index
-ORACLE_BLOCK = 1 << 14
+#: amplitudes of one component's products in one block of
+#: :func:`matmul_oracle`'s sum, a chunk of inner indices by a band of rows,
+#: plus the slot for the running sum; a block holds all four components'
+#: products and both parts' sums, up to six times this; 2**14 would put an
+#: n = 5 run above four of w1's rows, and 2**12 made the n = 9 oracle half
+#: as slow again
+ORACLE_BLOCK = 1 << 13
 
 #: tolerance on the slack identity |b|^2 + sum |entries|^2 = 1, and relative
 #: tolerance on the scale record weight * (s_original + c)^2 = s_original
@@ -58,8 +59,10 @@ class ComplexMatrix:
         return 1 << self.n
 
     def weight(self) -> float:
-        """Sum of squared entry magnitudes."""
-        return float(np.sum(np.abs(self.entries) ** 2))
+        """Sum of squared entry magnitudes; inf, without a warning, when
+        the squares overflow float64, so that callers name the overflow."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(np.abs(self.entries) ** 2))
 
     def copy(self) -> "ComplexMatrix":
         return ComplexMatrix(self.n, self.entries.copy())
@@ -105,7 +108,10 @@ class PreparedMatrix:
         w = self.matrix.weight()
         if w >= 1.0:
             raise ValidationError(f"scaled matrix weight {w} is not strictly below 1")
-        total = abs(self.b) ** 2 + w
+        try:
+            total = abs(self.b) ** 2 + w
+        except OverflowError:  # |b| or its square beyond float64
+            total = math.inf
         if abs(total - 1.0) > NORM_TOL:
             raise ValidationError(f"|b|^2 + weight = {total!r} deviates from 1 beyond {NORM_TOL}")
         s, c = self.s_original, self.c
@@ -164,6 +170,13 @@ def _check_scale(s: float, c: float, error: type) -> None:
         raise error(f"the scale (s + c)^2 overflows float64 for s={s!r} and c={c!r}")
 
 
+def _check_c(c: float) -> None:
+    """Raise :class:`ParameterError` unless the slack parameter ``c`` is
+    positive and finite."""
+    if not (c > 0) or not math.isfinite(c):  # also rejects NaN
+        raise ParameterError(f"slack parameter c must be positive and finite, got {c}")
+
+
 def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> PreparedMatrix:
     """Scale ``a`` by 1/(s + c), s its squared-magnitude sum, and attach slack.
 
@@ -172,14 +185,19 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
     no valid slack exists and a parameter error is raised; any c > 1/4 is safe
     for every finite input.  A c that is not finite, or whose squared scale
     (s + c)^2 overflows float64, is a parameter error too: the scale record
-    could not be written as JSON or multiplied back.
+    could not be written as JSON or multiplied back.  So is an s + c whose
+    reciprocal overflows: numpy divides a complex entry by it as by the
+    complex number s + c, through that reciprocal.
     """
-    if not (c > 0) or not math.isfinite(c):  # also rejects NaN
-        raise ParameterError(f"slack parameter c must be positive and finite, got {c}")
+    _check_c(c)
     if not np.all(np.isfinite(a.entries)):
         raise ValidationError("matrix entries must be finite")
     s = a.weight()
     _check_scale(s, c, ParameterError)
+    if math.isinf(1.0 / (s + c)):
+        raise ParameterError(
+            f"c={c} is too small for this matrix: 1/(s + c) overflows float64 for s={s!r}"
+        )
     scaled = ComplexMatrix(a.n, a.entries / (s + c))
     w = scaled.weight()
     if w >= 1.0:
@@ -209,31 +227,20 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     the sums.  Every (j, k) entry accumulates, from +0.0 and over the inner
     index l in order, re += a0*b0 - a1*b1 and im += a0*b1 + a1*b0: the
     plain triple loop, run a block of (l, j) values at a time
-    (:func:`block_shape`, at most :data:`ORACLE_BLOCK` amplitudes).  Per
-    block and part, one einsum per component writes that component's
-    products for every (l, j, k) of the block, one subtraction or addition
-    combines them, and one reduction along l adds them onto the running
-    sum of the band's rows, held in the block's first slot; numpy reduces
-    along that leading axis one slice after another, so in l order.  Each
-    entry therefore rounds exactly as the scalar loop does.  (einsum writes
-    a zero product as +0.0, but a sum that starts at +0.0 never holds -0.0,
-    and adding either zero to it gives the same bits.)
+    (:func:`block_shape`, at most :data:`ORACLE_BLOCK` amplitudes per
+    component), chunks of l in order.  Per block, one einsum writes all
+    four component products for every (l, j, k) of the block, one addition
+    combines them into re's and im's terms, and one reduction along l adds
+    those onto the running sums of the band's rows, held in the first slot
+    of each part; numpy reduces along that axis one slice after another, so
+    in l order.  Each entry therefore rounds exactly as the scalar loop
+    does.  (einsum writes a zero product as +0.0, but a sum that starts at
+    +0.0 never holds -0.0, and adding either zero to it gives the same
+    bits.)
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
     return ComplexMatrix(a.n, _matmul(a.entries, b.entries))
-
-
-def _parts(entries: np.ndarray, conjugate: bool, transpose: bool) -> np.ndarray:
-    """The real and imaginary parts of ``entries``, conjugated and
-    transposed when asked, as one contiguous array of shape (2, dim, dim).
-    The conjugation multiplies the imaginary part by -1.0, an exact sign
-    flip, as :meth:`numpy.ndarray.conj` makes it."""
-    view = entries.T if transpose else entries
-    parts = np.array((view.real, view.imag))
-    if conjugate:
-        np.multiply(parts[1], -1.0, out=parts[1])
-    return parts
 
 
 def _matmul(
@@ -243,36 +250,50 @@ def _matmul(
     as its conjugate transpose when asked, and of the product's transpose
     when asked, read from the entries' components without building the
     daggered matrices: bit for bit ``matmul_oracle`` of
-    :func:`dagger_oracle` and a transpose."""
+    :func:`dagger_oracle` and a transpose.
+
+    The factors are stacked so that one einsum writes the four component
+    products of a block: x = (a0, a1, a0, a1) against y = (b0, -b1, b1,
+    b0).  One addition then makes re's a0*b0 + a1*(-b1) and im's
+    a0*b1 + a1*b0, and one reduction along l adds both onto their running
+    sums.  Every step is exact or rounds as the scalar loop does: negation
+    and conjugation multiply by -1.0, a1*(-b1) is -(a1*b1) and p + (-q) is
+    p - q in IEEE arithmetic.  The chunks of l go in order, each over every
+    band of rows, so that a chunk of y stays in cache.
+    """
     dim = len(a)
-    # a's components as contiguous rows, so row l is column l of the factor
-    a0, a1 = _parts(a, dagger_a, not dagger_a)
-    b0, b1 = _parts(b, dagger_b, dagger_b)
-    re = np.zeros((dim, dim))
-    im = np.zeros((dim, dim))
+    # a's components as contiguous rows, so that row l is column l of the
+    # factor; a sign of 1.0 leaves a component as it is, bit for bit
+    view_a = a if dagger_a else a.T
+    view_b = b.T if dagger_b else b
+    sign_a, sign_b = (-1.0 if dagger else 1.0 for dagger in (dagger_a, dagger_b))
+    x = np.empty((2, 2, dim, dim))  # (a0, a1) twice
+    x[:, 0] = view_a.real
+    np.multiply(view_a.imag, sign_a, out=x[:, 1])
+    x = x.reshape(4, dim, dim)
+    y = np.empty((4, dim, dim))  # (b0, -b1, b1, b0)
+    y[0::3] = view_b.real
+    np.multiply(view_b.imag, -sign_b, out=y[1])
+    np.multiply(view_b.imag, sign_b, out=y[2])
+    sums = np.zeros((2, dim, dim))  # re, im
     chunk, band = block_shape(dim, dim, dim, ORACLE_BLOCK)
-    summed = np.empty((chunk + 1) * band * dim)
-    other = np.empty(chunk * band * dim)
-    for j in range(0, dim, band):
-        js = slice(j, j + band)
-        for l in range(0, dim, chunk):
-            ls = slice(l, l + chunk)
+    summed = np.empty(2 * (chunk + 1) * band * dim)
+    products = np.empty(4 * chunk * band * dim)
+    for l in range(0, dim, chunk):
+        ls = slice(l, l + chunk)
+        for j in range(0, dim, band):
+            js = slice(j, j + band)
             shape = (min(chunk, dim - l), min(band, dim - j), dim)
-            block = summed[: (shape[0] + 1) * shape[1] * dim].reshape(-1, *shape[1:])
-            products = other[: block[1:].size].reshape(shape)
-            # re += x0*y0 - x1*y1 and im += x0*y0 + x1*y1, for each l in order
-            for part, (x0, y0), (x1, y1), combine in (
-                (re, (a0, b0), (a1, b1), np.subtract),
-                (im, (a0, b1), (a1, b0), np.add),
-            ):
-                np.copyto(block[0], part[js])
-                np.einsum("lj,lk->ljk", x0[ls, js], y0[ls], out=block[1:])
-                np.einsum("lj,lk->ljk", x1[ls, js], y1[ls], out=products)
-                combine(block[1:], products, out=block[1:])
-                np.add.reduce(block, axis=0, out=part[js])
+            block = summed[: 2 * (shape[0] + 1) * shape[1] * dim].reshape(2, -1, *shape[1:])
+            terms = products[: 4 * math.prod(shape)].reshape(4, *shape)
+            np.copyto(block[:, 0], sums[:, js])
+            np.einsum("plj,plk->pljk", x[:, ls, js], y[:, ls], out=terms)
+            # re += a0*b0 + a1*(-b1) and im += a0*b1 + a1*b0, for each l in order
+            np.add(terms[0::2], terms[1::2], out=block[:, 1:])
+            np.add.reduce(block, axis=1, out=sums[:, js])
     out = np.empty((dim, dim), dtype=np.complex128)
     # set separately: re + 1j * im would turn an imaginary -0.0 into +0.0
-    out.real, out.imag = (re.T, im.T) if transpose else (re, im)
+    out.real, out.imag = (sums[0].T, sums[1].T) if transpose else sums
     return out
 
 
@@ -297,9 +318,15 @@ def matrix_to_obj(m: ComplexMatrix) -> dict:
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValidationError(
+            f"{where} must fit in float64, got an integer of {value.bit_length()} bits"
+        ) from None
+    if not math.isfinite(number):
         raise ValidationError(f"{where} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _pair(value, where: str) -> complex:
@@ -320,9 +347,10 @@ def matrix_from_obj(obj) -> ComplexMatrix:
     if "entries" not in obj:
         raise ValidationError("missing field: entries")
     entries = obj["entries"]
+    # no list holds 2**64 rows, so a wider n is refused without computing 2**n
+    if n >= 64 or not isinstance(entries, list) or len(entries) != 1 << n:
+        raise ValidationError(f"field entries must be a list of 2**{n} rows")
     dim = 1 << n
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ValidationError(f"field entries must be a list of {dim} rows")
     out = np.zeros((dim, dim), dtype=np.complex128)
     for j, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:

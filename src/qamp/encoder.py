@@ -170,27 +170,40 @@ def encode(pm: PreparedMatrix, side: str, layout: RegisterLayout) -> StateVector
     return StateVector(layout.total_qubits, joint_amplitudes(layout, [(_components(pm), block)]))
 
 
-def _pins(block: EncodedBlock, names: tuple[str, ...]) -> dict:
-    """Value of every subsystem outside the block: its fixed value, else 0."""
-    pins = {name: 0 for name in names if name not in block.registers}
-    pins.update(block.fixed)
+def _pins(registers, fixed, names: tuple[str, ...]) -> dict:
+    """Value of every subsystem of ``names`` outside a block's
+    ``registers``: its ``fixed`` value, else 0."""
+    pins = {name: 0 for name in names if name not in registers}
+    pins.update(fixed)
     return pins
 
 
-def _inside(view: np.ndarray, names: tuple[str, ...], block: EncodedBlock) -> np.ndarray:
-    """The block's component tensor, indexed [K, R, C, M], as a view."""
+def _block_axes(layout: RegisterLayout, registers, fixed) -> tuple[tuple, list[int]]:
+    """The index of the register view that pins every subsystem outside a
+    block on ``layout`` (the block's ``registers`` in (K, R, C, M) order and
+    its ``fixed`` values), and the axis order that puts the block's
+    subsystems first, in that order."""
+    names = layout.view_names
+    pins = _pins(registers, fixed, names)
+    index = tuple(slice(pins[name], pins[name] + 1) if name in pins else slice(None) for name in names)
+    block_axes = [names.index(name) for name in registers]
+    return index, block_axes + [i for i in range(len(names)) if i not in block_axes]
+
+
+def _inside(amps: np.ndarray, block: EncodedBlock) -> np.ndarray:
+    """The block's component tensor in the amplitudes ``amps`` of a state on
+    the block's layout, indexed [K, R, C, M], as a view.  The index and axis
+    order are derived once per layout and block (:func:`_block_axes`)."""
     dim = 1 << block.layout.n
-    block_axes = [names.index(name) for name in block.registers]
-    rest = [i for i in range(len(names)) if i not in block_axes]
-    inside = select(view, names, _pins(block, names))
-    return inside.transpose(block_axes + rest).reshape(2, dim, dim, 2)
+    view, _names = register_view(amps, block.layout)
+    index, order = block.layout.kept(_block_axes, block.registers, block.fixed)
+    return view[index].transpose(order).reshape(2, dim, dim, 2)
 
 
 def read_block(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, complex]:
     """Read (matrix, slack) out of the block's component tensor, with every
     other subsystem at its pinned value."""
-    view, names = register_view(state.amplitudes, block.layout)
-    inside = _inside(view, names, block)
+    inside = _inside(state.amplitudes, block)
     dim = inside.shape[1]
     entries = np.empty((dim, dim), dtype=np.complex128)
     entries.real = inside[1, :, :, 0]
@@ -207,12 +220,12 @@ def residual(state: StateVector, block: EncodedBlock) -> float:
     # so far match, the next one does not
     total = 0.0
     matched = {}
-    for name, value in _pins(block, names).items():
+    for name, value in _pins(block.registers, block.fixed, names).items():
         for other in (slice(0, value), slice(value + 1, 1 << layout.width(name))):
             if other.start < other.stop:
                 total += _weight(select(view, names, {**matched, name: other}))
         matched[name] = value
-    inside = _inside(view, names, block)
+    inside = _inside(state.amplitudes, block)
     support = np.zeros(inside.shape, dtype=bool)
     support[1] = True
     support[0, 0, 0] = True

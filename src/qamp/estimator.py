@@ -75,6 +75,8 @@ def estimate_g(
     manips = _check_manipulations(manipulations)
     if not 1 <= shots <= MAX_SHOTS:
         raise ParameterError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     s1 = float(abs(pm1.b * pm2.b) ** 2)
     if s1 == 0.0:
         raise MethodUndefinedError(

@@ -28,7 +28,8 @@ slice (C1, R2, M2 and K2 all 0) that the measurement keeps, and never
 holds a register state.  Walking back from that branch:
 
 - w3 and the measurement keep w2's M2 = K2 = 0 output;
-- w2 reads only the C1 = R2 = 0 row of w1's output;
+- w2 writes K2 = 0 from K2 = K1, so it reads only the K1 = K2 diagonal of
+  the C1 = R2 = 0 row of w1's output, two of the row's four quarters;
 - w1's C1 = 0 row is 2**(-n/2) times the sum over c of w0's (C1 = c,
   R2 = 0) slice;
 - w0 fills that slice from the build's (C1 = c, R2 = c), which is the
@@ -39,26 +40,25 @@ holds a register state.  Walking back from that branch:
   signs depend only on the layout and the manipulations, so each pair is
   derived once and kept on the layout.
 
-So a run is two steps.  :func:`_w1_row` writes the row, one
-2**(n+2) x 2**(n+2) array, from the two component tensors.  Only its
-K1 = K2 = 1 quarter sums one outer product per c: an operand's K = 0 slab
-holds just the slack, so every other amplitude takes its c = 0 term alone.
-The quarter's sum is taken a block at a time, a chunk of c values by a
-band of rows in at most :data:`BLOCK` amplitudes, with a few numpy calls
-per block, and every amplitude still takes its terms in c order.
-:func:`flag_and_measure` writes w2's flagged output from the row
-straight into the payload block (M1, R1, C2 and K1, 2**(2n+2) amplitudes)
-in the order of ``payload_block(layout).layout``, then weighs and
-renormalizes it.  The product and the estimator's K1 weight are read from
-that block.  Control flags mean nothing on this path, so a layout that has
-them is refused.
+So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
+one 2**(n+1) x 2**(n+1) array each, from the two component tensors.  The
+K1 = K2 = 0 quarter is its c = 0 term alone, since an operand's K = 0 slab
+holds just the slack; the K1 = K2 = 1 quarter sums one outer product per
+c, a block at a time, a chunk of c values by a band of rows in at most
+:data:`BLOCK` amplitudes, with a few numpy calls per block, and every
+amplitude still takes its terms in c order.  :func:`flag_and_measure`
+writes w2's flagged output from the quarters straight into the payload
+block's component tensor (M1, R1, C2 and K1, 2**(2n+2) amplitudes), then
+weighs and renormalizes it.  The product and the estimator's K1 weight are
+read from that block.  Control flags mean nothing on this path, so a
+layout that has them is refused.
 
 The stage functions address subsystems by name and run unchanged on any
 layout.  :func:`build_initial`, :func:`apply_w0`..:func:`apply_w3` on the
 whole register and :func:`conditional_measure` stay as the full-register
 reference, and the run path's block and weight are bit for bit theirs:
-w1's ordered sum is the one the row makes, and every flagged amplitude
-comes from the same operations in both.
+w1's ordered sum is the one the quarters make, and every flagged
+amplitude comes from the same operations in both.
 
 As public stages, w0..w2 each run as one pass over the register view into
 a new state rather than gate by gate: w0 is one XOR permutation of R2 by
@@ -66,9 +66,8 @@ C1, w1 an ordered sum over the C1 axis with the Sylvester Hadamard matrix,
 w2 one sum or difference per (M2, M1) column written straight to its
 relabeled K2 slice.  w3 is a single multi-controlled gate of the gate engine.
 
-Before allocating, a run is refused when its :func:`peak_bytes` (w1's row,
-what a run holds beside it and :data:`RUNTIME_BYTES`) exceed physical
-memory.
+Before allocating, a run is refused when its :func:`peak_bytes` (what a
+run holds at once and :data:`RUNTIME_BYTES`) exceed physical memory.
 """
 
 from __future__ import annotations
@@ -78,17 +77,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexmat import ComplexMatrix, PreparedMatrix, _matmul, block_shape
+from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
 from .conjugator import apply_q_to_operands
 from .encoder import (
     EncodedBlock,
     _components,
+    _inside,
     joint_amplitudes,
     read_block,
     require_memory,
 )
 from .errors import DimensionError, MeasurementError, ParameterError
-from .registers import RegisterLayout, layout_for, register_stage, register_view, select
+from .registers import RegisterLayout, layout_for, register_stage, select
 from .statevector import (
     _SQRT1_2,
     GateSpec,
@@ -112,7 +112,7 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
 
-#: amplitudes in one block of the terms :func:`_w1_row` sums over its
+#: amplitudes in one block of the terms :func:`_w1_diagonal` sums over its
 #: K1 = K2 = 1 quarter (a chunk of c values by a band of the quarter's
 #: rows, plus the slot that carries the band's running sum), 256 KiB, so a
 #: block stays in a 2 MiB L2 cache; up to n = 6 a chunk holds every c, and
@@ -245,7 +245,7 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     an ordered sum, with no matrix product: each output slice C1 = j starts
     from +0.0 and adds H[j, c] * x[c] elementwise over c in order.  Its
     C1 = 0 slice is therefore the sum the run path accumulates
-    (:func:`_w1_row`), bit for bit.
+    (:func:`_w1_diagonal`), bit for bit.
     """
     hadamard = _sylvester(layout.n)
 
@@ -261,15 +261,29 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     return register_stage(state, layout, kernel)
 
 
-def _w1_row(
-    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The C1 = R2 = 0 slice of :func:`apply_w1` after :func:`apply_w0` on
-    the manipulated :func:`build_initial`, bit for bit, without that state.
+def _factors(tensor: np.ndarray, block: EncodedBlock, summed: str):
+    """One operand's factors in w1's row, with the subsystem ``summed``
+    over (C1 or R2) in front: its K = 0 slab at ``summed`` = 0, a vector
+    over the operand's other register (R1 or C2) and its label, and its
+    K = 1 slab as a matrix, one row per value of ``summed``.  The tensor's
+    axes are the block's (K, R, C, label), and no manipulation renames K."""
+    kept = block.r if block.c == summed else block.c
+    axes = block.registers
+    slabs = tensor.transpose(0, axes.index(summed), axes.index(kept), axes.index(block.m))
+    return slabs[0, 0].reshape(-1), slabs[1].reshape(len(slabs[1]), -1)
 
-    Returns the row as an array with one axis per subsystem, and the
-    subsystem names of its axes: the first operand's K1, R1 and label, then
-    the second's K2, C2 and label (the operand exchange crosses the labels).
+
+def _w1_diagonal(
+    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
+) -> np.ndarray:
+    """The K1 = K2 diagonal of the C1 = R2 = 0 slice of :func:`apply_w1`
+    after :func:`apply_w0` on the manipulated :func:`build_initial`, bit
+    for bit, without that state: the two quarters of w1's row that w2's
+    flagged output reads (:func:`flag_and_measure`).
+
+    Returns the diagonal as an array indexed [k, R1, first label, C2,
+    second label] at K1 = K2 = k: the first operand's label is M1 and the
+    second's M2, or M2 and M1 when the operand exchange crossed them.
 
     On the product state w0 only moves amplitudes: at R2 = 0 its C1 = c
     slice is the first operand's factor at C1 = c times the second's at
@@ -279,47 +293,48 @@ def _w1_row(
     times the outer product of those two factors, accumulated in c order
     from +0.0 as :func:`apply_w1` does.
 
-    Only the K1 = K2 = 1 quarter of the row takes that sum over every c.
     A manipulation never renames K, and an operand's K = 0 slab holds only
-    the slack, at R = C = 0, so every term with K1 = 0 or K2 = 0 is +-0.0
-    for c > 0.  Added to a sum that started at +0.0, those zeros change
-    nothing, so the other three quarters are the c = 0 term alone plus
-    +0.0 (which turns a -0.0 into +0.0, as the sum does).
-
-    The quarter's sum is taken a block at a time
+    the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0 is
+    +-0.0.  Added to a sum that started at +0.0, those zeros change
+    nothing, so that quarter is the c = 0 term alone plus +0.0 (which turns
+    a -0.0 into +0.0, as the sum does).  The K1 = K2 = 1 quarter takes the
+    sum over every c, a block at a time
     (:func:`qamp.complexmat.block_shape`, at most :data:`BLOCK`
     amplitudes): one einsum writes the outer products of a chunk of c
     values for a band of rows, one multiply scales them, and one reduction
     along the chunk adds them, in c order, onto the band's running sum held
-    in the block's first slot.  (einsum writes a zero product as +0.0, but
+    in the block's first slot.  The chunks go in c order, each over every
+    band, so that a chunk of the second operand's factors stays in cache.
+    (einsum writes a zero product as +0.0, but
     the running sum starts at +0.0, so never holds -0.0, and adding either
     zero to it gives the same bits.)
     """
-    (first, block1), (second, block2) = _operands(pm1, pm2, layout, manipulations)
+    # the operands' tensors are dropped once their factors are taken
+    (slack1, first), (slack2, second) = (
+        _factors(tensor, block, summed)
+        for (tensor, block), summed in zip(_operands(pm1, pm2, layout, manipulations), ("C1", "R2"))
+    )
     dim = 1 << layout.n
-    front1, front2 = ("C1", "K1", "R1", block1.m), ("R2", "K2", "C2", block2.m)
-    first = first.transpose([block1.registers.index(name) for name in front1]).reshape(dim, -1)
-    second = second.transpose([block2.registers.index(name) for name in front2]).reshape(dim, -1)
     scale = 2.0 ** (-layout.n / 2)
-    row = np.outer(first[0], second[0])
-    np.multiply(row, scale, out=row)
-    np.add(row, 0.0, out=row)
-    # K is the leading axis of both sides, so K1 = K2 = 1 is the last quarter
     half = 2 * dim
-    first, second, quarter = first[:, half:], second[:, half:], row[half:, half:]
+    diagonal = np.empty((2, half, half))
+    zero, quarter = diagonal
+    np.multiply(slack1[:, None], slack2, out=zero)
+    np.multiply(zero, scale, out=zero)
+    np.add(zero, 0.0, out=zero)
     quarter[...] = 0.0
-    chunk, band = block_shape(dim, *quarter.shape, BLOCK)
+    chunk, band = block_shape(dim, half, half, BLOCK)
     slots = np.empty((chunk + 1) * band * half)
-    for r in range(0, half, band):
-        rows = quarter[r : r + band]
-        for c in range(0, dim, chunk):
+    for c in range(0, dim, chunk):
+        for r in range(0, half, band):
+            rows = quarter[r : r + band]
             factors = first[c : c + chunk, r : r + band]
             block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
             np.copyto(block[0], rows)
             np.einsum("cr,cs->crs", factors, second[c : c + chunk], out=block[1:])
             np.multiply(block[1:], scale, out=block[1:])
             np.add.reduce(block, axis=0, out=rows)
-    return row.reshape(2, dim, 2, 2, dim, 2), (*front1[1:], *front2[1:])
+    return diagonal.reshape(2, dim, 2, dim, 2)
 
 
 def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
@@ -387,53 +402,52 @@ def payload_block(layout: RegisterLayout) -> EncodedBlock:
 
 def peak_bytes(layout: RegisterLayout) -> int:
     """Resident bytes of a process at the peak of a run on ``layout``,
-    bounded by everything a run allocates held at once: w1's row of
-    2**(2n+4) float64 amplitudes, the block of terms added to it (at most
-    :data:`BLOCK` amplitudes), the two operand tensors, the payload block
-    and the squares of its weight (a quarter of the row each), and
+    bounded by everything a run holds at once: the two quarters of w1's
+    row that it computes, 2**(2n+2) float64 amplitudes each, the payload
+    block and the squares of its weight (a quarter each), the two operands'
+    entries (half a quarter each), the blocks of terms that the row's and
+    the oracle's sums add (:data:`BLOCK` and six
+    :data:`qamp.complexmat.ORACLE_BLOCK` amplitudes), and
     :data:`RUNTIME_BYTES`."""
-    row = 1 << (2 * layout.n + 4)
-    return 8 * (2 * row + BLOCK) + RUNTIME_BYTES
+    quarter = 1 << (2 * layout.n + 2)
+    return 8 * (5 * quarter + BLOCK + 6 * ORACLE_BLOCK) + RUNTIME_BYTES
 
 
-def flag_and_measure(
-    row: np.ndarray, names: tuple[str, ...], layout: RegisterLayout
-) -> tuple[StateVector, float]:
+def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[StateVector, float]:
     """:func:`apply_w2`, :func:`apply_w3` and :func:`conditional_measure`
-    from w1's row (:func:`_w1_row`, with C1, R2 and the ancillae taken to
-    be in |0>), kept to the payload block.  The row's axes are K1, R1, the
-    first operand's label, K2, C2 and the second's label, as ``names``
-    gives them; only the labels' order, plain (M1, M2) or crossed by the
-    operand exchange (M2, M1), is read from it.
+    from the K1 = K2 diagonal of w1's row (:func:`_w1_diagonal`, with C1,
+    R2 and the ancillae taken to be in |0>), kept to the payload block.
+    The diagonal's axes are K1 = K2, R1, the first operand's label, C2 and
+    the second's label.
 
     w3 moves the payload slice (C1, R2, M2 and K2 all 0) to B = BT = 1 and
     nothing else lands there, so the flagged branch is w2's M2 = K2 = 0
-    output.  w2 writes K2 = 0 there from K2 = K1, and per K1 value M1 = 0
-    from row(M2, M1) = (0, 0) minus (1, 1) and M1 = 1 from (0, 1) plus
-    (1, 0), scaled by sqrt(1/2).  These are written straight into a state
-    on ``payload_block(layout).layout``, which is then weighed and
+    output.  w2 writes K2 = 0 there from K2 = K1, which is why the rest of
+    the row is never needed, and per K1 value M1 = 0 from (M2, M1) =
+    (0, 0) minus (1, 1) and M1 = 1 from (0, 1) plus (1, 0), scaled by
+    sqrt(1/2).  Both read the same with the two labels exchanged, bit for
+    bit, since IEEE addition commutes, so labels crossed by the operand
+    exchange need no care.  These are written straight into the component
+    tensor of ``payload_block(layout)``, which is then weighed and
     renormalized.  The block is bit for bit the B = BT = 1 payload slice of
     the full-register stages, which leave zeros everywhere else, and the
     weight is bit for bit theirs: both are exactly rounded sums of the same
-    nonzero squares.  The row is not mutated.
+    nonzero squares.  The diagonal is not mutated.
     """
-    block = payload_block(layout).layout
-    amps = np.empty(1 << block.total_qubits)
-    view, view_names = register_view(amps, block)
-    out = view.transpose([view_names.index(name) for name in ("K1", "M1", "R1", "C2")])
-    if names[2] == "M2":  # crossed labels: put M1 on axis 2 and M2 on axis 5
-        row = row.swapaxes(2, 5)
-    for k in (0, 1):
-        # row[k, :, m1, k, :, m2] is the (R1, C2) matrix at K1 = K2 = k
-        np.subtract(row[k, :, 0, k, :, 0], row[k, :, 1, k, :, 1], out=out[k, 0])
-        np.add(row[k, :, 1, k, :, 0], row[k, :, 0, k, :, 1], out=out[k, 1])
+    block = payload_block(layout)
+    amps = np.empty(1 << block.layout.total_qubits)
+    # the block's tensor is [K1, R1, C2, M1]; out is [K1, M1, R1, C2]
+    out = _inside(amps, block).transpose(0, 3, 1, 2)
+    # diagonal[:, :, ma, :, mb] is the (R1, C2) matrix at each K1 = K2
+    np.subtract(diagonal[:, :, 0, :, 0], diagonal[:, :, 1, :, 1], out=out[:, 0])
+    np.add(diagonal[:, :, 1, :, 0], diagonal[:, :, 0, :, 1], out=out[:, 1])
     np.multiply(amps, _SQRT1_2, out=amps)
     weight = _weight(amps)
     if weight == 0.0:
         bt = layout.start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
     np.divide(amps, math.sqrt(weight), out=amps)
-    return StateVector(block.total_qubits, amps), weight
+    return StateVector(block.layout.total_qubits, amps), weight
 
 
 def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -> tuple[ComplexMatrix, complex]:
@@ -485,15 +499,16 @@ def flagged_state(
 
     Returns the renormalized flagged block, a state on
     ``payload_block(layout).layout``, and the branch's pre-projection
-    weight.  Only w1's row (:func:`_w1_row`) and the block are computed
-    (:func:`flag_and_measure`).  A layout with control flags is refused
-    (:class:`ParameterError`), and so is a run whose :func:`peak_bytes`
-    would not fit in physical memory, before anything is allocated.
+    weight.  Only the K1 = K2 quarters of w1's row (:func:`_w1_diagonal`)
+    and the block (:func:`flag_and_measure`) are computed.  A layout with
+    control flags is refused (:class:`ParameterError`), and so is a run
+    whose :func:`peak_bytes` would not fit in physical memory, before
+    anything is allocated.
     """
     if layout.control_flags_present:
         raise ParameterError("the run path takes a layout without control flags")
-    require_memory(layout, peak_bytes(layout), "W1's row, what is held beside it and the runtime")
-    return flag_and_measure(*_w1_row(pm1, pm2, layout, manipulations), layout)
+    require_memory(layout, peak_bytes(layout), "what a run holds at once and the runtime")
+    return flag_and_measure(_w1_diagonal(pm1, pm2, layout, manipulations), layout)
 
 
 def run_pipeline(
@@ -521,6 +536,8 @@ def run_pipeline(
         entries = entries.T.copy()
     matrix_hat = ComplexMatrix(layout.n, entries)
     b_hat = b_decoded * g_exact
+    # only the decoded product is held through the oracle
+    del block, decoded, entries
 
     oracle_error = math.nan
     if verify:
@@ -540,12 +557,13 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator computes only w1's row from the operands and writes w2's
-    flagged output straight into the payload block, so these numbers
-    describe the abstract circuit rather than the kernels.  The elementary
-    depth of the payload-flagging gate follows a chained-Toffoli model for a
-    gate with k controls (2k - 3 layers, plus one CNOT to copy onto the
-    second ancilla), which is linear in the control count.
+    The simulator computes only two quarters of w1's row from the operands
+    and writes w2's flagged output straight into the payload block, so
+    these numbers describe the abstract circuit rather than the kernels.
+    The elementary depth of the payload-flagging gate follows a
+    chained-Toffoli model for a gate with k controls (2k - 3 layers, plus
+    one CNOT to copy onto the second ancilla), which is linear in the
+    control count.
     """
 
     n: int

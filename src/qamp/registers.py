@@ -72,6 +72,11 @@ class RegisterLayout:
         """Subsystem names in register-view axis order, most significant first."""
         return tuple(sorted(self.slices, key=self.start, reverse=True))
 
+    @cached_property
+    def view_shape(self) -> tuple[int, ...]:
+        """Axis lengths of the register view, in :attr:`view_names` order."""
+        return tuple(1 << self.width(name) for name in self.view_names)
+
     def kept(self, derive, *args):
         """``derive(self, *args)``, computed on the first call with these
         arguments and then kept on this instance: for values that depend
@@ -162,8 +167,7 @@ def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray,
         raise DimensionError(
             f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
         )
-    names = layout.view_names
-    return amps.reshape([1 << layout.width(name) for name in names]), names
+    return amps.reshape(layout.view_shape), layout.view_names
 
 
 def select(view: np.ndarray, names: tuple[str, ...], pins: Mapping) -> np.ndarray:

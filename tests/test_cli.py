@@ -89,6 +89,19 @@ class TestPrepare:
         assert err.startswith("error: ") and "c=1e+200" in err and "overflows" in err
 
 
+    def test_reciprocal_overflow_exit_2(self, tmp_path, capsys):
+        # numpy divides the entries by s + c through 1/(s + c), which for
+        # the zero matrix and c = 5e-324 overflowed, with warnings, into
+        # NaN entries
+        src = write_json(tmp_path / "z.json", {"n": 0, "entries": [[[0.0, 0.0]]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["prepare", src, "--c=5e-324"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: c=5e-324 is too small for this matrix: 1/(s + c) overflows float64 for s=0.0\n"
+
+
 class TestMultiply:
     def test_desk_case_verifies(self, tmp_path, desk_matrix, capsys):
         assert main(["multiply", desk_matrix, desk_matrix, "--c", "0.5"]) == 0
@@ -158,14 +171,15 @@ class TestMultiply:
         assert err.startswith("error: ") and "zero probability" in err
 
     def test_oversized_run_refused_exit_2(self, tmp_path, capsys, monkeypatch):
-        # physical memory reported one byte short of an n = 2 run's peak: two
-        # w1 rows of 2**8 amplitudes, a block of 2**15 terms and the runtime
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67375104 - 1)
+        # physical memory reported one byte short of an n = 2 run's peak: five
+        # quarters of w1's row of 2**6 amplitudes each, a block of 2**15
+        # terms for the row and six of 2**13 for the oracle, and the runtime
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67766784 - 1)
         entries = [[[0.1 * (j + k), 0.0] for k in range(4)] for j in range(4)]
         a = write_json(tmp_path / "a.json", {"n": 2, "entries": entries})
         assert main(["multiply", a, a]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "needs 67375104 bytes" in err
+        assert err.startswith("error: ") and "needs 67766784 bytes" in err
 
     def test_prepared_file_inconsistent_scale_exit_2(self, tmp_path, capsys):
         # the desk file records s_original = 0.5; with 5.0 the rescaled
@@ -264,11 +278,11 @@ class TestConjugate:
     def test_runs_on_the_operands_own_registers(self, tmp_path, capsys, monkeypatch):
         # too little memory for a multiply at n = 2, plenty for the 2n+2
         # qubits of one operand
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67375104 - 1)
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67766784 - 1)
         entries = np.random.default_rng(239).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
         assert main(["multiply", src, src]) == 2
-        assert "needs 67375104 bytes" in capsys.readouterr().err
+        assert "needs 67766784 bytes" in capsys.readouterr().err
         assert main(["conjugate", src]) == 0
         out = json.loads(capsys.readouterr().out)
         got = np.array([[complex(*pair) for pair in row] for row in out["entries"]])
@@ -359,6 +373,91 @@ class TestEstimateG:
         assert main(["estimate-g", desk_matrix, desk_matrix, "--shots", str(2**63)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "shots" in err
+
+    def test_negative_seed_exit_2(self, desk_matrix, capsys):
+        # numpy's generator refuses a negative seed with a ValueError, which
+        # used to end the command in a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate-g", desk_matrix, desk_matrix, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+class TestOutOfRangeInput:
+    # every command on such a file ends in a named error with exit 2, even
+    # with warnings raised as errors, and writes nothing to stdout
+    COMMANDS = (("prepare", 1), ("multiply", 2), ("conjugate", 1), ("estimate-g", 2))
+
+    def check_every_command(self, path, capsys, message):
+        for command, operands in self.COMMANDS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([command, *[path] * operands]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            assert captured.err.startswith("error: ") and message in captured.err, command
+
+    def test_overflowing_entries_exit_2(self, tmp_path, capsys):
+        # the square of 1e308 overflows float64: the weight reads inf, with
+        # no RuntimeWarning, and the scale check names the overflow
+        doc = {"n": 1, "entries": [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        path = write_json(tmp_path / "big.json", doc)
+        self.check_every_command(path, capsys, "the scale (s + c)^2 overflows float64 for s=inf")
+
+    def test_integer_beyond_float64_exit_2(self, tmp_path, capsys):
+        doc = {"n": 1, "entries": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+        path = write_json(tmp_path / "big.json", doc)
+        self.check_every_command(path, capsys, "entries[0][0] must fit in float64")
+
+    def test_width_beyond_any_list_exit_2(self, tmp_path, capsys):
+        # 2**n is never computed for such an n
+        path = write_json(tmp_path / "wide.json", {"n": 10**30, "entries": []})
+        self.check_every_command(path, capsys, f"list of 2**{10**30} rows")
+
+    def test_overflowing_slack_exit_2(self, tmp_path, capsys):
+        # |b| overflows float64; a prepared file is read by multiply and
+        # estimate-g, while prepare and conjugate read only its matrix
+        doc = {**IDENTITY_HALF, "b": [1e308, 1e308], "s_original": 0.5, "c": 0.5}
+        path = write_json(tmp_path / "p.json", doc)
+        for argv in (["multiply", path, path], ["estimate-g", path, path]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "|b|^2 + weight = inf deviates" in captured.err
+
+    def test_unreadable_text_exit_2(self, tmp_path, capsys):
+        cases = {
+            "deep.json": "[" * 100_000 + "]" * 100_000,
+            "digits.json": '{"n": 1' + "0" * 5000 + ', "entries": []}',
+        }
+        for name, text in cases.items():
+            (tmp_path / name).write_text(text)
+        (tmp_path / "bytes.json").write_bytes(b"\xff\xfe")
+        for name in (*cases, "bytes.json"):
+            path = str(tmp_path / name)
+            self.check_every_command(path, capsys, f"{path} is not valid JSON")
+        self.check_every_command(str(tmp_path), capsys, f"cannot read {tmp_path}")
+
+    def test_c_is_checked_for_prepared_operands(self, desk_matrix, tmp_path, capsys):
+        # both operands prepared: c goes unused but is echoed in the
+        # report's flags, where inf or nan would not be JSON
+        prepared = str(tmp_path / "p.json")
+        assert main(["prepare", desk_matrix, "-o", prepared]) == 0
+        for command in ("multiply", "estimate-g"):
+            for value in ("inf", "nan", "0", "-1"):
+                assert main([command, prepared, prepared, f"--c={value}"]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith("error: slack parameter c must be positive and finite")
+
+    def test_unwritable_output_exit_2(self, tmp_path, desk_matrix, capsys):
+        for command, operands in (("prepare", 1), ("multiply", 2), ("conjugate", 1)):
+            assert main([command, *[desk_matrix] * operands, "-o", str(tmp_path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: cannot write {tmp_path}")
 
 
 class TestReport:

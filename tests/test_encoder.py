@@ -9,6 +9,7 @@ from qamp import (
     EncodedBlock,
     ParameterError,
     PreparedMatrix,
+    RegisterLayout,
     StateVector,
     ComplexMatrix,
     ValidationError,
@@ -19,6 +20,7 @@ from qamp import (
     run_pipeline,
 )
 from qamp import encoder
+from qamp.encoder import read_block
 from support import prepared_from_tilde, random_prepared
 
 
@@ -133,18 +135,47 @@ class TestDecode:
         assert b == pm.b
         assert residual == 0.0
 
+    def test_block_index_is_derived_once_per_layout_and_block(self, monkeypatch):
+        # read_block keeps its index and axis order on the layout: a fresh
+        # layout derives them once per block, later reads only look them up
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:])
+            return block_axes(*args)
+
+        pm = prepared_from_tilde([[0.5, 0.25j], [0, -0.125]])
+        shared = layout_for(1)
+        want, want_b, _ = decode(encode(pm, "first", shared), EncodedBlock.for_side(shared, "first"))
+        block_axes = encoder._block_axes
+        monkeypatch.setattr(encoder, "_block_axes", counting)
+        layout = RegisterLayout(n=1, slices=shared.slices, control_flags_present=False)
+        state = encode(pm, "first", layout)
+        blocks = (EncodedBlock.for_side(layout, "first"), EncodedBlock.pipeline_output(layout))
+        for _ in range(3):
+            for block in blocks:
+                got, b = read_block(state, block)
+                if block.fixed:  # nothing sits at B = BT = 1
+                    assert not np.any(got.entries) and b == 0
+                else:
+                    assert got.entries.tobytes() == want.entries.tobytes() and b == want_b
+        assert calls == [(block.registers, block.fixed) for block in blocks]
+        with pytest.raises(DimensionError):
+            read_block(StateVector(layout.total_qubits - 1, state.amplitudes[::2]), blocks[0])
+
     def test_unknown_block_name_rejected(self):
         with pytest.raises(ParameterError):
             EncodedBlock(layout_for(1), m="M9", r="R1", c="C1", k="K1")
 
 
 class TestMemoryPreflight:
-    # n = 5: a run is allowed w1's row of 2**14 float64 amplitudes, a block
-    # of 2**15 terms, another row's worth for the operand tensors, the
-    # payload block and its squares, and the 64 MiB runtime allowance; the
-    # row (128 KiB) is well above what raising the refusal allocates
-    ROW = 8 * (1 << 14)
-    NEEDED = 2 * ROW + 8 * (1 << 15) + (64 << 20)
+    # n = 5: a run is allowed five quarters of w1's row, 2**12 float64
+    # amplitudes each (the K1 = K2 quarters, the payload block and its
+    # squares, the two operands' entries), a block of 2**15 terms for the
+    # row and six of 2**13 for the oracle, and the 64 MiB runtime allowance;
+    # a quarter (32 KiB) is well above what raising the refusal allocates
+    QUARTER = 8 * (1 << 12)
+    NEEDED = 5 * QUARTER + 8 * (1 << 15) + 6 * 8 * (1 << 13) + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)
@@ -156,7 +187,7 @@ class TestMemoryPreflight:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < self.ROW
+        assert peak < self.QUARTER
 
     def test_runs_when_the_peak_just_fits(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED)

@@ -117,3 +117,12 @@ class TestEstimateG:
         est = estimate_g(pm1, pm2, shots=2**63 - 1, seed=0)
         assert abs(est.g_hat - est.g_exact) <= 5 * est.stderr
 
+    def test_seed_validation(self):
+        # numpy's generator takes only nonnegative integer seeds; anything
+        # else is refused by name before the run
+        pm1, pm2 = desk_pair()
+        for seed in (-1, -(2**70), 1.5, True):
+            with pytest.raises(ParameterError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+                estimate_g(pm1, pm2, shots=10, seed=seed)
+        for seed in (0, np.int64(3), 2**70):
+            assert estimate_g(pm1, pm2, shots=10, seed=seed).seed == seed

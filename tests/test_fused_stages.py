@@ -6,14 +6,16 @@ to dense unitaries in ``test_statevector.py``.  The states are random dense
 vectors, not encodings, so every amplitude of the view is exercised.  The
 permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
-stage is also held to its brute-force unitary.  The run path's w1 row is
-held bit for bit to the C1 = R2 = 0 slice of w1 after w0 on the
-manipulated build, with and without control flags and with its block cap
-brought down to each block boundary, and the flagging step, which runs w2 from that row and
-keeps only the payload block, bit for bit to the payload slice of w2, w3
-and the conditional measurement on the full register; its input is a
-random row, embedded by name for the reference.  States are float64 only;
-a complex128 draw runs as its real and imaginary parts.
+stage is also held to its brute-force unitary.  The run path computes only
+the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
+of the C1 = R2 = 0 slice of w1 after w0 on the manipulated build, with and
+without control flags and with its block cap brought down to each block
+boundary.  The flagging step, which runs w2 from that diagonal and keeps
+only the payload block, is held bit for bit to the payload slice of w2, w3
+and the conditional measurement on the full register; its input is the
+diagonal of a random row, and the reference gets the whole row, embedded
+by name.  States are float64 only; a complex128 draw runs as its real and
+imaginary parts.
 """
 
 import itertools
@@ -44,7 +46,7 @@ from qamp.multiplier import (
     MANIPULATIONS,
     PAYLOAD_ZEROS,
     _sylvester,
-    _w1_row,
+    _w1_diagonal,
     flag_and_measure,
     payload_block,
 )
@@ -172,37 +174,47 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
         assert np.max(np.abs(got - unitaries[name] @ amps)) < 1e-15, name
 
 
+def diagonal_names(manips):
+    """The subsystems on axes 1 to 4 of :func:`_w1_diagonal`'s diagonal:
+    R1, the first operand's label, C2 and the second's label, which the
+    operand exchange crosses."""
+    crossed = "swap_order" in manips
+    return ("R1", "M2" if crossed else "M1", "C2", "M1" if crossed else "M2")
+
+
 @pytest.mark.parametrize(
     "n, with_controls",
     [(n, False) for n in (1, 2, 3, 4)] + [(n, True) for n in (1, 2, 3)],
     ids=["1-plain", "2-plain", "3-plain", "4-plain", "1-flags", "2-flags", "3-flags"],
 )
 def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
-    # the run path sums w1's C1 = 0 row over the R2 = 0 slice straight from
-    # the operand tensors; odd and even n both, since the Hadamard scale is
-    # a power of two only at even n.  The reference stages still take
-    # control flags: they start in |0> and no stage here touches them, so
-    # the row is the flags-zero slice and the rest stays zero
+    # the run path sums the K1 = K2 diagonal of w1's C1 = 0 row over the
+    # R2 = 0 slice straight from the operand tensors; odd and even n both,
+    # since the Hadamard scale is a power of two only at even n.  The
+    # reference stages still take control flags: they start in |0> and no
+    # stage here touches them, so the row is the flags-zero slice and the
+    # rest stays zero
     layout = layout_for(n, with_controls=with_controls)
     working = layout.without("B", "BT")
     flags = {name: 0 for name in CONTROL_FLAGS if with_controls}
-    row_layout = working.without("C1", "R2", *flags)
+    quarter_layout = working.without("C1", "R2", "K1", "K2", *flags)
     rng = np.random.default_rng(4000 * n + with_controls)
     pm1 = random_prepared(rng, n, complex_b=True)
     pm2 = random_prepared(rng, n, complex_b=True)
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
             state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
-            want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, **flags})
             if flags:
                 rest = state.amplitudes.copy()
                 view, view_names = register_view(rest, working)
                 select(view, view_names, flags)[...] = 0.0
                 assert not np.any(rest), manips
-            row, names = _w1_row(pm1, pm2, layout, manips)
-            assert sorted(names) == sorted(row_layout.view_names)
-            got = row.transpose([names.index(name) for name in row_layout.view_names])
-            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), manips
+            diagonal = _w1_diagonal(pm1, pm2, layout, manips)
+            names = diagonal_names(manips)
+            for k in (0, 1):
+                want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k, **flags})
+                got = diagonal[k].transpose([names.index(name) for name in quarter_layout.view_names])
+                assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (manips, k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -210,11 +222,11 @@ def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
     # the K1 = K2 = 1 quarter of the row, (2 dim) x (2 dim), is summed a
     # block at a time, and at n <= 4 the default block holds all of it;
     # with the cap brought down the blocks split the c range and the rows
-    # as they do from n = 5 on, and the row must not move.  Operand
+    # as they do from n = 5 on, and the diagonal must not move.  Operand
     # components mix +-0.0 with magnitudes of either sign
     layout = layout_for(n)
     working = layout.without("B", "BT")
-    row_layout = working.without("C1", "R2")
+    quarter_layout = working.without("C1", "R2", "K1", "K2")
     dim = 1 << n
     caps = {case: block_cap(case, dim, 2 * dim, 2 * dim) for case in BLOCK_CAPS}
     rng = np.random.default_rng(4100 + n)
@@ -224,11 +236,16 @@ def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
             state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
-            want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0}).tobytes()
+            want = b"".join(
+                pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k}).tobytes()
+                for k in (0, 1)
+            )
             for case, cap in caps.items():
                 monkeypatch.setattr(multiplier, "BLOCK", cap)
-                row, names = _w1_row(pm1, pm2, layout, manips)
-                got = row.transpose([names.index(name) for name in row_layout.view_names])
+                diagonal = _w1_diagonal(pm1, pm2, layout, manips)
+                names = diagonal_names(manips)
+                order = [0] + [1 + names.index(name) for name in quarter_layout.view_names]
+                got = diagonal.transpose(order)
                 assert np.ascontiguousarray(got).tobytes() == want, (manips, case)
 
 
@@ -261,17 +278,29 @@ def embed_row(row, names, layout):
     return StateVector(layout.total_qubits, amps)
 
 
+def diagonal_of(row, names):
+    """The K1 = K2 diagonal of ``row`` (axes named by ``names``, K1 and K2
+    at positions 0 and 3) as :func:`_w1_diagonal` returns it: indexed
+    [k, R1, first label, C2, second label]."""
+    assert (names[0], names[3]) == ("K1", "K2")
+    return np.stack([row[k, :, :, k] for k in (0, 1)])
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
 @pytest.mark.parametrize("labels", ["plain", "crossed"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
+    # the flagging step sees only the row's K1 = K2 diagonal, the reference
+    # the whole random row: what lies off the diagonal never reaches the
+    # flagged branch, and the labels' order, crossed or not, does not matter
     layout = layout_for(n)
     names = ROW_NAMES[labels]
     rng = np.random.default_rng(2000 * n + (labels == "crossed"))
     for state in random_states(rng, 2 * n + 4, dtype):
         row = state.amplitudes.reshape(2, 1 << n, 2, 2, 1 << n, 2)
-        before = row.copy()
-        got, got_weight = flag_and_measure(row, names, layout)
+        diagonal = diagonal_of(row, names)
+        before = diagonal.copy()
+        got, got_weight = flag_and_measure(diagonal, layout)
         full = embed_row(row, names, layout)
         want, want_weight = conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
         assert got.num_qubits == payload_block(layout).layout.total_qubits
@@ -286,22 +315,28 @@ def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
         flagged[...] = 0.0
         assert not np.any(rest)
         assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
-        assert row.tobytes() == before.tobytes()
+        assert diagonal.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("labels", ["plain", "crossed"])
 def test_flag_and_measure_zero_branch_is_an_error(labels):
-    # weight only off the payload subspace (M2 = 1, and K2 != K1 so that
-    # w2 keeps it there): nothing gets flagged
+    # weight only off the payload subspace: at M2 = 1 with K2 != K1, which
+    # w2 keeps there and the diagonal does not hold, or on the diagonal at
+    # (M2, M1) = (0, 0) and (1, 1), which w2's difference cancels
     layout = layout_for(2)
     names = ROW_NAMES[labels]
-    row = np.zeros((2, 4, 2, 2, 4, 2))
-    pins = {"K1": 1, "K2": 0, "M2": 1, "M1": 0, "R1": 0, "C2": 0}
-    row[tuple(pins[name] for name in names)] = 1.0
-    with pytest.raises(MeasurementError) as got:
-        flag_and_measure(row, names, layout)
-    full = embed_row(row, names, layout)
-    with pytest.raises(MeasurementError) as want:
-        conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
-    assert str(got.value) == str(want.value)
-    assert got.value.probability == want.value.probability == 0.0
+    off = {"K1": 1, "K2": 0, "M2": 1, "M1": 0, "R1": 0, "C2": 0}
+    cancelled = [
+        {"K1": 1, "K2": 1, "M2": m, "M1": m, "R1": 2, "C2": 3} for m in (0, 1)
+    ]
+    for placed in ([off], cancelled):
+        row = np.zeros((2, 4, 2, 2, 4, 2))
+        for pins in placed:
+            row[tuple(pins[name] for name in names)] = 1.0
+        with pytest.raises(MeasurementError) as got:
+            flag_and_measure(diagonal_of(row, names), layout)
+        full = embed_row(row, names, layout)
+        with pytest.raises(MeasurementError) as want:
+            conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
+        assert str(got.value) == str(want.value)
+        assert got.value.probability == want.value.probability == 0.0

@@ -217,7 +217,7 @@ class TestManipulatedBlocks:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slack_slab_is_zero_off_the_corner(self, n):
-        # _w1_row sums over c only where K1 = K2 = 1: that needs each
+        # _w1_diagonal sums over c only where K1 = K2 = 1: that needs each
         # operand's K axis to stay its own K whatever the manipulations
         # renamed, and its K = 0 slab to be zero everywhere but R = C = 0
         layout = layout_for(n)
@@ -542,7 +542,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_is_its_stages_bit_for_bit(self, n):
         # the public stages on the full register, against run_pipeline (which
-        # computes only w1's row and the payload block)
+        # computes only the K1 = K2 quarters of w1's row and the payload block)
         rng = np.random.default_rng(211 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
@@ -581,9 +581,10 @@ class TestRunPipeline:
             flagged_state(pm1, pm2, {"dagger1"}, layout)
 
     def test_run_path_is_the_light_cone(self, monkeypatch):
-        # a run sums w1's row straight from the operand tensors and writes
-        # the payload block from it: no register stage, no full-register
-        # reference stage, no joint state and no matrix product
+        # a run sums w1's K1 = K2 quarters straight from the operand
+        # tensors and writes the payload block from them: no register stage,
+        # no full-register reference stage, no joint state and no matrix
+        # product
         def refused(*_args, **_kwargs):
             raise AssertionError("the run path called a full-register step")
 
@@ -676,8 +677,9 @@ class TestResourceReport:
 
 class TestMemory:
     def test_peak_is_a_few_states(self):
-        # the largest array of a run is w1's row, 2**-(2n+2) of the full
-        # state, and what it holds beside the row is smaller again
+        # the largest array of a run is the K1 = K2 diagonal of w1's row,
+        # 2**-(2n+3) of the full state, and what it holds beside it is
+        # about as large again
         rng = np.random.default_rng(331)
         pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
         state_bytes = 8 << layout_for(3).total_qubits
@@ -690,9 +692,10 @@ class TestMemory:
         assert peak <= 0.1 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
 
     def test_peak_is_a_few_rows(self):
-        # w1's row at n = 5 is 8 * 2**(2n+4) bytes (128 KiB); the whole run,
-        # oracle included, holds no more than four of them at once, while
-        # the 3n+4-qubit light cone alone would take 4 MiB
+        # w1's row at n = 5 is 8 * 2**(2n+4) bytes (128 KiB), and a run
+        # computes only half of it; the whole run, oracle included, holds no
+        # more than four rows' worth at once, while the 3n+4-qubit light cone
+        # alone would take 4 MiB
         rng = np.random.default_rng(337)
         pm1, pm2 = random_prepared(rng, 5, complex_b=True), random_prepared(rng, 5, complex_b=True)
         row_bytes = 8 << (2 * 5 + 4)
