@@ -1,0 +1,60 @@
+"""A seeded sha256 over the results of run_pipeline and estimate_g.
+
+    PYTHONPATH=src python3 .github/digest.py
+
+For each n = 1..8 one operand pair is drawn from a seed fixed by n: about
+a quarter of its entries' components are +0.0 or -0.0, and its slack
+amplitudes are complex.  Under every subset of the three
+manipulations the digest takes the bytes of run_pipeline's matrix_hat,
+b_hat, g_exact, branch_probability and oracle_error, and of estimate_g's
+s1, s1_tilde_exact, s1_tilde_sampled, g_hat and stderr (10^5 shots, seed
+7).  A change that keeps every result bit for bit prints the same digest as
+its parent; one that moves a result by one bit prints another.
+"""
+
+import hashlib
+import itertools
+import time
+
+import numpy as np
+
+from qamp import ComplexMatrix, estimate_g, prepare, run_pipeline
+from qamp.multiplier import MANIPULATIONS
+
+
+def operand(rng, n):
+    """A prepared matrix whose components are about a quarter +-0.0."""
+    dim = 1 << n
+    parts = rng.normal(size=(2, dim, dim))
+    zeros = rng.random(size=parts.shape) < 0.25
+    parts[zeros] = np.copysign(0.0, rng.choice([-1.0, 1.0], size=int(zeros.sum())))
+    return prepare(ComplexMatrix(n, parts[0] + 1j * parts[1]), rng.uniform(0.3, 2.0), rng.uniform(0.0, 6.0))
+
+
+def floats(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    runs = 0
+    start = time.perf_counter()
+    for n in range(1, 9):
+        rng = np.random.default_rng(9000 + n)
+        pm1, pm2 = operand(rng, n), operand(rng, n)
+        for r in range(len(MANIPULATIONS) + 1):
+            for manips in itertools.combinations(sorted(MANIPULATIONS), r):
+                res = run_pipeline(pm1, pm2, manips)
+                digest.update(res.matrix_hat.entries.tobytes())
+                digest.update(floats(res.b_hat.real, res.b_hat.imag, res.g_exact))
+                digest.update(floats(res.branch_probability, res.oracle_error))
+                est = estimate_g(pm1, pm2, manips, shots=10**5, seed=7)
+                digest.update(floats(est.s1, est.s1_tilde_exact, est.s1_tilde_sampled))
+                digest.update(floats(est.g_hat, est.stderr))
+                runs += 1
+    elapsed = time.perf_counter() - start
+    print(f"sha256 {digest.hexdigest()} over {runs} runs, n = 1..8, {elapsed:.1f} s")
+
+
+if __name__ == "__main__":
+    main()

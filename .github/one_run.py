@@ -5,7 +5,7 @@ manipulations, checked.
 
 Exits 1 unless the decoded product matches the oracle within ORACLE_TOL,
 the branch weight is g^2 / 2^(n+1) to 1e-10, the estimator's exact K1 = 0
-weight, read off the flagged block, is |b1 b2|^2 / g^2 to 1e-10 (10^4
+weight, read off the flagged payload, is |b1 b2|^2 / g^2 to 1e-10 (10^4
 shots, seed 0), and ru_maxrss, the whole process's peak resident size,
 stays under the bytes the memory preflight asked for.  Prints the run's
 wall time beside those of its own oracle call and of the estimate.

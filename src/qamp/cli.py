@@ -33,7 +33,7 @@ from .complexmat import (
     prepared_to_obj,
 )
 from .conjugator import hermitian_conjugate
-from .encoder import EncodedBlock, decode, encode
+from .encoder import EncodedBlock, encode, read_block
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
@@ -231,7 +231,7 @@ def cmd_conjugate(args) -> int:
     layout = layout_for(matrix.n).without("M2", "R2", "C2", "K2", "B", "BT")
     block = EncodedBlock.for_side(layout, "first")
     state = hermitian_conjugate(encode(pm, "first", layout), block)
-    decoded, _b, _residual = decode(state, block)
+    decoded, _b = read_block(state, block)
     result = ComplexMatrix(matrix.n, decoded.entries * pm.scale)
     _write_output(dump_json(matrix_to_obj(result)), args.output)
     return EXIT_OK

@@ -16,15 +16,18 @@ Amplitudes are written and read through the register view of
 :mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
 tensor placed into a slice of it.  :func:`joint_amplitudes` writes a
 product of such tensors in one pass, whatever blocks they sit on; the
-pipeline's build hands it tensors and blocks that the operand
-manipulations have already signed and renamed.  Reading back is split the
-same way: :func:`read_block` reads the component tensor of a block,
-:func:`residual` weighs everything outside the encoding support, and
-:func:`decode` does both.
+full-register build (:func:`qamp.multiplier.build_initial`) hands it
+tensors and blocks that the operand manipulations have already signed and
+renamed.  Reading back is split the same way: :func:`read_block` reads the
+component tensor of a block, :func:`residual` weighs everything outside the
+encoding support, and :func:`decode` does both.  The pipeline's run path
+places nothing in a register view and reads nothing out of one: it takes
+the operands' tensors from :func:`_components` and its result, the flagged
+payload, is a component tensor already.
 
 :func:`check_memory` refuses a layout whose stages cannot fit in physical
 memory, and :func:`joint_amplitudes` calls it before allocating;
-:func:`require_memory` is the comparison behind it, which the pipeline also
+:func:`require_memory` is the comparison behind it, which the run path also
 makes for its own, smaller peak before its first allocation.
 """
 

@@ -7,7 +7,7 @@ over many runs recovers the factor as a square-root ratio.  The measurement
 destroys the product state, so one extra run is nominally needed to keep it.
 
 The shots are independent draws from the exact K1 marginal, which is read
-off the flagged payload block as an exactly rounded weight, so their
+off the flagged payload's K1 = 0 slab as an exactly rounded weight, so their
 zero-outcome count is one binomial draw, a fixed function of (shots, seed).
 """
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from .complexmat import PreparedMatrix
 from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError
-from .multiplier import _check_manipulations, flagged_state, payload_block
-from .registers import layout_for
+from .multiplier import _check_manipulations, flagged_state
+from .statevector import _weight
 
 #: no longer used for sampling, which is one draw; kept only because the
 #: benchmark's replay reports ceil(shots / SHARD_SIZE) as ``estimator.shards``
@@ -82,10 +82,9 @@ def estimate_g(
         raise MethodUndefinedError(
             "slack product is zero for these inputs, the recovery ratio is undefined"
         )
-    layout = layout_for(pm1.n)
-    block, _branch = flagged_state(pm1, pm2, manips, layout)
+    payload, _branch = flagged_state(pm1, pm2, manips)
 
-    s1_tilde_exact = block.probability(payload_block(layout).layout.start("K1"), 0)
+    s1_tilde_exact = _weight(payload[0])
     zeros = _sample_zero_count(s1_tilde_exact, shots, seed)
     if zeros == 0:
         raise EstimateUnavailableError(

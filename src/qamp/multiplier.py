@@ -47,16 +47,17 @@ holds just the slack; the K1 = K2 = 1 quarter sums one outer product per
 c, a block at a time, a chunk of c values by a band of rows in at most
 :data:`BLOCK` amplitudes, with a few numpy calls per block, and every
 amplitude still takes its terms in c order.  :func:`flag_and_measure`
-writes w2's flagged output from the quarters straight into the payload
-block's component tensor (M1, R1, C2 and K1, 2**(2n+2) amplitudes), then
-weighs and renormalizes it.  The product and the estimator's K1 weight are
-read from that block.  Control flags mean nothing on this path, so a
-layout that has them is refused.
+writes w2's flagged output from the quarters straight into the payload, a
+component tensor indexed [K1, R1, C2, M1] (2**(2n+2) amplitudes), then
+weighs and renormalizes it.  The product (its K1 = 1 slab) and the
+estimator's K1 = 0 weight are read straight off that tensor.  A run takes
+no layout: it works on ``layout_for(n)``, since control flags mean nothing
+on this path.
 
 The stage functions address subsystems by name and run unchanged on any
 layout.  :func:`build_initial`, :func:`apply_w0`..:func:`apply_w3` on the
 whole register and :func:`conditional_measure` stay as the full-register
-reference, and the run path's block and weight are bit for bit theirs:
+reference, and the run path's payload and weight are bit for bit theirs:
 w1's ordered sum is the one the quarters make, and every flagged
 amplitude comes from the same operations in both.
 
@@ -79,14 +80,7 @@ import numpy as np
 
 from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
 from .conjugator import apply_q_to_operands
-from .encoder import (
-    EncodedBlock,
-    _components,
-    _inside,
-    joint_amplitudes,
-    read_block,
-    require_memory,
-)
+from .encoder import EncodedBlock, _components, joint_amplitudes, require_memory
 from .errors import DimensionError, MeasurementError, ParameterError
 from .registers import RegisterLayout, layout_for, register_stage, select
 from .statevector import (
@@ -177,8 +171,6 @@ def _operands(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, 
     manips = _check_manipulations(manipulations)
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
-    if pm1.n != layout.n:
-        raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
     operands = []
     for pm, (block, negated) in zip((pm1, pm2), layout.kept(_manipulated_blocks, manips)):
         tensor = _components(pm)
@@ -206,6 +198,8 @@ def build_initial(
     chain leaves -0.0 where this leaves +0.0.
     """
     operands = _operands(pm1, pm2, layout, manipulations)
+    if pm1.n != layout.n:
+        raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
     return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
 
 
@@ -389,22 +383,11 @@ def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[Sta
     return project_and_renormalize(state, layout.start("BT"), 1)
 
 
-def _payload_block(layout: RegisterLayout) -> EncodedBlock:
-    return EncodedBlock(layout.without(*ANCILLAE, *PAYLOAD_ZEROS), m="M1", r="R1", c="C2", k="K1")
-
-
-def payload_block(layout: RegisterLayout) -> EncodedBlock:
-    """Where :func:`flag_and_measure` leaves the product: (M1, R1, C2, K1)
-    on ``layout`` without the ancillae and the payload-zero subsystems, a
-    layout that keeps any control flags.  Built once per layout."""
-    return layout.kept(_payload_block)
-
-
 def peak_bytes(layout: RegisterLayout) -> int:
     """Resident bytes of a process at the peak of a run on ``layout``,
     bounded by everything a run holds at once: the two quarters of w1's
     row that it computes, 2**(2n+2) float64 amplitudes each, the payload
-    block and the squares of its weight (a quarter each), the two operands'
+    and the squares of its weight (a quarter each), the two operands'
     entries (half a quarter each), the blocks of terms that the row's and
     the oracle's sums add (:data:`BLOCK` and six
     :data:`qamp.complexmat.ORACLE_BLOCK` amplitudes), and
@@ -413,12 +396,12 @@ def peak_bytes(layout: RegisterLayout) -> int:
     return 8 * (5 * quarter + BLOCK + 6 * ORACLE_BLOCK) + RUNTIME_BYTES
 
 
-def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[StateVector, float]:
+def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, float]:
     """:func:`apply_w2`, :func:`apply_w3` and :func:`conditional_measure`
     from the K1 = K2 diagonal of w1's row (:func:`_w1_diagonal`, with C1,
-    R2 and the ancillae taken to be in |0>), kept to the payload block.
-    The diagonal's axes are K1 = K2, R1, the first operand's label, C2 and
-    the second's label.
+    R2 and the ancillae taken to be in |0>), kept to the payload.  The
+    diagonal's axes are K1 = K2, R1, the first operand's label, C2 and the
+    second's label.
 
     w3 moves the payload slice (C1, R2, M2 and K2 all 0) to B = BT = 1 and
     nothing else lands there, so the flagged branch is w2's M2 = K2 = 0
@@ -427,27 +410,29 @@ def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[Stat
     (0, 0) minus (1, 1) and M1 = 1 from (0, 1) plus (1, 0), scaled by
     sqrt(1/2).  Both read the same with the two labels exchanged, bit for
     bit, since IEEE addition commutes, so labels crossed by the operand
-    exchange need no care.  These are written straight into the component
-    tensor of ``payload_block(layout)``, which is then weighed and
-    renormalized.  The block is bit for bit the B = BT = 1 payload slice of
-    the full-register stages, which leave zeros everywhere else, and the
-    weight is bit for bit theirs: both are exactly rounded sums of the same
-    nonzero squares.  The diagonal is not mutated.
+    exchange need no care.
+
+    Returns the renormalized payload, a float64 tensor indexed [K1, R1,
+    C2, M1], and the branch's pre-projection weight.  The tensor is bit for
+    bit the B = BT = 1 payload slice of the full-register stages, which
+    leave zeros everywhere else, and the weight is bit for bit theirs: both
+    are exactly rounded sums of the same nonzero squares.  The diagonal is
+    not mutated.
     """
-    block = payload_block(layout)
-    amps = np.empty(1 << block.layout.total_qubits)
-    # the block's tensor is [K1, R1, C2, M1]; out is [K1, M1, R1, C2]
-    out = _inside(amps, block).transpose(0, 3, 1, 2)
+    dim = 1 << layout.n
+    payload = np.empty((2, dim, dim, 2))
+    # the payload is [K1, R1, C2, M1]; out is [K1, M1, R1, C2]
+    out = payload.transpose(0, 3, 1, 2)
     # diagonal[:, :, ma, :, mb] is the (R1, C2) matrix at each K1 = K2
     np.subtract(diagonal[:, :, 0, :, 0], diagonal[:, :, 1, :, 1], out=out[:, 0])
     np.add(diagonal[:, :, 1, :, 0], diagonal[:, :, 0, :, 1], out=out[:, 1])
-    np.multiply(amps, _SQRT1_2, out=amps)
-    weight = _weight(amps)
+    np.multiply(payload, _SQRT1_2, out=payload)
+    weight = _weight(payload)
     if weight == 0.0:
         bt = layout.start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
-    np.divide(amps, math.sqrt(weight), out=amps)
-    return StateVector(block.layout.total_qubits, amps), weight
+    np.divide(payload, math.sqrt(weight), out=payload)
+    return payload, weight
 
 
 def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -> tuple[ComplexMatrix, complex]:
@@ -492,52 +477,48 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     return ComplexMatrix(pm1.n, entries), b_hat
 
 
-def flagged_state(
-    pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations, layout: RegisterLayout
-) -> tuple[StateVector, float]:
+def flagged_state(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tuple[np.ndarray, float]:
     """Run the circuit up to and including the conditional measurement.
 
-    Returns the renormalized flagged block, a state on
-    ``payload_block(layout).layout``, and the branch's pre-projection
-    weight.  Only the K1 = K2 quarters of w1's row (:func:`_w1_diagonal`)
-    and the block (:func:`flag_and_measure`) are computed.  A layout with
-    control flags is refused (:class:`ParameterError`), and so is a run
-    whose :func:`peak_bytes` would not fit in physical memory, before
-    anything is allocated.
+    Returns the renormalized payload of the flagged branch, a float64
+    tensor indexed [K1, R1, C2, M1] of shape (2, 2**n, 2**n, 2), and the
+    branch's pre-projection weight.  Only the K1 = K2 quarters of w1's row
+    (:func:`_w1_diagonal`) and the payload (:func:`flag_and_measure`) are
+    computed, on ``layout_for(pm1.n)``; a run whose :func:`peak_bytes`
+    would not fit in physical memory is refused before anything is
+    allocated.
     """
-    if layout.control_flags_present:
-        raise ParameterError("the run path takes a layout without control flags")
+    layout = layout_for(pm1.n)
     require_memory(layout, peak_bytes(layout), "what a run holds at once and the runtime")
     return flag_and_measure(_w1_diagonal(pm1, pm2, layout, manipulations), layout)
 
 
 def run_pipeline(
-    pm1: PreparedMatrix,
-    pm2: PreparedMatrix,
-    manipulations=(),
-    layout: RegisterLayout | None = None,
-    verify: bool = True,
+    pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=(), *, verify: bool = True
 ) -> ProductResult:
     """Run the whole circuit, decode, and verify against the classical oracle.
 
-    Manipulations apply in the order of :data:`MANIPULATION_STAGES`.  With
-    ``verify`` false the oracle is not run and ``oracle_error`` is NaN.
+    Manipulations apply in the order of :data:`MANIPULATION_STAGES`.  The
+    product and the slack are read off the flagged payload's K1 = 1 and
+    K1 = 0 slabs.  With ``verify`` false the oracle is not run and
+    ``oracle_error`` is NaN.
     """
     manips = _check_manipulations(manipulations)
-    if layout is None:
-        layout = layout_for(pm1.n)
-    block, branch_probability = flagged_state(pm1, pm2, manips, layout)
+    payload, branch_probability = flagged_state(pm1, pm2, manips)
 
     # the flagged branch carries weight G^2 / 2^(n+1)
-    g_exact = math.sqrt(branch_probability * float(1 << (layout.n + 1)))
-    decoded, b_decoded = read_block(block, payload_block(layout))
-    entries = decoded.entries * g_exact
+    g_exact = math.sqrt(branch_probability * float(1 << (pm1.n + 1)))
+    product = payload[1]
     if "swap_order" in manips:
-        entries = entries.T.copy()
-    matrix_hat = ComplexMatrix(layout.n, entries)
-    b_hat = b_decoded * g_exact
+        product = product.transpose(1, 0, 2)
+    entries = np.empty(product.shape[:2], dtype=np.complex128)
+    entries.real = product[..., 0]
+    entries.imag = product[..., 1]
+    np.multiply(entries, g_exact, out=entries)
+    matrix_hat = ComplexMatrix(pm1.n, entries)
+    b_hat = complex(payload[0, 0, 0, 0], payload[0, 0, 0, 1]) * g_exact
     # only the decoded product is held through the oracle
-    del block, decoded, entries
+    del payload, product, entries
 
     oracle_error = math.nan
     if verify:
@@ -558,7 +539,7 @@ class ResourceReport:
     """Analytic circuit-size accounting.
 
     The simulator computes only two quarters of w1's row from the operands
-    and writes w2's flagged output straight into the payload block, so
+    and writes w2's flagged output straight into the payload tensor, so
     these numbers describe the abstract circuit rather than the kernels.
     The elementary depth of the payload-flagging gate follows a
     chained-Toffoli model for a gate with k controls (2k - 3 layers, plus

@@ -11,8 +11,8 @@ significant subsystem first.  Encoding, decoding and every fused circuit
 stage address amplitudes through it, so each is a small number of slice
 operations on that view rather than one pass per gate.  A layout with some
 subsystems removed (:meth:`RegisterLayout.without`) holds the states on
-which those subsystems are |0>: the pipeline's payload block is one, and
-so is the operand register that ``qamp conjugate`` runs on.
+which those subsystems are |0>, such as the operand register that
+``qamp conjugate`` runs on.
 """
 
 from __future__ import annotations

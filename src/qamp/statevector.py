@@ -23,12 +23,13 @@ sequence on the copy.
 Weights (:meth:`StateVector.probability`, :func:`project_and_renormalize`
 and the residual of :func:`qamp.encoder.decode`) are exactly rounded sums
 of the nonzero squares, so a branch weighs the same, bit for bit, whether
-it is read off a full-register state or off the payload block alone.
+it is read off a full-register state or off the payload tensor alone.
 
 This gate engine is the general-purpose API and the reference the circuit
 stages are tested against.  The pipeline itself holds no register state:
-it sums w1's C1 = 0 row straight from the two operands' component tensors
-and writes w2's flagged output from it into the payload block
+it computes the K1 = K2 quarters of w1's C1 = R2 = 0 row straight from the
+two operands' component tensors and writes w2's flagged output from them
+into the payload, a [K1, R1, C2, M1] component tensor
 (:func:`qamp.multiplier.flag_and_measure`), whose weight is
 :func:`_weight`'s; the multi-controlled w3 goes through :func:`apply_gates`
 only in the full-register reference :func:`qamp.multiplier.apply_w3`.

@@ -51,12 +51,11 @@ def criterion_runs():
     runs = []
     started = time.perf_counter()
     for n in (1, 2, 3):
-        layout = layout_for(n)
         for _ in range(PAIRS_PER_N):
             pm1 = random_prepared(rng, n, complex_b=bool(rng.integers(0, 2)))
             pm2 = random_prepared(rng, n, complex_b=bool(rng.integers(0, 2)))
             for manips in CRITERION_SETS:
-                runs.append((n, manips, pm1, pm2, run_pipeline(pm1, pm2, manips, layout)))
+                runs.append((n, manips, pm1, pm2, run_pipeline(pm1, pm2, manips)))
     return runs, time.perf_counter() - started
 
 

@@ -170,7 +170,7 @@ class TestDecode:
 
 class TestMemoryPreflight:
     # n = 5: a run is allowed five quarters of w1's row, 2**12 float64
-    # amplitudes each (the K1 = K2 quarters, the payload block and its
+    # amplitudes each (the K1 = K2 quarters, the payload and its
     # squares, the two operands' entries), a block of 2**15 terms for the
     # row and six of 2**13 for the oracle, and the 64 MiB runtime allowance;
     # a quarter (32 KiB) is well above what raising the refusal allocates

@@ -11,7 +11,7 @@ the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
 of the C1 = R2 = 0 slice of w1 after w0 on the manipulated build, with and
 without control flags and with its block cap brought down to each block
 boundary.  The flagging step, which runs w2 from that diagonal and keeps
-only the payload block, is held bit for bit to the payload slice of w2, w3
+only the payload tensor, is held bit for bit to the payload slice of w2, w3
 and the conditional measurement on the full register; its input is the
 diagonal of a random row, and the reference gets the whole row, embedded
 by name.  States are float64 only; a complex128 draw runs as its real and
@@ -48,8 +48,8 @@ from qamp.multiplier import (
     _sylvester,
     _w1_diagonal,
     flag_and_measure,
-    payload_block,
 )
+from qamp.encoder import _inside
 from qamp.registers import CONTROL_FLAGS, register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
@@ -303,16 +303,16 @@ def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
         got, got_weight = flag_and_measure(diagonal, layout)
         full = embed_row(row, names, layout)
         want, want_weight = conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
-        assert got.num_qubits == payload_block(layout).layout.total_qubits
-        assert got.amplitudes.dtype == want.amplitudes.dtype == np.float64
-        # the block is the reference's B = BT = 1 payload slice, in the
-        # slice's own C order, and the reference holds nothing else
+        assert got.shape == (2, 1 << n, 1 << n, 2)
+        assert got.dtype == want.amplitudes.dtype == np.float64
+        # the tensor is the reference's B = BT = 1 payload slice, indexed
+        # [K1, R1, C2, M1], and the reference holds nothing else
+        wanted = _inside(want.amplitudes, EncodedBlock.pipeline_output(layout))
+        assert got.tobytes() == wanted.tobytes()
         rest = want.amplitudes.copy()
         view, view_names = register_view(rest, layout)
         pins = {**{name: 0 for name in PAYLOAD_ZEROS}, "B": 1, "BT": 1}
-        flagged = select(view, view_names, pins)
-        assert got.amplitudes.tobytes() == np.ascontiguousarray(flagged).tobytes()
-        flagged[...] = 0.0
+        select(view, view_names, pins)[...] = 0.0
         assert not np.any(rest)
         assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
         assert diagonal.tobytes() == before.tobytes()

@@ -31,7 +31,7 @@ from qamp import (
     resource_report,
     run_pipeline,
 )
-from qamp import multiplier
+from qamp import conjugator, encoder, estimator, multiplier, registers, statevector
 from qamp.conjugator import apply_q_to_operands
 from qamp.multiplier import MANIPULATION_STAGES, flagged_state
 from qamp.registers import RegisterLayout
@@ -205,15 +205,15 @@ class TestManipulatedBlocks:
         rng = np.random.default_rng(173)
         pm1, pm2 = random_prepared(rng, 2, complex_b=True), random_prepared(rng, 2, complex_b=True)
         for manips in ALL_SUBSETS:
-            want = run_pipeline(pm1, pm2, manips, shared)
+            want = multiplier._w1_diagonal(pm1, pm2, shared, manips)
             before = dict(calls)
-            first = run_pipeline(pm1, pm2, manips, layout)
+            first = multiplier._w1_diagonal(pm1, pm2, layout, manips)
             assert calls["apply_q_to_operands"] - before["apply_q_to_operands"] == len(manips)
             before = dict(calls)
-            second = run_pipeline(pm1, pm2, manips, layout)
+            second = multiplier._w1_diagonal(pm1, pm2, layout, manips)
             assert calls == before, sorted(manips)
             for got in (first, second):
-                assert got.matrix_hat.entries.tobytes() == want.matrix_hat.entries.tobytes()
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slack_slab_is_zero_off_the_corner(self, n):
@@ -542,7 +542,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_is_its_stages_bit_for_bit(self, n):
         # the public stages on the full register, against run_pipeline (which
-        # computes only the K1 = K2 quarters of w1's row and the payload block)
+        # computes only the K1 = K2 quarters of w1's row and the payload)
         rng = np.random.default_rng(211 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
@@ -561,7 +561,7 @@ class TestRunPipeline:
             if "swap_order" in manips:
                 entries = entries.T.copy()
 
-            res = run_pipeline(pm1, pm2, manips, layout)
+            res = run_pipeline(pm1, pm2, manips)
             assert res.matrix_hat.entries.tobytes() == entries.tobytes()
             assert np.array([res.b_hat]).tobytes() == np.array([b_decoded * g]).tobytes()
             assert np.array([res.branch_probability]).tobytes() == np.array([branch]).tobytes()
@@ -569,22 +569,21 @@ class TestRunPipeline:
             est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
             assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes()
 
-    def test_control_flag_layout_refused(self):
-        # the flags mean nothing on the run path: only apply_q_controlled,
-        # a reference stage, reads them
+    def test_stale_positional_layout_is_a_type_error(self):
+        # a run takes no layout, and verify is keyword-only, so a layout
+        # passed where run_pipeline once took one cannot bind to verify
         rng = np.random.default_rng(229)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
-        layout = layout_for(2, with_controls=True)
-        with pytest.raises(ParameterError, match="control flags"):
-            run_pipeline(pm1, pm2, (), layout)
-        with pytest.raises(ParameterError, match="control flags"):
-            flagged_state(pm1, pm2, {"dagger1"}, layout)
+        with pytest.raises(TypeError):
+            run_pipeline(pm1, pm2, (), layout_for(2))
 
     def test_run_path_is_the_light_cone(self, monkeypatch):
         # a run sums w1's K1 = K2 quarters straight from the operand
-        # tensors and writes the payload block from them: no register stage,
-        # no full-register reference stage, no joint state and no matrix
-        # product
+        # tensors and writes the payload tensor from them: no register
+        # stage, no full-register reference stage, no joint state and no
+        # matrix product; and neither the run nor the estimate holds any
+        # register state, reads a block through a register view or derives
+        # a layout
         def refused(*_args, **_kwargs):
             raise AssertionError("the run path called a full-register step")
 
@@ -598,11 +597,18 @@ class TestRunPipeline:
         ):
             monkeypatch.setattr(multiplier, name, refused)
         monkeypatch.setattr(np, "matmul", refused)
+        for module in (multiplier, estimator, encoder, conjugator, registers, statevector):
+            for name in ("StateVector", "register_view", "read_block", "_inside"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+        monkeypatch.setattr(RegisterLayout, "without", refused)
         rng = np.random.default_rng(227)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
-        layout = layout_for(2)
-        block, _weight = flagged_state(pm1, pm2, {"dagger1", "dagger2", "swap_order"}, layout)
-        assert block.num_qubits == multiplier.payload_block(layout).layout.total_qubits
+        manips = {"dagger1", "dagger2", "swap_order"}
+        payload, _weight = flagged_state(pm1, pm2, manips)
+        assert payload.shape == (2, 4, 4, 2) and payload.dtype == np.float64
+        run_pipeline(pm1, pm2, manips)
+        estimate_g(pm1, pm2, manips, shots=10, seed=0)
 
     def test_no_verify_skips_the_oracle(self):
         rng = np.random.default_rng(223)
