@@ -1,6 +1,6 @@
 """A seeded sha256 over the results of run_pipeline and estimate_g.
 
-    PYTHONPATH=src python3 .github/digest.py
+    PYTHONPATH=src python3 .github/digest.py [--no-check]
 
 For each n = 1..8 one operand pair is drawn from a seed fixed by n: about
 a quarter of its entries' components are +0.0 or -0.0, and its slack
@@ -10,16 +10,28 @@ b_hat, g_exact, branch_probability and oracle_error, and of estimate_g's
 s1, s1_tilde_exact, s1_tilde_sampled, g_hat and stderr (10^5 shots, seed
 7).  A change that keeps every result bit for bit prints the same digest as
 its parent; one that moves a result by one bit prints another.
+
+The digest is a gate: it exits 1, printing both digests, when it differs
+from the one committed in .github/digest.sha256, and --no-check only prints
+it.  That value was taken with numpy 2.4.6: np.abs of complex numbers and
+the binomial stream are not promised stable across numpy releases, so the
+check belongs on that numpy.  A change that moves results on purpose
+commits the new digest beside it.
 """
 
+import argparse
 import hashlib
 import itertools
+import pathlib
+import sys
 import time
 
 import numpy as np
 
 from qamp import ComplexMatrix, estimate_g, prepare, run_pipeline
 from qamp.multiplier import MANIPULATIONS
+
+EXPECTED = pathlib.Path(__file__).with_name("digest.sha256")
 
 
 def operand(rng, n):
@@ -35,7 +47,10 @@ def floats(*values) -> bytes:
     return np.array(values, dtype=np.float64).tobytes()
 
 
-def main() -> None:
+def main() -> int:
+    parser = argparse.ArgumentParser(description="Seeded sha256 over run_pipeline and estimate_g.")
+    parser.add_argument("--no-check", action="store_true", help=f"do not compare with {EXPECTED.name}")
+    args = parser.parse_args()
     digest = hashlib.sha256()
     runs = 0
     start = time.perf_counter()
@@ -54,7 +69,15 @@ def main() -> None:
                 runs += 1
     elapsed = time.perf_counter() - start
     print(f"sha256 {digest.hexdigest()} over {runs} runs, n = 1..8, {elapsed:.1f} s")
+    if args.no_check:
+        return 0
+    expected = EXPECTED.read_text().strip()
+    if digest.hexdigest() != expected:
+        print(f"digest mismatch: got {digest.hexdigest()}, {EXPECTED.name} holds {expected}")
+        return 1
+    print(f"matches {EXPECTED.name}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

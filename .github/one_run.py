@@ -4,11 +4,14 @@ manipulations, checked.
     PYTHONPATH=src python3 .github/one_run.py N
 
 Exits 1 unless the decoded product matches the oracle within ORACLE_TOL,
-the branch weight is g^2 / 2^(n+1) to 1e-10, the estimator's exact K1 = 0
-weight, read off the flagged payload, is |b1 b2|^2 / g^2 to 1e-10 (10^4
-shots, seed 0), and ru_maxrss, the whole process's peak resident size,
-stays under the bytes the memory preflight asked for.  Prints the run's
-wall time beside those of its own oracle call and of the estimate.
+the branch weight is g^2 / 2^(n+1) to 1e-12 relative, the estimator's
+exact K1 = 0 weight, read off the flagged payload, is |b1 b2|^2 / g^2 to
+1e-12 relative (10^4 shots, seed 0), and ru_maxrss, the whole process's
+peak resident size, stays under the bytes the memory preflight asked for.
+Both weights fall with n (the branch weight like 2^-(n+1)), so an absolute
+bound would check less at every larger n; the relative drift measured at
+n = 1..10 is at most 2.4e-16.  Prints the run's wall time beside those of
+its own oracle call and of the estimate.
 """
 
 import resource
@@ -48,13 +51,14 @@ expected, b = oracle_product(pm1, pm2, manips)
 oracle_wall = time.perf_counter() - start
 maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 g2 = abs(b) ** 2 + expected.weight()
-drift = abs(res.branch_probability - g2 / 2 ** (n + 1))
-s1_drift = abs(est.s1_tilde_exact - abs(pm1.b * pm2.b) ** 2 / g2)
+branch, s1_tilde = g2 / 2 ** (n + 1), abs(pm1.b * pm2.b) ** 2 / g2
+drift = abs(res.branch_probability - branch) / branch
+s1_drift = abs(est.s1_tilde_exact - s1_tilde) / s1_tilde
 needed = peak_bytes(layout_for(n))
 print(
     f"n={n} wall {wall:.3f} s, oracle_product {oracle_wall:.3f} s, estimate_g {estimate_wall:.3f} s, "
     f"ru_maxrss {maxrss} of {needed} bytes asked, oracle_error {res.oracle_error:.3e}, "
-    f"branch drift {drift:.3e}, s1_tilde drift {s1_drift:.3e}"
+    f"relative branch drift {drift:.3e}, relative s1_tilde drift {s1_drift:.3e}"
 )
-ok = res.oracle_error <= ORACLE_TOL and drift <= 1e-10 and s1_drift <= 1e-10 and maxrss < needed
+ok = res.oracle_error <= ORACLE_TOL and drift <= 1e-12 and s1_drift <= 1e-12 and maxrss < needed
 sys.exit(0 if ok else 1)

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 
 import numpy as np
@@ -270,11 +271,24 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes a negative number in exponent form
+    (``--c -1e-5``), or ``-inf`` or ``-nan``, as an option's value, as it
+    takes ``-1`` or ``-0.5``, rather than as an unknown option; its
+    subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so :func:`main` reuses it for every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qamp",
         description="Amplitude-encoded matrix operations on a statevector simulator.",
     )

@@ -22,8 +22,10 @@ renamed.  Reading back is split the same way: :func:`read_block` reads the
 component tensor of a block, :func:`residual` weighs everything outside the
 encoding support, and :func:`decode` does both.  The pipeline's run path
 places nothing in a register view and reads nothing out of one: it takes
-the operands' tensors from :func:`_components` and its result, the flagged
-payload, is a component tensor already.
+each operand's amplitudes straight from its entries and slack
+(:func:`qamp.multiplier._entry_factors`, which checks the norm as
+:func:`_components` does, through :func:`_check_norm`), and its result,
+the flagged payload, is a component tensor already.
 
 :func:`check_memory` refuses a layout whose stages cannot fit in physical
 memory, and :func:`joint_amplitudes` calls it before allocating;
@@ -96,10 +98,16 @@ def _components(pm: PreparedMatrix) -> np.ndarray:
     tensor[1, :, :, 0] = pm.matrix.entries.real
     tensor[1, :, :, 1] = pm.matrix.entries.imag
     tensor[0, 0, 0] = (pm.b.real, pm.b.imag)
-    defect = abs(float(np.sum(tensor**2)) - 1.0)
+    _check_norm(float(np.sum(tensor**2)))
+    return tensor
+
+
+def _check_norm(squares: float) -> None:
+    """Raise :class:`ValidationError` when an encoded state's squared norm
+    ``squares`` strays from 1 by more than :data:`ENCODE_NORM_TOL`."""
+    defect = abs(squares - 1.0)
     if defect > ENCODE_NORM_TOL:
         raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
-    return tensor
 
 
 def _spread(tensor: np.ndarray, registers, names: tuple[str, ...]) -> np.ndarray:

@@ -40,19 +40,28 @@ holds a register state.  Walking back from that branch:
   signs depend only on the layout and the manipulations, so each pair is
   derived once and kept on the layout.
 
+The encoding puts an entry's real and imaginary parts on the two values of
+its label, so an operand's K = 1 amplitudes are its complex entries' own
+(re, im) pairs, and its K = 0 amplitudes are the slack's pair at
+R = C = 0.  A renamed block only decides whether the entries are taken
+transposed, and a negated label = 1 half is their complex conjugate.
+
 So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
-one 2**(n+1) x 2**(n+1) array each, from the two component tensors.  The
-K1 = K2 = 0 quarter is its c = 0 term alone, since an operand's K = 0 slab
-holds just the slack; the K1 = K2 = 1 quarter sums one outer product per
-c, a block at a time, a chunk of c values by a band of rows in at most
-:data:`BLOCK` amplitudes, with a few numpy calls per block, and every
-amplitude still takes its terms in c order.  :func:`flag_and_measure`
-writes w2's flagged output from the quarters straight into the payload, a
-component tensor indexed [K1, R1, C2, M1] (2**(2n+2) amplitudes), then
-weighs and renormalizes it.  The product (its K1 = 1 slab) and the
-estimator's K1 = 0 weight are read straight off that tensor.  A run takes
-no layout: it works on ``layout_for(n)``, since control flags mean nothing
-on this path.
+one 2**(n+1) x 2**(n+1) array each, from one copy of each operand's
+entries, transposed and conjugated in place as the manipulations ask, and
+its slack pair (:func:`_entry_factors`); no component tensor is built.
+The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
+the two slack pairs, since an operand's K = 0 slab holds just the slack;
+the K1 = K2 = 1 quarter sums one outer product per c, a block at a time,
+a chunk of c values by a band of rows in at most :data:`BLOCK`
+amplitudes, with a few numpy calls per block, and every amplitude still
+takes its terms in c order.  :func:`flag_and_measure` writes w2's flagged
+output from the quarters straight into the payload, a component tensor
+indexed [K1, R1, C2, M1] (2**(2n+2) amplitudes), then weighs and
+renormalizes it.  The product is read through a complex view of the
+payload's K1 = 1 slab, and the estimator's K1 = 0 weight straight off
+that tensor.  A run takes no layout: it works on ``layout_for(n)``, since
+control flags mean nothing on this path.
 
 The stage functions address subsystems by name and run unchanged on any
 layout.  :func:`build_initial`, :func:`apply_w0`..:func:`apply_w3` on the
@@ -80,7 +89,7 @@ import numpy as np
 
 from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
 from .conjugator import apply_q_to_operands
-from .encoder import EncodedBlock, _components, joint_amplitudes, require_memory
+from .encoder import EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
 from .errors import DimensionError, MeasurementError, ParameterError
 from .registers import RegisterLayout, layout_for, register_stage, select
 from .statevector import (
@@ -160,24 +169,62 @@ def _manipulated_blocks(layout: RegisterLayout, manips: frozenset):
     return tuple((block, bool(tensor[0, 0, 0, 1] < 0)) for tensor, block in operands)
 
 
-def _operands(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
-    """The two operands' (component tensor, block) pairs on ``layout``, with
-    each manipulation, in :data:`MANIPULATION_STAGES` order, applied as
-    :func:`qamp.conjugator.apply_q_to_operands` applies it.  The renamed
-    blocks and signs depend only on ``layout`` and the manipulations, so
-    they are derived once (:func:`_manipulated_blocks`) and kept on the
-    layout; a run only builds the two tensors and negates a label half in
-    place, which gives apply_q_to_operands' bits, since negation is exact."""
+def _kept_blocks(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
+    """The two operands' blocks and signs on ``layout`` after the
+    manipulations (:func:`_manipulated_blocks`), derived once per layout and
+    manipulation set and kept on the layout, once the manipulations and the
+    operands' widths are checked."""
     manips = _check_manipulations(manipulations)
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
+    return layout.kept(_manipulated_blocks, manips)
+
+
+def _operands(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
+    """The two operands' (component tensor, block) pairs on ``layout``, with
+    each manipulation, in :data:`MANIPULATION_STAGES` order, applied as
+    :func:`qamp.conjugator.apply_q_to_operands` applies it.  Only the two
+    tensors are built per call, with a label half negated in place
+    (:func:`_kept_blocks`), which gives apply_q_to_operands' bits, since
+    negation is exact."""
     operands = []
-    for pm, (block, negated) in zip((pm1, pm2), layout.kept(_manipulated_blocks, manips)):
+    for pm, (block, negated) in zip((pm1, pm2), _kept_blocks(pm1, pm2, layout, manipulations)):
         tensor = _components(pm)
         if negated:
             _negate(tensor[..., 1])
         operands.append((tensor, block))
     return operands
+
+
+def _entry_factors(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
+    """Each operand's factors in w1's row, read straight from its entries:
+    the (slack, matrix) pair of the first operand summed over C1 and of the
+    second summed over R2.
+
+    ``slack`` is the operand's K = 0 amplitudes at R = C = 0, (b.re, b.im)
+    or, where the manipulations negate its label = 1 half, (b.re, -b.im);
+    the rest of its K = 0 slab is zero.  ``matrix`` is its K = 1 slab, a
+    (2**n, 2**(n+1)) float64 array with one row per value of the summed
+    register and the other register and the label along the row: one copy
+    of the entries, transposed where the block sums over its column
+    register, viewed as complex and conjugated in place where the label = 1
+    half is negated.  Both are bit for bit the corresponding parts of
+    :func:`_operands`' tensors, since copying, conjugating and negating
+    are exact.  The encoded state's norm is checked as
+    :func:`qamp.encoder.encode` checks it.
+    """
+    factors = []
+    kept = _kept_blocks(pm1, pm2, layout, manipulations)
+    for pm, (block, negated), summed in zip((pm1, pm2), kept, ("C1", "R2")):
+        matrix = np.empty((pm.matrix.dim, 2 * pm.matrix.dim))
+        entries = matrix.view(np.complex128)
+        np.copyto(entries, pm.matrix.entries.T if block.c == summed else pm.matrix.entries)
+        if negated:
+            np.conjugate(entries, out=entries)
+        slack = np.array((pm.b.real, -pm.b.imag if negated else pm.b.imag))
+        _check_norm(float(np.vdot(matrix, matrix)) + float(slack @ slack))
+        factors.append((slack, matrix))
+    return factors
 
 
 def build_initial(
@@ -255,18 +302,6 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     return register_stage(state, layout, kernel)
 
 
-def _factors(tensor: np.ndarray, block: EncodedBlock, summed: str):
-    """One operand's factors in w1's row, with the subsystem ``summed``
-    over (C1 or R2) in front: its K = 0 slab at ``summed`` = 0, a vector
-    over the operand's other register (R1 or C2) and its label, and its
-    K = 1 slab as a matrix, one row per value of ``summed``.  The tensor's
-    axes are the block's (K, R, C, label), and no manipulation renames K."""
-    kept = block.r if block.c == summed else block.c
-    axes = block.registers
-    slabs = tensor.transpose(0, axes.index(summed), axes.index(kept), axes.index(block.m))
-    return slabs[0, 0].reshape(-1), slabs[1].reshape(len(slabs[1]), -1)
-
-
 def _w1_diagonal(
     pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
 ) -> np.ndarray:
@@ -287,11 +322,18 @@ def _w1_diagonal(
     times the outer product of those two factors, accumulated in c order
     from +0.0 as :func:`apply_w1` does.
 
+    Each operand's two factors come straight from its entries
+    (:func:`_entry_factors`): its slack pair, and its K = 1 slab as one
+    copy of the entries, transposed and conjugated as the manipulations
+    ask, with a row per value of the summed register.
+
     A manipulation never renames K, and an operand's K = 0 slab holds only
-    the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0 is
-    +-0.0.  Added to a sum that started at +0.0, those zeros change
-    nothing, so that quarter is the c = 0 term alone plus +0.0 (which turns
-    a -0.0 into +0.0, as the sum does).  The K1 = K2 = 1 quarter takes the
+    the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0, and
+    every amplitude of the c = 0 term outside its 2 x 2 corner (R1 = C2 =
+    0), is +-0.0.  Added to a sum that started at +0.0, those zeros give
+    +0.0, so that quarter is +0.0 but for its corner, the product of the
+    two slack pairs times 2**(-n/2) plus +0.0 (which turns a -0.0 into
+    +0.0, as the sum does).  The K1 = K2 = 1 quarter takes the
     sum over every c, a block at a time
     (:func:`qamp.complexmat.block_shape`, at most :data:`BLOCK`
     amplitudes): one einsum writes the outer products of a chunk of c
@@ -303,25 +345,17 @@ def _w1_diagonal(
     the running sum starts at +0.0, so never holds -0.0, and adding either
     zero to it gives the same bits.)
     """
-    # the operands' tensors are dropped once their factors are taken
-    (slack1, first), (slack2, second) = (
-        _factors(tensor, block, summed)
-        for (tensor, block), summed in zip(_operands(pm1, pm2, layout, manipulations), ("C1", "R2"))
-    )
+    (slack1, first), (slack2, second) = _entry_factors(pm1, pm2, layout, manipulations)
     dim = 1 << layout.n
     scale = 2.0 ** (-layout.n / 2)
     half = 2 * dim
-    diagonal = np.empty((2, half, half))
-    zero, quarter = diagonal
-    np.multiply(slack1[:, None], slack2, out=zero)
-    np.multiply(zero, scale, out=zero)
-    np.add(zero, 0.0, out=zero)
-    quarter[...] = 0.0
+    diagonal = np.zeros((2, half, half))
+    diagonal[0, :2, :2] = np.multiply.outer(slack1, slack2) * scale + 0.0
     chunk, band = block_shape(dim, half, half, BLOCK)
     slots = np.empty((chunk + 1) * band * half)
     for c in range(0, dim, chunk):
         for r in range(0, half, band):
-            rows = quarter[r : r + band]
+            rows = diagonal[1, r : r + band]
             factors = first[c : c + chunk, r : r + band]
             block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
             np.copyto(block[0], rows)
@@ -500,7 +534,9 @@ def run_pipeline(
 
     Manipulations apply in the order of :data:`MANIPULATION_STAGES`.  The
     product and the slack are read off the flagged payload's K1 = 1 and
-    K1 = 0 slabs.  With ``verify`` false the oracle is not run and
+    K1 = 0 slabs, the product's entries through a complex view of the
+    slab's (re, im) pairs, multiplied by ``g_exact`` into a C-contiguous
+    array.  With ``verify`` false the oracle is not run and
     ``oracle_error`` is NaN.
     """
     manips = _check_manipulations(manipulations)
@@ -508,13 +544,11 @@ def run_pipeline(
 
     # the flagged branch carries weight G^2 / 2^(n+1)
     g_exact = math.sqrt(branch_probability * float(1 << (pm1.n + 1)))
-    product = payload[1]
+    # the K1 = 1 slab's (re, im) pairs as complex entries, a view
+    product = payload[1].view(np.complex128)[..., 0]
     if "swap_order" in manips:
-        product = product.transpose(1, 0, 2)
-    entries = np.empty(product.shape[:2], dtype=np.complex128)
-    entries.real = product[..., 0]
-    entries.imag = product[..., 1]
-    np.multiply(entries, g_exact, out=entries)
+        product = product.T
+    entries = np.multiply(product, g_exact, order="C")
     matrix_hat = ComplexMatrix(pm1.n, entries)
     b_hat = complex(payload[0, 0, 0, 0], payload[0, 0, 0, 1]) * g_exact
     # only the decoded product is held through the oracle

@@ -28,7 +28,7 @@ it is read off a full-register state or off the payload tensor alone.
 This gate engine is the general-purpose API and the reference the circuit
 stages are tested against.  The pipeline itself holds no register state:
 it computes the K1 = K2 quarters of w1's C1 = R2 = 0 row straight from the
-two operands' component tensors and writes w2's flagged output from them
+two operands' entries and slack and writes w2's flagged output from them
 into the payload, a [K1, R1, C2, M1] component tensor
 (:func:`qamp.multiplier.flag_and_measure`), whose weight is
 :func:`_weight`'s; the multi-controlled w3 goes through :func:`apply_gates`

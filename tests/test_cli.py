@@ -453,6 +453,17 @@ class TestOutOfRangeInput:
                 assert captured.out == ""
                 assert captured.err.startswith("error: slack parameter c must be positive and finite")
 
+    @pytest.mark.parametrize("command, operands", [("prepare", 1), ("multiply", 2), ("estimate-g", 2)])
+    def test_negative_c_in_exponent_form_is_named(self, desk_matrix, capsys, command, operands):
+        # "--c VALUE" as two words: a negative value in exponent form, or a
+        # negative infinity, must reach the c check rather than be read as
+        # an unknown option ("expected one argument")
+        for value in ("-1e-5", "-2.5E+3", "-.5e1", "-1", "-inf", "-Infinity", "-nan"):
+            assert main([command, *[desk_matrix] * operands, "--c", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: slack parameter c must be positive and finite, got {float(value)}\n"
+
     def test_unwritable_output_exit_2(self, tmp_path, desk_matrix, capsys):
         for command, operands in (("prepare", 1), ("multiply", 2), ("conjugate", 1)):
             assert main([command, *[desk_matrix] * operands, "-o", str(tmp_path)]) == 2

@@ -12,6 +12,7 @@ from qamp import (
     EncodedBlock,
     MeasurementError,
     ParameterError,
+    ValidationError,
     apply_q,
     apply_w0,
     apply_w1,
@@ -235,6 +236,47 @@ class TestManipulatedBlocks:
                 assert np.any(slab[0, 0]), sorted(manips)
                 slab[0, 0] = 0.0
                 assert not np.any(slab), sorted(manips)
+
+
+class TestEntryFactors:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_are_the_operand_tensors_bit_for_bit(self, n):
+        # the run's factors, copied from the entries, against the reference
+        # tensors of _operands with the summed register in front: the K = 1
+        # slab one row per summed value, (other register, label) along it,
+        # and the K = 0 slab's slack pair at R = C = 0
+        layout = layout_for(n)
+        dim = 1 << n
+        rng = np.random.default_rng(190 + n)
+        pm1, pm2 = (
+            prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase)
+            for phase in (None, 2.0)
+        )
+        for manips in ALL_SUBSETS:
+            factors = multiplier._entry_factors(pm1, pm2, layout, manips)
+            operands = multiplier._operands(pm1, pm2, layout, manips)
+            for (slack, matrix), (tensor, block), summed in zip(factors, operands, ("C1", "R2")):
+                axes = block.registers
+                kept = block.r if block.c == summed else block.c
+                slabs = tensor.transpose(0, axes.index(summed), axes.index(kept), axes.index(block.m))
+                assert matrix.shape == (dim, 2 * dim) and matrix.dtype == np.float64
+                assert matrix.tobytes() == slabs[1].reshape(dim, -1).tobytes(), sorted(manips)
+                assert slack.tobytes() == slabs[0, 0, 0].tobytes(), sorted(manips)
+                assert not np.any(slabs[0, 0, 1:]), sorted(manips)
+
+    @pytest.mark.parametrize("defect", [2e-10, -2e-10])
+    def test_norm_defect_is_refused_by_a_run(self, defect):
+        # a hand-built operand whose encoded squared norm misses 1 by more
+        # than ENCODE_NORM_TOL, on either side and as either operand
+        good = prepared_from_tilde([[0.5, 0], [0, 0.5]])
+        assert abs(defect) > encoder.ENCODE_NORM_TOL
+        bad = dataclasses.replace(good, b=complex(math.sqrt(0.5 + defect)))
+        for pm1, pm2 in ((bad, good), (good, bad)):
+            for manips in ALL_SUBSETS:
+                with pytest.raises(ValidationError, match="encoded state norm defect"):
+                    run_pipeline(pm1, pm2, manips)
+                with pytest.raises(ValidationError, match="encoded state norm defect"):
+                    estimate_g(pm1, pm2, manips, shots=10, seed=0)
 
 
 class TestW0:
