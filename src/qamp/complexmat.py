@@ -118,9 +118,13 @@ class PreparedMatrix:
         if not (c > 0) or not (s >= 0):  # also rejects NaN
             raise ValidationError(f"need c > 0 and s_original >= 0, got c={c!r}, s_original={s!r}")
         _check_scale(s, c, ValidationError)
-        # scaling by 1/(s + c) maps weight s to s / (s + c)^2
+        # scaling by 1/(s + c) maps weight s to s / (s + c)^2; where the
+        # squares underflow, s and the weight are each off by up to half the
+        # smallest subnormal, 2**-1074, per entry, and the weight's error is
+        # scaled up by (s + c)^2
         unscaled = w * self.scale * self.scale
-        if abs(unscaled - s) > NORM_TOL * s:
+        underflow = self.matrix.dim**2 * 2.0**-1074 * (1.0 + self.scale * self.scale)
+        if abs(unscaled - s) > NORM_TOL * s + underflow:
             raise ValidationError(
                 f"s_original={s!r} and c={c!r} disagree with the entries: "
                 f"weight * (s_original + c)^2 = {unscaled!r}"
@@ -187,9 +191,12 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
     (s + c)^2 overflows float64, is a parameter error too: the scale record
     could not be written as JSON or multiplied back.  So is an s + c whose
     reciprocal overflows: numpy divides a complex entry by it as by the
-    complex number s + c, through that reciprocal.
+    complex number s + c, through that reciprocal.  A ``b_phase`` that is
+    not finite is a parameter error: the slack would be NaN.
     """
     _check_c(c)
+    if b_phase is not None and not math.isfinite(b_phase):
+        raise ParameterError(f"slack phase b_phase must be finite, got {b_phase}")
     if not np.all(np.isfinite(a.entries)):
         raise ValidationError("matrix entries must be finite")
     s = a.weight()

@@ -13,16 +13,14 @@ view into a new state, in which the exchanged subsystems trade axes; the
 conjugation then negates the label = 1 half of the copy.  Inputs are never
 mutated.
 
-On a product of encoded operands the same permutation only renames the
-blocks' subsystems and the sign lands on one operand's component tensor, so
-:func:`apply_q_to_operands` applies a manipulation before the joint state
-exists; the pipeline builds its manipulated state that way, and
-:func:`apply_q` stays as the circuit on a whole state.
+:data:`Q_ACTIONS` is the one definition of the manipulations.  The run path
+(:func:`qamp.multiplier.run_pipeline`) holds no state for :func:`apply_q`
+to act on; what it needs of these actions is whether each operand ends
+transposed and whether it ends conjugated
+(:func:`qamp.multiplier._orientation`).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
@@ -96,28 +94,3 @@ def apply_q_controlled(state: StateVector, which: int, layout: RegisterLayout) -
     if not layout.control_flags_present:
         raise ParameterError("layout has no manipulation control flags")
     return register_stage(state, layout, kernel, control=f"Q{which}")
-
-
-def apply_q_to_operands(operands, which: int) -> list[tuple[np.ndarray, EncodedBlock]]:
-    """Manipulation ``which`` on a product state given by its factors, (component
-    tensor indexed [K, R, C, M], block) pairs on disjoint blocks.
-
-    The traded subsystems trade names in every block, and the operand whose
-    label now sits on the negated label has the label = 1 half of its tensor
-    negated (in a copy).  The product of the returned factors equals
-    :func:`apply_q` of the product of the given ones, value for value; on
-    the amplitudes the factors write it is equal bit for bit, since
-    (-a)*b = -(a*b) exactly.
-    """
-    pairs, label = _q_action(which)
-    trade = {a: b for pair in pairs for a, b in (pair, pair[::-1])}
-    out = []
-    for tensor, block in operands:
-        block = dataclasses.replace(
-            block, **{f: trade.get(getattr(block, f), getattr(block, f)) for f in "mrck"}
-        )
-        if block.m == label:
-            tensor = tensor.copy()
-            _negate(tensor[..., 1])
-        out.append((tensor, block))
-    return out

@@ -16,11 +16,11 @@ Amplitudes are written and read through the register view of
 :mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
 tensor placed into a slice of it.  :func:`joint_amplitudes` writes a
 product of such tensors in one pass, whatever blocks they sit on; the
-full-register build (:func:`qamp.multiplier.build_initial`) hands it
-tensors and blocks that the operand manipulations have already signed and
-renamed.  Reading back is split the same way: :func:`read_block` reads the
-component tensor of a block, :func:`residual` weighs everything outside the
-encoding support, and :func:`decode` does both.  The pipeline's run path
+full-register build (:func:`qamp.multiplier.build_initial`) hands it both
+operands' tensors on their own blocks.  Reading back is split the same
+way: :func:`read_block` reads the component tensor of a block,
+:func:`residual` weighs everything outside the encoding support, and
+:func:`decode` does both.  The pipeline's run path
 places nothing in a register view and reads nothing out of one: it takes
 each operand's amplitudes straight from its entries and slack
 (:func:`qamp.multiplier._entry_factors`, which checks the norm as
@@ -104,9 +104,10 @@ def _components(pm: PreparedMatrix) -> np.ndarray:
 
 def _check_norm(squares: float) -> None:
     """Raise :class:`ValidationError` when an encoded state's squared norm
-    ``squares`` strays from 1 by more than :data:`ENCODE_NORM_TOL`."""
+    ``squares`` strays from 1 by more than :data:`ENCODE_NORM_TOL`, or is
+    NaN."""
     defect = abs(squares - 1.0)
-    if defect > ENCODE_NORM_TOL:
+    if not defect <= ENCODE_NORM_TOL:  # also refuses NaN
         raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
 
 

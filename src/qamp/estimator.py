@@ -73,6 +73,8 @@ def estimate_g(
     which has the identical distribution at a fraction of the cost.
     """
     manips = _check_manipulations(manipulations)
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ParameterError(f"shots must be an integer, got {shots!r}")
     if not 1 <= shots <= MAX_SHOTS:
         raise ParameterError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:

@@ -32,19 +32,20 @@ holds a register state.  Walking back from that branch:
   the C1 = R2 = 0 row of w1's output, two of the row's four quarters;
 - w1's C1 = 0 row is 2**(-n/2) times the sum over c of w0's (C1 = c,
   R2 = 0) slice;
-- w0 fills that slice from the build's (C1 = c, R2 = c), which is the
-  first operand's factor at C1 = c times the second's at R2 = c.  Each
-  manipulation is a signed permutation of one operand's encoding, so it
-  only renames the operands' subsystems and signs a component tensor
-  (:func:`qamp.conjugator.apply_q_to_operands`).  The renamed blocks and
-  signs depend only on the layout and the manipulations, so each pair is
-  derived once and kept on the layout.
+- w0 fills that slice from the build's (C1 = c, R2 = c) after the
+  manipulations, which is the first operand's factor at C1 = c times the
+  second's at R2 = c.  Each manipulation is a signed permutation of the
+  operands' subsystems (:data:`qamp.conjugator.Q_ACTIONS`), so it only
+  trades an operand's row and column registers, crosses the labels or
+  negates a label = 1 half.
 
 The encoding puts an entry's real and imaginary parts on the two values of
 its label, so an operand's K = 1 amplitudes are its complex entries' own
 (re, im) pairs, and its K = 0 amplitudes are the slack's pair at
-R = C = 0.  A renamed block only decides whether the entries are taken
-transposed, and a negated label = 1 half is their complex conjugate.
+R = C = 0.  Traded registers only decide whether the entries are taken
+transposed, and a negated label = 1 half is their complex conjugate, so
+the manipulations come down to two bits per operand
+(:func:`_orientation`).
 
 So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
 one 2**(n+1) x 2**(n+1) array each, from one copy of each operand's
@@ -60,13 +61,15 @@ output from the quarters straight into the payload, a component tensor
 indexed [K1, R1, C2, M1] (2**(2n+2) amplitudes), then weighs and
 renormalizes it.  The product is read through a complex view of the
 payload's K1 = 1 slab, and the estimator's K1 = 0 weight straight off
-that tensor.  A run takes no layout: it works on ``layout_for(n)``, since
-control flags mean nothing on this path.
+that tensor.  A run takes no layout and derives nothing on one: it reads
+n and the measured qubit off ``layout_for(n)``, since control flags mean
+nothing on this path.
 
 The stage functions address subsystems by name and run unchanged on any
-layout.  :func:`build_initial`, :func:`apply_w0`..:func:`apply_w3` on the
-whole register and :func:`conditional_measure` stay as the full-register
-reference, and the run path's payload and weight are bit for bit theirs:
+layout.  :func:`build_initial`, :func:`qamp.conjugator.apply_q`,
+:func:`apply_w0`..:func:`apply_w3` on the whole register and
+:func:`conditional_measure` stay as the full-register reference, and the
+run path's payload and weight are bit for bit theirs:
 w1's ordered sum is the one the quarters make, and every flagged
 amplitude comes from the same operations in both.
 
@@ -88,7 +91,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
-from .conjugator import apply_q_to_operands
 from .encoder import EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
 from .errors import DimensionError, MeasurementError, ParameterError
 from .registers import RegisterLayout, layout_for, register_stage, select
@@ -96,7 +98,6 @@ from .statevector import (
     _SQRT1_2,
     GateSpec,
     StateVector,
-    _negate,
     _weight,
     apply_gates,
     project_and_renormalize,
@@ -154,99 +155,76 @@ class ProductResult:
     scale_back: float
 
 
-def _manipulated_blocks(layout: RegisterLayout, manips: frozenset):
-    """The two operands' blocks on ``layout`` after ``manips``, each with
-    whether the label = 1 half of its tensor ends negated: what
-    :func:`qamp.conjugator.apply_q_to_operands` makes of the
-    :meth:`~qamp.encoder.EncodedBlock.for_side` blocks, in
-    :data:`MANIPULATION_STAGES` order.  The sign is read off a probe tensor
-    with one amplitude per label value."""
-    probe = np.ones((1, 1, 1, 2))
-    operands = [(probe, EncodedBlock.for_side(layout, side)) for side in ("first", "second")]
-    for name, which in MANIPULATION_STAGES:
-        if name in manips:
-            operands = apply_q_to_operands(operands, which)
-    return tuple((block, bool(tensor[0, 0, 0, 1] < 0)) for tensor, block in operands)
+def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
+    """Whether each operand's entries are read transposed and conjugated
+    after the manipulations, once the manipulations and the operands' widths
+    are checked: a (transposed, conjugated) pair per operand.
 
-
-def _kept_blocks(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
-    """The two operands' blocks and signs on ``layout`` after the
-    manipulations (:func:`_manipulated_blocks`), derived once per layout and
-    manipulation set and kept on the layout, once the manipulations and the
-    operands' widths are checked."""
+    The run takes each operand's entries with one row per value of its
+    summed register, C1 for the first and R2 for the second, and entry
+    (j, k) is encoded at R = j, C = k, so the plain first operand is read
+    transposed and the plain second one is not.
+    Manipulation 1 or 2 (:data:`qamp.conjugator.Q_ACTIONS`) trades its
+    operand's row and column registers, which transposes that operand, and
+    negates the label = 1 half of M1 or M2, which conjugates whichever
+    operand's label sits there.  Manipulation 3 trades both operands'
+    registers and crosses their labels, and in :data:`MANIPULATION_STAGES`
+    order it comes first, so that after it M1 holds the second operand's
+    label and M2 the first's.
+    """
     manips = _check_manipulations(manipulations)
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
-    return layout.kept(_manipulated_blocks, manips)
+    swap, d1, d2 = ("swap_order" in manips, "dagger1" in manips, "dagger2" in manips)
+    return ((swap == d1, d2 if swap else d1), (swap != d2, d1 if swap else d2))
 
 
-def _operands(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
-    """The two operands' (component tensor, block) pairs on ``layout``, with
-    each manipulation, in :data:`MANIPULATION_STAGES` order, applied as
-    :func:`qamp.conjugator.apply_q_to_operands` applies it.  Only the two
-    tensors are built per call, with a label half negated in place
-    (:func:`_kept_blocks`), which gives apply_q_to_operands' bits, since
-    negation is exact."""
-    operands = []
-    for pm, (block, negated) in zip((pm1, pm2), _kept_blocks(pm1, pm2, layout, manipulations)):
-        tensor = _components(pm)
-        if negated:
-            _negate(tensor[..., 1])
-        operands.append((tensor, block))
-    return operands
-
-
-def _entry_factors(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations):
+def _entry_factors(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
     """Each operand's factors in w1's row, read straight from its entries:
     the (slack, matrix) pair of the first operand summed over C1 and of the
     second summed over R2.
 
     ``slack`` is the operand's K = 0 amplitudes at R = C = 0, (b.re, b.im)
-    or, where the manipulations negate its label = 1 half, (b.re, -b.im);
-    the rest of its K = 0 slab is zero.  ``matrix`` is its K = 1 slab, a
-    (2**n, 2**(n+1)) float64 array with one row per value of the summed
-    register and the other register and the label along the row: one copy
-    of the entries, transposed where the block sums over its column
-    register, viewed as complex and conjugated in place where the label = 1
-    half is negated.  Both are bit for bit the corresponding parts of
-    :func:`_operands`' tensors, since copying, conjugating and negating
-    are exact.  The encoded state's norm is checked as
-    :func:`qamp.encoder.encode` checks it.
+    or, where the operand is conjugated (:func:`_orientation`),
+    (b.re, -b.im); the rest of its K = 0 slab is zero.  ``matrix`` is its
+    K = 1 slab, a (2**n, 2**(n+1)) float64 array with one row per value of
+    the summed register and the other register and the label along the
+    row: one copy of the entries, transposed where the operand is read
+    transposed, viewed as complex and conjugated in place where it is
+    conjugated.  Both are bit for bit the operand's amplitudes after
+    :func:`qamp.conjugator.apply_q` per manipulation, since copying,
+    conjugating and negating are exact.  The encoded state's norm is
+    checked as :func:`qamp.encoder.encode` checks it.
     """
     factors = []
-    kept = _kept_blocks(pm1, pm2, layout, manipulations)
-    for pm, (block, negated), summed in zip((pm1, pm2), kept, ("C1", "R2")):
+    for pm, (transposed, conjugated) in zip((pm1, pm2), _orientation(pm1, pm2, manipulations)):
         matrix = np.empty((pm.matrix.dim, 2 * pm.matrix.dim))
         entries = matrix.view(np.complex128)
-        np.copyto(entries, pm.matrix.entries.T if block.c == summed else pm.matrix.entries)
-        if negated:
+        np.copyto(entries, pm.matrix.entries.T if transposed else pm.matrix.entries)
+        if conjugated:
             np.conjugate(entries, out=entries)
-        slack = np.array((pm.b.real, -pm.b.imag if negated else pm.b.imag))
+        slack = np.array((pm.b.real, -pm.b.imag if conjugated else pm.b.imag))
         _check_norm(float(np.vdot(matrix, matrix)) + float(slack @ slack))
         factors.append((slack, matrix))
     return factors
 
 
-def build_initial(
-    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations=()
-) -> StateVector:
-    """Joint state of both encoded operands over ``layout``, with
-    ``manipulations`` already applied.
+def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:
+    """Joint state of both encoded operands over ``layout``.
 
     Amplitudes are the products of the two encodings' real amplitudes,
     written once by :func:`qamp.encoder.joint_amplitudes`; ancillae, if the
-    layout has them, and any control flags start in |0>.  Each manipulation,
-    in :data:`MANIPULATION_STAGES` order, renames the operands' subsystems
-    and signs one operand's components first
-    (:func:`qamp.conjugator.apply_q_to_operands`).  The result equals the
-    build followed by :func:`qamp.conjugator.apply_q` per manipulation,
-    value for value; wherever the build writes an amplitude it is equal bit
-    for bit, and elsewhere (ancillae or control flags not |0>) the stage
-    chain leaves -0.0 where this leaves +0.0.
+    layout has them, and any control flags start in |0>.  The
+    manipulations are :func:`qamp.conjugator.apply_q` on this state.
     """
-    operands = _operands(pm1, pm2, layout, manipulations)
+    if pm1.n != pm2.n:
+        raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
     if pm1.n != layout.n:
         raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
+    operands = [
+        (_components(pm), EncodedBlock.for_side(layout, side))
+        for pm, side in ((pm1, "first"), (pm2, "second"))
+    ]
     return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
 
 
@@ -302,12 +280,11 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     return register_stage(state, layout, kernel)
 
 
-def _w1_diagonal(
-    pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout, manipulations
-) -> np.ndarray:
+def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.ndarray:
     """The K1 = K2 diagonal of the C1 = R2 = 0 slice of :func:`apply_w1`
-    after :func:`apply_w0` on the manipulated :func:`build_initial`, bit
-    for bit, without that state: the two quarters of w1's row that w2's
+    after :func:`apply_w0` on :func:`build_initial` and
+    :func:`qamp.conjugator.apply_q` per manipulation, bit for bit, without
+    that state: the two quarters of w1's row that w2's
     flagged output reads (:func:`flag_and_measure`).
 
     Returns the diagonal as an array indexed [k, R1, first label, C2,
@@ -345,9 +322,9 @@ def _w1_diagonal(
     the running sum starts at +0.0, so never holds -0.0, and adding either
     zero to it gives the same bits.)
     """
-    (slack1, first), (slack2, second) = _entry_factors(pm1, pm2, layout, manipulations)
-    dim = 1 << layout.n
-    scale = 2.0 ** (-layout.n / 2)
+    (slack1, first), (slack2, second) = _entry_factors(pm1, pm2, manipulations)
+    dim = 1 << pm1.n
+    scale = 2.0 ** (-pm1.n / 2)
     half = 2 * dim
     diagonal = np.zeros((2, half, half))
     diagonal[0, :2, :2] = np.multiply.outer(slack1, slack2) * scale + 0.0
@@ -524,7 +501,7 @@ def flagged_state(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tu
     """
     layout = layout_for(pm1.n)
     require_memory(layout, peak_bytes(layout), "what a run holds at once and the runtime")
-    return flag_and_measure(_w1_diagonal(pm1, pm2, layout, manipulations), layout)
+    return flag_and_measure(_w1_diagonal(pm1, pm2, manipulations), layout)
 
 
 def run_pipeline(

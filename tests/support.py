@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from qamp import ComplexMatrix, PreparedMatrix, prepare
+from qamp import ComplexMatrix, PreparedMatrix, apply_q, build_initial, prepare
 from qamp.complexmat import block_shape
+from qamp.multiplier import MANIPULATION_STAGES
 from qamp.registers import register_view, select
 
 
@@ -111,3 +112,15 @@ def pinned(amps, layout, pins):
     value: a state on ``layout.without(*pins)``."""
     view, names = register_view(amps, layout)
     return np.ascontiguousarray(select(view, names, pins)).reshape(-1)
+
+
+def manipulated_build(pm1, pm2, layout, manips):
+    """The circuit's state after the manipulations: :func:`build_initial`
+    on ``layout``, then :func:`apply_q` per manipulation in
+    ``MANIPULATION_STAGES`` order.  The run path folds the manipulations
+    into how it reads the operands, and this is the reference it is held to."""
+    state = build_initial(pm1, pm2, layout)
+    for name, which in MANIPULATION_STAGES:
+        if name in manips:
+            state = apply_q(state, which, layout)
+    return state

@@ -52,6 +52,15 @@ class TestPrepare:
         assert main(["prepare", src, "-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_subnormal_weight_output_multiplies(self, tmp_path):
+        # s = |6.06e-162|^2 is subnormal; prepare's own output must pass
+        # the scale record's check when multiply reads it back
+        entries = [[[0.0, 6.059849534537776e-162], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        src = write_json(tmp_path / "a.json", {"n": 1, "entries": entries})
+        prepared = tmp_path / "p.json"
+        assert main(["prepare", src, "--c", "0.5", "-o", str(prepared)]) == 0
+        assert main(["multiply", str(prepared), str(prepared)]) == 0
+
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qamp import (
     ComplexMatrix,
@@ -151,6 +151,12 @@ class TestPrepare:
         with pytest.raises(ValidationError):
             prepare(a, 1.0)
 
+    def test_rejects_non_finite_b_phase(self):
+        a = ComplexMatrix(1, np.eye(2))
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="b_phase must be finite"):
+                prepare(a, 1.0, b_phase=phase)
+
     def test_b_phase_option(self):
         pm = prepare(ComplexMatrix(1, [[2, 0], [0, 0]]), c=1.0, b_phase=np.pi / 3)
         assert abs(pm.b) == pytest.approx(math.sqrt(0.84), abs=1e-15)
@@ -163,6 +169,8 @@ class TestPrepare:
         c=st.floats(min_value=0.2505, max_value=10.0, allow_nan=False),
     )
     @settings(max_examples=300, deadline=None)
+    # a subnormal s: the scale record's check needs its underflow term
+    @example(entries=[0.0, 0.0, 0.0, 0.0, 6.059849534537776e-162, 0.0, 0.0, 0.0], c=0.5)
     def test_strict_inequality_property(self, entries, c):
         a = ComplexMatrix(
             1,

@@ -116,6 +116,12 @@ class TestEstimateG:
             estimate_g(pm1, pm2, shots=2**63, seed=0)
         est = estimate_g(pm1, pm2, shots=2**63 - 1, seed=0)
         assert abs(est.g_hat - est.g_exact) <= 5 * est.stderr
+        # a count of draws is an integer: 1.5 would draw one shot and
+        # divide by 1.5
+        for shots in (1.5, 10.0, True, "10"):
+            with pytest.raises(ParameterError, match=f"shots must be an integer, got {shots!r}"):
+                estimate_g(pm1, pm2, shots=shots, seed=0)
+        assert estimate_g(pm1, pm2, shots=np.int64(10), seed=0).shots == 10
 
     def test_seed_validation(self):
         # numpy's generator takes only nonnegative integer seeds; anything

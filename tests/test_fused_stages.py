@@ -8,9 +8,9 @@ permutation, sign and label stages must agree bit for bit; W1 sums its
 Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path computes only
 the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
-of the C1 = R2 = 0 slice of w1 after w0 on the manipulated build, with and
-without control flags and with its block cap brought down to each block
-boundary.  The flagging step, which runs w2 from that diagonal and keeps
+of the C1 = R2 = 0 slice of w1 after w0 on the build followed by Q3, Q2
+and Q1 as the manipulations ask, with and without control flags and with
+its block cap brought down to each block boundary.  The flagging step, which runs w2 from that diagonal and keeps
 only the payload tensor, is held bit for bit to the payload slice of w2, w3
 and the conditional measurement on the full register; its input is the
 diagonal of a random row, and the reference gets the whole row, embedded
@@ -35,7 +35,6 @@ from qamp import (
     apply_w1,
     apply_w2,
     apply_w3,
-    build_initial,
     conditional_measure,
     hermitian_conjugate,
     layout_for,
@@ -57,6 +56,7 @@ from support import (
     BLOCK_CAPS,
     block_cap,
     join_parts,
+    manipulated_build,
     mixed_entries,
     pinned,
     random_prepared,
@@ -203,13 +203,14 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
     pm2 = random_prepared(rng, n, complex_b=True)
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
-            state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
+            state = manipulated_build(pm1, pm2, working, manips)
+            state = apply_w1(apply_w0(state, working), working)
             if flags:
                 rest = state.amplitudes.copy()
                 view, view_names = register_view(rest, working)
                 select(view, view_names, flags)[...] = 0.0
                 assert not np.any(rest), manips
-            diagonal = _w1_diagonal(pm1, pm2, layout, manips)
+            diagonal = _w1_diagonal(pm1, pm2, manips)
             names = diagonal_names(manips)
             for k in (0, 1):
                 want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k, **flags})
@@ -235,14 +236,15 @@ def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
     )
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
-            state = apply_w1(apply_w0(build_initial(pm1, pm2, working, manips), working), working)
+            state = manipulated_build(pm1, pm2, working, manips)
+            state = apply_w1(apply_w0(state, working), working)
             want = b"".join(
                 pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k}).tobytes()
                 for k in (0, 1)
             )
             for case, cap in caps.items():
                 monkeypatch.setattr(multiplier, "BLOCK", cap)
-                diagonal = _w1_diagonal(pm1, pm2, layout, manips)
+                diagonal = _w1_diagonal(pm1, pm2, manips)
                 names = diagonal_names(manips)
                 order = [0] + [1 + names.index(name) for name in quarter_layout.view_names]
                 got = diagonal.transpose(order)

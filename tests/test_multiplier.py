@@ -33,10 +33,10 @@ from qamp import (
     run_pipeline,
 )
 from qamp import conjugator, encoder, estimator, multiplier, registers, statevector
-from qamp.conjugator import apply_q_to_operands
-from qamp.multiplier import MANIPULATION_STAGES, flagged_state
+from qamp.multiplier import flagged_state
 from qamp.registers import RegisterLayout
-from support import mixed_entries, prepared_from_tilde, random_prepared
+from qamp.encoder import _components, joint_amplitudes
+from support import manipulated_build, mixed_entries, prepared_from_tilde, random_prepared
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -54,6 +54,30 @@ ALL_SUBSETS = [
 def desk_pair():
     pm = prepared_from_tilde([[0.5, 0], [0, 0.5]])  # b = sqrt(0.5)
     return pm, pm
+
+
+def oriented_build(pm1, pm2, layout, manips):
+    """The joint state on ``layout`` of the operands as the run reads them
+    after ``manips`` (multiplier._orientation): each operand's component
+    tensor, its label = 1 half negated where it is conjugated, on a block
+    whose column register is the summed one (C1 for the first operand, R2
+    for the second) where it is read transposed, and whose label is the
+    other operand's where the operand exchange crosses the labels."""
+    labels = ("M2", "M1") if "swap_order" in manips else ("M1", "M2")
+    operands = []
+    for pm, (transposed, conjugated), (summed, other), label, k in zip(
+        (pm1, pm2),
+        multiplier._orientation(pm1, pm2, manips),
+        (("C1", "R1"), ("R2", "C2")),
+        labels,
+        ("K1", "K2"),
+    ):
+        tensor = _components(pm)
+        if conjugated:
+            tensor[..., 1] *= -1.0
+        r, c = (other, summed) if transposed else (summed, other)
+        operands.append((tensor, EncodedBlock(layout, m=label, r=r, c=c, k=k)))
+    return joint_amplitudes(layout, operands)
 
 
 def classical_g(pm1, pm2):
@@ -108,48 +132,39 @@ class TestBuildInitial:
     @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_folds_the_manipulations(self, n, with_controls):
-        # the manipulated build on the working layout (the one the pipeline
-        # builds on) against the plain build followed by Q3, Q2 and Q1:
-        # equal in value, and in bits wherever the build writes; with control
-        # flags the stage chain negates the zeros of the flag != 0 slices,
-        # which the build leaves at +0.0
+        # the build of the operands as the run reads them (oriented_build)
+        # against the plain build followed by Q3, Q2 and Q1 on the working
+        # layout: equal in value, and in bits wherever the build writes;
+        # with control flags the stage chain negates the zeros of the
+        # flag != 0 slices, which the build leaves at +0.0
         rng = np.random.default_rng(157 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
         layout = layout_for(n, with_controls=with_controls).without("B", "BT")
-        plain = build_initial(pm1, pm2, layout)
-        index = np.arange(plain.amplitudes.size)
+        index = np.arange(1 << layout.total_qubits)
         written = np.ones(index.size, dtype=bool)
         if with_controls:
             for flag in ("Q1", "Q2", "Q3"):
                 written &= (index >> layout.start(flag)) & 1 == 0
         for manips in ALL_SUBSETS:
-            folded = build_initial(pm1, pm2, layout, manips)
-            chain = plain
-            for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
-                if name in manips:
-                    chain = apply_q(chain, which, layout)
-            assert np.array_equal(folded.amplitudes, chain.amplitudes), sorted(manips)
-            assert folded.amplitudes[written].tobytes() == chain.amplitudes[written].tobytes()
-            assert not np.any(folded.amplitudes[~written])
+            folded = oriented_build(pm1, pm2, layout, manips)
+            chain = manipulated_build(pm1, pm2, layout, manips).amplitudes
+            assert np.array_equal(folded, chain), sorted(manips)
+            assert folded[written].tobytes() == chain[written].tobytes(), sorted(manips)
+            assert not np.any(folded[~written])
 
     def test_fold_matches_bruteforce_n1(self):
         rng = np.random.default_rng(156)
         pm1 = random_prepared(rng, 1, complex_b=True)
         pm2 = random_prepared(rng, 1, complex_b=True)
         for manips in ALL_SUBSETS:
-            folded = build_initial(pm1, pm2, layout_for(1), manips)
+            folded = oriented_build(pm1, pm2, layout_for(1), manips)
             want = bf_initial_state(pm1, pm2, 1)
             for which, name in ((3, "swap_order"), (2, "dagger2"), (1, "dagger1")):
                 if name in manips:
                     want = bf_q(1, which) @ want
             assert not np.any(want.imag)
-            assert np.array_equal(folded.amplitudes, want.real), sorted(manips)
-
-    def test_unknown_manipulation_rejected(self):
-        pm1, pm2 = desk_pair()
-        with pytest.raises(ParameterError):
-            build_initial(pm1, pm2, layout_for(1), {"transpose"})
+            assert np.array_equal(folded, want.real), sorted(manips)
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(157)
@@ -161,91 +176,37 @@ class TestBuildInitial:
 
 class TestManipulatedBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_are_what_apply_q_to_operands_makes(self, n):
-        # the blocks and signs kept per (layout, manipulations) against
-        # apply_q_to_operands on the for_side blocks with real tensors
-        layout = layout_for(n)
-        dim = 1 << n
-        rng = np.random.default_rng(170 + n)
-        tensors = [rng.normal(size=(2, dim, dim, 2)) for _ in range(2)]
-        for manips in ALL_SUBSETS:
-            operands = [
-                (tensor, EncodedBlock.for_side(layout, side))
-                for tensor, side in zip(tensors, ("first", "second"))
-            ]
-            for name, which in MANIPULATION_STAGES:
-                if name in manips:
-                    operands = apply_q_to_operands(operands, which)
-            kept = layout.kept(multiplier._manipulated_blocks, manips)
-            assert len(kept) == 2
-            for (tensor, block), original, (kept_block, negated) in zip(operands, tensors, kept):
-                assert kept_block == block, sorted(manips)
-                signed = original.copy()
-                if negated:
-                    signed[..., 1] *= -1.0
-                assert tensor.tobytes() == signed.tobytes(), sorted(manips)
-
-    def test_second_run_derives_nothing(self, monkeypatch):
-        # a fresh layout instance keeps nothing yet; the first run of each
-        # manipulation set derives its blocks, a second run only looks them up
-        calls = {"apply_q_to_operands": 0, "replace": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            multiplier, "apply_q_to_operands", counting("apply_q_to_operands", apply_q_to_operands)
-        )
-        monkeypatch.setattr(dataclasses, "replace", counting("replace", dataclasses.replace))
-        shared = layout_for(2)
-        layout = RegisterLayout(n=2, slices=shared.slices, control_flags_present=False)
-        rng = np.random.default_rng(173)
-        pm1, pm2 = random_prepared(rng, 2, complex_b=True), random_prepared(rng, 2, complex_b=True)
-        for manips in ALL_SUBSETS:
-            want = multiplier._w1_diagonal(pm1, pm2, shared, manips)
-            before = dict(calls)
-            first = multiplier._w1_diagonal(pm1, pm2, layout, manips)
-            assert calls["apply_q_to_operands"] - before["apply_q_to_operands"] == len(manips)
-            before = dict(calls)
-            second = multiplier._w1_diagonal(pm1, pm2, layout, manips)
-            assert calls == before, sorted(manips)
-            for got in (first, second):
-                assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slack_slab_is_zero_off_the_corner(self, n):
         # _w1_diagonal sums over c only where K1 = K2 = 1: that needs each
         # operand's K axis to stay its own K whatever the manipulations
-        # renamed, and its K = 0 slab to be zero everywhere but R = C = 0
-        layout = layout_for(n)
+        # trade, and its K = 0 slab to be zero everywhere but R = C = 0,
+        # on the state after the manipulations
+        layout = layout_for(n).without("B", "BT")
         rng = np.random.default_rng(176 + n)
         pm1, pm2 = (
             prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase)
             for phase in (None, 2.0)
         )
         for manips in ALL_SUBSETS:
-            operands = multiplier._operands(pm1, pm2, layout, manips)
-            for (tensor, block), k in zip(operands, ("K1", "K2")):
-                assert block.k == k, sorted(manips)
-                # the tensor's axes are the block's (K, R, C, label)
-                slab = tensor[0].copy()
-                assert np.any(slab[0, 0]), sorted(manips)
-                slab[0, 0] = 0.0
-                assert not np.any(slab), sorted(manips)
+            state = manipulated_build(pm1, pm2, layout, manips)
+            for k, r, c in (("K1", "R1", "C1"), ("K2", "R2", "C2")):
+                view, names = registers.register_view(state.amplitudes.copy(), layout)
+                corner = registers.select(view, names, {k: 0, r: 0, c: 0})
+                assert np.any(corner), (sorted(manips), k)
+                corner[...] = 0.0
+                assert not np.any(registers.select(view, names, {k: 0})), (sorted(manips), k)
 
 
 class TestEntryFactors:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_are_the_operand_tensors_bit_for_bit(self, n):
-        # the run's factors, copied from the entries, against the reference
-        # tensors of _operands with the summed register in front: the K = 1
-        # slab one row per summed value, (other register, label) along it,
-        # and the K = 0 slab's slack pair at R = C = 0
-        layout = layout_for(n)
+        # the run's factors, copied from the entries, against the state
+        # after the manipulations, with each operand's summed register, the
+        # other register and its label in that order: every product of a
+        # K = 1 slab or a slack pair (at R = C = 0) of the first operand
+        # with one of the second is that state's amplitude, bit for bit,
+        # and the state is zero elsewhere on the K = 0 slabs
+        layout = layout_for(n).without("B", "BT")
         dim = 1 << n
         rng = np.random.default_rng(190 + n)
         pm1, pm2 = (
@@ -253,23 +214,36 @@ class TestEntryFactors:
             for phase in (None, 2.0)
         )
         for manips in ALL_SUBSETS:
-            factors = multiplier._entry_factors(pm1, pm2, layout, manips)
-            operands = multiplier._operands(pm1, pm2, layout, manips)
-            for (slack, matrix), (tensor, block), summed in zip(factors, operands, ("C1", "R2")):
-                axes = block.registers
-                kept = block.r if block.c == summed else block.c
-                slabs = tensor.transpose(0, axes.index(summed), axes.index(kept), axes.index(block.m))
+            (slack1, first), (slack2, second) = multiplier._entry_factors(pm1, pm2, manips)
+            for matrix in (first, second):
                 assert matrix.shape == (dim, 2 * dim) and matrix.dtype == np.float64
-                assert matrix.tobytes() == slabs[1].reshape(dim, -1).tobytes(), sorted(manips)
-                assert slack.tobytes() == slabs[0, 0, 0].tobytes(), sorted(manips)
-                assert not np.any(slabs[0, 0, 1:]), sorted(manips)
+            state = manipulated_build(pm1, pm2, layout, manips).amplitudes
+            view, names = registers.register_view(state, layout)
+            label1, label2 = ("M2", "M1") if "swap_order" in manips else ("M1", "M2")
+            order = ("K1", "C1", "R1", label1, "K2", "R2", "C2", label2)
+            amps = view.transpose([names.index(name) for name in order])
+            amps = amps.reshape(2, dim, 2 * dim, 2, dim, 2 * dim)
+            for k1, k2, f1, f2 in (
+                (1, 1, first, second),
+                (1, 0, first, slack2[None]),
+                (0, 1, slack1[None], second),
+                (0, 0, slack1[None], slack2[None]),
+            ):
+                got = np.multiply.outer(f1, f2)
+                (r1, c1), (r2, c2) = f1.shape, f2.shape
+                want = np.ascontiguousarray(amps[k1, :r1, :c1, k2, :r2, :c2])
+                assert got.tobytes() == want.tobytes(), (sorted(manips), k1, k2)
+                rest = amps[k1, :, :, k2].copy()
+                rest[:r1, :c1, :r2, :c2] = 0.0
+                assert not np.any(rest), (sorted(manips), k1, k2)
 
-    @pytest.mark.parametrize("defect", [2e-10, -2e-10])
+    @pytest.mark.parametrize("defect", [2e-10, -2e-10, math.nan])
     def test_norm_defect_is_refused_by_a_run(self, defect):
         # a hand-built operand whose encoded squared norm misses 1 by more
-        # than ENCODE_NORM_TOL, on either side and as either operand
+        # than ENCODE_NORM_TOL, on either side and as either operand, or is
+        # NaN
         good = prepared_from_tilde([[0.5, 0], [0, 0.5]])
-        assert abs(defect) > encoder.ENCODE_NORM_TOL
+        assert not abs(defect) <= encoder.ENCODE_NORM_TOL
         bad = dataclasses.replace(good, b=complex(math.sqrt(0.5 + defect)))
         for pm1, pm2 in ((bad, good), (good, bad)):
             for manips in ALL_SUBSETS:
@@ -624,8 +598,9 @@ class TestRunPipeline:
         # tensors and writes the payload tensor from them: no register
         # stage, no full-register reference stage, no joint state and no
         # matrix product; and neither the run nor the estimate holds any
-        # register state, reads a block through a register view or derives
-        # a layout
+        # register state, reads a block through a register view, derives a
+        # layout or anything kept on one, or uses the full-register
+        # manipulations
         def refused(*_args, **_kwargs):
             raise AssertionError("the run path called a full-register step")
 
@@ -644,6 +619,12 @@ class TestRunPipeline:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refused)
         monkeypatch.setattr(RegisterLayout, "without", refused)
+        monkeypatch.setattr(RegisterLayout, "kept", refused)
+        assert not [
+            name
+            for name, value in vars(multiplier).items()
+            if getattr(value, "__module__", None) == conjugator.__name__
+        ]
         rng = np.random.default_rng(227)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
         manips = {"dagger1", "dagger2", "swap_order"}
