@@ -1,4 +1,5 @@
-"""A seeded sha256 over the results of run_pipeline and estimate_g.
+"""A seeded sha256 over the results of run_pipeline, oracle_product and
+estimate_g.
 
     PYTHONPATH=src python3 .github/digest.py [--no-check]
 
@@ -6,10 +7,11 @@ For each n = 1..8 one operand pair is drawn from a seed fixed by n: about
 a quarter of its entries' components are +0.0 or -0.0, and its slack
 amplitudes are complex.  Under every subset of the three
 manipulations the digest takes the bytes of run_pipeline's matrix_hat,
-b_hat, g_exact, branch_probability and oracle_error, and of estimate_g's
-s1, s1_tilde_exact, s1_tilde_sampled, g_hat and stderr (10^5 shots, seed
-7).  A change that keeps every result bit for bit prints the same digest as
-its parent; one that moves a result by one bit prints another.
+b_hat, g_exact, branch_probability and oracle_error, of estimate_g's s1,
+s1_tilde_exact, s1_tilde_sampled, g_hat and stderr (10^5 shots, seed 7),
+and of oracle_product's entries and slack.  A change that keeps every
+result bit for bit prints the same digest as its parent; one that moves a
+result by one bit prints another.
 
 The digest is a gate: it exits 1, printing both digests, when it differs
 from the one committed in .github/digest.sha256, and --no-check only prints
@@ -28,7 +30,7 @@ import time
 
 import numpy as np
 
-from qamp import ComplexMatrix, estimate_g, prepare, run_pipeline
+from qamp import ComplexMatrix, estimate_g, oracle_product, prepare, run_pipeline
 from qamp.multiplier import MANIPULATIONS
 
 EXPECTED = pathlib.Path(__file__).with_name("digest.sha256")
@@ -48,7 +50,9 @@ def floats(*values) -> bytes:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description="Seeded sha256 over run_pipeline and estimate_g.")
+    parser = argparse.ArgumentParser(
+        description="Seeded sha256 over run_pipeline, oracle_product and estimate_g."
+    )
     parser.add_argument("--no-check", action="store_true", help=f"do not compare with {EXPECTED.name}")
     args = parser.parse_args()
     digest = hashlib.sha256()
@@ -66,6 +70,9 @@ def main() -> int:
                 est = estimate_g(pm1, pm2, manips, shots=10**5, seed=7)
                 digest.update(floats(est.s1, est.s1_tilde_exact, est.s1_tilde_sampled))
                 digest.update(floats(est.g_hat, est.stderr))
+                expected, expected_b = oracle_product(pm1, pm2, manips)
+                digest.update(expected.entries.tobytes())
+                digest.update(floats(expected_b.real, expected_b.imag))
                 runs += 1
     elapsed = time.perf_counter() - start
     print(f"sha256 {digest.hexdigest()} over {runs} runs, n = 1..8, {elapsed:.1f} s")

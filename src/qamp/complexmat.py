@@ -20,13 +20,11 @@ from .errors import DimensionError, MethodUndefinedError, ParameterError, Valida
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
 
-#: amplitudes of one component's products in one block of
-#: :func:`matmul_oracle`'s sum, a chunk of inner indices by a band of rows,
-#: plus the slot for the running sum; a block holds all four components'
-#: products and both parts' sums, up to six times this; 2**14 would put an
-#: n = 5 run above four of w1's rows, and 2**12 made the n = 9 oracle half
-#: as slow again
-ORACLE_BLOCK = 1 << 13
+#: complex amplitudes in one block of :func:`matmul_oracle`'s sum, a chunk
+#: of inner indices by a band of rows plus the slot for the band's running
+#: sum, 256 KiB; 2**13 made the n = 9 oracle 15 % slower, and 2**15, at
+#: most 5 % faster there, would put an n = 5 run above four of w1's rows
+ORACLE_BLOCK = 1 << 14
 
 #: tolerance on the slack identity |b|^2 + sum |entries|^2 = 1, and relative
 #: tolerance on the scale record weight * (s_original + c)^2 = s_original
@@ -112,7 +110,7 @@ class PreparedMatrix:
             total = abs(self.b) ** 2 + w
         except OverflowError:  # |b| or its square beyond float64
             total = math.inf
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:  # also refuses a NaN slack
             raise ValidationError(f"|b|^2 + weight = {total!r} deviates from 1 beyond {NORM_TOL}")
         s, c = self.s_original, self.c
         if not (c > 0) or not (s >= 0):  # also rejects NaN
@@ -234,16 +232,25 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     the sums.  Every (j, k) entry accumulates, from +0.0 and over the inner
     index l in order, re += a0*b0 - a1*b1 and im += a0*b1 + a1*b0: the
     plain triple loop, run a block of (l, j) values at a time
-    (:func:`block_shape`, at most :data:`ORACLE_BLOCK` amplitudes per
-    component), chunks of l in order.  Per block, one einsum writes all
-    four component products for every (l, j, k) of the block, one addition
-    combines them into re's and im's terms, and one reduction along l adds
-    those onto the running sums of the band's rows, held in the first slot
-    of each part; numpy reduces along that axis one slice after another, so
+    (:func:`block_shape`, at most :data:`ORACLE_BLOCK` complex amplitudes),
+    chunks of l in order.  Per block, one complex einsum writes the term
+    a[j, l] * b[l, k] for every (l, j, k) of the block, numpy's complex
+    product being the formula above, and one reduction along l adds the
+    terms onto the running sums of the band's rows, held in the block's
+    first slot; numpy reduces along that axis one slice after another, so
     in l order.  Each entry therefore rounds exactly as the scalar loop
     does.  (einsum writes a zero product as +0.0, but a sum that starts at
     +0.0 never holds -0.0, and adding either zero to it gives the same
     bits.)
+
+    That equality rests on numpy's einsum loop for complex128, not on
+    arithmetic written here: it must round each of the four real products
+    and not fuse a0*b0 - a1*b1 into one multiply-add, as a build with FMA
+    in its baseline and contraction on could.  numpy's own complex
+    multiply does not keep it on an FMA machine.  The tests that hold
+    this function byte for byte to the scalar loop on numpy float64
+    scalars (``matmul_oracle_numpy``), whose every operation rounds, are
+    what guard it on each platform and numpy version.
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
@@ -255,53 +262,35 @@ def _matmul(
 ) -> np.ndarray:
     """The entries of :func:`matmul_oracle` of ``a`` and ``b``, each taken
     as its conjugate transpose when asked, and of the product's transpose
-    when asked, read from the entries' components without building the
-    daggered matrices: bit for bit ``matmul_oracle`` of
-    :func:`dagger_oracle` and a transpose.
+    when asked, read from the entries without building the daggered
+    matrices: bit for bit ``matmul_oracle`` of :func:`dagger_oracle` and a
+    transpose.
 
-    The factors are stacked so that one einsum writes the four component
-    products of a block: x = (a0, a1, a0, a1) against y = (b0, -b1, b1,
-    b0).  One addition then makes re's a0*b0 + a1*(-b1) and im's
-    a0*b1 + a1*b0, and one reduction along l adds both onto their running
-    sums.  Every step is exact or rounds as the scalar loop does: negation
-    and conjugation multiply by -1.0, a1*(-b1) is -(a1*b1) and p + (-q) is
-    p - q in IEEE arithmetic.  The chunks of l go in order, each over every
-    band of rows, so that a chunk of y stays in cache.
+    x holds the first factor's columns as rows, conj(a) or a's transpose,
+    and y the second factor's rows, conj(b)'s transpose or b, so that
+    x[l, j] * y[l, k] is term l of entry (j, k).  One complex einsum
+    writes the terms of a block, and numpy's complex product is the scalar
+    loop's x0*y0 - x1*y1 and x0*y1 + x1*y0 as long as einsum does not fuse
+    them (see :func:`matmul_oracle`); one reduction along l adds them onto
+    the band's running sums.  Conjugation is exact, so every step rounds
+    as the scalar loop does.  The chunks of l go in order,
+    each over every band of rows, so that a chunk of y stays in cache.
     """
     dim = len(a)
-    # a's components as contiguous rows, so that row l is column l of the
-    # factor; a sign of 1.0 leaves a component as it is, bit for bit
-    view_a = a if dagger_a else a.T
-    view_b = b.T if dagger_b else b
-    sign_a, sign_b = (-1.0 if dagger else 1.0 for dagger in (dagger_a, dagger_b))
-    x = np.empty((2, 2, dim, dim))  # (a0, a1) twice
-    x[:, 0] = view_a.real
-    np.multiply(view_a.imag, sign_a, out=x[:, 1])
-    x = x.reshape(4, dim, dim)
-    y = np.empty((4, dim, dim))  # (b0, -b1, b1, b0)
-    y[0::3] = view_b.real
-    np.multiply(view_b.imag, -sign_b, out=y[1])
-    np.multiply(view_b.imag, sign_b, out=y[2])
-    sums = np.zeros((2, dim, dim))  # re, im
+    x = np.conjugate(a) if dagger_a else np.ascontiguousarray(a.T)
+    y = np.conjugate(b.T, out=np.empty_like(b)) if dagger_b else b
+    sums = np.zeros((dim, dim), dtype=np.complex128)
     chunk, band = block_shape(dim, dim, dim, ORACLE_BLOCK)
-    summed = np.empty(2 * (chunk + 1) * band * dim)
-    products = np.empty(4 * chunk * band * dim)
+    slots = np.empty((chunk + 1) * band * dim, dtype=np.complex128)
     for l in range(0, dim, chunk):
-        ls = slice(l, l + chunk)
         for j in range(0, dim, band):
-            js = slice(j, j + band)
-            shape = (min(chunk, dim - l), min(band, dim - j), dim)
-            block = summed[: 2 * (shape[0] + 1) * shape[1] * dim].reshape(2, -1, *shape[1:])
-            terms = products[: 4 * math.prod(shape)].reshape(4, *shape)
-            np.copyto(block[:, 0], sums[:, js])
-            np.einsum("plj,plk->pljk", x[:, ls, js], y[:, ls], out=terms)
-            # re += a0*b0 + a1*(-b1) and im += a0*b1 + a1*b0, for each l in order
-            np.add(terms[0::2], terms[1::2], out=block[:, 1:])
-            np.add.reduce(block, axis=1, out=sums[:, js])
-    out = np.empty((dim, dim), dtype=np.complex128)
-    # set separately: re + 1j * im would turn an imaginary -0.0 into +0.0
-    out.real, out.imag = (sums[0].T, sums[1].T) if transpose else sums
-    return out
+            rows = sums[j : j + band]
+            factors = x[l : l + chunk, j : j + band]
+            block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
+            np.copyto(block[0], rows)
+            np.einsum("lj,lk->ljk", factors, y[l : l + chunk], out=block[1:])
+            np.add.reduce(block, axis=0, out=rows)
+    return np.ascontiguousarray(sums.T) if transpose else sums
 
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:

@@ -400,11 +400,15 @@ def peak_bytes(layout: RegisterLayout) -> int:
     row that it computes, 2**(2n+2) float64 amplitudes each, the payload
     and the squares of its weight (a quarter each), the two operands'
     entries (half a quarter each), the blocks of terms that the row's and
-    the oracle's sums add (:data:`BLOCK` and six
-    :data:`qamp.complexmat.ORACLE_BLOCK` amplitudes), and
-    :data:`RUNTIME_BYTES`."""
+    the oracle's sums add (:data:`BLOCK` float64 and
+    :data:`qamp.complexmat.ORACLE_BLOCK` complex amplitudes), and
+    :data:`RUNTIME_BYTES`.  The oracle runs once the row and the payload
+    are freed: its x, y and sums, and the copy a transposed product makes
+    of the sums, are 2**(2n) complex amplitudes, half a quarter, each, so
+    beside the operands and the decoded product it holds at most 3.5
+    quarters."""
     quarter = 1 << (2 * layout.n + 2)
-    return 8 * (5 * quarter + BLOCK + 6 * ORACLE_BLOCK) + RUNTIME_BYTES
+    return 8 * (5 * quarter + BLOCK) + 16 * ORACLE_BLOCK + RUNTIME_BYTES
 
 
 def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, float]:

@@ -182,13 +182,14 @@ class TestMultiply:
     def test_oversized_run_refused_exit_2(self, tmp_path, capsys, monkeypatch):
         # physical memory reported one byte short of an n = 2 run's peak: five
         # quarters of w1's row of 2**6 amplitudes each, a block of 2**15
-        # terms for the row and six of 2**13 for the oracle, and the runtime
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67766784 - 1)
+        # terms for the row and one of 2**14 complex terms for the oracle,
+        # and the runtime
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67635712 - 1)
         entries = [[[0.1 * (j + k), 0.0] for k in range(4)] for j in range(4)]
         a = write_json(tmp_path / "a.json", {"n": 2, "entries": entries})
         assert main(["multiply", a, a]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "needs 67766784 bytes" in err
+        assert err.startswith("error: ") and "needs 67635712 bytes" in err
 
     def test_prepared_file_inconsistent_scale_exit_2(self, tmp_path, capsys):
         # the desk file records s_original = 0.5; with 5.0 the rescaled
@@ -287,11 +288,11 @@ class TestConjugate:
     def test_runs_on_the_operands_own_registers(self, tmp_path, capsys, monkeypatch):
         # too little memory for a multiply at n = 2, plenty for the 2n+2
         # qubits of one operand
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67766784 - 1)
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67635712 - 1)
         entries = np.random.default_rng(239).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
         assert main(["multiply", src, src]) == 2
-        assert "needs 67766784 bytes" in capsys.readouterr().err
+        assert "needs 67635712 bytes" in capsys.readouterr().err
         assert main(["conjugate", src]) == 0
         out = json.loads(capsys.readouterr().out)
         got = np.array([[complex(*pair) for pair in row] for row in out["entries"]])

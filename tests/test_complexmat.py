@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -205,6 +206,17 @@ class TestPreparedMatrix:
         with pytest.raises(ValidationError):
             bad.validate()
 
+    def test_validate_refuses_nan_slack(self):
+        # |b|^2 + weight is NaN, which no tolerance comparison can pass
+        bad = PreparedMatrix(ComplexMatrix(1, 0.5 * np.eye(2)), complex(math.nan), 0.5, 0.5)
+        with pytest.raises(ValidationError):
+            bad.validate()
+
+    def test_validate_refuses_slack_with_nan_imaginary_part(self):
+        bad = PreparedMatrix(ComplexMatrix(1, 0.5 * np.eye(2)), complex(0.5, math.nan), 0.5, 0.5)
+        with pytest.raises(ValidationError):
+            bad.validate()
+
 
 class TestMatmulOracle:
     def test_identity(self):
@@ -280,7 +292,9 @@ class TestMatmulOracle:
     def test_is_the_numpy_scalar_loop_in_every_block_shape(self, n, case, monkeypatch):
         # at run sizes a block holds every l, and only n >= 6 has more than
         # one; with the cap brought down the blocks split the l range and
-        # the rows as they do there, and the bits must not move
+        # the rows as they do there, and the bits must not move; nor may
+        # they under the run's daggered factors and transposed products,
+        # which the oracle reads straight from the entries
         dim = 1 << n
         monkeypatch.setattr(complexmat, "ORACLE_BLOCK", block_cap(case, dim, dim, dim))
         rng = np.random.default_rng(60 + n)
@@ -288,6 +302,16 @@ class TestMatmulOracle:
             a, b = (ComplexMatrix(n, mixed_entries(rng, n)) for _ in range(2))
             got = matmul_oracle(a, b).entries
             assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
+            # the first flag set, the plain product, is the check above
+            for flags in list(itertools.product((False, True), repeat=3))[1:]:
+                dagger_a, dagger_b, transpose = flags
+                x = dagger_oracle(a) if dagger_a else a
+                y = dagger_oracle(b) if dagger_b else b
+                want = matmul_oracle_numpy(x, y).entries
+                if transpose:
+                    want = want.T.copy()
+                got = complexmat._matmul(a.entries, b.entries, *flags)
+                assert got.tobytes() == want.tobytes(), flags
 
     def test_bilinear(self):
         rng = np.random.default_rng(37)

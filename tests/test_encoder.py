@@ -172,10 +172,11 @@ class TestMemoryPreflight:
     # n = 5: a run is allowed five quarters of w1's row, 2**12 float64
     # amplitudes each (the K1 = K2 quarters, the payload and its
     # squares, the two operands' entries), a block of 2**15 terms for the
-    # row and six of 2**13 for the oracle, and the 64 MiB runtime allowance;
-    # a quarter (32 KiB) is well above what raising the refusal allocates
+    # row and one of 2**14 complex terms for the oracle, and the 64 MiB
+    # runtime allowance; a quarter (32 KiB) is well above what raising the
+    # refusal allocates
     QUARTER = 8 * (1 << 12)
-    NEEDED = 5 * QUARTER + 8 * (1 << 15) + 6 * 8 * (1 << 13) + (64 << 20)
+    NEEDED = 5 * QUARTER + 8 * (1 << 15) + 16 * (1 << 14) + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)
