@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import re
 import sys
@@ -58,54 +59,117 @@ DEFAULT_C = 1.0
 
 # --- JSON emission -----------------------------------------------------------
 # stdlib json prints shortest-repr floats; reports pin 17 significant digits
-# instead, so the emitter is hand rolled.
+# instead, so the emitter is hand rolled.  It looks a value's exact type up
+# first, and writes nested lists of floats of one shape, such as a matrix's
+# rows of [re, im] pairs, with one %-template; subclasses and numpy scalars
+# take the isinstance checks.
+
+_FLOAT = "%.17g"
+
+#: exact type -> its text: ``"%.17g" % v`` prints what ``format(v, ".17g")``
+#: prints, and ``encode_basestring_ascii`` is what ``json.dumps`` calls on a str
+_SCALARS = {
+    float: _FLOAT.__mod__,
+    int: int.__repr__,
+    str: json.encoder.encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
 
 
 def _scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+        return _FLOAT % float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return json.encoder.encode_basestring_ascii(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def _is_scalar(value) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str, np.integer, np.floating))
+    return value is None or isinstance(value, (int, float, str, np.integer, np.floating))
+
+
+def _float_array(items) -> tuple[list, tuple] | None:
+    """(shape, floats in row-major order) of ``items`` when it nests lists
+    and tuples of one length per level, the innermost holding floats only,
+    such as a matrix's rows of [re, im] pairs; otherwise None."""
+    shape = [len(items)]
+    while True:
+        kinds = set(map(type, items))
+        if kinds == {float}:
+            return shape, tuple(items)
+        if not kinds <= {list, tuple}:
+            return None
+        widths = set(map(len, items))
+        if len(widths) != 1:
+            return None
+        shape += widths
+        items = tuple(itertools.chain.from_iterable(items))
+
+
+def _float_template(shape: list, indent: int) -> str:
+    """The %-template that prints a float array of ``shape`` at ``indent``
+    as the walk would: innermost lists on one line, every other item on a
+    line of its own."""
+    if len(shape) == 1:
+        return "[" + ", ".join([_FLOAT] * shape[0]) + "]"
+    pad = "  " * indent
+    item = pad + "  " + _float_template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
 def _emit(value, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(value) else "\n")
-        out.append(pad + "}")
+    text = _SCALARS.get(type(value))
+    if text is not None:
+        out.append(text(value))
+    elif isinstance(value, dict):
+        _emit_dict(value, out, indent)
     elif isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-        elif all(_is_scalar(v) for v in items):
-            out.append("[" + ", ".join(_scalar(v) for v in items) + "]")
-        else:
-            out.append("[\n")
-            for i, item in enumerate(items):
-                out.append(pad + "  ")
-                _emit(item, out, indent + 1)
-                out.append(",\n" if i + 1 < len(items) else "\n")
-            out.append(pad + "]")
+        _emit_list(value, out, indent)
     else:
         out.append(_scalar(value))
+
+
+def _emit_dict(value: dict, out: list, indent: int) -> None:
+    if not value:
+        out.append("{}")
+        return
+    pad = "  " * indent
+    last = len(value) - 1
+    out.append("{\n")
+    for i, (key, item) in enumerate(value.items()):
+        out.append(f"{pad}  {json.encoder.encode_basestring_ascii(str(key))}: ")
+        _emit(item, out, indent + 1)
+        out.append(",\n" if i < last else "\n")
+    out.append(pad + "}")
+
+
+def _emit_list(items, out: list, indent: int) -> None:
+    if not items:
+        out.append("[]")
+        return
+    kinds = set(map(type, items))
+    if kinds <= _SCALARS.keys() or all(map(_is_scalar, items)):
+        out.append("[" + ", ".join(map(_scalar, items)) + "]")
+        return
+    array = _float_array(items)
+    if array is not None:
+        shape, floats = array
+        out.append(_float_template(shape, indent) % floats)
+        return
+    pad = "  " * indent
+    last = len(items) - 1
+    out.append("[\n")
+    for i, item in enumerate(items):
+        out.append(pad + "  ")
+        _emit(item, out, indent + 1)
+        out.append(",\n" if i < last else "\n")
+    out.append(pad + "]")
 
 
 def dump_json(obj) -> str:
@@ -115,8 +179,14 @@ def dump_json(obj) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write a report to ``path``, or to standard output when it is None; a
+    write that fails, a full disk or a closed pipe, is a parameter error."""
     if path is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            raise ParameterError(f"cannot write standard output: {exc.strerror or exc}") from None
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -255,7 +325,7 @@ def cmd_estimate_g(args) -> int:
         "seed": est.seed,
         "nominal_runs": est.nominal_runs,
     }
-    sys.stdout.write(dump_json(report))
+    _write_output(dump_json(report), None)
     return EXIT_OK
 
 
@@ -267,7 +337,7 @@ def cmd_report(args) -> int:
         "flags": {"n": args.n},
         **dataclasses.asdict(rep),
     }
-    sys.stdout.write(dump_json(report))
+    _write_output(dump_json(report), None)
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ components a_jk = a_jk0 + i * a_jk1.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -305,10 +306,8 @@ def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:
 
 
 def matrix_to_obj(m: ComplexMatrix) -> dict:
-    return {
-        "n": m.n,
-        "entries": [[[float(v.real), float(v.imag)] for v in row] for row in m.entries],
-    }
+    pairs = np.ascontiguousarray(m.entries).view(np.float64).reshape(m.dim, m.dim, 2)
+    return {"n": m.n, "entries": pairs.tolist()}
 
 
 def _require_number(value, where: str) -> float:
@@ -331,6 +330,19 @@ def _pair(value, where: str) -> complex:
     return complex(_require_number(value[0], where), _require_number(value[1], where))
 
 
+def _numbers(entries: list, dim: int) -> list | None:
+    """The components of ``entries`` in row-major order when it is ``dim``
+    lists of ``dim`` [re, im] lists of ints and floats, bools excluded;
+    otherwise None."""
+    if not all(type(row) is list and len(row) == dim for row in entries):
+        return None
+    pairs = list(itertools.chain.from_iterable(entries))
+    if set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    numbers = list(itertools.chain.from_iterable(pairs))
+    return numbers if set(map(type, numbers)) <= {int, float} else None
+
+
 def matrix_from_obj(obj) -> ComplexMatrix:
     """Parse the matrix document schema, naming the offending field on error."""
     if not isinstance(obj, dict):
@@ -347,6 +359,16 @@ def matrix_from_obj(obj) -> ComplexMatrix:
     if n >= 64 or not isinstance(entries, list) or len(entries) != 1 << n:
         raise ValidationError(f"field entries must be a list of 2**{n} rows")
     dim = 1 << n
+    numbers = _numbers(entries, dim)
+    if numbers is not None:
+        try:
+            components = np.array(numbers, dtype=np.float64)
+        except OverflowError:  # an integer beyond float64
+            components = None
+        if components is not None and np.isfinite(components).all():
+            return ComplexMatrix(n, components.view(np.complex128).reshape(dim, dim))
+    # a check failed, or a number is of a subclass of int or float: the
+    # walk names the first offending field, or reads the entries
     out = np.zeros((dim, dim), dtype=np.complex128)
     for j, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:

@@ -1,4 +1,7 @@
-"""Shared random-input factories for the test suite."""
+"""Shared random-input factories and reference implementations for the test
+suite."""
+
+import json
 
 import numpy as np
 
@@ -124,3 +127,61 @@ def manipulated_build(pm1, pm2, layout, manips):
         if name in manips:
             state = apply_q(state, which, layout)
     return state
+
+
+# --- the JSON emitter that cli.dump_json replaced ---------------------------
+# An isinstance cascade and a format call per value, and a json.dumps call per
+# key and string: the byte-for-byte reference for cli.dump_json.
+
+
+def _scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _is_scalar(value) -> bool:
+    return value is None or isinstance(value, (bool, int, float, str, np.integer, np.floating))
+
+
+def _emit(value, out: list, indent: int) -> None:
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, item) in enumerate(value.items()):
+            out.append(f"{pad}  {json.dumps(str(key))}: ")
+            _emit(item, out, indent + 1)
+            out.append(",\n" if i + 1 < len(value) else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        items = list(value)
+        if not items:
+            out.append("[]")
+        elif all(_is_scalar(v) for v in items):
+            out.append("[" + ", ".join(_scalar(v) for v in items) + "]")
+        else:
+            out.append("[\n")
+            for i, item in enumerate(items):
+                out.append(pad + "  ")
+                _emit(item, out, indent + 1)
+                out.append(",\n" if i + 1 < len(items) else "\n")
+            out.append(pad + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def dump_json(obj) -> str:
+    out: list[str] = []
+    _emit(obj, out, 0)
+    return "".join(out) + "\n"

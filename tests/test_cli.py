@@ -1,12 +1,18 @@
+import errno
+import io
 import json
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import support
 from qamp import encoder, multiplier
-from qamp.cli import build_parser, main
+from qamp.cli import build_parser, dump_json, main
 from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj, prepare
 from qamp.estimator import estimate_g
 
@@ -474,11 +480,88 @@ class TestOutOfRangeInput:
             assert captured.out == ""
             assert captured.err == f"error: slack parameter c must be positive and finite, got {float(value)}\n"
 
-    def test_unwritable_output_exit_2(self, tmp_path, desk_matrix, capsys):
+    def test_unwritable_output_exit_2(self, tmp_path, desk_matrix, capsys, monkeypatch):
         for command, operands in (("prepare", 1), ("multiply", 2), ("conjugate", 1)):
             assert main([command, *[desk_matrix] * operands, "-o", str(tmp_path)]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith(f"error: cannot write {tmp_path}")
+
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        # a full disk or a closed pipe on standard output: every command
+        # names it with the usage exit code, not the verification one
+        argvs = [[command, *[desk_matrix] * operands] for command, operands in self.COMMANDS]
+        for argv in [*argvs, ["report", "--n", "1"]]:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", FullStdout())
+                assert main(argv) == 2, argv[0]
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+
+
+#: floats at the edges of %.17g: signed zeros, the smallest subnormal, the
+#: largest subnormal, the largest magnitudes, NaN and the infinities
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, 0.1,
+]
+FLOATS = st.floats() | st.sampled_from(EDGE_FLOATS)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.text(),
+    st.text(alphabet='"\\\n\t/\x00\x7fé€\u2028😀ab'),
+)
+
+
+def float_array(shape):
+    """Nested lists and tuples of floats of ``shape``, as a matrix's rows of
+    [re, im] pairs are of shape (dim, dim, 2)."""
+    if not shape:
+        return FLOATS
+    items = st.lists(float_array(shape[1:]), min_size=shape[0], max_size=shape[0])
+    return items | items.map(tuple)
+
+
+FLOAT_ARRAYS = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(float_array)
+#: nested dicts, lists and tuples of all of the above, empty ones included
+REPORTS = st.recursive(
+    SCALARS | FLOAT_ARRAYS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=400, deadline=None)
+    @given(REPORTS)
+    @example({"entries": [[[0.1, -0.0], [5e-324, 1e308]], [[math.nan, math.inf], [-math.inf, 1.0]]]})
+    @example([[], [[]], (), {}, [[1.0], [2.0, 3.0]], [[1.0, 2], [3.0, 4.0]], [(np.float64(0.5), 1.0)]])
+    def test_is_the_reference_emitter_byte_for_byte(self, value):
+        assert dump_json(value) == support.dump_json(value)
+
+    def test_reports_are_the_reference_emitter_byte_for_byte(self, tmp_path, capsys):
+        path = write_json(tmp_path / "a.json", matrix_to_obj(support.random_matrix(np.random.default_rng(61), 2)))
+        argvs = [
+            ["prepare", path],
+            ["multiply", path, path, "--dagger-b"],
+            ["conjugate", path],
+            ["estimate-g", path, path, "--shots", "1000"],
+            ["report", "--n", "2"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0
+            text = capsys.readouterr().out
+            assert text == support.dump_json(json.loads(text)), argv[0]
 
 
 class TestReport:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -358,6 +359,17 @@ class TestDaggerOracle:
         assert np.allclose(lhs.entries, rhs.entries, atol=1e-12)
 
 
+def component(value):
+    """A 2x2 matrix document whose entry (1, 0) has ``value`` as its
+    imaginary part, every other component a number."""
+    return {"n": 1, "entries": [[[1, 0.5], [0, 0]], [[0.25, value], [0, 0]]]}
+
+
+def component_literal(literal):
+    """:func:`component` of a JSON literal, as json.loads reads it."""
+    return json.loads(f'{{"n": 1, "entries": [[[1, 0.5], [0, 0]], [[0.25, {literal}], [0, 0]]]}}')
+
+
 class TestFileSchema:
     def test_round_trip(self):
         rng = np.random.default_rng(53)
@@ -371,7 +383,7 @@ class TestFileSchema:
         assert back.b == pm.b and back.c == pm.c and back.s_original == pm.s_original
 
     @pytest.mark.parametrize(
-        "obj,field",
+        "obj,expected",
         [
             ({"entries": []}, "n"),
             ({"n": 1}, "entries"),
@@ -379,12 +391,30 @@ class TestFileSchema:
             ({"n": 1, "entries": [[[1, 0], [0]], [[0, 0], [0, 0]]]}, "entries[0][1]"),
             ({"n": 1, "entries": [[[1, 0], ["x", 0]], [[0, 0], [0, 0]]]}, "entries[0][1]"),
             ({"n": True, "entries": []}, "n"),
+            # components that np.array(..., dtype=np.float64) would read as
+            # 1.0, 1.5 and nan, or refuse with an OverflowError, and literals
+            # that json.loads reads as nan and inf: the whole message
+            pytest.param(component(True), "entries[1][0] must be a number, got True", id="true"),
+            pytest.param(component("1.5"), "entries[1][0] must be a number, got '1.5'", id="string"),
+            pytest.param(component(None), "entries[1][0] must be a number, got None", id="null"),
+            pytest.param(
+                {"n": 1, "entries": [[[1, 0], [0, 0]], [[0, 0, 0], [0, 0]]]},
+                "entries[1][0] must be a [re, im] pair",
+                id="triple",
+            ),
+            pytest.param(
+                component(10**400),
+                "entries[1][0] must fit in float64, got an integer of 1329 bits",
+                id="int-beyond-float64",
+            ),
+            pytest.param(component_literal("NaN"), "entries[1][0] must be finite, got nan", id="nan"),
+            pytest.param(component_literal("Infinity"), "entries[1][0] must be finite, got inf", id="infinity"),
         ],
     )
-    def test_schema_errors_name_the_field(self, obj, field):
+    def test_schema_errors_name_the_field(self, obj, expected):
         with pytest.raises(ValidationError) as err:
             matrix_from_obj(obj)
-        assert field in str(err.value)
+        assert expected in str(err.value)
 
     def test_non_rectangular_rejected(self):
         obj = {"n": 1, "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]]]}
