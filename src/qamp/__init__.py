@@ -19,7 +19,6 @@ from .complexmat import (
     matmul_oracle,
     matrix_from_obj,
     matrix_to_obj,
-    pad_to_square,
     prepare,
     prepared_from_obj,
     prepared_to_obj,
@@ -68,7 +67,6 @@ __all__ = [
     "matmul_oracle",
     "matrix_from_obj",
     "matrix_to_obj",
-    "pad_to_square",
     "prepare",
     "prepared_from_obj",
     "prepared_to_obj",

@@ -5,6 +5,11 @@ row major; prepared files add {"b": [re, im], "s_original": ..., "c": ...}.
 Reports are JSON with every float printed at 17 significant digits so values
 round-trip bit for bit.
 
+No command builds a register state: ``multiply`` and ``estimate-g`` take
+the pipeline's run path, and ``conjugate`` reads the conjugate transpose
+straight off the prepared entries, the bits the conjugation circuit leaves
+on the operand's own registers.
+
 Exit codes: 0 success (and all requested verifications passed), 1 failed
 verification, 2 parse/parameter problems or a post-selection branch of zero
 weight, 3 dimension mismatch, 4 the normalization estimate is undefined (an
@@ -34,8 +39,7 @@ from .complexmat import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from .conjugator import hermitian_conjugate
-from .encoder import EncodedBlock, encode, read_block
+from .encoder import require_memory
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
@@ -45,7 +49,13 @@ from .errors import (
     ValidationError,
 )
 from .estimator import estimate_g
-from .multiplier import oracle_product, resource_report, run_pipeline
+from .multiplier import (
+    RUNTIME_BYTES,
+    _operand_factors,
+    oracle_product,
+    resource_report,
+    run_pipeline,
+)
 from .registers import layout_for
 
 EXIT_OK = 0
@@ -297,14 +307,16 @@ def cmd_conjugate(args) -> int:
     matrix = matrix_from_obj(_load_json(args.input))
     if matrix.n < 1:
         raise ParameterError("conjugate needs a matrix of width n >= 1")
+    # the parsed and the prepared entries, their conjugate transpose and the
+    # result's copy, 16 bytes an entry each
+    needed = 4 * 16 * matrix.dim**2 + RUNTIME_BYTES
+    require_memory(layout_for(matrix.n), needed, "the entries it holds and the runtime")
     pm = prepare(matrix, DEFAULT_C)
-    # the operand's own registers (M1, R1, C1, K1), 2n+2 qubits
-    layout = layout_for(matrix.n).without("M2", "R2", "C2", "K2", "B", "BT")
-    block = EncodedBlock.for_side(layout, "first")
-    state = hermitian_conjugate(encode(pm, "first", layout), block)
-    decoded, _b = read_block(state, block)
-    result = ComplexMatrix(matrix.n, decoded.entries * pm.scale)
-    _write_output(dump_json(matrix_to_obj(result)), args.output)
+    # the operand's K = 1 slab after its conjugation circuit, as (re, im) pairs
+    _slack, slab = _operand_factors(pm, transposed=True, conjugated=True)
+    entries = slab.view(np.complex128)
+    np.multiply(entries, pm.scale, out=entries)
+    _write_output(dump_json(matrix_to_obj(ComplexMatrix(matrix.n, entries))), args.output)
     return EXIT_OK
 
 
@@ -382,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", default=None, help="report path (default stdout)")
     p.set_defaults(func=cmd_multiply)
 
-    p = sub.add_parser("conjugate", help="conjugate-transpose a matrix through the circuit")
+    p = sub.add_parser("conjugate", help="conjugate-transpose a matrix")
     p.add_argument("input", help="matrix JSON file")
     p.add_argument("--output", "-o", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_conjugate)

@@ -12,7 +12,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,8 @@ NORM_TOL = 1e-12
 
 @dataclass
 class ComplexMatrix:
-    """Dense square complex matrix of size 2**n x 2**n, entries finite."""
+    """Dense square complex matrix of size 2**n x 2**n, entries finite,
+    held as a C-contiguous complex128 copy of what the caller passed."""
 
     n: int
     entries: np.ndarray
@@ -44,7 +44,7 @@ class ComplexMatrix:
             raise DimensionError(f"register width must be a nonnegative integer, got {self.n!r}")
         self.n = int(self.n)
         dim = 1 << self.n
-        arr = np.array(self.entries, dtype=np.complex128)
+        arr = np.array(self.entries, dtype=np.complex128, order="C")
         if arr.shape != (dim, dim):
             raise DimensionError(
                 f"expected a {dim}x{dim} matrix for n={self.n}, got shape {arr.shape}"
@@ -64,7 +64,7 @@ class ComplexMatrix:
             return float(np.sum(np.abs(self.entries) ** 2))
 
     def copy(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.n, self.entries.copy())
+        return ComplexMatrix(self.n, self.entries)
 
 
 def _square_matrix(entries) -> ComplexMatrix:
@@ -143,25 +143,6 @@ class PreparedMatrix:
             raise ParameterError(f"scaled matrix weight {w} must be strictly below 1")
         b = math.sqrt(1.0 - w) * cmath.exp(1j * b_phase)
         return cls(matrix=m.copy(), b=complex(b), s_original=w, c=1.0 - w)
-
-
-def pad_to_square(rows: Sequence[Sequence[complex]]) -> ComplexMatrix:
-    """Embed a rectangular array into the smallest 2**n square, zero padded."""
-    rows = [list(r) for r in rows]
-    if len(rows) == 0:
-        raise DimensionError("cannot pad an empty matrix")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DimensionError(f"rows have inconsistent lengths {sorted(widths)}")
-    (cols,) = widths
-    if cols == 0:
-        raise DimensionError("cannot pad a matrix with empty rows")
-    side = max(len(rows), cols)
-    n = (side - 1).bit_length()
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    out[: len(rows), :cols] = np.array(rows, dtype=np.complex128)
-    return ComplexMatrix(n, out)
 
 
 def _check_scale(s: float, c: float, error: type) -> None:
@@ -296,7 +277,7 @@ def _matmul(
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:
     """Conjugate transpose."""
-    return ComplexMatrix(a.n, a.entries.conj().T.copy())
+    return ComplexMatrix(a.n, a.entries.conj().T)
 
 
 # --- file schema -----------------------------------------------------------

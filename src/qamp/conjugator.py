@@ -17,7 +17,11 @@ mutated.
 (:func:`qamp.multiplier.run_pipeline`) holds no state for :func:`apply_q`
 to act on; what it needs of these actions is whether each operand ends
 transposed and whether it ends conjugated
-(:func:`qamp.multiplier._orientation`).
+(:func:`qamp.multiplier._orientation`).  Nor does the CLI's ``conjugate``
+run :func:`hermitian_conjugate`: it reads the same bits straight off the
+operand's entries, taken transposed and conjugated
+(:func:`qamp.multiplier._operand_factors`).  These circuits stay as the
+full-register reference that the tests check both against.
 """
 
 from __future__ import annotations

@@ -20,12 +20,13 @@ full-register build (:func:`qamp.multiplier.build_initial`) hands it both
 operands' tensors on their own blocks.  Reading back is split the same
 way: :func:`read_block` reads the component tensor of a block,
 :func:`residual` weighs everything outside the encoding support, and
-:func:`decode` does both.  The pipeline's run path
-places nothing in a register view and reads nothing out of one: it takes
-each operand's amplitudes straight from its entries and slack
-(:func:`qamp.multiplier._entry_factors`, which checks the norm as
-:func:`_components` does, through :func:`_check_norm`), and its result,
-the flagged payload, is a component tensor already.
+:func:`decode` does both.  No CLI command encodes or reads a register
+state: the pipeline's run path and ``qamp conjugate`` take each operand's
+amplitudes straight from its entries and slack
+(:func:`qamp.multiplier._operand_factors`, which checks the norm as
+:func:`_components` does, through :func:`_check_norm`), and the run's
+result, the flagged payload, is a component tensor already.  The
+functions here stay as the full-register reference.
 
 :func:`check_memory` refuses a layout whose stages cannot fit in physical
 memory, and :func:`joint_amplitudes` calls it before allocating;

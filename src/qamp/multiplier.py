@@ -50,7 +50,8 @@ the manipulations come down to two bits per operand
 So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
 one 2**(n+1) x 2**(n+1) array each, from one copy of each operand's
 entries, transposed and conjugated in place as the manipulations ask, and
-its slack pair (:func:`_entry_factors`); no component tensor is built.
+its slack pair (:func:`_entry_factors`, through the one operand reader
+:func:`_operand_factors`); no component tensor is built.
 The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
 the two slack pairs, since an operand's K = 0 slab holds just the slack;
 the K1 = K2 = 1 quarter sums one outer product per c, a block at a time,
@@ -179,34 +180,39 @@ def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
     return ((swap == d1, d2 if swap else d1), (swap != d2, d1 if swap else d2))
 
 
-def _entry_factors(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
-    """Each operand's factors in w1's row, read straight from its entries:
-    the (slack, matrix) pair of the first operand summed over C1 and of the
-    second summed over R2.
+def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
+    """One operand's (slack, slab) pair, read straight from its entries.
 
     ``slack`` is the operand's K = 0 amplitudes at R = C = 0, (b.re, b.im)
-    or, where the operand is conjugated (:func:`_orientation`),
-    (b.re, -b.im); the rest of its K = 0 slab is zero.  ``matrix`` is its
-    K = 1 slab, a (2**n, 2**(n+1)) float64 array with one row per value of
-    the summed register and the other register and the label along the
-    row: one copy of the entries, transposed where the operand is read
-    transposed, viewed as complex and conjugated in place where it is
-    conjugated.  Both are bit for bit the operand's amplitudes after
-    :func:`qamp.conjugator.apply_q` per manipulation, since copying,
-    conjugating and negating are exact.  The encoded state's norm is
-    checked as :func:`qamp.encoder.encode` checks it.
+    or, where the operand is conjugated, (b.re, -b.im); the rest of its
+    K = 0 slab is zero.  ``slab`` is its K = 1 slab, a (2**n, 2**(n+1))
+    float64 array: one copy of the entries, transposed where asked, viewed
+    as complex and conjugated in place where asked, so that its complex
+    view is the entries, their transpose, their conjugate or their
+    conjugate transpose.  Both are bit for bit the operand's amplitudes
+    after :func:`qamp.conjugator.apply_q` per manipulation, or after
+    :func:`qamp.conjugator.hermitian_conjugate` when both bits are set,
+    since copying, conjugating and negating are exact.  The encoded
+    state's norm is checked as :func:`qamp.encoder.encode` checks it.
     """
-    factors = []
-    for pm, (transposed, conjugated) in zip((pm1, pm2), _orientation(pm1, pm2, manipulations)):
-        matrix = np.empty((pm.matrix.dim, 2 * pm.matrix.dim))
-        entries = matrix.view(np.complex128)
-        np.copyto(entries, pm.matrix.entries.T if transposed else pm.matrix.entries)
-        if conjugated:
-            np.conjugate(entries, out=entries)
-        slack = np.array((pm.b.real, -pm.b.imag if conjugated else pm.b.imag))
-        _check_norm(float(np.vdot(matrix, matrix)) + float(slack @ slack))
-        factors.append((slack, matrix))
-    return factors
+    slab = np.empty((pm.matrix.dim, 2 * pm.matrix.dim))
+    entries = slab.view(np.complex128)
+    np.copyto(entries, pm.matrix.entries.T if transposed else pm.matrix.entries)
+    if conjugated:
+        np.conjugate(entries, out=entries)
+    slack = np.array((pm.b.real, -pm.b.imag if conjugated else pm.b.imag))
+    _check_norm(float(np.vdot(slab, slab)) + float(slack @ slack))
+    return slack, slab
+
+
+def _entry_factors(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
+    """Each operand's factors in w1's row, (slack, slab) from
+    :func:`_operand_factors` as :func:`_orientation` orients it: the first
+    operand's slab has one row per value of C1, the second's one per value
+    of R2, the register each is summed over, with the other register and
+    the label along the row."""
+    orientations = _orientation(pm1, pm2, manipulations)
+    return [_operand_factors(pm, *bits) for pm, bits in zip((pm1, pm2), orientations)]
 
 
 def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:

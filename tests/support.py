@@ -5,10 +5,11 @@ import json
 
 import numpy as np
 
-from qamp import ComplexMatrix, PreparedMatrix, apply_q, build_initial, prepare
-from qamp.complexmat import block_shape
+from qamp import ComplexMatrix, PreparedMatrix, apply_q, build_initial, hermitian_conjugate, prepare
+from qamp.complexmat import block_shape, matrix_to_obj
+from qamp.encoder import EncodedBlock, encode, read_block
 from qamp.multiplier import MANIPULATION_STAGES
-from qamp.registers import register_view, select
+from qamp.registers import layout_for, register_view, select
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -127,6 +128,19 @@ def manipulated_build(pm1, pm2, layout, manips):
         if name in manips:
             state = apply_q(state, which, layout)
     return state
+
+
+def conjugate_reference(matrix):
+    """What ``qamp conjugate`` writes for ``matrix``, made by the
+    full-register chain: the matrix prepared with c = 1, encoded on its own
+    2n + 2 qubits (M1, R1, C1, K1), run through :func:`hermitian_conjugate`,
+    read back and multiplied by the scale, then emitted by
+    :func:`dump_json`.  Raises what :func:`prepare` raises."""
+    pm = prepare(matrix, 1.0)
+    layout = layout_for(matrix.n).without("M2", "R2", "C2", "K2", "B", "BT")
+    block = EncodedBlock.for_side(layout, "first")
+    decoded, _b = read_block(hermitian_conjugate(encode(pm, "first", layout), block), block)
+    return dump_json(matrix_to_obj(ComplexMatrix(matrix.n, decoded.entries * pm.scale)))
 
 
 # --- the JSON emitter that cli.dump_json replaced ---------------------------

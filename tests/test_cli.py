@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import support
-from qamp import encoder, multiplier
+from qamp import cli, conjugator, encoder, estimator, multiplier, registers, statevector
 from qamp.cli import build_parser, dump_json, main
 from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj, prepare
+from qamp.errors import ParameterError
 from qamp.estimator import estimate_g
 
 IDENTITY_HALF = {
@@ -256,6 +257,19 @@ class TestMultiply:
         assert out.read_bytes() == first
 
 
+#: kind -> entries of width n from a generator, for the conjugate bit tests:
+#: Gaussian components; components mixing +0.0, -0.0 and magnitudes
+#: 1e-8..1e8; subnormal ones, whose squares underflow; ones near 1e-150 and
+#: near 1e150, the last refused since the scale's square overflows float64
+CONJUGATE_INPUTS = {
+    "gaussian": lambda rng, n: support.random_matrix(rng, n).entries,
+    "signed-zeros": support.mixed_entries,
+    "subnormal": lambda rng, n: support.random_matrix(rng, n, 1e-310).entries,
+    "tiny": lambda rng, n: support.random_matrix(rng, n, 1e-150).entries,
+    "huge": lambda rng, n: support.random_matrix(rng, n, 1e150).entries,
+}
+
+
 class TestConjugate:
     def test_imaginary_entry(self, tmp_path, capsys):
         src = write_json(
@@ -291,9 +305,9 @@ class TestConjugate:
         )
         assert np.max(np.abs(back - entries)) < 1e-12
 
-    def test_runs_on_the_operands_own_registers(self, tmp_path, capsys, monkeypatch):
-        # too little memory for a multiply at n = 2, plenty for the 2n+2
-        # qubits of one operand
+    def test_runs_where_multiply_is_refused_for_memory(self, tmp_path, capsys, monkeypatch):
+        # too little memory for a multiply at n = 2, plenty for the four
+        # 4 x 4 complex arrays that conjugate holds
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67635712 - 1)
         entries = np.random.default_rng(239).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
@@ -304,6 +318,38 @@ class TestConjugate:
         got = np.array([[complex(*pair) for pair in row] for row in out["entries"]])
         expected = dagger_oracle(ComplexMatrix(2, entries[..., 0] + 1j * entries[..., 1]))
         assert np.max(np.abs(got - expected.entries)) < 1e-12
+
+    def test_oversized_input_refused_before_preparing(self, tmp_path, capsys, monkeypatch):
+        # physical memory one byte short of what conjugate holds at n = 2:
+        # the parsed and the prepared entries, their conjugate transpose and
+        # the result's copy, 16 * 16 bytes each, and the runtime
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67109888 - 1)
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("conjugate allocated before its preflight")
+
+        monkeypatch.setattr(cli, "prepare", refused)
+        monkeypatch.setattr(cli, "_operand_factors", refused)
+        entries = np.random.default_rng(241).normal(size=(4, 4, 2))
+        src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
+        assert main(["conjugate", src]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "needs 67109888 bytes" in captured.err
+
+    @pytest.mark.parametrize("kind", sorted(CONJUGATE_INPUTS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_the_full_register_chain_byte_for_byte(self, tmp_path, capsys, n, kind):
+        matrix = ComplexMatrix(n, CONJUGATE_INPUTS[kind](np.random.default_rng(n), n))
+        src = write_json(tmp_path / "m.json", matrix_to_obj(matrix))
+        code = main(["conjugate", src])
+        captured = capsys.readouterr()
+        try:
+            expected = (0, support.conjugate_reference(matrix), "")
+        except ParameterError as exc:  # the scale's square overflows
+            expected = (2, "", f"error: {exc}\n")
+        assert (code, captured.out, captured.err) == expected
+        assert code == (2 if kind == "huge" else 0)
 
 
 class TestEstimateG:
@@ -580,6 +626,32 @@ class TestReport:
 
     def test_rejects_n_below_one(self, capsys):
         assert main(["report", "--n", "0"]) == 2
+
+
+class TestNoRegisterState:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_command_builds_a_register_state(self, tmp_path, capsys, monkeypatch, n):
+        # every command works on entries, slabs and payload tensors: it
+        # neither builds a StateVector nor views amplitudes by register
+        def refused(*_args, **_kwargs):
+            raise AssertionError("a command built a register state")
+
+        monkeypatch.setattr(statevector.StateVector, "__post_init__", refused)
+        for module in (registers, encoder, conjugator, multiplier, estimator, cli):
+            if hasattr(module, "register_view"):
+                monkeypatch.setattr(module, "register_view", refused)
+        rng = np.random.default_rng(250 + n)
+        a = write_json(tmp_path / "a.json", matrix_to_obj(support.random_matrix(rng, n)))
+        p = str(tmp_path / "p.json")
+        argvs = [["prepare", a, "-o", p]]
+        every = ["--dagger-a", "--dagger-b", "--swap-order"]
+        for flags in ([], ["--dagger-a"], ["--dagger-b", "--swap-order"], every):
+            argvs += [["multiply", p, a, *flags], ["multiply", a, a, "--no-verify", *flags]]
+        argvs += [["conjugate", a], ["estimate-g", p, a, "--shots", "1000"]]
+        argvs += [["report", "--n", str(n)]]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
 
 
 class TestParser:

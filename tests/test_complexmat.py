@@ -16,7 +16,6 @@ from qamp import (
     matmul_oracle,
     matrix_from_obj,
     matrix_to_obj,
-    pad_to_square,
     prepare,
     prepared_from_obj,
     prepared_to_obj,
@@ -52,50 +51,6 @@ class TestComplexMatrix:
     def test_rejects_infinity(self):
         with pytest.raises(ValidationError):
             ComplexMatrix(1, [[complex(0, float("inf")), 0], [0, 0]])
-
-
-class TestPadToSquare:
-    def test_square_power_of_two_unchanged(self):
-        m = pad_to_square([[1, 2], [3, 4]])
-        assert m.n == 1
-        assert np.array_equal(m.entries, np.array([[1, 2], [3, 4]], dtype=complex))
-
-    def test_3x2_pads_to_4x4(self):
-        m = pad_to_square([[1, 2], [3, 4], [5, 6]])
-        assert m.n == 2
-        assert np.array_equal(m.entries[:3, :2], np.array([[1, 2], [3, 4], [5, 6]], dtype=complex))
-        assert np.all(m.entries[3, :] == 0)
-        assert np.all(m.entries[:, 2:] == 0)
-
-    def test_1x4_pads_three_zero_rows(self):
-        m = pad_to_square([[1j, 2, 3, 4]])
-        assert m.n == 2
-        assert np.array_equal(m.entries[0], np.array([1j, 2, 3, 4], dtype=complex))
-        assert np.all(m.entries[1:] == 0)
-
-    def test_random_shapes_against_hand_padding(self):
-        rng = np.random.default_rng(5)
-        for _ in range(25):
-            rows = int(rng.integers(1, 9))
-            cols = int(rng.integers(1, 9))
-            block = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-            m = pad_to_square(block.tolist())
-            # hand oracle: next power of two at least max(rows, cols)
-            side = 1
-            while side < max(rows, cols):
-                side *= 2
-            assert m.dim == side
-            expected = np.zeros((side, side), dtype=complex)
-            expected[:rows, :cols] = block
-            assert np.array_equal(m.entries, expected)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(DimensionError):
-            pad_to_square([])
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(DimensionError):
-            pad_to_square([[1, 2], [3]])
 
 
 class TestPrepare:
