@@ -24,7 +24,6 @@ from qamp import (
     ORACLE_TOL,
     ComplexMatrix,
     estimate_g,
-    layout_for,
     oracle_product,
     prepare,
     run_pipeline,
@@ -54,7 +53,7 @@ g2 = abs(b) ** 2 + expected.weight()
 branch, s1_tilde = g2 / 2 ** (n + 1), abs(pm1.b * pm2.b) ** 2 / g2
 drift = abs(res.branch_probability - branch) / branch
 s1_drift = abs(est.s1_tilde_exact - s1_tilde) / s1_tilde
-needed = peak_bytes(layout_for(n))
+needed = peak_bytes(n)
 print(
     f"n={n} wall {wall:.3f} s, oracle_product {oracle_wall:.3f} s, estimate_g {estimate_wall:.3f} s, "
     f"ru_maxrss {maxrss} of {needed} bytes asked, oracle_error {res.oracle_error:.3e}, "

@@ -23,7 +23,7 @@ from .complexmat import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from .conjugator import apply_q, apply_q_controlled, hermitian_conjugate
+from .conjugator import apply_q, hermitian_conjugate
 from .encoder import EncodedBlock, decode, encode
 from .errors import (
     DimensionError,
@@ -71,7 +71,6 @@ __all__ = [
     "prepared_from_obj",
     "prepared_to_obj",
     "apply_q",
-    "apply_q_controlled",
     "hermitian_conjugate",
     "EncodedBlock",
     "decode",

@@ -310,7 +310,7 @@ def cmd_conjugate(args) -> int:
     # the parsed and the prepared entries, their conjugate transpose and the
     # result's copy, 16 bytes an entry each
     needed = 4 * 16 * matrix.dim**2 + RUNTIME_BYTES
-    require_memory(layout_for(matrix.n), needed, "the entries it holds and the runtime")
+    require_memory(matrix.n, needed, "the entries it holds and the runtime")
     pm = prepare(matrix, DEFAULT_C)
     # the operand's K = 1 slab after its conjugation circuit, as (re, im) pairs
     _slack, slab = _operand_factors(pm, transposed=True, conjugated=True)

@@ -21,7 +21,9 @@ transposed and whether it ends conjugated
 run :func:`hermitian_conjugate`: it reads the same bits straight off the
 operand's entries, taken transposed and conjugated
 (:func:`qamp.multiplier._operand_factors`).  These circuits stay as the
-full-register reference that the tests check both against.
+full-register reference that the tests check both against.  Which
+manipulations act is chosen per run, as classical bits; no qubit of the
+layout controls them.
 """
 
 from __future__ import annotations
@@ -40,12 +42,6 @@ Q_ACTIONS = {
     2: ((("R2", "C2"),), "M2"),
     3: ((("R1", "C1"), ("R2", "C2"), ("M1", "M2")), None),
 }
-
-
-def _q_action(which: int):
-    if which not in (1, 2, 3):
-        raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
-    return Q_ACTIONS[which]
 
 
 def _exchanged_axes(names: tuple[str, ...], *pairs: tuple[str, str]) -> list[int]:
@@ -88,13 +84,6 @@ def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
 def apply_q(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
     """Apply operand manipulation 1, 2 or 3.  Each is involutory and norm
     preserving (a permutation of amplitudes with one sign flip)."""
-    return register_stage(state, layout, _permutation_kernel(*_q_action(which)))
-
-
-def apply_q_controlled(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
-    """Like :func:`apply_q` but active only where the matching control flag
-    qubit is |1>; flags starting in a basis state are left unchanged."""
-    kernel = _permutation_kernel(*_q_action(which))
-    if not layout.control_flags_present:
-        raise ParameterError("layout has no manipulation control flags")
-    return register_stage(state, layout, kernel, control=f"Q{which}")
+    if which not in (1, 2, 3):
+        raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
+    return register_stage(state, layout, _permutation_kernel(*Q_ACTIONS[which]))

@@ -28,10 +28,15 @@ amplitudes straight from its entries and slack
 result, the flagged payload, is a component tensor already.  The
 functions here stay as the full-register reference.
 
+Nothing derived from a layout is kept on it: :func:`_inside` works out a
+block's index and axis order on each call, microseconds beside the
+milliseconds of a full-register decode.
+
 :func:`check_memory` refuses a layout whose stages cannot fit in physical
 memory, and :func:`joint_amplitudes` calls it before allocating;
-:func:`require_memory` is the comparison behind it, which the run path also
-makes for its own, smaller peak before its first allocation.
+:func:`require_memory` is the comparison behind it.  It takes only the
+width n, so the run path and ``qamp conjugate`` make it for their own,
+smaller peaks before their first allocation without building a layout.
 """
 
 from __future__ import annotations
@@ -56,8 +61,8 @@ class EncodedBlock:
     """Where one encoded matrix lives inside a layout.
 
     ``fixed`` pins non-block subsystems to known basis values (after the
-    conditional measurement both ancillae sit in |1>, control flags keep
-    their input value); any subsystem not mentioned is expected in |0>.
+    conditional measurement both ancillae sit in |1>); any subsystem not
+    mentioned is expected in |0>.
     """
 
     layout: RegisterLayout
@@ -80,11 +85,10 @@ class EncodedBlock:
         raise ParameterError(f"side must be 'first' or 'second', got {side!r}")
 
     @classmethod
-    def pipeline_output(cls, layout: RegisterLayout, extra_fixed=()) -> "EncodedBlock":
+    def pipeline_output(cls, layout: RegisterLayout) -> "EncodedBlock":
         """Block holding a decoded product: rows from the first operand,
         columns from the second, both ancillae post-selected to |1>."""
-        fixed = (("B", 1), ("BT", 1)) + tuple(extra_fixed)
-        return cls(layout, m="M1", r="R1", c="C2", k="K1", fixed=fixed)
+        return cls(layout, m="M1", r="R1", c="C2", k="K1", fixed=(("B", 1), ("BT", 1)))
 
     @property
     def registers(self) -> tuple[str, str, str, str]:
@@ -125,13 +129,13 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def require_memory(layout: RegisterLayout, needed: int, what: str) -> None:
-    """Raise :class:`ParameterError`, naming the bytes, when ``needed`` bytes
-    for ``what`` would not fit in physical memory."""
+def require_memory(n: int, needed: int, what: str) -> None:
+    """Raise :class:`ParameterError`, naming width ``n`` and the bytes, when
+    ``needed`` bytes for ``what`` would not fit in physical memory."""
     available = physical_memory_bytes()
     if needed > available:
         raise ParameterError(
-            f"n={layout.n} needs {needed} bytes for {what}, "
+            f"n={n} needs {needed} bytes for {what}, "
             f"more than the {available} bytes of physical memory"
         )
 
@@ -141,7 +145,7 @@ def check_memory(layout: RegisterLayout) -> None:
     what a stage on it holds (its input and its output), would not fit in
     physical memory."""
     needed = 2 * 8 * (1 << layout.total_qubits)
-    require_memory(layout, needed, f"2 states of {layout.total_qubits} qubits")
+    require_memory(layout.n, needed, f"2 states of {layout.total_qubits} qubits")
 
 
 def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
@@ -191,26 +195,17 @@ def _pins(registers, fixed, names: tuple[str, ...]) -> dict:
     return pins
 
 
-def _block_axes(layout: RegisterLayout, registers, fixed) -> tuple[tuple, list[int]]:
-    """The index of the register view that pins every subsystem outside a
-    block on ``layout`` (the block's ``registers`` in (K, R, C, M) order and
-    its ``fixed`` values), and the axis order that puts the block's
-    subsystems first, in that order."""
-    names = layout.view_names
-    pins = _pins(registers, fixed, names)
-    index = tuple(slice(pins[name], pins[name] + 1) if name in pins else slice(None) for name in names)
-    block_axes = [names.index(name) for name in registers]
-    return index, block_axes + [i for i in range(len(names)) if i not in block_axes]
-
-
 def _inside(amps: np.ndarray, block: EncodedBlock) -> np.ndarray:
     """The block's component tensor in the amplitudes ``amps`` of a state on
-    the block's layout, indexed [K, R, C, M], as a view.  The index and axis
-    order are derived once per layout and block (:func:`_block_axes`)."""
+    the block's layout, indexed [K, R, C, M], as a view: every subsystem
+    outside the block pinned to its ``fixed`` value or 0, and the block's
+    subsystems moved to the front in that order."""
     dim = 1 << block.layout.n
-    view, _names = register_view(amps, block.layout)
-    index, order = block.layout.kept(_block_axes, block.registers, block.fixed)
-    return view[index].transpose(order).reshape(2, dim, dim, 2)
+    view, names = register_view(amps, block.layout)
+    pinned = select(view, names, _pins(block.registers, block.fixed, names))
+    axes = [names.index(name) for name in block.registers]
+    order = axes + [i for i in range(len(names)) if i not in axes]
+    return pinned.transpose(order).reshape(2, dim, dim, 2)
 
 
 def read_block(state: StateVector, block: EncodedBlock) -> tuple[ComplexMatrix, complex]:

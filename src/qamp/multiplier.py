@@ -62,9 +62,9 @@ output from the quarters straight into the payload, a component tensor
 indexed [K1, R1, C2, M1] (2**(2n+2) amplitudes), then weighs and
 renormalizes it.  The product is read through a complex view of the
 payload's K1 = 1 slab, and the estimator's K1 = 0 weight straight off
-that tensor.  A run takes no layout and derives nothing on one: it reads
-n and the measured qubit off ``layout_for(n)``, since control flags mean
-nothing on this path.
+that tensor.  A run builds no layout: it sizes itself from n, checked
+once at its head (:func:`flagged_state`), and looks the measured qubit up
+on ``layout_for(n)`` only to name it when the branch has zero weight.
 
 The stage functions address subsystems by name and run unchanged on any
 layout.  :func:`build_initial`, :func:`qamp.conjugator.apply_q`,
@@ -127,6 +127,12 @@ BLOCK = 1 << 15
 #: resident bytes of the process around a run's arrays: the interpreter and
 #: numpy (36 MB before an n = 5 run on Python 3.11 with numpy 2.4)
 RUNTIME_BYTES = 64 << 20
+
+
+def _check_width(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"matrix register width must be at least 1, got {n}")
+
 
 def _check_manipulations(manipulations) -> frozenset:
     manips = frozenset(manipulations)
@@ -220,8 +226,8 @@ def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayo
 
     Amplitudes are the products of the two encodings' real amplitudes,
     written once by :func:`qamp.encoder.joint_amplitudes`; ancillae, if the
-    layout has them, and any control flags start in |0>.  The
-    manipulations are :func:`qamp.conjugator.apply_q` on this state.
+    layout has them, start in |0>.  The manipulations are
+    :func:`qamp.conjugator.apply_q` on this state.
     """
     if pm1.n != pm2.n:
         raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
@@ -333,7 +339,9 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     scale = 2.0 ** (-pm1.n / 2)
     half = 2 * dim
     diagonal = np.zeros((2, half, half))
-    diagonal[0, :2, :2] = np.multiply.outer(slack1, slack2) * scale + 0.0
+    # not np.multiply.outer: numpy keeps a small allocation from its first
+    # call in some processes only, so a cold run's traced peak would vary
+    diagonal[0, :2, :2] = slack1[:, None] * slack2 * scale + 0.0
     chunk, band = block_shape(dim, half, half, BLOCK)
     slots = np.empty((chunk + 1) * band * half)
     for c in range(0, dim, chunk):
@@ -400,8 +408,8 @@ def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[Sta
     return project_and_renormalize(state, layout.start("BT"), 1)
 
 
-def peak_bytes(layout: RegisterLayout) -> int:
-    """Resident bytes of a process at the peak of a run on ``layout``,
+def peak_bytes(n: int) -> int:
+    """Resident bytes of a process at the peak of a run at width ``n``,
     bounded by everything a run holds at once: the two quarters of w1's
     row that it computes, 2**(2n+2) float64 amplitudes each, the payload
     and the squares of its weight (a quarter each), the two operands'
@@ -413,11 +421,11 @@ def peak_bytes(layout: RegisterLayout) -> int:
     of the sums, are 2**(2n) complex amplitudes, half a quarter, each, so
     beside the operands and the decoded product it holds at most 3.5
     quarters."""
-    quarter = 1 << (2 * layout.n + 2)
+    quarter = 1 << (2 * n + 2)
     return 8 * (5 * quarter + BLOCK) + 16 * ORACLE_BLOCK + RUNTIME_BYTES
 
 
-def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, float]:
+def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:
     """:func:`apply_w2`, :func:`apply_w3` and :func:`conditional_measure`
     from the K1 = K2 diagonal of w1's row (:func:`_w1_diagonal`, with C1,
     R2 and the ancillae taken to be in |0>), kept to the payload.  The
@@ -440,7 +448,7 @@ def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[np.n
     are exactly rounded sums of the same nonzero squares.  The diagonal is
     not mutated.
     """
-    dim = 1 << layout.n
+    dim = diagonal.shape[1]
     payload = np.empty((2, dim, dim, 2))
     # the payload is [K1, R1, C2, M1]; out is [K1, M1, R1, C2]
     out = payload.transpose(0, 3, 1, 2)
@@ -450,7 +458,7 @@ def flag_and_measure(diagonal: np.ndarray, layout: RegisterLayout) -> tuple[np.n
     np.multiply(payload, _SQRT1_2, out=payload)
     weight = _weight(payload)
     if weight == 0.0:
-        bt = layout.start("BT")
+        bt = layout_for(dim.bit_length() - 1).start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
     np.divide(payload, math.sqrt(weight), out=payload)
     return payload, weight
@@ -505,13 +513,13 @@ def flagged_state(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tu
     tensor indexed [K1, R1, C2, M1] of shape (2, 2**n, 2**n, 2), and the
     branch's pre-projection weight.  Only the K1 = K2 quarters of w1's row
     (:func:`_w1_diagonal`) and the payload (:func:`flag_and_measure`) are
-    computed, on ``layout_for(pm1.n)``; a run whose :func:`peak_bytes`
-    would not fit in physical memory is refused before anything is
+    computed.  A width n below 1 is refused first, and then a run whose
+    :func:`peak_bytes` would not fit in physical memory, before anything is
     allocated.
     """
-    layout = layout_for(pm1.n)
-    require_memory(layout, peak_bytes(layout), "what a run holds at once and the runtime")
-    return flag_and_measure(_w1_diagonal(pm1, pm2, manipulations), layout)
+    _check_width(pm1.n)
+    require_memory(pm1.n, peak_bytes(pm1.n), "what a run holds at once and the runtime")
+    return flag_and_measure(_w1_diagonal(pm1, pm2, manipulations))
 
 
 def run_pipeline(
@@ -565,7 +573,10 @@ class ResourceReport:
     The elementary depth of the payload-flagging gate follows a
     chained-Toffoli model for a gate with k controls (2k - 3 layers, plus
     one CNOT to copy onto the second ancilla), which is linear in the
-    control count.
+    control count.  ``qubits_with_controls`` adds the abstract circuit's
+    three optional flag qubits, one to control each manipulation; the
+    simulator does not model them, since it takes the manipulations as
+    classical choices per run.
     """
 
     n: int
@@ -586,8 +597,7 @@ def resource_report(n: int) -> ResourceReport:
     label algebra adds a constant, and each manipulation is at most 2n+1
     disjoint-qubit gates.
     """
-    if n < 1:
-        raise ParameterError(f"matrix register width must be at least 1, got {n}")
+    _check_width(n)
     w3_controls = 2 * (n + 1)
     w3_depth = (2 * w3_controls - 3) + 1
     depth_total = 1 + 1 + 3 + w3_depth

@@ -3,22 +3,27 @@
 Circuit code addresses subsystems by name only; the concrete qubit order is
 a private convention.  Per operand there is an n-qubit row register (R) and
 column register (C), a one-qubit real/imaginary label (M) and a one-qubit
-slack flag (K); B and BT are the two post-selection ancillae and Q1..Q3 the
-optional manipulation-control flags.
+slack flag (K); B and BT are the two post-selection ancillae.  There is
+one layout per n, 4n + 6 qubits.
 
 The register view is the state reshaped to one axis per subsystem, most
 significant subsystem first.  Encoding, decoding and every fused circuit
 stage address amplitudes through it, so each is a small number of slice
 operations on that view rather than one pass per gate.  A layout with some
 subsystems removed (:meth:`RegisterLayout.without`) holds the states on
-which those subsystems are |0>, such as the operand register that
-``qamp conjugate`` runs on.
+which those subsystems are |0>, such as the operand register of the
+full-register reference for ``qamp conjugate``.
+
+Apart from the ``"layout"`` field of ``qamp multiply``'s report, layouts
+serve only the full-register reference and its tests: the run path
+(:func:`qamp.multiplier.flagged_state`) and ``qamp conjugate`` size
+themselves from n.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -30,23 +35,18 @@ from .statevector import StateVector
 
 #: canonical allocation order, from qubit 0 upward
 CANONICAL_ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")
-CONTROL_FLAGS = ("Q1", "Q2", "Q3")
 
 
 @dataclass(frozen=True)
 class RegisterLayout:
     """Immutable name-to-qubit-range map for matrices of size 2**n.
 
-    Layouts are shared: :func:`layout_for` returns one instance per
-    argument pair, and each instance keeps what is derived from it
-    (:meth:`kept`), such as the layouts of :meth:`without`, so a process
-    derives each once.  ``slices`` is therefore read-only.
+    Layouts are shared: :func:`layout_for` returns one instance per n, so
+    ``slices`` is read-only.
     """
 
     n: int
     slices: Mapping[str, range]
-    control_flags_present: bool
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slices", MappingProxyType(dict(self.slices)))
@@ -77,24 +77,17 @@ class RegisterLayout:
         """Axis lengths of the register view, in :attr:`view_names` order."""
         return tuple(1 << self.width(name) for name in self.view_names)
 
-    def kept(self, derive, *args):
-        """``derive(self, *args)``, computed on the first call with these
-        arguments and then kept on this instance: for values that depend
-        only on the layout and ``args``, which must be hashable."""
-        key = (derive, args)
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = derive(self, *args)
-            return value
-
     def without(self, *names: str) -> "RegisterLayout":
         """This layout with the named subsystems removed and the rest packed
         down in the same order, so a state on it is this layout's state
         restricted to those subsystems in |0>.  An unknown or repeated name
-        raises :class:`ParameterError`.  Built on first use, then kept on
-        this instance."""
-        return self.kept(_without, *names)
+        raises :class:`ParameterError`."""
+        for name in names:
+            self.qubits(name)  # raises on unknown subsystem
+        if len(set(names)) != len(names):
+            raise ParameterError(f"subsystems named twice in {names}")
+        kept = (name for name in self.view_names[::-1] if name not in names)
+        return RegisterLayout(n=self.n, slices=_packed((name, self.width(name)) for name in kept))
 
     def summary(self) -> dict:
         """Plain structure for reports: name -> [first, last] qubit, plus totals."""
@@ -105,44 +98,29 @@ class RegisterLayout:
         }
 
 
-def _without(layout: RegisterLayout, *names: str) -> RegisterLayout:
-    for name in names:
-        layout.qubits(name)  # raises on unknown subsystem
-    if len(set(names)) != len(names):
-        raise ParameterError(f"subsystems named twice in {names}")
+def _packed(widths) -> dict:
+    """Consecutive qubit ranges from qubit 0 up, one per (name, width) pair
+    of ``widths``, in order."""
     slices = {}
     cursor = 0
-    for name in layout.view_names[::-1]:
-        if name not in names:
-            slices[name] = range(cursor, cursor + layout.width(name))
-            cursor += layout.width(name)
-    return RegisterLayout(
-        n=layout.n, slices=slices, control_flags_present=layout.control_flags_present
-    )
+    for name, width in widths:
+        slices[name] = range(cursor, cursor + width)
+        cursor += width
+    return slices
 
 
-def layout_for(n: int, with_controls: bool = False) -> RegisterLayout:
-    """Canonical layout: 4n+6 qubits, plus 3 when control flags are
-    requested.  Repeated calls with equal arguments, however they are
-    passed, return the same (immutable) instance."""
-    return _layout_for(operator.index(n), bool(with_controls))
+def layout_for(n: int) -> RegisterLayout:
+    """Canonical layout: 4n+6 qubits.  Repeated calls with an equal n,
+    however it is passed, return the same (immutable) instance."""
+    return _layout_for(operator.index(n))
 
 
 @lru_cache(maxsize=64)
-def _layout_for(n: int, with_controls: bool) -> RegisterLayout:
+def _layout_for(n: int) -> RegisterLayout:
     if n < 1:
         raise ParameterError(f"matrix register width must be at least 1, got {n}")
-    widths = {name: (n if name in ("R1", "C1", "R2", "C2") else 1) for name in CANONICAL_ORDER}
-    names = list(CANONICAL_ORDER)
-    if with_controls:
-        names += list(CONTROL_FLAGS)
-        widths.update({flag: 1 for flag in CONTROL_FLAGS})
-    slices = {}
-    cursor = 0
-    for name in names:
-        slices[name] = range(cursor, cursor + widths[name])
-        cursor += widths[name]
-    return RegisterLayout(n=n, slices=slices, control_flags_present=with_controls)
+    widths = ((name, n if name in ("R1", "C1", "R2", "C2") else 1) for name in CANONICAL_ORDER)
+    return RegisterLayout(n=n, slices=_packed(widths))
 
 
 def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
@@ -180,23 +158,16 @@ def select(view: np.ndarray, names: tuple[str, ...], pins: Mapping) -> np.ndarra
     return view[tuple(index)]
 
 
-def register_stage(
-    state: StateVector, layout: RegisterLayout, kernel, control: str | None = None
-) -> StateVector:
+def register_stage(state: StateVector, layout: RegisterLayout, kernel) -> StateVector:
     """Run one circuit stage as a single pass over the register view.
 
     ``kernel(src, dst, names)`` must write every amplitude of the view
     ``dst`` from the view ``src``; both have one axis per entry of ``names``.
-    With a ``control`` flag the kernel sees only the flag = 1 slice and the
-    flag = 0 slice is copied unchanged.  The output is a new float64
-    statevector and the input is never mutated; the stage itself makes no
-    temporary.
+    The output is a new float64 statevector and the input is never mutated;
+    the stage itself makes no temporary.
     """
     out = np.empty_like(state.amplitudes)
     src, names = register_view(state.amplitudes, layout)
     dst, _ = register_view(out, layout)
-    if control is not None:
-        np.copyto(select(dst, names, {control: 0}), select(src, names, {control: 0}))
-        src, dst = select(src, names, {control: 1}), select(dst, names, {control: 1})
     kernel(src, dst, names)
     return StateVector(state.num_qubits, out)

@@ -223,6 +223,34 @@ class TestMultiply:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and "c=1e+200" in captured.err
 
+    def test_failed_verification_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a run whose product is off by 1e-6 relative: the report says so,
+        # the exit code is 1 and stderr names the worst entry
+        flagged = multiplier.flagged_state
+
+        def off(*args):
+            payload, weight = flagged(*args)
+            payload[1] *= 1 + 1e-6
+            return payload, weight
+
+        monkeypatch.setattr(multiplier, "flagged_state", off)
+        rng = np.random.default_rng(263)
+        a, b = (support.random_matrix(rng, 2) for _ in range(2))
+        paths = [write_json(tmp_path / f"{name}.json", matrix_to_obj(m)) for name, m in (("a", a), ("b", b))]
+        assert main(["multiply", *paths, "--dagger-b"]) == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["verify"]["pass"] is False
+        got = np.array([[complex(*pair) for pair in row] for row in report["matrix_hat"]["entries"]])
+        expected, _b = multiplier.oracle_product(prepare(a, 1.0), prepare(b, 1.0), {"dagger2"})
+        diff = np.abs(got - expected.entries)
+        j, k = np.unravel_index(int(np.argmax(diff)), diff.shape)
+        assert report["verify"]["oracle_error"] == np.max(diff) > report["verify"]["tolerance"]
+        assert captured.err == (
+            f"verification failed: max error {np.max(diff):.3e} at entry ({j}, {k}) "
+            f"exceeds {report['verify']['tolerance']}\n"
+        )
+
     def test_mismatched_n_exit_3(self, tmp_path, desk_matrix):
         big = write_json(
             tmp_path / "big.json",
@@ -461,6 +489,17 @@ class TestOutOfRangeInput:
             assert captured.out == "", command
             assert captured.err.startswith("error: ") and message in captured.err, command
 
+    def test_width_below_one_exit_2(self, tmp_path, capsys):
+        # an n = 0 file parses and prepares, but no run takes it
+        path = write_json(tmp_path / "z.json", {"n": 0, "entries": [[[0.3, 0.2]]]})
+        for command in ("multiply", "estimate-g"):
+            assert main([command, path, path]) == 2, command
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "",
+                "error: matrix register width must be at least 1, got 0\n",
+            ), command
+
     def test_overflowing_entries_exit_2(self, tmp_path, capsys):
         # the square of 1e308 overflows float64: the weight reads inf, with
         # no RuntimeWarning, and the scale check names the overflow
@@ -632,9 +671,10 @@ class TestNoRegisterState:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_command_builds_a_register_state(self, tmp_path, capsys, monkeypatch, n):
         # every command works on entries, slabs and payload tensors: it
-        # neither builds a StateVector nor views amplitudes by register
+        # neither builds a StateVector nor views amplitudes by register, and
+        # only multiply, for its "layout" report field, looks up a layout
         def refused(*_args, **_kwargs):
-            raise AssertionError("a command built a register state")
+            raise AssertionError("a command built a register state or layout")
 
         monkeypatch.setattr(statevector.StateVector, "__post_init__", refused)
         for module in (registers, encoder, conjugator, multiplier, estimator, cli):
@@ -647,9 +687,11 @@ class TestNoRegisterState:
         every = ["--dagger-a", "--dagger-b", "--swap-order"]
         for flags in ([], ["--dagger-a"], ["--dagger-b", "--swap-order"], every):
             argvs += [["multiply", p, a, *flags], ["multiply", a, a, "--no-verify", *flags]]
-        argvs += [["conjugate", a], ["estimate-g", p, a, "--shots", "1000"]]
-        argvs += [["report", "--n", str(n)]]
         for argv in argvs:
+            assert main(argv) == 0, argv
+        monkeypatch.setattr(registers, "_layout_for", refused)
+        monkeypatch.setattr(cli, "layout_for", refused)
+        for argv in (["conjugate", a], ["estimate-g", p, a, "--shots", "1000"], ["report", "--n", str(n)]):
             assert main(argv) == 0, argv
         capsys.readouterr()
 

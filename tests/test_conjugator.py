@@ -3,17 +3,8 @@ import pytest
 
 from qamp import (
     EncodedBlock,
-    GateSpec,
     ParameterError,
-    apply_gate,
     apply_q,
-    apply_q_controlled,
-    build_initial,
-    apply_w0,
-    apply_w1,
-    apply_w2,
-    apply_w3,
-    conditional_measure,
     dagger_oracle,
     decode,
     encode,
@@ -126,78 +117,3 @@ class TestApplyQ:
         res = run_pipeline(pm1, pm2, {"swap_order"})
         expected = matmul_oracle(pm2.matrix, pm1.matrix)
         assert np.max(np.abs(res.matrix_hat.entries - expected.entries)) < 1e-10
-
-
-class TestApplyQControlled:
-    def test_requires_control_flags(self):
-        layout = layout_for(1)
-        sv = encode(prepared_from_tilde([[0.5, 0], [0, 0]]), "first", layout)
-        with pytest.raises(ParameterError):
-            apply_q_controlled(sv, 1, layout)
-
-    def test_flag_zero_is_identity(self):
-        rng = np.random.default_rng(127)
-        layout = layout_for(1, with_controls=True)
-        for which in (1, 2, 3):
-            sv = random_full_state(rng, layout)
-            # zero out the flag so it is deterministically |0>
-            amps = sv.amplitudes.copy()
-            flag_bit = 1 << layout.start(f"Q{which}")
-            amps[np.arange(amps.size) & flag_bit != 0] = 0.0
-            sv = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
-            out = apply_q_controlled(sv, which, layout)
-            assert np.allclose(out.amplitudes, sv.amplitudes, atol=1e-14)
-
-    def test_flag_one_matches_uncontrolled(self):
-        rng = np.random.default_rng(131)
-        layout = layout_for(1, with_controls=True)
-        for which in (1, 2, 3):
-            base = random_full_state(rng, layout)
-            amps = base.amplitudes.copy()
-            flag_bit = 1 << layout.start(f"Q{which}")
-            amps[np.arange(amps.size) & flag_bit == 0] = 0.0
-            sv = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
-            controlled = apply_q_controlled(sv, which, layout)
-            plain = apply_q(sv, which, layout)
-            assert np.allclose(controlled.amplitudes, plain.amplitudes, atol=1e-14)
-
-    def test_flag_marginal_unchanged(self):
-        rng = np.random.default_rng(137)
-        layout = layout_for(1, with_controls=True)
-        pm1 = random_prepared(rng, 1)
-        pm2 = random_prepared(rng, 1)
-        state = build_initial(pm1, pm2, layout)
-        state = apply_gate(state, GateSpec.x(layout.start("Q2")))
-        for which in (1, 2, 3):
-            state = apply_q_controlled(state, which, layout)
-        # no weight ever leaks into the opposite flag branch
-        assert state.probability(layout.start("Q1"), 1) == 0.0
-        assert state.probability(layout.start("Q2"), 0) == 0.0
-        assert state.probability(layout.start("Q3"), 1) == 0.0
-
-    def test_full_pipeline_with_basis_flags(self):
-        # flags (1, 1, 0) reproduce the uncontrolled dagger1+dagger2 run
-        rng = np.random.default_rng(139)
-        pm1 = random_prepared(rng, 1, complex_b=True)
-        pm2 = random_prepared(rng, 1, complex_b=True)
-        layout = layout_for(1, with_controls=True)
-        state = build_initial(pm1, pm2, layout)
-        state = apply_gate(state, GateSpec.x(layout.start("Q1")))
-        state = apply_gate(state, GateSpec.x(layout.start("Q2")))
-        # fixed application order: exchange, second conjugation, first conjugation
-        state = apply_q_controlled(state, 3, layout)
-        state = apply_q_controlled(state, 2, layout)
-        state = apply_q_controlled(state, 1, layout)
-        state = apply_w0(state, layout)
-        state = apply_w1(state, layout)
-        state = apply_w2(state, layout)
-        state = apply_w3(state, layout)
-        state, branch = conditional_measure(state, layout)
-        g = np.sqrt(branch * 4.0)
-        block = EncodedBlock.pipeline_output(layout, extra_fixed=(("Q1", 1), ("Q2", 1)))
-        matrix, b, residual = decode(state, block)
-        reference = run_pipeline(pm1, pm2, {"dagger1", "dagger2"})
-        assert residual < 1e-12
-        assert np.max(np.abs(matrix.entries * g - reference.matrix_hat.entries)) < 1e-12
-        assert abs(b * g - reference.b_hat) < 1e-12
-        assert branch == pytest.approx(reference.branch_probability, abs=1e-12)

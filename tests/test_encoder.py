@@ -9,7 +9,6 @@ from qamp import (
     EncodedBlock,
     ParameterError,
     PreparedMatrix,
-    RegisterLayout,
     StateVector,
     ComplexMatrix,
     ValidationError,
@@ -135,33 +134,12 @@ class TestDecode:
         assert b == pm.b
         assert residual == 0.0
 
-    def test_block_index_is_derived_once_per_layout_and_block(self, monkeypatch):
-        # read_block keeps its index and axis order on the layout: a fresh
-        # layout derives them once per block, later reads only look them up
-        calls = []
-
-        def counting(*args):
-            calls.append(args[1:])
-            return block_axes(*args)
-
-        pm = prepared_from_tilde([[0.5, 0.25j], [0, -0.125]])
-        shared = layout_for(1)
-        want, want_b, _ = decode(encode(pm, "first", shared), EncodedBlock.for_side(shared, "first"))
-        block_axes = encoder._block_axes
-        monkeypatch.setattr(encoder, "_block_axes", counting)
-        layout = RegisterLayout(n=1, slices=shared.slices, control_flags_present=False)
-        state = encode(pm, "first", layout)
-        blocks = (EncodedBlock.for_side(layout, "first"), EncodedBlock.pipeline_output(layout))
-        for _ in range(3):
-            for block in blocks:
-                got, b = read_block(state, block)
-                if block.fixed:  # nothing sits at B = BT = 1
-                    assert not np.any(got.entries) and b == 0
-                else:
-                    assert got.entries.tobytes() == want.entries.tobytes() and b == want_b
-        assert calls == [(block.registers, block.fixed) for block in blocks]
+    def test_state_of_another_size_rejected(self):
+        layout = layout_for(1)
+        state = encode(prepared_from_tilde([[0.5, 0.25j], [0, -0.125]]), "first", layout)
+        half = StateVector(layout.total_qubits - 1, state.amplitudes[::2])
         with pytest.raises(DimensionError):
-            read_block(StateVector(layout.total_qubits - 1, state.amplitudes[::2]), blocks[0])
+            read_block(half, EncodedBlock.for_side(layout, "first"))
 
     def test_unknown_block_name_rejected(self):
         with pytest.raises(ParameterError):

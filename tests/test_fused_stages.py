@@ -9,9 +9,9 @@ Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path computes only
 the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
 of the C1 = R2 = 0 slice of w1 after w0 on the build followed by Q3, Q2
-and Q1 as the manipulations ask, with and without control flags and with
-its block cap brought down to each block boundary.  The flagging step, which runs w2 from that diagonal and keeps
-only the payload tensor, is held bit for bit to the payload slice of w2, w3
+and Q1 as the manipulations ask, and with its block cap brought down to
+each block boundary.  The flagging step, which runs w2 from that diagonal
+and keeps only the payload tensor, is held bit for bit to the payload slice of w2, w3
 and the conditional measurement on the full register; its input is the
 diagonal of a random row, and the reference gets the whole row, embedded
 by name.  States are float64 only; a complex128 draw runs as its real and
@@ -30,7 +30,6 @@ from qamp import (
     MeasurementError,
     StateVector,
     apply_q,
-    apply_q_controlled,
     apply_w0,
     apply_w1,
     apply_w2,
@@ -49,7 +48,7 @@ from qamp.multiplier import (
     flag_and_measure,
 )
 from qamp.encoder import _inside
-from qamp.registers import CONTROL_FLAGS, register_view, select
+from qamp.registers import register_view, select
 from qamp.statevector import apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 from support import (
@@ -67,22 +66,22 @@ from support import (
 W1_TOL = 1e-15
 
 
-def conjugate_gates(layout, m, r, c, controls=()):
-    gates = [GateSpec.swap(a, b, controls) for a, b in zip(layout.qubits(r), layout.qubits(c))]
-    return gates + [GateSpec.z(layout.start(m), controls)]
+def conjugate_gates(layout, m, r, c):
+    gates = [GateSpec.swap(a, b) for a, b in zip(layout.qubits(r), layout.qubits(c))]
+    return gates + [GateSpec.z(layout.start(m))]
 
 
-def q_gates(layout, which, controls=()):
+def q_gates(layout, which):
     if which == 1:
-        return conjugate_gates(layout, "M1", "R1", "C1", controls)
+        return conjugate_gates(layout, "M1", "R1", "C1")
     if which == 2:
-        return conjugate_gates(layout, "M2", "R2", "C2", controls)
+        return conjugate_gates(layout, "M2", "R2", "C2")
     pairs = [
         *zip(layout.qubits("R1"), layout.qubits("C1")),
         *zip(layout.qubits("R2"), layout.qubits("C2")),
         (layout.start("M1"), layout.start("M2")),
     ]
-    return [GateSpec.swap(a, b, controls) for a, b in pairs]
+    return [GateSpec.swap(a, b) for a, b in pairs]
 
 
 def w_gates(layout, stage):
@@ -115,10 +114,6 @@ def stages(layout):
                 conjugate_gates(layout, block.m, block.r, block.c),
             )
         )
-    if layout.control_flags_present:
-        for w in (1, 2, 3):
-            gates = q_gates(layout, w, ((layout.start(f"Q{w}"), 1),))
-            out.append((f"q{w}_controlled", lambda s, w=w: apply_q_controlled(s, w, layout), gates))
     for name, fn in (("w0", apply_w0), ("w1", apply_w1), ("w2", apply_w2), ("w3", apply_w3)):
         out.append((name, lambda s, fn=fn: fn(s, layout), w_gates(layout, name)))
     return out
@@ -133,11 +128,10 @@ def random_states(rng, num_qubits, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
-@pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_fused_stage_matches_its_gates(n, with_controls, dtype):
-    layout = layout_for(n, with_controls=with_controls)
-    rng = np.random.default_rng(1000 * n + with_controls)
+def test_fused_stage_matches_its_gates(n, dtype):
+    layout = layout_for(n)
+    rng = np.random.default_rng(1000 * n)
     for state in random_states(rng, layout.total_qubits, dtype):
         before = state.amplitudes.copy()
         for name, fused, gates in stages(layout):
@@ -182,38 +176,24 @@ def diagonal_names(manips):
     return ("R1", "M2" if crossed else "M1", "C2", "M1" if crossed else "M2")
 
 
-@pytest.mark.parametrize(
-    "n, with_controls",
-    [(n, False) for n in (1, 2, 3, 4)] + [(n, True) for n in (1, 2, 3)],
-    ids=["1-plain", "2-plain", "3-plain", "4-plain", "1-flags", "2-flags", "3-flags"],
-)
-def test_w1_row_is_the_c1_zero_row_of_w1(n, with_controls):
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_w1_row_is_the_c1_zero_row_of_w1(n):
     # the run path sums the K1 = K2 diagonal of w1's C1 = 0 row over the
     # R2 = 0 slice straight from the operand tensors; odd and even n both,
-    # since the Hadamard scale is a power of two only at even n.  The
-    # reference stages still take control flags: they start in |0> and no
-    # stage here touches them, so the row is the flags-zero slice and the
-    # rest stays zero
-    layout = layout_for(n, with_controls=with_controls)
-    working = layout.without("B", "BT")
-    flags = {name: 0 for name in CONTROL_FLAGS if with_controls}
-    quarter_layout = working.without("C1", "R2", "K1", "K2", *flags)
-    rng = np.random.default_rng(4000 * n + with_controls)
+    # since the Hadamard scale is a power of two only at even n
+    working = layout_for(n).without("B", "BT")
+    quarter_layout = working.without("C1", "R2", "K1", "K2")
+    rng = np.random.default_rng(4000 * n)
     pm1 = random_prepared(rng, n, complex_b=True)
     pm2 = random_prepared(rng, n, complex_b=True)
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
             state = manipulated_build(pm1, pm2, working, manips)
             state = apply_w1(apply_w0(state, working), working)
-            if flags:
-                rest = state.amplitudes.copy()
-                view, view_names = register_view(rest, working)
-                select(view, view_names, flags)[...] = 0.0
-                assert not np.any(rest), manips
             diagonal = _w1_diagonal(pm1, pm2, manips)
             names = diagonal_names(manips)
             for k in (0, 1):
-                want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k, **flags})
+                want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k})
                 got = diagonal[k].transpose([names.index(name) for name in quarter_layout.view_names])
                 assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (manips, k)
 
@@ -302,7 +282,7 @@ def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
         row = state.amplitudes.reshape(2, 1 << n, 2, 2, 1 << n, 2)
         diagonal = diagonal_of(row, names)
         before = diagonal.copy()
-        got, got_weight = flag_and_measure(diagonal, layout)
+        got, got_weight = flag_and_measure(diagonal)
         full = embed_row(row, names, layout)
         want, want_weight = conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
         assert got.shape == (2, 1 << n, 1 << n, 2)
@@ -336,7 +316,7 @@ def test_flag_and_measure_zero_branch_is_an_error(labels):
         for pins in placed:
             row[tuple(pins[name] for name in names)] = 1.0
         with pytest.raises(MeasurementError) as got:
-            flag_and_measure(diagonal_of(row, names), layout)
+            flag_and_measure(diagonal_of(row, names))
         full = embed_row(row, names, layout)
         with pytest.raises(MeasurementError) as want:
             conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)

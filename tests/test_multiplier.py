@@ -129,29 +129,19 @@ class TestBuildInitial:
         assert np.array_equal(sv.amplitudes, full[:quarter].real)
         assert not np.any(full[:quarter].imag) and not np.any(full[quarter:])
 
-    @pytest.mark.parametrize("with_controls", [False, True], ids=["plain", "flags"])
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_folds_the_manipulations(self, n, with_controls):
+    def test_folds_the_manipulations(self, n):
         # the build of the operands as the run reads them (oriented_build)
         # against the plain build followed by Q3, Q2 and Q1 on the working
-        # layout: equal in value, and in bits wherever the build writes;
-        # with control flags the stage chain negates the zeros of the
-        # flag != 0 slices, which the build leaves at +0.0
+        # layout: equal bit for bit
         rng = np.random.default_rng(157 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
-        layout = layout_for(n, with_controls=with_controls).without("B", "BT")
-        index = np.arange(1 << layout.total_qubits)
-        written = np.ones(index.size, dtype=bool)
-        if with_controls:
-            for flag in ("Q1", "Q2", "Q3"):
-                written &= (index >> layout.start(flag)) & 1 == 0
+        layout = layout_for(n).without("B", "BT")
         for manips in ALL_SUBSETS:
             folded = oriented_build(pm1, pm2, layout, manips)
             chain = manipulated_build(pm1, pm2, layout, manips).amplitudes
-            assert np.array_equal(folded, chain), sorted(manips)
-            assert folded[written].tobytes() == chain[written].tobytes(), sorted(manips)
-            assert not np.any(folded[~written])
+            assert folded.tobytes() == chain.tobytes(), sorted(manips)
 
     def test_fold_matches_bruteforce_n1(self):
         rng = np.random.default_rng(156)
@@ -598,9 +588,8 @@ class TestRunPipeline:
         # tensors and writes the payload tensor from them: no register
         # stage, no full-register reference stage, no joint state and no
         # matrix product; and neither the run nor the estimate holds any
-        # register state, reads a block through a register view, derives a
-        # layout or anything kept on one, or uses the full-register
-        # manipulations
+        # register state, reads a block through a register view, builds or
+        # looks up a layout, or uses the full-register manipulations
         def refused(*_args, **_kwargs):
             raise AssertionError("the run path called a full-register step")
 
@@ -619,7 +608,8 @@ class TestRunPipeline:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refused)
         monkeypatch.setattr(RegisterLayout, "without", refused)
-        monkeypatch.setattr(RegisterLayout, "kept", refused)
+        monkeypatch.setattr(registers, "_layout_for", refused)
+        monkeypatch.setattr(multiplier, "layout_for", refused)
         assert not [
             name
             for name, value in vars(multiplier).items()
@@ -632,6 +622,21 @@ class TestRunPipeline:
         assert payload.shape == (2, 4, 4, 2) and payload.dtype == np.float64
         run_pipeline(pm1, pm2, manips)
         estimate_g(pm1, pm2, manips, shots=10, seed=0)
+
+    def test_width_below_one_refused(self):
+        # n = 0 operands parse and prepare, but no run takes them; the
+        # refusal comes first, before the operands' widths are compared
+        pm = prepare(ComplexMatrix(0, np.array([[0.3 + 0.2j]])), 1.0)
+        other = random_prepared(np.random.default_rng(233), 1)
+        message = "matrix register width must be at least 1, got 0"
+        for run in (
+            lambda: run_pipeline(pm, pm),
+            lambda: run_pipeline(pm, other, verify=False),
+            lambda: estimate_g(pm, pm, shots=10),
+        ):
+            with pytest.raises(ParameterError) as refused:
+                run()
+            assert str(refused.value) == message
 
     def test_no_verify_skips_the_oracle(self):
         rng = np.random.default_rng(223)

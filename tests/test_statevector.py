@@ -14,7 +14,6 @@ from qamp import (
     ValidationError,
     apply_gate,
     apply_q,
-    apply_q_controlled,
     apply_w0,
     apply_w1,
     apply_w2,
@@ -243,21 +242,17 @@ class TestRealKernels:
 
     def test_pipeline_stages_keep_float64_and_leave_input_alone(self):
         rng = np.random.default_rng(41)
-        layout = layout_for(1, with_controls=True)
+        layout = layout_for(1)
         pm1, pm2 = random_prepared(rng, 1, complex_b=True), random_prepared(rng, 1, complex_b=True)
         block = EncodedBlock.for_side(layout, "second")
         stages = [
             lambda s: hermitian_conjugate(s, block),
             *(lambda s, w=w: apply_q(s, w, layout) for w in (1, 2, 3)),
-            *(lambda s, w=w: apply_q_controlled(s, w, layout) for w in (1, 2, 3)),
             *(lambda s, f=f: f(s, layout) for f in (apply_w0, apply_w1, apply_w2, apply_w3)),
             lambda s: conditional_measure(s, layout)[0],
         ]
         assert encode(pm1, "first", layout).amplitudes.dtype == np.float64
         state = build_initial(pm1, pm2, layout)
-        # set every control flag so the controlled manipulations act
-        for flag in ("Q1", "Q2", "Q3"):
-            state = apply_gate(state, GateSpec.x(layout.start(flag)))
         for stage in stages:
             before = state.amplitudes.copy()
             out = stage(state)
