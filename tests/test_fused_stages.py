@@ -66,6 +66,12 @@ from support import (
 W1_TOL = 1e-15
 
 
+def plain(n):
+    # case ids name the plain layout, as they have since layouts could also
+    # carry control flags; only the plain one is left
+    return f"{n}-plain"
+
+
 def conjugate_gates(layout, m, r, c):
     gates = [GateSpec.swap(a, b) for a, b in zip(layout.qubits(r), layout.qubits(c))]
     return gates + [GateSpec.z(layout.start(m))]
@@ -128,7 +134,7 @@ def random_states(rng, num_qubits, dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3], ids=plain)
 def test_fused_stage_matches_its_gates(n, dtype):
     layout = layout_for(n)
     rng = np.random.default_rng(1000 * n)
@@ -176,7 +182,7 @@ def diagonal_names(manips):
     return ("R1", "M2" if crossed else "M1", "C2", "M1" if crossed else "M2")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4], ids=plain)
 def test_w1_row_is_the_c1_zero_row_of_w1(n):
     # the run path sums the K1 = K2 diagonal of w1's C1 = 0 row over the
     # R2 = 0 slice straight from the operand tensors; odd and even n both,

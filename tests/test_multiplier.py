@@ -129,11 +129,12 @@ class TestBuildInitial:
         assert np.array_equal(sv.amplitudes, full[:quarter].real)
         assert not np.any(full[:quarter].imag) and not np.any(full[quarter:])
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3], ids=lambda n: f"{n}-plain")
     def test_folds_the_manipulations(self, n):
         # the build of the operands as the run reads them (oriented_build)
         # against the plain build followed by Q3, Q2 and Q1 on the working
-        # layout: equal bit for bit
+        # layout: equal bit for bit.  The ids name the plain layout, as they
+        # did when a layout could also carry control flags
         rng = np.random.default_rng(157 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)

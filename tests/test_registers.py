@@ -32,9 +32,13 @@ class TestLayoutFor:
         with pytest.raises(ParameterError):
             layout_for(0)
 
-    def test_repeated_calls_give_equal_layouts(self):
-        assert layout_for(3) == layout_for(3)
-        assert layout_for(3) != layout_for(4)
+    @pytest.mark.parametrize("by_keyword", [False, True])
+    def test_repeated_calls_give_equal_layouts(self, by_keyword):
+        def call(n):
+            return layout_for(n=n) if by_keyword else layout_for(n)
+
+        assert call(3) == layout_for(3)
+        assert call(3) != layout_for(4)
 
     def test_one_instance_per_n(self):
         # however n is passed, a process builds each layout once
@@ -51,8 +55,10 @@ class TestLayoutFor:
         assert layout_for(2).qubits("M1") == range(0, 1)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_slices_disjoint_and_cover(self, n):
-        layout = layout_for(n)
+    @pytest.mark.parametrize("via_without", [False, True])
+    def test_slices_disjoint_and_cover(self, n, via_without):
+        # removing no subsystem gives the same map
+        layout = layout_for(n).without() if via_without else layout_for(n)
         seen = set()
         for r in layout.slices.values():
             overlap = seen & set(r)
@@ -69,9 +75,11 @@ class TestLayoutFor:
 
 class TestWithout:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_drops_ancillae_and_packs_the_rest_in_order(self, n):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_drops_ancillae_and_packs_the_rest_in_order(self, n, reverse):
+        # the order in which the removed subsystems are named does not matter
         layout = layout_for(n)
-        working = layout.without("B", "BT")
+        working = layout.without(*(("BT", "B") if reverse else ("B", "BT")))
         assert working.total_qubits == layout.total_qubits - 2
         assert "B" not in working.slices and "BT" not in working.slices
         offsets, _total = independent_offsets(n)
