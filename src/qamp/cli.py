@@ -39,7 +39,7 @@ from .complexmat import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from .encoder import require_memory
+from .encoder import RUNTIME_BYTES, require_memory
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
@@ -50,7 +50,6 @@ from .errors import (
 )
 from .estimator import estimate_g
 from .multiplier import (
-    RUNTIME_BYTES,
     _operand_factors,
     oracle_product,
     resource_report,

@@ -7,11 +7,10 @@ three operand manipulations reuse it: 1 and 2 conjugate-transpose the first
 or second operand in place, 3 exchanges the operands' roles by transposing
 both register pairs and swapping the two label qubits.
 
-Each circuit is a signed permutation of subsystem values
-(:data:`Q_ACTIONS`), so each stage is one transposed copy of the register
-view into a new state, in which the exchanged subsystems trade axes; the
-conjugation then negates the label = 1 half of the copy.  Inputs are never
-mutated.
+Each circuit is its gate list, run through the gate engine
+(:func:`qamp.statevector.apply_gates`): one SWAP per qubit pair of each
+subsystem pair in :data:`Q_ACTIONS`, then a Z on the label, if there is
+one.  Inputs are never mutated.
 
 :data:`Q_ACTIONS` is the one definition of the manipulations.  The run path
 (:func:`qamp.multiplier.run_pipeline`) holds no state for :func:`apply_q`
@@ -28,12 +27,12 @@ layout controls them.
 
 from __future__ import annotations
 
-import numpy as np
+import numbers
 
 from .encoder import EncodedBlock
 from .errors import DimensionError, ParameterError
-from .registers import RegisterLayout, register_stage, select
-from .statevector import StateVector, _negate
+from .registers import RegisterLayout
+from .statevector import GateSpec, StateVector, apply_gates
 
 #: manipulation -> (subsystem pairs whose values trade places, label whose
 #: value-1 half changes sign, or None)
@@ -44,31 +43,15 @@ Q_ACTIONS = {
 }
 
 
-def _exchanged_axes(names: tuple[str, ...], *pairs: tuple[str, str]) -> list[int]:
-    """Axis permutation of the register view that trades each pair of
-    subsystems' axes."""
-    perm = list(range(len(names)))
-    for a, b in pairs:
-        i, j = names.index(a), names.index(b)
-        perm[i], perm[j] = j, i
-    return perm
-
-
-def _permutation_kernel(pairs, label: str | None):
-    """Kernel trading each pair of subsystems' values and negating
-    ``label`` = 1, if a label is given."""
-
-    def kernel(src, dst, names):
-        np.copyto(dst, src.transpose(_exchanged_axes(names, *pairs)))
-        if label is None:
-            return
-        imag = select(dst, names, {label: 1})
-        # negate one value of the innermost axis at a time: each part is then
-        # a single long strided run instead of many runs of that axis's length
-        for i in range(imag.shape[-1]):
-            _negate(imag[..., i])
-
-    return kernel
+def _gates(layout: RegisterLayout, pairs, label: str | None) -> list[GateSpec]:
+    """A SWAP per qubit pair of each pair of equally wide subsystems, then a
+    Z on ``label``, if one is given."""
+    gates = [
+        GateSpec.swap(a, b) for x, y in pairs for a, b in zip(layout.qubits(x), layout.qubits(y))
+    ]
+    if label is not None:
+        gates.append(GateSpec.z(layout.start(label)))
+    return gates
 
 
 def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
@@ -78,12 +61,14 @@ def hermitian_conjugate(state: StateVector, block: EncodedBlock) -> StateVector:
         raise DimensionError(
             f"row register {block.r} and column register {block.c} differ in width"
         )
-    return register_stage(state, layout, _permutation_kernel(((block.r, block.c),), block.m))
+    return apply_gates(state, _gates(layout, ((block.r, block.c),), block.m))
 
 
 def apply_q(state: StateVector, which: int, layout: RegisterLayout) -> StateVector:
-    """Apply operand manipulation 1, 2 or 3.  Each is involutory and norm
-    preserving (a permutation of amplitudes with one sign flip)."""
-    if which not in (1, 2, 3):
+    """Apply operand manipulation 1, 2 or 3, selected by an integer that is
+    not a bool.  Each is involutory and norm preserving (a permutation of
+    amplitudes with one sign flip)."""
+    integer = isinstance(which, numbers.Integral) and not isinstance(which, bool)
+    if not integer or which not in Q_ACTIONS:
         raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
-    return register_stage(state, layout, _permutation_kernel(*Q_ACTIONS[which]))
+    return apply_gates(state, _gates(layout, *Q_ACTIONS[which]))

@@ -15,9 +15,10 @@ gate-level preparation circuit is synthesized.
 Amplitudes are written and read through the register view of
 :mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
 tensor placed into a slice of it.  :func:`joint_amplitudes` writes a
-product of such tensors in one pass, whatever blocks they sit on; the
-full-register build (:func:`qamp.multiplier.build_initial`) hands it both
-operands' tensors on their own blocks.  Reading back is split the same
+product of two such tensors as one broadcast multiply into the state,
+whatever blocks they sit on; the full-register build
+(:func:`qamp.multiplier.build_initial`) hands it both operands' tensors on
+their own blocks.  Reading back is split the same
 way: :func:`read_block` reads the component tensor of a block,
 :func:`residual` weighs everything outside the encoding support, and
 :func:`decode` does both.  No CLI command encodes or reads a register
@@ -33,15 +34,15 @@ block's index and axis order on each call, microseconds beside the
 milliseconds of a full-register decode.
 
 :func:`check_memory` refuses a layout whose stages cannot fit in physical
-memory, and :func:`joint_amplitudes` calls it before allocating;
-:func:`require_memory` is the comparison behind it.  It takes only the
-width n, so the run path and ``qamp conjugate`` make it for their own,
-smaller peaks before their first allocation without building a layout.
+memory (5/2 states and :data:`RUNTIME_BYTES`), and :func:`joint_amplitudes`
+calls it before allocating; :func:`require_memory` is the comparison
+behind it.  It takes only the width n, so the run path and ``qamp
+conjugate`` make it for their own, smaller peaks before their first
+allocation without building a layout.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -54,6 +55,11 @@ from .statevector import StateVector, _weight
 
 #: encode refuses states whose squared norm strays further than this from 1
 ENCODE_NORM_TOL = 1e-10
+
+#: resident bytes of the process around a run's or a stage's arrays: the
+#: interpreter and numpy (36 MB before an n = 5 run on Python 3.11 with
+#: numpy 2.4)
+RUNTIME_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -141,11 +147,17 @@ def require_memory(n: int, needed: int, what: str) -> None:
 
 
 def check_memory(layout: RegisterLayout) -> None:
-    """Raise :class:`ParameterError` when two float64 states of ``layout``,
-    what a stage on it holds (its input and its output), would not fit in
-    physical memory."""
-    needed = 2 * 8 * (1 << layout.total_qubits)
-    require_memory(layout.n, needed, f"2 states of {layout.total_qubits} qubits")
+    """Raise :class:`ParameterError` when what a stage on ``layout`` holds
+    at its peak would not fit in physical memory: 5/2 float64 states and
+    :data:`RUNTIME_BYTES`.  The states are the stage's input, its output
+    and a temporary of up to half a state, the most that one gate of
+    :func:`qamp.statevector.apply_gates` makes (H's ``a0 + a1``, or the
+    slice that an X, CNOT or SWAP exchanges); w1 holds one C1 slice, the
+    build only its output.  The runtime allowance also covers what does
+    not grow with the state: numpy's ufunc buffers and a weight's chunk of
+    Python floats, which at n = 2 come to 1.5 to 2 states more."""
+    needed = 20 * (1 << layout.total_qubits) + RUNTIME_BYTES
+    require_memory(layout.n, needed, f"5/2 states of {layout.total_qubits} qubits and the runtime")
 
 
 def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
@@ -153,10 +165,9 @@ def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
     tensor, block) pairs on disjoint blocks, each tensor indexed [K, R, C, M]
     as :func:`_components` returns it; every other subsystem is |0>.
 
-    Runs :func:`check_memory` on ``layout`` before allocating.  A pair is
-    multiplied once per pair of label values: with both labels pinned the
-    innermost runs are the long register axes rather than the two-element
-    label axes.
+    Runs :func:`check_memory` on ``layout`` before allocating.  Two
+    tensors, each spread over the register view with length-1 axes off its
+    block, are multiplied in one broadcast straight into the state.
     """
     check_memory(layout)
     amps = np.zeros(1 << layout.total_qubits)
@@ -166,15 +177,8 @@ def joint_amplitudes(layout: RegisterLayout, operands) -> np.ndarray:
     placed = [_spread(tensor, block.registers, names) for tensor, block in operands]
     if len(placed) == 1:
         out[...] = placed[0]
-        return amps
-    first, second = placed
-    (_t1, block1), (_t2, block2) = operands
-    for m1, m2 in itertools.product((0, 1), repeat=2):
-        np.multiply(
-            select(first, names, {block1.m: m1}),
-            select(second, names, {block2.m: m2}),
-            out=select(out, names, {block1.m: m1, block2.m: m2}),
-        )
+    else:
+        np.multiply(*placed, out=out)
     return amps
 
 

@@ -74,11 +74,12 @@ run path's payload and weight are bit for bit theirs:
 w1's ordered sum is the one the quarters make, and every flagged
 amplitude comes from the same operations in both.
 
-As public stages, w0..w2 each run as one pass over the register view into
-a new state rather than gate by gate: w0 is one XOR permutation of R2 by
-C1, w1 an ordered sum over the C1 axis with the Sylvester Hadamard matrix,
-w2 one sum or difference per (M2, M1) column written straight to its
-relabeled K2 slice.  w3 is a single multi-controlled gate of the gate engine.
+As public stages, w0, w2 and w3 run their own gate lists through the gate
+engine (:func:`qamp.statevector.apply_gates`): w0 the n contraction
+CNOTs, w2 its four label gates, w3 its one multi-controlled gate.  w1
+alone is one pass over the register view, an ordered sum over the C1 axis
+with the Sylvester Hadamard matrix, since the run's K1 = K2 = 1 quarter
+is bit for bit that sum.
 
 Before allocating, a run is refused when its :func:`peak_bytes` (what a
 run holds at once and :data:`RUNTIME_BYTES`) exceed physical memory.
@@ -92,9 +93,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
-from .encoder import EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
+from .encoder import RUNTIME_BYTES, EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
 from .errors import DimensionError, MeasurementError, ParameterError
-from .registers import RegisterLayout, layout_for, register_stage, select
+from .registers import RegisterLayout, layout_for, register_stage
 from .statevector import (
     _SQRT1_2,
     GateSpec,
@@ -123,10 +124,6 @@ MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
 #: block stays in a 2 MiB L2 cache; up to n = 6 a chunk holds every c, and
 #: from n = 5 on the rows are split into bands
 BLOCK = 1 << 15
-
-#: resident bytes of the process around a run's arrays: the interpreter and
-#: numpy (36 MB before an n = 5 run on Python 3.11 with numpy 2.4)
-RUNTIME_BYTES = 64 << 20
 
 
 def _check_width(n: int) -> None:
@@ -243,18 +240,10 @@ def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayo
 def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Contraction CNOTs: C1 qubit j controls R2 qubit j, for every j.
 
-    Together they XOR C1 into R2, so each (R2, C1) slice of the output is
-    copied from the input slice at R2 xor C1.
+    Together they XOR C1 into R2.
     """
-
-    def kernel(src, dst, names):
-        axes = (names.index("R2"), names.index("C1"))
-        src, dst = np.moveaxis(src, axes, (0, 1)), np.moveaxis(dst, axes, (0, 1))
-        for r2 in range(dst.shape[0]):
-            for c1 in range(dst.shape[1]):
-                dst[r2, c1] = src[r2 ^ c1, c1]
-
-    return register_stage(state, layout, kernel)
+    gates = [GateSpec.cnot(c, r) for c, r in zip(layout.qubits("C1"), layout.qubits("R2"))]
+    return apply_gates(state, gates)
 
 
 def _sylvester(n: int) -> np.ndarray:
@@ -359,35 +348,21 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
 def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Label algebra combining component products into complex products.
 
-    Controlled on M2 = 1 the M1 amplitudes rotate (|0> -> |1>, |1> -> -|0>),
-    then a Hadamard on M2 folds the two columns together: the M2 = 0 slice
-    now holds, on M1 = 0, products of real parts minus products of imaginary
-    parts, and on M1 = 1 the mixed sums, each scaled by a further 1/sqrt(2).
-    Finally K2 flips where K1 = 1, landing all payload terms on K2 = 0.
-
-    Each output (M2, M1) column is one sum or difference of two input
-    columns, written straight into its destination with K2 reversed where
-    K1 = 1, and the whole output is then scaled once.
+    Controlled on M2 = 1 the M1 amplitudes rotate (|0> -> |1>, |1> -> -|0>,
+    a Z then an X), then a Hadamard on M2 folds the two columns together:
+    the M2 = 0 slice now holds, on M1 = 0, products of real parts minus
+    products of imaginary parts, and on M1 = 1 the mixed sums, each scaled
+    by a further 1/sqrt(2).  Finally a CNOT flips K2 where K1 = 1, landing
+    all payload terms on K2 = 0.
     """
-    # (M2, M1) out <- (M2, M1) of the two input columns, combined by op
-    columns = (
-        ((0, 0), np.subtract, (0, 0), (1, 1)),
-        ((1, 0), np.add, (0, 0), (1, 1)),
-        ((0, 1), np.add, (0, 1), (1, 0)),
-        ((1, 1), np.subtract, (0, 1), (1, 0)),
+    m1, m2 = layout.start("M1"), layout.start("M2")
+    gates = (
+        GateSpec.z(m1, ((m2, 1),)),
+        GateSpec.x(m1, ((m2, 1),)),
+        GateSpec.h(m2),
+        GateSpec.cnot(layout.start("K1"), layout.start("K2")),
     )
-
-    def kernel(src, dst, names):
-        for k1, k2 in ((0, slice(None)), (1, slice(None, None, -1))):
-            for (m2, m1), op, (a2, a1), (b2, b1) in columns:
-                op(
-                    select(src, names, {"K1": k1, "M2": a2, "M1": a1}),
-                    select(src, names, {"K1": k1, "M2": b2, "M1": b1}),
-                    out=select(dst, names, {"K1": k1, "K2": k2, "M2": m2, "M1": m1}),
-                )
-        np.multiply(dst, _SQRT1_2, out=dst)
-
-    return register_stage(state, layout, kernel)
+    return apply_gates(state, gates)
 
 
 def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:

@@ -7,12 +7,13 @@ slack flag (K); B and BT are the two post-selection ancillae.  There is
 one layout per n, 4n + 6 qubits.
 
 The register view is the state reshaped to one axis per subsystem, most
-significant subsystem first.  Encoding, decoding and every fused circuit
-stage address amplitudes through it, so each is a small number of slice
-operations on that view rather than one pass per gate.  A layout with some
-subsystems removed (:meth:`RegisterLayout.without`) holds the states on
-which those subsystems are |0>, such as the operand register of the
-full-register reference for ``qamp conjugate``.
+significant subsystem first.  Encoding, decoding and w1, the one circuit
+stage not run gate by gate (:func:`register_stage`), address amplitudes
+through it, so each is a small number of slice operations on that view;
+the other stages name their gates' qubits through the layout.  A layout
+with some subsystems removed (:meth:`RegisterLayout.without`) holds the
+states on which those subsystems are |0>, such as the operand register of
+the full-register reference for ``qamp conjugate``.
 
 Apart from the ``"layout"`` field of ``qamp multiply``'s report, layouts
 serve only the full-register reference and its tests: the run path

@@ -25,14 +25,17 @@ and the residual of :func:`qamp.encoder.decode`) are exactly rounded sums
 of the nonzero squares, so a branch weighs the same, bit for bit, whether
 it is read off a full-register state or off the payload tensor alone.
 
-This gate engine is the general-purpose API and the reference the circuit
-stages are tested against.  The pipeline itself holds no register state:
-it computes the K1 = K2 quarters of w1's C1 = R2 = 0 row straight from the
-two operands' entries and slack and writes w2's flagged output from them
-into the payload, a [K1, R1, C2, M1] component tensor
-(:func:`qamp.multiplier.flag_and_measure`), whose weight is
-:func:`_weight`'s; the multi-controlled w3 goes through :func:`apply_gates`
-only in the full-register reference :func:`qamp.multiplier.apply_w3`.
+This gate engine is the general-purpose API, and the full-register
+reference runs on it: the manipulations, the conjugation, w0, w2 and w3
+are gate lists handed to :func:`apply_gates` (:mod:`qamp.conjugator`,
+:mod:`qamp.multiplier`); only the build and w1 write the register view
+directly.  A gate holds at most half a state beside the one it updates:
+H's ``a0 + a1``, or the slice that an X or SWAP exchanges.  The pipeline
+itself holds no register state: it computes the K1 = K2 quarters of w1's
+C1 = R2 = 0 row straight from the two operands' entries and slack and
+writes w2's flagged output from them into the payload, a [K1, R1, C2, M1]
+component tensor (:func:`qamp.multiplier.flag_and_measure`), whose weight
+is :func:`_weight`'s.
 """
 
 from __future__ import annotations

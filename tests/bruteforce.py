@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-# canonical order: M1, M2, R1, C1, R2, C2, K1, K2, B, BT (control flags above)
+# canonical order: M1, M2, R1, C1, R2, C2, K1, K2, B, BT
 
 
 def bf_offsets(n):
@@ -26,14 +26,11 @@ def bf_offsets(n):
         "K2": 3 + 4 * n,
         "B": 4 + 4 * n,
         "BT": 5 + 4 * n,
-        "Q1": 6 + 4 * n,
-        "Q2": 7 + 4 * n,
-        "Q3": 8 + 4 * n,
     }
 
 
-def bf_total_qubits(n, with_controls=False):
-    return 4 * n + 6 + (3 if with_controls else 0)
+def bf_total_qubits(n):
+    return 4 * n + 6
 
 
 def bf_index(n, **values):

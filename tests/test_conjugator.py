@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qamp import (
+    DimensionError,
     EncodedBlock,
     ParameterError,
     apply_q,
@@ -61,6 +62,15 @@ class TestHermitianConjugate:
             assert np.allclose(twice.amplitudes, sv.amplitudes, atol=1e-12)
             assert abs(hermitian_conjugate(sv, block).norm() - 1.0) < 1e-12
 
+    def test_row_and_column_of_different_width_refused(self):
+        # the circuit pairs the row and column qubits one to one, so a block
+        # whose registers differ in width has no conjugate transpose
+        layout = layout_for(2)
+        block = EncodedBlock(layout, m="M1", r="R1", c="K1", k="K2")
+        sv = random_full_state(np.random.default_rng(91), layout)
+        with pytest.raises(DimensionError, match="differ in width"):
+            hermitian_conjugate(sv, block)
+
     def test_decodes_to_dagger_for_random_inputs(self):
         rng = np.random.default_rng(101)
         for n in (1, 2):
@@ -81,6 +91,16 @@ class TestApplyQ:
         sv = encode(prepared_from_tilde([[0.5, 0], [0, 0]]), "first", layout)
         with pytest.raises(ParameterError):
             apply_q(sv, 4, layout)
+
+    @pytest.mark.parametrize("which", [True, 1.0, np.True_], ids=["True", "1.0", "numpy-True"])
+    def test_selector_must_be_an_integer_not_a_bool(self, which):
+        # True == 1 == 1.0, so a membership test alone would run manipulation 1
+        layout = layout_for(1)
+        sv = encode(prepared_from_tilde([[0.5, 0], [0, 0]]), "first", layout)
+        with pytest.raises(ParameterError, match="must be 1, 2 or 3"):
+            apply_q(sv, which, layout)
+        want = apply_q(sv, 1, layout).amplitudes
+        assert apply_q(sv, np.int64(1), layout).amplitudes.tobytes() == want.tobytes()
 
     def test_involution_and_norm(self):
         rng = np.random.default_rng(103)

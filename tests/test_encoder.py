@@ -12,9 +12,17 @@ from qamp import (
     StateVector,
     ComplexMatrix,
     ValidationError,
+    apply_q,
+    apply_w0,
+    apply_w1,
+    apply_w2,
+    apply_w3,
     basis_index,
+    build_initial,
+    conditional_measure,
     decode,
     encode,
+    hermitian_conjugate,
     layout_for,
     run_pipeline,
 )
@@ -172,3 +180,67 @@ class TestMemoryPreflight:
         monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED)
         pm = random_prepared(np.random.default_rng(5), 5)
         assert run_pipeline(pm, pm).oracle_error < 1e-10
+
+
+class TestStageMemoryCheck:
+    # check_memory allows a full-register stage 5/2 float64 states of its
+    # layout (input, output and the half-state temporary of one gate) and
+    # the 64 MiB runtime allowance
+    @staticmethod
+    def needed(layout):
+        return 5 * 4 * (1 << layout.total_qubits) + (64 << 20)
+
+    @staticmethod
+    def traced_peak(stage, *args):
+        tracemalloc.start()
+        try:
+            stage(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_reference_stages_peak_within_the_check(self, n):
+        layout = layout_for(n)
+        rng = np.random.default_rng(300 + n)
+        pm1, pm2 = random_prepared(rng, n, complex_b=True), random_prepared(rng, n, complex_b=True)
+        # a dense input, so every gate moves and every weight squares all
+        # of its slice
+        amps = rng.normal(size=1 << layout.total_qubits)
+        state = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
+        stages = {
+            "build": lambda: build_initial(pm1, pm2, layout),
+            **{f"q{w}": lambda w=w: apply_q(state, w, layout) for w in (1, 2, 3)},
+            **{
+                f"conjugate_{side}": lambda side=side: hermitian_conjugate(
+                    state, EncodedBlock.for_side(layout, side)
+                )
+                for side in ("first", "second")
+            },
+            **{
+                name: lambda fn=fn: fn(state, layout)
+                for name, fn in (("w0", apply_w0), ("w1", apply_w1), ("w2", apply_w2), ("w3", apply_w3))
+            },
+            "measure": lambda: conditional_measure(state, layout),
+        }
+        for name, stage in stages.items():
+            held = self.traced_peak(stage) + (0 if name == "build" else state.amplitudes.nbytes)
+            assert held <= self.needed(layout), name
+
+    def test_build_refused_before_allocating(self, monkeypatch):
+        layout = layout_for(2)
+        needed = self.needed(layout)
+        rng = np.random.default_rng(311)
+        pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: needed - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match=f"needs {needed} bytes"):
+                build_initial(pm1, pm2, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a state of 2**14 float64 amplitudes is 128 KiB
+        assert peak < 8 << layout.total_qubits
+        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: needed)
+        assert build_initial(pm1, pm2, layout).num_qubits == layout.total_qubits

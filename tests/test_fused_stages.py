@@ -1,11 +1,14 @@
-"""Every register-level stage against the gate sequence it stands for.
+"""Every full-register stage against the gate sequence it stands for.
 
-The gate sequences are written out here from the circuit definitions and
-run through the general gate engine (``apply_gates``), which is itself held
-to dense unitaries in ``test_statevector.py``.  The states are random dense
-vectors, not encodings, so every amplitude of the view is exercised.  The
-permutation, sign and label stages must agree bit for bit; W1 sums its
-Hadamard layer in a different order and must agree to 1e-15.  At n = 1 each
+The gate sequences are written out here from the circuit definitions, not
+imported from the package, and run through the general gate engine
+(``apply_gates``), which is itself held to dense unitaries in
+``test_statevector.py``.  Q1..Q3, the conjugation, w0, w2 and w3 run their
+own gate lists through that engine, so these tests hold the package's lists
+to the ones written here, bit for bit.  w1 is the one stage still fused
+into a pass over the register view: it sums its Hadamard layer in a
+different order and must agree to 1e-15.  The states are random dense
+vectors, not encodings, so every amplitude is exercised.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path computes only
 the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
 of the C1 = R2 = 0 slice of w1 after w0 on the build followed by Q3, Q2
@@ -109,7 +112,7 @@ def w_gates(layout, stage):
 
 
 def stages(layout):
-    """(name, fused stage, gate sequence) for every stage the layout has."""
+    """(name, package stage, gate sequence written here) for every stage."""
     out = [(f"q{w}", lambda s, w=w: apply_q(s, w, layout), q_gates(layout, w)) for w in (1, 2, 3)]
     for side in ("first", "second"):
         block = EncodedBlock.for_side(layout, side)
@@ -140,8 +143,8 @@ def test_fused_stage_matches_its_gates(n, dtype):
     rng = np.random.default_rng(1000 * n)
     for state in random_states(rng, layout.total_qubits, dtype):
         before = state.amplitudes.copy()
-        for name, fused, gates in stages(layout):
-            got = fused(state).amplitudes
+        for name, stage, gates in stages(layout):
+            got = stage(state).amplitudes
             want = apply_gates(state, gates).amplitudes
             assert got.dtype == want.dtype == np.float64, name
             if name == "w1":
@@ -167,10 +170,10 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
         "w2": bf_w2(1),
         "w3": bf_w3(1),
     }
-    names = [name for name, _fused, _gates in stages(layout)]
+    names = [name for name, _stage, _gates in stages(layout)]
     assert sorted(names) == sorted(unitaries)
-    for name, fused, _gates in stages(layout):
-        got = join_parts([fused(state).amplitudes for state in states])
+    for name, stage, _gates in stages(layout):
+        got = join_parts([stage(state).amplitudes for state in states])
         assert np.max(np.abs(got - unitaries[name] @ amps)) < 1e-15, name
 
 
