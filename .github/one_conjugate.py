@@ -24,10 +24,12 @@ from pathlib import Path
 
 import numpy as np
 
-from qamp import ComplexMatrix, EncodedBlock, encode, hermitian_conjugate, layout_for, prepare
+from qamp import ComplexMatrix, prepare
+from qamp.conjugator import hermitian_conjugate
+from qamp.registers import layout_for
 from qamp.cli import dump_json, main
 from qamp.complexmat import matrix_to_obj
-from qamp.encoder import read_block
+from qamp.encoder import EncodedBlock, encode, read_block
 
 n = int(sys.argv[1])
 rng = np.random.default_rng(n)

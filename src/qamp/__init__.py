@@ -7,6 +7,15 @@ implements conjugate transposition, a matrix-multiplication circuit with
 operand manipulations and post-selection, and recovery of the normalization
 factor by shot sampling; every decoded result is verified against an
 independent classical linear-algebra oracle.
+
+The top level is the run API: the matrices and their documents, the
+oracles, the errors, :func:`run_pipeline`, :func:`estimate_g` and the
+resource count.  The full-register reference that the tests hold the run
+to stays public in the modules that define it: the gate engine in
+:mod:`qamp.statevector`, the layout in :mod:`qamp.registers`, the
+encoding in :mod:`qamp.encoder`, the manipulations and the conjugation in
+:mod:`qamp.conjugator`, and the build, w0..w3 and the conditional
+measurement in :mod:`qamp.multiplier`.
 """
 
 __version__ = "0.1.0"
@@ -23,8 +32,6 @@ from .complexmat import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from .conjugator import apply_q, hermitian_conjugate
-from .encoder import EncodedBlock, decode, encode
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
@@ -39,23 +46,9 @@ from .multiplier import (
     MANIPULATIONS,
     ProductResult,
     ResourceReport,
-    apply_w0,
-    apply_w1,
-    apply_w2,
-    apply_w3,
-    build_initial,
-    conditional_measure,
     oracle_product,
     resource_report,
     run_pipeline,
-)
-from .registers import RegisterLayout, basis_index, layout_for
-from .statevector import (
-    GateSpec,
-    StateVector,
-    apply_gate,
-    init_basis,
-    project_and_renormalize,
 )
 
 __all__ = [
@@ -70,11 +63,6 @@ __all__ = [
     "prepare",
     "prepared_from_obj",
     "prepared_to_obj",
-    "apply_q",
-    "hermitian_conjugate",
-    "EncodedBlock",
-    "decode",
-    "encode",
     "QampError",
     "DimensionError",
     "ParameterError",
@@ -87,21 +75,7 @@ __all__ = [
     "MANIPULATIONS",
     "ProductResult",
     "ResourceReport",
-    "apply_w0",
-    "apply_w1",
-    "apply_w2",
-    "apply_w3",
-    "build_initial",
-    "conditional_measure",
     "oracle_product",
     "resource_report",
     "run_pipeline",
-    "RegisterLayout",
-    "basis_index",
-    "layout_for",
-    "GateSpec",
-    "StateVector",
-    "apply_gate",
-    "init_basis",
-    "project_and_renormalize",
 ]

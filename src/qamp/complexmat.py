@@ -40,7 +40,7 @@ class ComplexMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise DimensionError(f"register width must be a nonnegative integer, got {self.n!r}")
         self.n = int(self.n)
         dim = 1 << self.n
@@ -62,20 +62,6 @@ class ComplexMatrix:
         the squares overflow float64, so that callers name the overflow."""
         with np.errstate(over="ignore"):
             return float(np.sum(np.abs(self.entries) ** 2))
-
-    def copy(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.n, self.entries)
-
-
-def _square_matrix(entries) -> ComplexMatrix:
-    arr = np.array(entries, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    dim = arr.shape[0]
-    n = dim.bit_length() - 1
-    if dim < 1 or (1 << n) != dim:
-        raise DimensionError(f"matrix side {dim} is not a power of two")
-    return ComplexMatrix(n, arr)
 
 
 @dataclass
@@ -129,21 +115,6 @@ class PreparedMatrix:
                 f"weight * (s_original + c)^2 = {unscaled!r}"
             )
 
-    @classmethod
-    def from_scaled(cls, matrix, b_phase: float = 0.0) -> "PreparedMatrix":
-        """Wrap an already-scaled matrix, assigning the unit scale record.
-
-        The slack magnitude is forced by the unit-norm identity; ``b_phase``
-        rotates it in the complex plane.  The recorded (s_original, c) pair is
-        the unique consistent one with s_original + c = 1.
-        """
-        m = matrix if isinstance(matrix, ComplexMatrix) else _square_matrix(matrix)
-        w = m.weight()
-        if w >= 1.0:
-            raise ParameterError(f"scaled matrix weight {w} must be strictly below 1")
-        b = math.sqrt(1.0 - w) * cmath.exp(1j * b_phase)
-        return cls(matrix=m.copy(), b=complex(b), s_original=w, c=1.0 - w)
-
 
 def _check_scale(s: float, c: float, error: type) -> None:
     """Raise ``error`` when the squared scale (s + c)^2 overflows float64:
@@ -155,8 +126,10 @@ def _check_scale(s: float, c: float, error: type) -> None:
 
 
 def _check_c(c: float) -> None:
-    """Raise :class:`ParameterError` unless the slack parameter ``c`` is
-    positive and finite."""
+    """Raise :class:`ParameterError` unless the slack parameter ``c`` is a
+    positive and finite real number, not a bool."""
+    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"slack parameter c must be a real number, got {c!r}")
     if not (c > 0) or not math.isfinite(c):  # also rejects NaN
         raise ParameterError(f"slack parameter c must be positive and finite, got {c}")
 

@@ -155,7 +155,8 @@ def check_memory(layout: RegisterLayout) -> None:
     slice that an X, CNOT or SWAP exchanges); w1 holds one C1 slice, the
     build only its output.  The runtime allowance also covers what does
     not grow with the state: numpy's ufunc buffers and a weight's chunk of
-    Python floats, which at n = 2 come to 1.5 to 2 states more."""
+    at most :data:`qamp.statevector._FSUM_CHUNK` = 2**12 Python floats,
+    128 KiB, which is one state at n = 2."""
     needed = 20 * (1 << layout.total_qubits) + RUNTIME_BYTES
     require_memory(layout.n, needed, f"5/2 states of {layout.total_qubits} qubits and the runtime")
 

@@ -95,7 +95,7 @@ import numpy as np
 from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
 from .encoder import RUNTIME_BYTES, EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
 from .errors import DimensionError, MeasurementError, ParameterError
-from .registers import RegisterLayout, layout_for, register_stage
+from .registers import RegisterLayout, layout_for, register_view
 from .statevector import (
     _SQRT1_2,
     GateSpec,
@@ -132,11 +132,19 @@ def _check_width(n: int) -> None:
 
 
 def _check_manipulations(manipulations) -> frozenset:
-    manips = frozenset(manipulations)
+    """The manipulation set as a frozenset, once it is checked to be a
+    collection of known names; a string is refused whole rather than read
+    as one name per letter."""
+    try:
+        manips = None if isinstance(manipulations, str) else frozenset(manipulations)
+    except TypeError:  # not iterable, or holding something unhashable
+        manips = None
+    if manips is None:
+        raise ParameterError(f"manipulations must be a collection of names, got {manipulations!r}")
     unknown = manips - MANIPULATIONS
     if unknown:
         raise ParameterError(
-            f"unknown manipulations {sorted(unknown)}; valid: {sorted(MANIPULATIONS)}"
+            f"unknown manipulations {sorted(unknown, key=str)}; valid: {sorted(MANIPULATIONS)}"
         )
     return manips
 
@@ -261,24 +269,25 @@ def _sylvester(n: int) -> np.ndarray:
 def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     """Hadamard every C1 qubit, summing the contracted index into C1 = 0.
 
-    The layer contracts the C1 axis with the Sylvester Hadamard matrix H as
-    an ordered sum, with no matrix product: each output slice C1 = j starts
-    from +0.0 and adds H[j, c] * x[c] elementwise over c in order.  Its
-    C1 = 0 slice is therefore the sum the run path accumulates
-    (:func:`_w1_diagonal`), bit for bit.
+    The layer is one pass over the register view of a new output state; the
+    input is not mutated.  It contracts the C1 axis with the Sylvester
+    Hadamard matrix H as an ordered sum, with no matrix product: each
+    output slice C1 = j starts from +0.0 and adds H[j, c] * x[c]
+    elementwise over c in order.  Its C1 = 0 slice is therefore the sum the
+    run path accumulates (:func:`_w1_diagonal`), bit for bit.
     """
     hadamard = _sylvester(layout.n)
-
-    def kernel(src, dst, names):
-        src, dst = (np.moveaxis(view, names.index("C1"), 0) for view in (src, dst))
-        term = np.empty_like(src[0])
-        for out, signs in zip(dst, hadamard):
-            out[...] = 0.0
-            for x, h in zip(src, signs):
-                np.multiply(x, h, out=term)
-                np.add(out, term, out=out)
-
-    return register_stage(state, layout, kernel)
+    amps = np.empty_like(state.amplitudes)
+    src, names = register_view(state.amplitudes, layout)
+    dst, _ = register_view(amps, layout)
+    src, dst = (np.moveaxis(view, names.index("C1"), 0) for view in (src, dst))
+    term = np.empty_like(src[0])
+    for out, signs in zip(dst, hadamard):
+        out[...] = 0.0
+        for x, h in zip(src, signs):
+            np.multiply(x, h, out=term)
+            np.add(out, term, out=out)
+    return StateVector(state.num_qubits, amps)
 
 
 def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.ndarray:
@@ -570,8 +579,11 @@ def resource_report(n: int) -> ResourceReport:
     linearly in n, i.e. logarithmically in the matrix size: the contraction
     CNOTs and the Hadamard layer each act on disjoint qubits (depth 1), the
     label algebra adds a constant, and each manipulation is at most 2n+1
-    disjoint-qubit gates.
+    disjoint-qubit gates.  ``n`` must be an integer, and not a bool.
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ParameterError(f"matrix register width must be an integer, got {n!r}")
+    n = int(n)
     _check_width(n)
     w3_controls = 2 * (n + 1)
     w3_depth = (2 * w3_controls - 3) + 1

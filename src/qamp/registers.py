@@ -8,12 +8,12 @@ one layout per n, 4n + 6 qubits.
 
 The register view is the state reshaped to one axis per subsystem, most
 significant subsystem first.  Encoding, decoding and w1, the one circuit
-stage not run gate by gate (:func:`register_stage`), address amplitudes
-through it, so each is a small number of slice operations on that view;
-the other stages name their gates' qubits through the layout.  A layout
-with some subsystems removed (:meth:`RegisterLayout.without`) holds the
-states on which those subsystems are |0>, such as the operand register of
-the full-register reference for ``qamp conjugate``.
+stage not run gate by gate (:func:`qamp.multiplier.apply_w1`), address
+amplitudes through it, so each is a small number of slice operations on
+that view; the other stages name their gates' qubits through the layout.
+A layout with some subsystems removed (:meth:`RegisterLayout.without`)
+holds the states on which those subsystems are |0>, such as the operand
+register of the full-register reference for ``qamp conjugate``.
 
 Apart from the ``"layout"`` field of ``qamp multiply``'s report, layouts
 serve only the full-register reference and its tests: the run path
@@ -23,7 +23,6 @@ themselves from n.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -32,7 +31,6 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
-from .statevector import StateVector
 
 #: canonical allocation order, from qubit 0 upward
 CANONICAL_ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")
@@ -112,8 +110,11 @@ def _packed(widths) -> dict:
 
 def layout_for(n: int) -> RegisterLayout:
     """Canonical layout: 4n+6 qubits.  Repeated calls with an equal n,
-    however it is passed, return the same (immutable) instance."""
-    return _layout_for(operator.index(n))
+    however it is passed, return the same (immutable) instance.  ``n``
+    must be an integer, and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ParameterError(f"matrix register width must be an integer, got {n!r}")
+    return _layout_for(int(n))
 
 
 @lru_cache(maxsize=64)
@@ -157,18 +158,3 @@ def select(view: np.ndarray, names: tuple[str, ...], pins: Mapping) -> np.ndarra
         pin = pins.get(name, slice(None))
         index.append(pin if isinstance(pin, slice) else slice(pin, pin + 1))
     return view[tuple(index)]
-
-
-def register_stage(state: StateVector, layout: RegisterLayout, kernel) -> StateVector:
-    """Run one circuit stage as a single pass over the register view.
-
-    ``kernel(src, dst, names)`` must write every amplitude of the view
-    ``dst`` from the view ``src``; both have one axis per entry of ``names``.
-    The output is a new float64 statevector and the input is never mutated;
-    the stage itself makes no temporary.
-    """
-    out = np.empty_like(state.amplitudes)
-    src, names = register_view(state.amplitudes, layout)
-    dst, _ = register_view(out, layout)
-    kernel(src, dst, names)
-    return StateVector(state.num_qubits, out)

@@ -1,14 +1,17 @@
 """Shared random-input factories and reference implementations for the test
 suite."""
 
+import cmath
 import json
+import math
 
 import numpy as np
 
-from qamp import ComplexMatrix, PreparedMatrix, apply_q, build_initial, hermitian_conjugate, prepare
+from qamp import ComplexMatrix, PreparedMatrix, prepare
+from qamp.conjugator import apply_q, hermitian_conjugate
 from qamp.complexmat import block_shape, matrix_to_obj
 from qamp.encoder import EncodedBlock, encode, read_block
-from qamp.multiplier import MANIPULATION_STAGES
+from qamp.multiplier import MANIPULATION_STAGES, build_initial
 from qamp.registers import layout_for, register_view, select
 
 
@@ -64,8 +67,14 @@ def block_cap(case, terms, rows, width):
 
 
 def prepared_from_tilde(entries, b_phase=0.0):
-    """Prepared matrix whose scaled entries are given directly."""
-    return PreparedMatrix.from_scaled(np.array(entries, dtype=np.complex128), b_phase=b_phase)
+    """Prepared matrix whose scaled entries are given directly, with the
+    unit scale record (s_original = weight, c = 1 - weight) and the slack
+    sqrt(1 - weight) rotated by ``b_phase``."""
+    entries = np.array(entries, dtype=np.complex128)
+    matrix = ComplexMatrix(len(entries).bit_length() - 1, entries)
+    w = matrix.weight()
+    b = math.sqrt(1.0 - w) * cmath.exp(1j * b_phase)
+    return PreparedMatrix(matrix=matrix, b=complex(b), s_original=w, c=1.0 - w)
 
 
 def real_parts(amps):

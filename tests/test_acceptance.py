@@ -10,18 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from qamp import (
-    EncodedBlock,
-    dagger_oracle,
-    decode,
-    encode,
-    estimate_g,
-    hermitian_conjugate,
-    layout_for,
-    oracle_product,
-    resource_report,
-    run_pipeline,
-)
+from qamp import dagger_oracle, estimate_g, oracle_product, resource_report, run_pipeline
+from qamp.encoder import EncodedBlock, decode, encode
+from qamp.conjugator import hermitian_conjugate
+from qamp.registers import layout_for
 from qamp.multiplier import apply_w0, apply_w1, apply_w2, apply_w3, build_initial
 from support import prepared_from_tilde, random_prepared
 from bruteforce import bf_initial_state, bf_pipeline_matrices

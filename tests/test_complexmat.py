@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,8 +53,21 @@ class TestComplexMatrix:
         with pytest.raises(ValidationError):
             ComplexMatrix(1, [[complex(0, float("inf")), 0], [0, 0]])
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_width_must_not_be_a_bool(self, n):
+        # the entries fit the width the bool would stand for
+        with pytest.raises(DimensionError, match=f"got {n!r}$"):
+            ComplexMatrix(n, np.eye(1 << n))
+
 
 class TestPrepare:
+    @pytest.mark.parametrize(
+        "c", ["1", None, True, np.True_], ids=["str", "None", "True", "numpy-True"]
+    )
+    def test_c_must_be_a_real_number_not_a_bool(self, c):
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(c))}$"):
+            prepare(ComplexMatrix(1, [[2, 0], [0, 0]]), c)
+
     def test_direct_substitution(self):
         pm = prepare(ComplexMatrix(1, [[2, 0], [0, 0]]), c=1.0)
         assert np.allclose(pm.matrix.entries, [[0.4, 0], [0, 0]], atol=1e-15)
@@ -140,12 +154,6 @@ class TestPrepare:
 
 
 class TestPreparedMatrix:
-    def test_from_scaled_unit_record(self):
-        pm = PreparedMatrix.from_scaled([[0.5, 0], [0, 0.5]])
-        assert pm.scale == 1.0
-        assert pm.b == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        pm.validate()
-
     def test_validate_flags_weight_at_one(self):
         bad = PreparedMatrix(ComplexMatrix(1, [[1, 0], [0, 0]]), 0.0, 1.0, 0.5)
         with pytest.raises(ValidationError):

@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from qamp import (
-    DimensionError,
-    EncodedBlock,
-    ParameterError,
-    apply_q,
-    dagger_oracle,
-    decode,
-    encode,
-    hermitian_conjugate,
-    layout_for,
-    matmul_oracle,
-    run_pipeline,
-)
+from qamp import DimensionError, ParameterError, dagger_oracle, matmul_oracle, run_pipeline
+from qamp.encoder import EncodedBlock, decode, encode
+from qamp.conjugator import apply_q, hermitian_conjugate
+from qamp.registers import layout_for
 from qamp.statevector import StateVector
 from support import prepared_from_tilde, random_prepared
 

@@ -6,28 +6,25 @@ import pytest
 
 from qamp import (
     DimensionError,
-    EncodedBlock,
     ParameterError,
     PreparedMatrix,
-    StateVector,
     ComplexMatrix,
     ValidationError,
-    apply_q,
+    run_pipeline,
+)
+from qamp.statevector import StateVector
+from qamp.conjugator import apply_q, hermitian_conjugate
+from qamp.multiplier import (
     apply_w0,
     apply_w1,
     apply_w2,
     apply_w3,
-    basis_index,
     build_initial,
     conditional_measure,
-    decode,
-    encode,
-    hermitian_conjugate,
-    layout_for,
-    run_pipeline,
 )
+from qamp.registers import basis_index, layout_for
 from qamp import encoder
-from qamp.encoder import read_block
+from qamp.encoder import EncodedBlock, decode, encode, read_block
 from support import prepared_from_tilde, random_prepared
 
 

@@ -26,33 +26,23 @@ import itertools
 import numpy as np
 import pytest
 
-from qamp import (
-    ComplexMatrix,
-    EncodedBlock,
-    GateSpec,
-    MeasurementError,
-    StateVector,
-    apply_q,
-    apply_w0,
-    apply_w1,
-    apply_w2,
-    apply_w3,
-    conditional_measure,
-    hermitian_conjugate,
-    layout_for,
-    multiplier,
-    prepare,
-)
+from qamp import ComplexMatrix, MeasurementError, multiplier, prepare
+from qamp.conjugator import apply_q, hermitian_conjugate
 from qamp.multiplier import (
     MANIPULATIONS,
     PAYLOAD_ZEROS,
     _sylvester,
     _w1_diagonal,
+    apply_w0,
+    apply_w1,
+    apply_w2,
+    apply_w3,
+    conditional_measure,
     flag_and_measure,
 )
-from qamp.encoder import _inside
-from qamp.registers import register_view, select
-from qamp.statevector import apply_gates
+from qamp.encoder import EncodedBlock, _inside
+from qamp.registers import layout_for, register_view, select
+from qamp.statevector import GateSpec, StateVector, apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 from support import (
     BLOCK_CAPS,

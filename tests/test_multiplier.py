@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,33 +10,31 @@ import pytest
 from qamp import (
     ComplexMatrix,
     DimensionError,
-    EncodedBlock,
     MeasurementError,
     ParameterError,
     ValidationError,
-    apply_q,
-    apply_w0,
-    apply_w1,
-    apply_w2,
-    apply_w3,
-    basis_index,
-    build_initial,
-    conditional_measure,
     dagger_oracle,
-    decode,
     estimate_g,
-    init_basis,
-    layout_for,
     matmul_oracle,
     oracle_product,
     prepare,
     resource_report,
     run_pipeline,
 )
+from qamp.conjugator import apply_q
+from qamp.statevector import init_basis
 from qamp import conjugator, encoder, estimator, multiplier, registers, statevector
-from qamp.multiplier import flagged_state
-from qamp.registers import RegisterLayout
-from qamp.encoder import _components, joint_amplitudes
+from qamp.multiplier import (
+    apply_w0,
+    apply_w1,
+    apply_w2,
+    apply_w3,
+    build_initial,
+    conditional_measure,
+    flagged_state,
+)
+from qamp.registers import RegisterLayout, basis_index, layout_for
+from qamp.encoder import EncodedBlock, _components, decode, joint_amplitudes
 from support import manipulated_build, mixed_entries, prepared_from_tilde, random_prepared
 from bruteforce import (
     bf_initial_state,
@@ -595,7 +594,6 @@ class TestRunPipeline:
             raise AssertionError("the run path called a full-register step")
 
         for name in (
-            "register_stage",
             "build_initial",
             "joint_amplitudes",
             "apply_w0",
@@ -651,6 +649,16 @@ class TestRunPipeline:
         pm1, pm2 = desk_pair()
         with pytest.raises(ParameterError):
             run_pipeline(pm1, pm2, {"transpose"})
+
+    @pytest.mark.parametrize("call", [run_pipeline, estimate_g, oracle_product])
+    @pytest.mark.parametrize(
+        "manipulations", [None, 5, "dagger1", [["dagger1"]]], ids=["None", "int", "str", "unhashable"]
+    )
+    def test_manipulations_must_be_a_collection_of_names(self, call, manipulations):
+        # a string is refused whole, not read as one name per letter
+        pm1, pm2 = desk_pair()
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(manipulations))}$"):
+            call(pm1, pm2, manipulations)
 
     def test_unitarity_through_all_stages(self):
         rng = np.random.default_rng(197)
@@ -708,6 +716,13 @@ class TestResourceReport:
     def test_rejects_n_below_one(self):
         with pytest.raises(ParameterError):
             resource_report(0)
+
+    @pytest.mark.parametrize(
+        "n", [2.0, True, "3", None, np.float64(2.0)], ids=["float", "True", "str", "None", "numpy-float"]
+    )
+    def test_n_must_be_an_integer_not_a_bool(self, n):
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(n))}$"):
+            resource_report(n)
 
 
 class TestMemory:

@@ -1,9 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from qamp import ParameterError, ValidationError, basis_index, layout_for
+from qamp import ParameterError, ValidationError
+from qamp.registers import basis_index, layout_for
 
 # independent slice-offset computation from the documented canonical order
 ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")
@@ -31,6 +33,13 @@ class TestLayoutFor:
     def test_rejects_n_below_one(self):
         with pytest.raises(ParameterError):
             layout_for(0)
+
+    @pytest.mark.parametrize(
+        "n", [True, np.True_, 2.0, None], ids=["True", "numpy-True", "float", "None"]
+    )
+    def test_n_must_be_an_integer_not_a_bool(self, n):
+        with pytest.raises(ParameterError, match=f"got {re.escape(repr(n))}$"):
+            layout_for(n)
 
     @pytest.mark.parametrize("by_keyword", [False, True])
     def test_repeated_calls_give_equal_layouts(self, by_keyword):

@@ -1,32 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qamp import (
-    DimensionError,
-    EncodedBlock,
-    GateSpec,
-    MeasurementError,
-    ParameterError,
-    StateVector,
-    ValidationError,
-    apply_gate,
-    apply_q,
+from qamp import DimensionError, MeasurementError, ParameterError, ValidationError, run_pipeline
+from qamp.encoder import EncodedBlock, encode
+from qamp.statevector import GateSpec, StateVector, apply_gates, init_basis, project_and_renormalize
+from qamp.conjugator import apply_q, hermitian_conjugate
+from qamp.multiplier import (
     apply_w0,
     apply_w1,
     apply_w2,
     apply_w3,
     build_initial,
     conditional_measure,
-    encode,
-    hermitian_conjugate,
-    init_basis,
-    layout_for,
-    project_and_renormalize,
-    run_pipeline,
 )
+from qamp.registers import layout_for
 from qamp import statevector
 from bruteforce import gate_unitary
 from support import join_parts, random_prepared, real_parts
@@ -97,18 +88,18 @@ class TestGateSpec:
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(init_basis(1, 0), GateSpec.h(0))
+        out = apply_gates(init_basis(1, 0), (GateSpec.h(0),))
         assert np.allclose(out.amplitudes, [SQ2, SQ2], atol=1e-15)
 
     def test_x_on_qubit_zero(self):
-        out = apply_gate(init_basis(2, 0), GateSpec.x(0))
+        out = apply_gates(init_basis(2, 0), (GateSpec.x(0),))
         assert np.array_equal(out.amplitudes, [0, 1, 0, 0])
 
     def test_multi_controlled_zero_polarity(self):
         gate = GateSpec.multi_controlled_x((0,), ((1, 0), (2, 0)))
-        flipped = apply_gate(init_basis(3, 0b000), gate)
+        flipped = apply_gates(init_basis(3, 0b000), (gate,))
         assert flipped.amplitudes[0b001] == 1.0
-        unchanged = apply_gate(init_basis(3, 0b010), gate)
+        unchanged = apply_gates(init_basis(3, 0b010), (gate,))
         assert unchanged.amplitudes[0b010] == 1.0
 
     def test_multi_controlled_matches_dense_oracle(self):
@@ -119,17 +110,17 @@ class TestApplyGate:
         for _ in range(5):
             sv = random_state(rng, 3)
             assert np.allclose(
-                apply_gate(sv, gate).amplitudes, u @ sv.amplitudes, atol=1e-12
+                apply_gates(sv, (gate,)).amplitudes, u @ sv.amplitudes, atol=1e-12
             )
 
     def test_out_of_range_qubit(self):
         with pytest.raises(DimensionError):
-            apply_gate(init_basis(1, 0), GateSpec.x(3))
+            apply_gates(init_basis(1, 0), (GateSpec.x(3),))
 
     def test_input_not_mutated(self):
         sv = init_basis(1, 0)
         before = sv.amplitudes.copy()
-        apply_gate(sv, GateSpec.h(0))
+        apply_gates(sv, (GateSpec.h(0),))
         assert np.array_equal(sv.amplitudes, before)
 
     @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6])
@@ -139,13 +130,13 @@ class TestApplyGate:
             gate = random_gate(rng, num_qubits)
             sv = random_state(rng, num_qubits)
             expected = gate_unitary(gate, num_qubits) @ sv.amplitudes
-            assert np.allclose(apply_gate(sv, gate).amplitudes, expected, atol=1e-12)
+            assert np.allclose(apply_gates(sv, (gate,)).amplitudes, expected, atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(19)
         for _ in range(30):
             sv = random_state(rng, 4)
-            out = apply_gate(sv, random_gate(rng, 4))
+            out = apply_gates(sv, (random_gate(rng, 4),))
             assert abs(out.norm() - 1.0) < 1e-12
 
     def test_involutions(self):
@@ -160,7 +151,7 @@ class TestApplyGate:
         ]
         for gate in gates:
             sv = random_state(rng, 4)
-            twice = apply_gate(apply_gate(sv, gate), gate)
+            twice = apply_gates(apply_gates(sv, (gate,)), (gate,))
             assert np.allclose(twice.amplitudes, sv.amplitudes, atol=1e-12)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -168,7 +159,7 @@ class TestApplyGate:
     def test_norm_preservation_property(self, seed):
         rng = np.random.default_rng(seed)
         sv = random_state(rng, 3)
-        out = apply_gate(sv, random_gate(rng, 3))
+        out = apply_gates(sv, (random_gate(rng, 3),))
         assert abs(out.norm() - 1.0) < 1e-12
 
 
@@ -200,7 +191,7 @@ class TestRealKernels:
     @pytest.mark.parametrize("gate", KINDS, ids=lambda g: g.kind)
     def test_every_gate_kind_keeps_float64(self, gate):
         sv = random_state(np.random.default_rng(5), 4)
-        out = apply_gate(sv, gate)
+        out = apply_gates(sv, (gate,))
         assert out.amplitudes.dtype == np.float64
         assert np.allclose(out.amplitudes, gate_unitary(gate, 4) @ sv.amplitudes, atol=1e-12)
 
@@ -210,7 +201,7 @@ class TestRealKernels:
         # stride of 2**lowest_free amplitudes (eight is 64 bytes)
         gate = GateSpec.z(0, [(q, 1) for q in range(1, lowest_free)])
         sv = random_state(np.random.default_rng(13), 6)
-        out = apply_gate(sv, gate).amplitudes
+        out = apply_gates(sv, (gate,)).amplitudes
         want = sv.amplitudes.copy()
         hit = (np.arange(64) & ((1 << lowest_free) - 1)) == (1 << lowest_free) - 1
         want[hit] = -want[hit]
@@ -236,7 +227,7 @@ class TestRealKernels:
         amps = rng.normal(size=1 << num_qubits).astype(dtype)
         if dtype is np.complex128:
             amps = amps + 1j * rng.normal(size=1 << num_qubits)
-        outs = [apply_gate(StateVector(num_qubits, part), gate).amplitudes for part in real_parts(amps)]
+        outs = [apply_gates(StateVector(num_qubits, part), (gate,)).amplitudes for part in real_parts(amps)]
         assert all(out.dtype == np.float64 for out in outs)
         assert np.allclose(join_parts(outs), gate_unitary(gate, num_qubits) @ amps, atol=1e-12)
 
@@ -325,3 +316,18 @@ class TestProjection:
         if want:
             _, prob = project_and_renormalize(moved, top, 1)
             assert np.array([prob]).tobytes() == np.array([want]).tobytes()
+
+    def test_dense_weight_is_exact_within_one_and_a_half_views(self):
+        # 2**16 dense amplitudes reach math.fsum over several chunks, and the
+        # weight is still math.fsum of the squares, bit for bit; beside the
+        # copy of the squares only one chunk's Python floats is held
+        view = np.random.default_rng(71).normal(size=1 << 16)
+        want = math.fsum(v * v for v in view.tolist())
+        tracemalloc.start()
+        try:
+            got = statevector._weight(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array([got]).tobytes() == np.array([want]).tobytes()
+        assert peak <= 1.5 * view.nbytes
