@@ -19,12 +19,18 @@ the absolute ORACLE_TOL = 1e-10 would pass an all-zero or a transposed
 product, while the bound reads 1.1e-19 there.  Prints the run's wall time
 beside those of its own oracle call and of the estimate, and the oracle
 error beside its bound.
+
+At n = 5, the first width at which w1's sum runs in bands of rows, the
+decoded product and the oracle's are also held, under the same bound, to
+the exact product formed in rational arithmetic by tests/exact.py, and
+the ratio of each error to the bound is printed.
 """
 
 import math
 import resource
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -68,4 +74,12 @@ print(
     f"relative branch drift {drift:.3e}, relative s1_tilde drift {s1_drift:.3e}"
 )
 ok = res.oracle_error <= bound and drift <= 1e-12 and s1_drift <= 1e-12 and maxrss < needed
+if n == 5:
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from exact import exact_product, max_error
+
+    exact = exact_product(pm1.matrix, pm2.matrix, manips)
+    run_ratio, oracle_ratio = (max_error(m, exact) / bound for m in (res.matrix_hat, expected))
+    print(f"n={n} error to the exact product over its bound: run {run_ratio:.3e}, oracle {oracle_ratio:.3e}")
+    ok = ok and run_ratio <= 1.0 and oracle_ratio <= 1.0
 sys.exit(0 if ok else 1)

@@ -68,10 +68,11 @@ DEFAULT_C = 1.0
 
 # --- JSON emission -----------------------------------------------------------
 # stdlib json prints shortest-repr floats; reports pin 17 significant digits
-# instead, so the emitter is hand rolled.  It looks a value's exact type up
-# first, and writes nested lists of floats of one shape, such as a matrix's
-# rows of [re, im] pairs, with one %-template; subclasses and numpy scalars
-# take the isinstance checks.
+# instead, so the emitter is hand rolled.  A report holds only exact dicts,
+# lists, strs, ints, floats, bools and None: the emitter looks each value's
+# exact type up, writes nested lists of floats of one shape, such as a
+# matrix's rows of [re, im] pairs, with one %-template, and raises a
+# TypeError naming the type of any other value.
 
 _FLOAT = "%.17g"
 
@@ -86,39 +87,22 @@ _SCALARS = {
 }
 
 
-def _scalar(value) -> str:
-    text = _SCALARS.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _FLOAT % float(value)
-    if isinstance(value, str):
-        return json.encoder.encode_basestring_ascii(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _is_scalar(value) -> bool:
-    return value is None or isinstance(value, (int, float, str, np.integer, np.floating))
-
-
-def _float_array(items) -> tuple[list, tuple] | None:
+def _float_array(items: list) -> tuple[list, tuple] | None:
     """(shape, floats in row-major order) of ``items`` when it nests lists
-    and tuples of one length per level, the innermost holding floats only,
-    such as a matrix's rows of [re, im] pairs; otherwise None."""
+    of one length per level, the innermost holding floats only, such as a
+    matrix's rows of [re, im] pairs; otherwise None."""
     shape = [len(items)]
     while True:
         kinds = set(map(type, items))
         if kinds == {float}:
             return shape, tuple(items)
-        if not kinds <= {list, tuple}:
+        if kinds != {list}:
             return None
         widths = set(map(len, items))
         if len(widths) != 1:
             return None
         shape += widths
-        items = tuple(itertools.chain.from_iterable(items))
+        items = list(itertools.chain.from_iterable(items))
 
 
 def _float_template(shape: list, indent: int) -> str:
@@ -133,15 +117,15 @@ def _float_template(shape: list, indent: int) -> str:
 
 
 def _emit(value, out: list, indent: int) -> None:
-    text = _SCALARS.get(type(value))
-    if text is not None:
-        out.append(text(value))
-    elif isinstance(value, dict):
+    kind = type(value)
+    if kind in _SCALARS:
+        out.append(_SCALARS[kind](value))
+    elif kind is dict:
         _emit_dict(value, out, indent)
-    elif isinstance(value, (list, tuple)):
+    elif kind is list:
         _emit_list(value, out, indent)
     else:
-        out.append(_scalar(value))
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _emit_dict(value: dict, out: list, indent: int) -> None:
@@ -158,13 +142,12 @@ def _emit_dict(value: dict, out: list, indent: int) -> None:
     out.append(pad + "}")
 
 
-def _emit_list(items, out: list, indent: int) -> None:
+def _emit_list(items: list, out: list, indent: int) -> None:
     if not items:
         out.append("[]")
         return
-    kinds = set(map(type, items))
-    if kinds <= _SCALARS.keys() or all(map(_is_scalar, items)):
-        out.append("[" + ", ".join(map(_scalar, items)) + "]")
+    if set(map(type, items)) <= _SCALARS.keys():
+        out.append("[" + ", ".join([_SCALARS[type(item)](item) for item in items]) + "]")
         return
     array = _float_array(items)
     if array is not None:

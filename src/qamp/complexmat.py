@@ -125,11 +125,17 @@ def _check_scale(s: float, c: float, error: type) -> None:
         raise error(f"the scale (s + c)^2 overflows float64 for s={s!r} and c={c!r}")
 
 
+def _check_real(value, what: str) -> None:
+    """Raise :class:`ParameterError`, naming ``what`` and the value, unless
+    ``value`` is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
+
+
 def _check_c(c: float) -> None:
     """Raise :class:`ParameterError` unless the slack parameter ``c`` is a
     positive and finite real number, not a bool."""
-    if isinstance(c, bool) or not isinstance(c, (int, float, np.integer, np.floating)):
-        raise ParameterError(f"slack parameter c must be a real number, got {c!r}")
+    _check_real(c, "slack parameter c")
     if not (c > 0) or not math.isfinite(c):  # also rejects NaN
         raise ParameterError(f"slack parameter c must be positive and finite, got {c}")
 
@@ -145,11 +151,14 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
     could not be written as JSON or multiplied back.  So is an s + c whose
     reciprocal overflows: numpy divides a complex entry by it as by the
     complex number s + c, through that reciprocal.  A ``b_phase`` that is
-    not finite is a parameter error: the slack would be NaN.
+    not a real number, is a bool, or is not finite is a parameter error:
+    the slack would be rotated by a truth value, or be NaN.
     """
     _check_c(c)
-    if b_phase is not None and not math.isfinite(b_phase):
-        raise ParameterError(f"slack phase b_phase must be finite, got {b_phase}")
+    if b_phase is not None:
+        _check_real(b_phase, "slack phase b_phase")
+        if not math.isfinite(b_phase):
+            raise ParameterError(f"slack phase b_phase must be finite, got {b_phase}")
     if not np.all(np.isfinite(a.entries)):
         raise ValidationError("matrix entries must be finite")
     s = a.weight()

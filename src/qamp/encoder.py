@@ -152,7 +152,7 @@ def check_memory(layout: RegisterLayout) -> None:
     :data:`RUNTIME_BYTES`.  The states are the stage's input, its output
     and a temporary of up to half a state, the most that one gate of
     :func:`qamp.statevector.apply_gates` makes (H's ``a0 + a1``, or the
-    slice that an X, CNOT or SWAP exchanges); w1 holds one C1 slice, the
+    slice that an X or SWAP exchanges); w1 holds one C1 slice, the
     build only its output.  The runtime allowance also covers what does
     not grow with the state: numpy's ufunc buffers and a weight's chunk of
     at most :data:`qamp.statevector._FSUM_CHUNK` = 2**12 Python floats,

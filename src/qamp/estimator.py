@@ -53,12 +53,6 @@ class GEstimate:
         return self.shots + 1
 
 
-def _sample_zero_count(p_zero: float, shots: int, seed: int) -> int:
-    """Zero-outcome count of ``shots`` draws with probability ``p_zero``."""
-    p = min(1.0, max(0.0, p_zero))
-    return int(np.random.default_rng(seed).binomial(shots, p))
-
-
 def estimate_g(
     pm1: PreparedMatrix,
     pm2: PreparedMatrix,
@@ -87,7 +81,9 @@ def estimate_g(
     payload, _branch = flagged_state(pm1, pm2, manips)
 
     s1_tilde_exact = _weight(payload[0])
-    zeros = _sample_zero_count(s1_tilde_exact, shots, seed)
+    # the zero-outcome count of the shots, one binomial draw; a weight is
+    # never negative, but rounding can take it past 1
+    zeros = int(np.random.default_rng(seed).binomial(shots, min(1.0, s1_tilde_exact)))
     if zeros == 0:
         raise EstimateUnavailableError(
             f"no zero outcomes in {shots} shots, cannot form the recovery ratio",

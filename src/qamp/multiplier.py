@@ -50,8 +50,8 @@ the manipulations come down to two bits per operand
 So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
 one 2**(n+1) x 2**(n+1) array each, from one copy of each operand's
 entries, transposed and conjugated in place as the manipulations ask, and
-its slack pair (:func:`_entry_factors`, through the one operand reader
-:func:`_operand_factors`); no component tensor is built.
+its slack pair (:func:`_operand_factors`, the one operand reader); no
+component tensor is built.
 The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
 the two slack pairs, since an operand's K = 0 slab holds just the slack;
 the K1 = K2 = 1 quarter sums one outer product per c, a block at a time,
@@ -76,7 +76,7 @@ amplitude comes from the same operations in both.
 
 As public stages, w0, w2 and w3 run their own gate lists through the gate
 engine (:func:`qamp.statevector.apply_gates`): w0 the n contraction
-CNOTs, w2 its four label gates, w3 its one multi-controlled gate.  w1
+CNOTs, w2 its four label gates, w3 its one X on both ancillae.  w1
 alone is one pass over the register view, an ordered sum over the C1 axis
 with the Sylvester Hadamard matrix, since the run's K1 = K2 = 1 quarter
 is bit for bit that sum.
@@ -129,6 +129,11 @@ BLOCK = 1 << 15
 def _check_width(n: int) -> None:
     if n < 1:
         raise ParameterError(f"matrix register width must be at least 1, got {n}")
+
+
+def _check_widths(pm1: PreparedMatrix, pm2: PreparedMatrix) -> None:
+    if pm1.n != pm2.n:
+        raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
 
 
 def _check_manipulations(manipulations) -> frozenset:
@@ -185,8 +190,7 @@ def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
     label and M2 the first's.
     """
     manips = _check_manipulations(manipulations)
-    if pm1.n != pm2.n:
-        raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
+    _check_widths(pm1, pm2)
     swap, d1, d2 = ("swap_order" in manips, "dagger1" in manips, "dagger2" in manips)
     return ((swap == d1, d2 if swap else d1), (swap != d2, d1 if swap else d2))
 
@@ -216,16 +220,6 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     return slack, slab
 
 
-def _entry_factors(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
-    """Each operand's factors in w1's row, (slack, slab) from
-    :func:`_operand_factors` as :func:`_orientation` orients it: the first
-    operand's slab has one row per value of C1, the second's one per value
-    of R2, the register each is summed over, with the other register and
-    the label along the row."""
-    orientations = _orientation(pm1, pm2, manipulations)
-    return [_operand_factors(pm, *bits) for pm, bits in zip((pm1, pm2), orientations)]
-
-
 def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:
     """Joint state of both encoded operands over ``layout``.
 
@@ -234,8 +228,7 @@ def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayo
     layout has them, start in |0>.  The manipulations are
     :func:`qamp.conjugator.apply_q` on this state.
     """
-    if pm1.n != pm2.n:
-        raise DimensionError(f"operand widths differ: n={pm1.n} vs n={pm2.n}")
+    _check_widths(pm1, pm2)
     if pm1.n != layout.n:
         raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
     operands = [
@@ -250,7 +243,7 @@ def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
 
     Together they XOR C1 into R2.
     """
-    gates = [GateSpec.cnot(c, r) for c, r in zip(layout.qubits("C1"), layout.qubits("R2"))]
+    gates = [GateSpec.x(r, ((c, 1),)) for c, r in zip(layout.qubits("C1"), layout.qubits("R2"))]
     return apply_gates(state, gates)
 
 
@@ -310,9 +303,11 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     from +0.0 as :func:`apply_w1` does.
 
     Each operand's two factors come straight from its entries
-    (:func:`_entry_factors`): its slack pair, and its K = 1 slab as one
-    copy of the entries, transposed and conjugated as the manipulations
-    ask, with a row per value of the summed register.
+    (:func:`_operand_factors`, oriented by :func:`_orientation`): its
+    slack pair, and its K = 1 slab as one copy of the entries, transposed
+    and conjugated as the manipulations ask, with a row per value of the
+    register it is summed over (C1 for the first operand, R2 for the
+    second) and the other register and the label along the row.
 
     A manipulation never renames K, and an operand's K = 0 slab holds only
     the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0, and
@@ -332,7 +327,9 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     the running sum starts at +0.0, so never holds -0.0, and adding either
     zero to it gives the same bits.)
     """
-    (slack1, first), (slack2, second) = _entry_factors(pm1, pm2, manipulations)
+    bits1, bits2 = _orientation(pm1, pm2, manipulations)
+    slack1, first = _operand_factors(pm1, *bits1)
+    slack2, second = _operand_factors(pm2, *bits2)
     dim = 1 << pm1.n
     scale = 2.0 ** (-pm1.n / 2)
     half = 2 * dim
@@ -369,7 +366,7 @@ def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
         GateSpec.z(m1, ((m2, 1),)),
         GateSpec.x(m1, ((m2, 1),)),
         GateSpec.h(m2),
-        GateSpec.cnot(layout.start("K1"), layout.start("K2")),
+        GateSpec.x(layout.start("K2"), ((layout.start("K1"), 1),)),
     )
     return apply_gates(state, gates)
 
@@ -382,7 +379,7 @@ def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:
     Expects B and BT in |0> on the active support.
     """
     controls = tuple((q, 0) for name in PAYLOAD_ZEROS for q in layout.qubits(name))
-    gate = GateSpec.multi_controlled_x([layout.start(name) for name in ANCILLAE], controls)
+    gate = GateSpec.x([layout.start(name) for name in ANCILLAE], controls)
     return apply_gates(state, (gate,))
 
 
@@ -465,9 +462,11 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
 
     Each is :func:`qamp.complexmat.matmul_oracle` of
     :func:`qamp.complexmat.dagger_oracle` factors, transposed where shown,
-    bit for bit, taken straight from the operands' entries.
+    bit for bit, taken straight from the operands' entries.  Operands of
+    different widths are refused once the manipulations are checked.
     """
     manips = _check_manipulations(manipulations)
+    _check_widths(pm1, pm2)
     d1 = "dagger1" in manips
     d2 = "dagger2" in manips
     a1, a2 = pm1.matrix.entries, pm2.matrix.entries

@@ -56,7 +56,7 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 #: on, where 2**16 made it 5 times, with the same bits
 _FSUM_CHUNK = 1 << 12
 
-GATE_KINDS = ("X", "Z", "H", "SWAP", "CNOT", "MULTI_CONTROLLED")
+GATE_KINDS = ("X", "Z", "H", "SWAP")
 
 
 def _check_qubit(num_qubits: int, qubit: int) -> None:
@@ -148,9 +148,10 @@ class StateVector:
 class GateSpec:
     """One gate: a kind, target qubits, and (qubit, polarity) controls.
 
-    X, Z and H take one target; SWAP exactly two; CNOT is an X with a single
-    positive control; MULTI_CONTROLLED applies X to every target when all
-    controls match their polarity.
+    Z and H take one target and SWAP exactly two; X takes one or more and
+    flips every target, so a CNOT is an X with one control and the payload
+    flag an X on both ancillae.  Any gate fires only where all its controls
+    match their polarity.
     """
 
     kind: str
@@ -165,13 +166,11 @@ class GateSpec:
         if self.kind == "SWAP":
             if len(self.targets) != 2:
                 raise ValidationError("SWAP takes exactly two targets")
-        elif self.kind in ("X", "Z", "H", "CNOT"):
-            if len(self.targets) != 1:
-                raise ValidationError(f"{self.kind} takes exactly one target")
-        elif not self.targets:
-            raise ValidationError("MULTI_CONTROLLED needs at least one target")
-        if self.kind == "CNOT" and len(self.controls) != 1:
-            raise ValidationError("CNOT takes exactly one control")
+        elif self.kind == "X":
+            if not self.targets:
+                raise ValidationError("X needs at least one target")
+        elif len(self.targets) != 1:
+            raise ValidationError(f"{self.kind} takes exactly one target")
         touched = list(self.targets) + [q for q, _ in self.controls]
         if len(set(touched)) != len(touched):
             raise ValidationError(
@@ -183,8 +182,9 @@ class GateSpec:
             raise ValidationError("control polarity must be 0 or 1")
 
     @classmethod
-    def x(cls, target: int, controls=()) -> "GateSpec":
-        return cls("X", (target,), tuple(controls))
+    def x(cls, targets, controls=()) -> "GateSpec":
+        """X on one target qubit, or on each of a sequence of them."""
+        return cls("X", tuple(np.ravel(targets)), tuple(controls))
 
     @classmethod
     def z(cls, target: int, controls=()) -> "GateSpec":
@@ -197,14 +197,6 @@ class GateSpec:
     @classmethod
     def swap(cls, a: int, b: int, controls=()) -> "GateSpec":
         return cls("SWAP", (a, b), tuple(controls))
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "GateSpec":
-        return cls("CNOT", (target,), ((control, 1),))
-
-    @classmethod
-    def multi_controlled_x(cls, targets, controls) -> "GateSpec":
-        return cls("MULTI_CONTROLLED", tuple(targets), tuple(controls))
 
 
 def init_basis(num_qubits: int, basis_index: int) -> StateVector:
@@ -230,7 +222,7 @@ def _apply_in_place(amps: np.ndarray, num_qubits: int, gate: GateSpec) -> None:
     def part(*pins):
         return _pinned(amps, num_qubits, gate.controls + pins)
 
-    if gate.kind in ("X", "CNOT", "MULTI_CONTROLLED"):
+    if gate.kind == "X":
         # flipping several targets is one slice exchange per target
         for t in gate.targets:
             _exchange(part((t, 0)), part((t, 1)))

@@ -122,6 +122,14 @@ class TestPrepare:
         with pytest.raises(ValidationError):
             prepare(a, 1.0)
 
+    @pytest.mark.parametrize(
+        "phase", [True, np.True_, "1"], ids=["True", "numpy-True", "str"]
+    )
+    def test_b_phase_must_be_a_real_number_not_a_bool(self, phase):
+        # a bool would rotate the slack by 1 rad, a string reach math.isfinite
+        with pytest.raises(ParameterError, match=f"b_phase must be a real number, got {re.escape(repr(phase))}$"):
+            prepare(ComplexMatrix(1, [[2, 0], [0, 0]]), 1.0, b_phase=phase)
+
     def test_rejects_non_finite_b_phase(self):
         a = ComplexMatrix(1, np.eye(2))
         for phase in (math.nan, math.inf, -math.inf):
@@ -378,6 +386,25 @@ class TestFileSchema:
         with pytest.raises(ValidationError) as err:
             matrix_from_obj(obj)
         assert expected in str(err.value)
+
+    @pytest.mark.parametrize("obj", [[1, 2], "matrix", None, 3.0], ids=["list", "str", "null", "number"])
+    def test_document_must_be_an_object(self, obj):
+        with pytest.raises(ValidationError, match="^matrix document must be a JSON object$"):
+            matrix_from_obj(obj)
+
+    def test_numpy_float_entries_are_read_by_the_walk(self):
+        # numpy floats are float subclasses: the fast path leaves them to
+        # the walk, which reads them as the numbers they are
+        pairs = [[[np.float64(0.5), -0.0], [1, np.float64(-2.5)]], [[0.0, 0.25], [np.float64(3.0), 4]]]
+        m = matrix_from_obj({"n": 1, "entries": pairs})
+        assert m.entries.tobytes() == np.array(pairs, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("key", ["b", "s_original", "c"])
+    def test_prepared_document_names_a_missing_field(self, key):
+        obj = prepared_to_obj(prepare(ComplexMatrix(1, [[2, 0], [0, 1j]]), 0.8))
+        del obj[key]
+        with pytest.raises(ValidationError, match=f"^missing field: {key}$"):
+            prepared_from_obj(obj)
 
     def test_non_rectangular_rejected(self):
         obj = {"n": 1, "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]]]}

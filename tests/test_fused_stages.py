@@ -85,7 +85,7 @@ def q_gates(layout, which):
 
 def w_gates(layout, stage):
     if stage == "w0":
-        return [GateSpec.cnot(c, r) for c, r in zip(layout.qubits("C1"), layout.qubits("R2"))]
+        return [GateSpec.x(r, ((c, 1),)) for c, r in zip(layout.qubits("C1"), layout.qubits("R2"))]
     if stage == "w1":
         return [GateSpec.h(q) for q in layout.qubits("C1")]
     m1, m2 = layout.start("M1"), layout.start("M2")
@@ -94,11 +94,11 @@ def w_gates(layout, stage):
             GateSpec.z(m1, ((m2, 1),)),
             GateSpec.x(m1, ((m2, 1),)),
             GateSpec.h(m2),
-            GateSpec.cnot(layout.start("K1"), layout.start("K2")),
+            GateSpec.x(layout.start("K2"), ((layout.start("K1"), 1),)),
         ]
     zeros = (*layout.qubits("C1"), *layout.qubits("R2"), m2, layout.start("K2"))
     flags = (layout.start("B"), layout.start("BT"))
-    return [GateSpec.multi_controlled_x(flags, [(q, 0) for q in zeros])]
+    return [GateSpec.x(flags, [(q, 0) for q in zeros])]
 
 
 def stages(layout):

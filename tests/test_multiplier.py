@@ -36,6 +36,7 @@ from qamp.multiplier import (
 from qamp.registers import RegisterLayout, basis_index, layout_for
 from qamp.encoder import EncodedBlock, _components, decode, joint_amplitudes
 from support import manipulated_build, mixed_entries, prepared_from_tilde, random_prepared
+from exact import error_bound, exact_product, max_error
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -204,7 +205,9 @@ class TestEntryFactors:
             for phase in (None, 2.0)
         )
         for manips in ALL_SUBSETS:
-            (slack1, first), (slack2, second) = multiplier._entry_factors(pm1, pm2, manips)
+            bits1, bits2 = multiplier._orientation(pm1, pm2, manips)
+            slack1, first = multiplier._operand_factors(pm1, *bits1)
+            slack2, second = multiplier._operand_factors(pm2, *bits2)
             for matrix in (first, second):
                 assert matrix.shape == (dim, 2 * dim) and matrix.dtype == np.float64
             state = manipulated_build(pm1, pm2, layout, manips).amplitudes
@@ -455,6 +458,67 @@ class TestOracleProduct:
                 want = matmul_oracle(a2, a1)
             got, _b = oracle_product(pm1, pm2, manips)
             assert got.entries.tobytes() == want.entries.tobytes(), sorted(manips)
+
+    @pytest.mark.parametrize("manips", ALL_SUBSETS, ids=lambda m: "-".join(sorted(m)) or "none")
+    def test_width_mismatch_is_named(self, manips):
+        # the error run_pipeline raises, not numpy's broadcasting one
+        pm1, pm2 = (prepare(ComplexMatrix(n, np.eye(1 << n)), 1.0) for n in (1, 2))
+        for call in (oracle_product, run_pipeline):
+            with pytest.raises(DimensionError, match=r"^operand widths differ: n=1 vs n=2$"):
+                call(pm1, pm2, manips)
+
+
+class TestExactProduct:
+    """The run and the oracle against the exact product (tests/exact.py)."""
+
+    @staticmethod
+    def operands(n):
+        rng = np.random.default_rng(400 + n)
+        return random_prepared(rng, n, complex_b=True), random_prepared(rng, n)
+
+    def test_exact_product_of_small_integers_is_the_documented_composition(self):
+        # numpy's products of small Gaussian integers round nowhere either
+        rng = np.random.default_rng(5)
+        a1, a2 = (rng.integers(-9, 10, size=(4, 4)) + 1j * rng.integers(-9, 10, size=(4, 4)) for _ in range(2))
+
+        def dag(a):
+            return a.conj().T
+
+        want = {
+            frozenset(): a1 @ a2,
+            frozenset({"dagger1"}): dag(a1) @ a2,
+            frozenset({"dagger2"}): a1 @ dag(a2),
+            frozenset({"dagger1", "dagger2"}): dag(a1) @ dag(a2),
+            frozenset({"swap_order"}): a2 @ a1,
+            frozenset({"swap_order", "dagger1"}): (a1 @ dag(a2)).T,
+            frozenset({"swap_order", "dagger2"}): (dag(a1) @ a2).T,
+            frozenset({"swap_order", "dagger1", "dagger2"}): dag(a1 @ a2),
+        }
+        m1, m2 = ComplexMatrix(2, a1), ComplexMatrix(2, a2)
+        for manips in ALL_SUBSETS:
+            exact = exact_product(m1, m2, manips)
+            assert max_error(ComplexMatrix(2, want[manips]), exact) == 0.0, sorted(manips)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_run_and_oracle_are_within_the_bound_of_the_exact_product(self, n):
+        # the worst error measured over n = 1..4 and all eight subsets is
+        # 0.046 of the bound for the run and 0.029 for the oracle
+        pm1, pm2 = self.operands(n)
+        bound = error_bound(pm1.matrix, pm2.matrix)
+        for manips in ALL_SUBSETS:
+            exact = exact_product(pm1.matrix, pm2.matrix, manips)
+            run = run_pipeline(pm1, pm2, manips, verify=False).matrix_hat
+            oracle, _b = oracle_product(pm1, pm2, manips)
+            assert max_error(run, exact) <= bound, sorted(manips)
+            assert max_error(oracle, exact) <= bound, sorted(manips)
+
+    def test_a_transposed_product_is_far_outside_the_bound(self):
+        pm1, pm2 = self.operands(2)
+        bound = error_bound(pm1.matrix, pm2.matrix)
+        for manips in ALL_SUBSETS:
+            transposed = run_pipeline(pm1, pm2, manips, verify=False).matrix_hat.entries.T
+            exact = exact_product(pm1.matrix, pm2.matrix, manips)
+            assert max_error(ComplexMatrix(2, transposed), exact) > 1e6 * bound, sorted(manips)
 
 
 class TestRunPipeline:

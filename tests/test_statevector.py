@@ -31,21 +31,28 @@ def random_state(rng, num_qubits):
 
 
 def random_gate(rng, num_qubits):
-    kind = rng.choice(["X", "Z", "H", "SWAP", "CNOT", "MULTI_CONTROLLED"])
+    kind = rng.choice(["X", "Z", "H", "SWAP"])
     order = list(rng.permutation(num_qubits))
     if kind == "SWAP":
         targets, rest = order[:2], order[2:]
-    elif kind == "MULTI_CONTROLLED":
+    elif kind == "X":
         t = int(rng.integers(1, max(2, num_qubits - 1)))
         targets, rest = order[:t], order[t:]
     else:
         targets, rest = order[:1], order[1:]
-    if kind == "CNOT":
-        controls = [(rest[0], 1)]
-    else:
-        n_controls = int(rng.integers(0, len(rest) + 1))
-        controls = [(q, int(rng.integers(0, 2))) for q in rest[:n_controls]]
+    n_controls = int(rng.integers(0, len(rest) + 1))
+    controls = [(q, int(rng.integers(0, 2))) for q in rest[:n_controls]]
     return GateSpec(kind, tuple(int(t) for t in targets), tuple(controls))
+
+
+def gate_id(value):
+    """A parameter's id: a gate's kind, with an X that has one target and
+    one control named CNOT and one with more named MULTI_CONTROLLED."""
+    if not isinstance(value, GateSpec) or value.kind != "X" or not value.controls:
+        return getattr(value, "kind", value)
+    if len(value.targets) == len(value.controls) == 1:
+        return "CNOT"
+    return "MULTI_CONTROLLED"
 
 
 class TestInitBasis:
@@ -81,6 +88,18 @@ class TestGateSpec:
         with pytest.raises(ParameterError):
             GateSpec("Y", (0,))
 
+    def test_x_takes_one_or_more_targets_and_no_other_kind_does(self):
+        assert GateSpec.x((0, 2), ((1, 0),)) == GateSpec("X", (0, 2), ((1, 0),))
+        assert GateSpec.x(1).targets == (1,)
+        with pytest.raises(ValidationError, match="X needs at least one target"):
+            GateSpec("X", ())
+        for kind in ("Z", "H"):
+            with pytest.raises(ValidationError, match=f"{kind} takes exactly one target"):
+                GateSpec(kind, (0, 1))
+        for kind in ("CNOT", "MULTI_CONTROLLED"):
+            with pytest.raises(ParameterError, match="unknown gate kind"):
+                GateSpec(kind, (0,), ((1, 1),))
+
     def test_bad_polarity(self):
         with pytest.raises(ValidationError):
             GateSpec("X", (0,), ((1, 2),))
@@ -96,7 +115,7 @@ class TestApplyGate:
         assert np.array_equal(out.amplitudes, [0, 1, 0, 0])
 
     def test_multi_controlled_zero_polarity(self):
-        gate = GateSpec.multi_controlled_x((0,), ((1, 0), (2, 0)))
+        gate = GateSpec.x((0,), ((1, 0), (2, 0)))
         flipped = apply_gates(init_basis(3, 0b000), (gate,))
         assert flipped.amplitudes[0b001] == 1.0
         unchanged = apply_gates(init_basis(3, 0b010), (gate,))
@@ -105,7 +124,7 @@ class TestApplyGate:
     def test_multi_controlled_matches_dense_oracle(self):
         # brute-force 8x8 matrix build and dense matrix-vector multiply
         rng = np.random.default_rng(7)
-        gate = GateSpec.multi_controlled_x((0,), ((1, 0), (2, 0)))
+        gate = GateSpec.x((0,), ((1, 0), (2, 0)))
         u = gate_unitary(gate, 3)
         for _ in range(5):
             sv = random_state(rng, 3)
@@ -146,8 +165,8 @@ class TestApplyGate:
             GateSpec.z(2),
             GateSpec.h(0),
             GateSpec.swap(0, 3),
-            GateSpec.cnot(2, 1),
-            GateSpec.multi_controlled_x((0, 1), ((2, 0), (3, 1))),
+            GateSpec.x(1, ((2, 1),)),
+            GateSpec.x((0, 1), ((2, 0), (3, 1))),
         ]
         for gate in gates:
             sv = random_state(rng, 4)
@@ -173,8 +192,8 @@ class TestRealKernels:
         GateSpec.h(3, ((1, 0),)),
         GateSpec.swap(0, 3),
         GateSpec.swap(1, 2, ((0, 1),)),
-        GateSpec.cnot(2, 1),
-        GateSpec.multi_controlled_x((0, 1), ((2, 0), (3, 1))),
+        GateSpec.x(1, ((2, 1),)),
+        GateSpec.x((0, 1), ((2, 0), (3, 1))),
     ]
 
     def test_state_is_float64_and_complex_input_is_refused(self):
@@ -188,7 +207,7 @@ class TestRealKernels:
             with pytest.raises(ValidationError, match="real"):
                 StateVector(1, amps)
 
-    @pytest.mark.parametrize("gate", KINDS, ids=lambda g: g.kind)
+    @pytest.mark.parametrize("gate", KINDS, ids=gate_id)
     def test_every_gate_kind_keeps_float64(self, gate):
         sv = random_state(np.random.default_rng(5), 4)
         out = apply_gates(sv, (gate,))
@@ -216,10 +235,10 @@ class TestRealKernels:
             (GateSpec.z(0), 1),
             (GateSpec.swap(0, 1), 2),
             (GateSpec.h(1, ((0, 1),)), 2),
-            (GateSpec.multi_controlled_x((2,), ((0, 1), (1, 0))), 3),
-            (GateSpec.multi_controlled_x((0, 2), ((1, 1),)), 3),
+            (GateSpec.x((2,), ((0, 1), (1, 0))), 3),
+            (GateSpec.x((0, 2), ((1, 1),)), 3),
         ],
-        ids=lambda v: getattr(v, "kind", v),
+        ids=gate_id,
     )
     def test_gate_covering_every_qubit(self, gate, num_qubits, dtype):
         # a complex state goes through a real gate as its two real parts
