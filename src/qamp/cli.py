@@ -49,12 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import estimate_g
-from .multiplier import (
-    _operand_factors,
-    oracle_product,
-    resource_report,
-    run_pipeline,
-)
+from .multiplier import oracle_product, resource_report, run_pipeline
 from .registers import layout_for
 
 EXIT_OK = 0
@@ -69,10 +64,11 @@ DEFAULT_C = 1.0
 # --- JSON emission -----------------------------------------------------------
 # stdlib json prints shortest-repr floats; reports pin 17 significant digits
 # instead, so the emitter is hand rolled.  A report holds only exact dicts,
-# lists, strs, ints, floats, bools and None: the emitter looks each value's
-# exact type up, writes nested lists of floats of one shape, such as a
-# matrix's rows of [re, im] pairs, with one %-template, and raises a
-# TypeError naming the type of any other value.
+# lists, strs, ints, floats, bools and None, and each of its lists holds
+# scalars only or nests lists of floats of one shape, such as a matrix's
+# rows of [re, im] pairs: the emitter looks each value's exact type up,
+# writes such a float array with one %-template, and raises a TypeError
+# naming the type of any other value, a list of dicts or a ragged list too.
 
 _FLOAT = "%.17g"
 
@@ -87,28 +83,28 @@ _SCALARS = {
 }
 
 
-def _float_array(items: list) -> tuple[list, tuple] | None:
+def _float_array(items: list) -> tuple[list, tuple]:
     """(shape, floats in row-major order) of ``items`` when it nests lists
     of one length per level, the innermost holding floats only, such as a
-    matrix's rows of [re, im] pairs; otherwise None."""
+    matrix's rows of [re, im] pairs; otherwise a TypeError naming the first
+    item that is neither a list nor a float, or a list when every item is
+    one of those but the lists are ragged or not all at one depth."""
     shape = [len(items)]
     while True:
         kinds = set(map(type, items))
         if kinds == {float}:
             return shape, tuple(items)
-        if kinds != {list}:
-            return None
-        widths = set(map(len, items))
+        widths = set(map(len, items)) if kinds == {list} else set()
         if len(widths) != 1:
-            return None
+            odd = next((kind for kind in map(type, items) if kind not in (list, float)), list)
+            raise TypeError(f"cannot serialize {odd.__name__}")
         shape += widths
         items = list(itertools.chain.from_iterable(items))
 
 
 def _float_template(shape: list, indent: int) -> str:
-    """The %-template that prints a float array of ``shape`` at ``indent``
-    as the walk would: innermost lists on one line, every other item on a
-    line of its own."""
+    """The %-template that prints a float array of ``shape`` at ``indent``:
+    innermost lists on one line, every other item on a line of its own."""
     if len(shape) == 1:
         return "[" + ", ".join([_FLOAT] * shape[0]) + "]"
     pad = "  " * indent
@@ -143,25 +139,11 @@ def _emit_dict(value: dict, out: list, indent: int) -> None:
 
 
 def _emit_list(items: list, out: list, indent: int) -> None:
-    if not items:
-        out.append("[]")
-        return
-    if set(map(type, items)) <= _SCALARS.keys():
+    if set(map(type, items)) <= _SCALARS.keys():  # an empty list too
         out.append("[" + ", ".join([_SCALARS[type(item)](item) for item in items]) + "]")
         return
-    array = _float_array(items)
-    if array is not None:
-        shape, floats = array
-        out.append(_float_template(shape, indent) % floats)
-        return
-    pad = "  " * indent
-    last = len(items) - 1
-    out.append("[\n")
-    for i, item in enumerate(items):
-        out.append(pad + "  ")
-        _emit(item, out, indent + 1)
-        out.append(",\n" if i < last else "\n")
-    out.append(pad + "]")
+    shape, floats = _float_array(items)
+    out.append(_float_template(shape, indent) % floats)
 
 
 def dump_json(obj) -> str:
@@ -294,9 +276,8 @@ def cmd_conjugate(args) -> int:
     needed = 4 * 16 * matrix.dim**2 + RUNTIME_BYTES
     require_memory(matrix.n, needed, "the entries it holds and the runtime")
     pm = prepare(matrix, DEFAULT_C)
-    # the operand's K = 1 slab after its conjugation circuit, as (re, im) pairs
-    _slack, slab = _operand_factors(pm, transposed=True, conjugated=True)
-    entries = slab.view(np.complex128)
+    # the operand's entries after its conjugation circuit, scaled back
+    entries = np.conjugate(pm.matrix.entries.T, order="C")
     np.multiply(entries, pm.scale, out=entries)
     _write_output(dump_json(matrix_to_obj(ComplexMatrix(matrix.n, entries))), args.output)
     return EXIT_OK

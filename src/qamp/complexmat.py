@@ -202,10 +202,11 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     product being the formula above, and one reduction along l adds the
     terms onto the running sums of the band's rows, held in the block's
     first slot; numpy reduces along that axis one slice after another, so
-    in l order.  Each entry therefore rounds exactly as the scalar loop
-    does.  (einsum writes a zero product as +0.0, but a sum that starts at
-    +0.0 never holds -0.0, and adding either zero to it gives the same
-    bits.)
+    in l order (:func:`_matmul`, handed a's transpose as one C-contiguous
+    copy and b's entries as they are).  Each entry therefore rounds exactly
+    as the scalar loop does.  (einsum writes a zero product as +0.0, but a
+    sum that starts at +0.0 never holds -0.0, and adding either zero to it
+    gives the same bits.)
 
     That equality rests on numpy's einsum loop for complex128, not on
     arithmetic written here: it must round each of the four real products
@@ -218,31 +219,24 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
-    return ComplexMatrix(a.n, _matmul(a.entries, b.entries))
+    return ComplexMatrix(a.n, _matmul(np.ascontiguousarray(a.entries.T), b.entries))
 
 
-def _matmul(
-    a: np.ndarray, b: np.ndarray, dagger_a=False, dagger_b=False, transpose=False
-) -> np.ndarray:
-    """The entries of :func:`matmul_oracle` of ``a`` and ``b``, each taken
-    as its conjugate transpose when asked, and of the product's transpose
-    when asked, read from the entries without building the daggered
-    matrices: bit for bit ``matmul_oracle`` of :func:`dagger_oracle` and a
-    transpose.
+def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The ordered sum over l of x[l, j] * y[l, k], entry (j, k), taken as
+    :func:`matmul_oracle` takes it: x holds the first factor's columns as
+    rows and y the second factor's rows, so that term l of entry (j, k) of
+    their product is x[l, j] * y[l, k].  Both are taken as given, and are
+    best C-contiguous: a chunk of their rows is then one run of memory.
 
-    x holds the first factor's columns as rows, conj(a) or a's transpose,
-    and y the second factor's rows, conj(b)'s transpose or b, so that
-    x[l, j] * y[l, k] is term l of entry (j, k).  One complex einsum
-    writes the terms of a block, and numpy's complex product is the scalar
-    loop's x0*y0 - x1*y1 and x0*y1 + x1*y0 as long as einsum does not fuse
-    them (see :func:`matmul_oracle`); one reduction along l adds them onto
-    the band's running sums.  Conjugation is exact, so every step rounds
-    as the scalar loop does.  The chunks of l go in order,
-    each over every band of rows, so that a chunk of y stays in cache.
+    One complex einsum writes the terms of a block, and numpy's complex
+    product is the scalar loop's x0*y0 - x1*y1 and x0*y1 + x1*y0 as long
+    as einsum does not fuse them (see :func:`matmul_oracle`); one reduction
+    along l adds them onto the band's running sums.  The chunks of l go in
+    order, each over every band of rows, so that a chunk of y stays in
+    cache.
     """
-    dim = len(a)
-    x = np.conjugate(a) if dagger_a else np.ascontiguousarray(a.T)
-    y = np.conjugate(b.T, out=np.empty_like(b)) if dagger_b else b
+    dim = len(x)
     sums = np.zeros((dim, dim), dtype=np.complex128)
     chunk, band = block_shape(dim, dim, dim, ORACLE_BLOCK)
     slots = np.empty((chunk + 1) * band * dim, dtype=np.complex128)
@@ -254,7 +248,7 @@ def _matmul(
             np.copyto(block[0], rows)
             np.einsum("lj,lk->ljk", factors, y[l : l + chunk], out=block[1:])
             np.add.reduce(block, axis=0, out=rows)
-    return np.ascontiguousarray(sums.T) if transpose else sums
+    return sums
 
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:

@@ -18,11 +18,11 @@ to act on; what it needs of these actions is whether each operand ends
 transposed and whether it ends conjugated
 (:func:`qamp.multiplier._orientation`).  Nor does the CLI's ``conjugate``
 run :func:`hermitian_conjugate`: it reads the same bits straight off the
-operand's entries, taken transposed and conjugated
-(:func:`qamp.multiplier._operand_factors`).  These circuits stay as the
-full-register reference that the tests check both against.  Which
-manipulations act is chosen per run, as classical bits; no qubit of the
-layout controls them.
+operand's prepared entries, one C-ordered ``np.conjugate`` of their
+transposed view, exact as the SWAPs and the Z are, and scales it back.
+These circuits stay as the full-register reference that the tests check
+both against.  Which manipulations act is chosen per run, as classical
+bits; no qubit of the layout controls them.
 """
 
 from __future__ import annotations

@@ -22,10 +22,11 @@ their own blocks.  Reading back is split the same
 way: :func:`read_block` reads the component tensor of a block,
 :func:`residual` weighs everything outside the encoding support, and
 :func:`decode` does both.  No CLI command encodes or reads a register
-state: the pipeline's run path and ``qamp conjugate`` take each operand's
-amplitudes straight from its entries and slack
-(:func:`qamp.multiplier._operand_factors`, which checks the norm as
-:func:`_components` does, through :func:`_check_norm`), and the run's
+state: the pipeline's run path takes each operand's amplitudes straight
+from its entries and slack (:func:`qamp.multiplier._operand_factors`,
+which checks the norm as :func:`_components` does, through
+:func:`_check_norm`), ``qamp conjugate`` reads the conjugate transpose
+straight off the prepared entries, and the run's
 result, the flagged payload, is a component tensor already.  The
 functions here stay as the full-register reference.
 

@@ -398,10 +398,10 @@ def peak_bytes(n: int) -> int:
     the oracle's sums add (:data:`BLOCK` float64 and
     :data:`qamp.complexmat.ORACLE_BLOCK` complex amplitudes), and
     :data:`RUNTIME_BYTES`.  The oracle runs once the row and the payload
-    are freed: its x, y and sums, and the copy a transposed product makes
-    of the sums, are 2**(2n) complex amplitudes, half a quarter, each, so
-    beside the operands and the decoded product it holds at most 3.5
-    quarters."""
+    are freed: its two factors and its sums are 2**(2n) complex
+    amplitudes, half a quarter, each, and it transposes no sum after the
+    fact, so beside the operands and the decoded product it holds at most
+    3 quarters."""
     quarter = 1 << (2 * n + 2)
     return 8 * (5 * quarter + BLOCK) + 16 * ORACLE_BLOCK + RUNTIME_BYTES
 
@@ -456,14 +456,20 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     matrix transposed per the documented convention this gives:
 
       exchange alone          -> A2 A1
-      exchange + conjugate 1  -> transpose(A1 A2^dagger)
-      exchange + conjugate 2  -> transpose(A1^dagger A2)
+      exchange + conjugate 1  -> transpose(A1 A2^dagger) = conj(A2) A1^T
+      exchange + conjugate 2  -> transpose(A1^dagger A2) = A2^T conj(A1)
       exchange + both         -> (A1 A2)^dagger = A2^dagger A1^dagger
 
-    Each is :func:`qamp.complexmat.matmul_oracle` of
-    :func:`qamp.complexmat.dagger_oracle` factors, transposed where shown,
-    bit for bit, taken straight from the operands' entries.  Operands of
-    different widths are refused once the manipulations are checked.
+    Each is, bit for bit, :func:`qamp.complexmat.matmul_oracle` of
+    :func:`qamp.complexmat.dagger_oracle` factors as on the left,
+    transposed where shown, and is summed as the product on the right:
+    :func:`qamp.complexmat._matmul` takes the first factor's transpose and
+    the second factor, each the entries themselves or one C-contiguous
+    copy of them, transposed or conjugated as the set asks.  transpose(XY)
+    is Y^T X^T, and IEEE products and sums commute, so each entry adds the
+    same terms in the same order as the transposed product does, and no
+    sum is transposed after the fact.  Operands of different widths are
+    refused once the manipulations are checked.
     """
     manips = _check_manipulations(manipulations)
     _check_widths(pm1, pm2)
@@ -471,21 +477,20 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     d2 = "dagger2" in manips
     a1, a2 = pm1.matrix.entries, pm2.matrix.entries
     b1, b2 = complex(pm1.b), complex(pm2.b)
-    if "swap_order" not in manips:
-        entries = _matmul(a1, a2, d1, d2)
+    if "swap_order" not in manips:  # op1(A1) op2(A2)
+        x = np.conjugate(a1) if d1 else a1.T
+        y = np.conjugate(a2.T, order="C") if d2 else a2
         b_hat = (b1.conjugate() if d1 else b1) * (b2.conjugate() if d2 else b2)
-    elif d1 and d2:
-        entries = _matmul(a2, a1, True, True)
-        b_hat = (b1 * b2).conjugate()
-    elif d1:
-        entries = _matmul(a1, a2, False, True, transpose=True)
-        b_hat = b1 * b2.conjugate()
-    elif d2:
-        entries = _matmul(a1, a2, True, False, transpose=True)
-        b_hat = b1.conjugate() * b2
-    else:
-        entries = _matmul(a2, a1)
-        b_hat = b1 * b2
+    elif d1 and d2:  # A2^dagger A1^dagger
+        x, y, b_hat = np.conjugate(a2), np.conjugate(a1.T, order="C"), (b1 * b2).conjugate()
+    elif d1:  # conj(A2) A1^T
+        x, y, b_hat = np.conjugate(a2.T, order="C"), a1.T, b1 * b2.conjugate()
+    elif d2:  # A2^T conj(A1)
+        x, y, b_hat = a2, np.conjugate(a1), b1.conjugate() * b2
+    else:  # A2 A1
+        x, y, b_hat = a2.T, a1, b1 * b2
+    entries = _matmul(np.ascontiguousarray(x), np.ascontiguousarray(y))
+    del x, y  # the factors are freed before the sums are copied out
     return ComplexMatrix(pm1.n, entries), b_hat
 
 

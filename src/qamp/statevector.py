@@ -59,13 +59,23 @@ _FSUM_CHUNK = 1 << 12
 GATE_KINDS = ("X", "Z", "H", "SWAP")
 
 
+def _index(value, what: str) -> int:
+    """``value`` as an int once it is checked to be an integer, a numpy one
+    included, and not a bool; otherwise a :class:`ParameterError` naming
+    ``what`` and the value, where ``int()`` would floor 2.9 to qubit 2 or
+    take True for qubit 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{what} must be an integer, not a bool, got {value!r}")
+    return int(value)
+
+
 def _check_qubit(num_qubits: int, qubit: int) -> None:
-    if not 0 <= qubit < num_qubits:
+    if not 0 <= _index(qubit, "qubit") < num_qubits:
         raise DimensionError(f"qubit {qubit} out of range for a {num_qubits}-qubit state")
 
 
 def _check_outcome(outcome: int) -> None:
-    if outcome not in (0, 1):
+    if _index(outcome, "outcome") not in (0, 1):
         raise ParameterError(f"outcome must be 0 or 1, got {outcome}")
 
 
@@ -151,7 +161,8 @@ class GateSpec:
     Z and H take one target and SWAP exactly two; X takes one or more and
     flips every target, so a CNOT is an X with one control and the payload
     flag an X on both ancillae.  Any gate fires only where all its controls
-    match their polarity.
+    match their polarity.  Qubits and polarities are integers, numpy ones
+    included, and never bools.
     """
 
     kind: str
@@ -159,8 +170,10 @@ class GateSpec:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
-        object.__setattr__(self, "controls", tuple((int(q), int(p)) for q, p in self.controls))
+        targets = tuple(_index(t, "gate qubit") for t in self.targets)
+        controls = tuple((_index(q, "gate qubit"), _index(p, "control polarity")) for q, p in self.controls)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "controls", controls)
         if self.kind not in GATE_KINDS:
             raise ParameterError(f"unknown gate kind {self.kind!r}")
         if self.kind == "SWAP":

@@ -15,6 +15,46 @@ the README's table of the eight subsets:
 
 Like ``bruteforce.py`` this module shares no arithmetic with the package:
 it imports nothing from qamp but the matrix type, whose entries it reads.
+
+The bounds, proved as follows.  u = 2^-53 is the unit roundoff.  Entry
+(j, k) of a product XY is Z = sum over l of x_l y_l, with x_l = X[j, l]
+= (x0, x1) and y_l = Y[l, k] = (y0, y1) in components.  Let P =
+(|X||Y|)_jk = sum |x_l| |y_l|, A = sum (|x0 y0| + |x1 y1|) and B = sum
+(|x0 y1| + |x1 y0|).  Per term, (|x0 y0| + |x1 y1|)^2 + (|x0 y1| +
+|x1 y0|)^2 = |x|^2 |y|^2 + 4 |x0 x1 y0 y1| <= 2 |x|^2 |y|^2, so
+sqrt(A^2 + B^2) <= sqrt(2) P (Minkowski).  Conjugating and transposing
+are exact; with no overflow or underflow every rounding is a factor
+1 + d, |d| <= u, and a real sum whose terms each carry at most k of them
+is within gamma_k = k u / (1 - k u) of its exact value, relative to the
+sum of its terms' moduli.  Rounding both components of a complex value z,
+each to within u of itself, moves z by at most u |z|.
+
+- The oracle rounds each term's two products and their difference or
+  sum, then adds the terms in l order onto +0.0, whose first addition is
+  exact: k = dim + 1 for each component, so the error is at most
+  sqrt(2) gamma_(dim+1) P.
+- The run sums each pair of components' products x_a y_b times s, the
+  float 2.0 ** (-n / 2), in order onto +0.0: a rounding for the product,
+  one for the scaling unless n is even (s is then a power of two) and
+  dim - 1 additions, so k <= dim + 1, and the complex value that w2
+  combines is within sqrt(2) gamma_(dim+1) s P of s Z.  Four roundings
+  of each component follow: w2's difference or sum, its product by the
+  float h of 1/sqrt(2), the division by r = fl(sqrt(W)), W the branch
+  weight, and the product by g = fl(sqrt(W 2^(n+1))).  Their constant
+  C = s h g / r is 1 in exact arithmetic.  For odd n, g = r 2^((n+1)/2)
+  exactly, since scaling by a power of two commutes with rounding, and s
+  is within one ulp, 2u, of 2^(-n/2); for even n, s is exact and g / r is
+  sqrt(2) 2^(n/2) within a factor (1 + u) / (1 - u).  h is within 0.80 u
+  of 1/sqrt(2).  So |C - 1| <= 2.8 u + 4 u^2, and the run's error is at
+  most (sqrt(2) (dim + 1) + 4 + 2.8) u P + 4 (dim + 4)^2 u^2 P.
+
+Both are at most (2 dim + 8) u P: (2 - sqrt(2)) dim + 8 - sqrt(2) - 6.8
+is at least 0.95 for dim >= 2, and the second-order term is below
+0.001 u P for dim <= 2^20.  Since sum |x_l| |y_l| <= ||X||_F ||Y||_F
+(Cauchy-Schwarz on row j and column k), the same constant bounds the
+error by (2 dim + 8) u ||A1||_F ||A2||_F as well.  The tests compute each
+error and each bound in floating point, off by a few u relative, well
+inside the 8 % margin that the entrywise bound leaves at dim = 2.
 """
 
 import math
@@ -70,17 +110,32 @@ def frobenius(a: ComplexMatrix) -> float:
 
 
 def error_bound(a1: ComplexMatrix, a2: ComplexMatrix) -> float:
-    """The forward-error bound of a float64 product of two dim x dim
-    matrices, (2 dim + 8) 2^-53 ||A1||_F ||A2||_F, that a decoded product
-    and the oracle's are held to."""
+    """The normwise forward-error bound (2 dim + 8) 2^-53 ||A1||_F ||A2||_F
+    on every entry of a decoded product and of the oracle's, which the
+    entrywise bound of :func:`entry_bounds` implies."""
     return (2 * a1.dim + 8) * 2.0**-53 * frobenius(a1) * frobenius(a2)
 
 
+def entry_bounds(a1: ComplexMatrix, a2: ComplexMatrix, manipulations=()) -> list:
+    """The entrywise bound (2 dim + 8) 2^-53 (|X||Y|)_jk on each entry
+    (j, k) of the product XY that :func:`exact_product` forms for the
+    manipulation set, rows of floats: the exact product of the entries'
+    moduli, composed as for the set (an entry and its conjugate have one
+    modulus), rounded once and scaled."""
+    moduli = [ComplexMatrix(a.n, abs(a.entries)) for a in (a1, a2)]
+    scale = (2 * a1.dim + 8) * 2.0**-53
+    return [[scale * float(re) for re, _im in row] for row in exact_product(*moduli, manipulations)]
+
+
+def entry_errors(got: ComplexMatrix, exact: list) -> list:
+    """The modulus of each entry of ``got`` minus the exact product, rows of
+    floats, each difference taken exactly and rounded once per component."""
+    return [
+        [math.hypot(float(re - exact_re), float(im - exact_im)) for (re, im), (exact_re, exact_im) in zip(*rows)]
+        for rows in zip(exact_entries(got), exact)
+    ]
+
+
 def max_error(got: ComplexMatrix, exact: list) -> float:
-    """The largest modulus of an entry of ``got`` minus the exact product,
-    each difference taken exactly and rounded once per component."""
-    worst = 0.0
-    for row, want_row in zip(exact_entries(got), exact):
-        for (re, im), (want_re, want_im) in zip(row, want_row):
-            worst = max(worst, math.hypot(float(re - want_re), float(im - want_im)))
-    return worst
+    """The largest modulus of an entry of ``got`` minus the exact product."""
+    return max(map(max, entry_errors(got, exact)))

@@ -357,7 +357,6 @@ class TestConjugate:
             raise AssertionError("conjugate allocated before its preflight")
 
         monkeypatch.setattr(cli, "prepare", refused)
-        monkeypatch.setattr(cli, "_operand_factors", refused)
         entries = np.random.default_rng(241).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
         assert main(["conjugate", src]) == 2
@@ -613,11 +612,12 @@ def float_array(shape):
 
 
 FLOAT_ARRAYS = st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(float_array)
-#: nested dicts and lists of all of the above, empty ones included: the
-#: builtin types that every report is made of
+#: what every report is made of: nested dicts, empty ones included, whose
+#: values are scalars, lists of scalars (empty ones included) and float
+#: arrays
 REPORTS = st.recursive(
-    SCALARS | FLOAT_ARRAYS,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    SCALARS | st.lists(SCALARS, max_size=4) | FLOAT_ARRAYS,
+    lambda children: st.dictionaries(st.text(), children, max_size=4),
     max_leaves=30,
 )
 
@@ -626,7 +626,7 @@ class TestDumpJson:
     @settings(max_examples=400, deadline=None)
     @given(REPORTS)
     @example({"entries": [[[0.1, -0.0], [5e-324, 1e308]], [[math.nan, math.inf], [-math.inf, 1.0]]]})
-    @example([[], [[]], {}, [[1.0], [2.0, 3.0]], [[1.0, 2], [3.0, 4.0]], [[0.5, 1.0]]])
+    @example({"empty": [], "nested": {"none": {}}, "mixed": [1, 0.5, "a", None, True], "rows": [[0.5, 1.0]]})
     def test_is_the_reference_emitter_byte_for_byte(self, value):
         assert dump_json(value) == support.dump_json(value)
 
@@ -638,12 +638,18 @@ class TestDumpJson:
             ({"b_hat": [0.5, np.float64(1.0)]}, "float64"),
             ([[0.5, 1.0], (0.5, 1.0)], "tuple"),
             ([np.int64(1)], "int64"),
+            ({"layouts": [{"n": 1}]}, "dict"),
+            ([[1.0], [2.0, 3.0]], "list"),
         ],
-        ids=["numpy-float", "tuple", "numpy-float-in-list", "tuple-in-float-array", "numpy-int-in-list"],
+        ids=[
+            "numpy-float", "tuple", "numpy-float-in-list", "tuple-in-float-array", "numpy-int-in-list",
+            "dict-in-list", "ragged-list",
+        ],
     )
     def test_refuses_what_no_report_holds(self, value, kind):
         # a report holds exact dicts, lists, strs, ints, floats, bools and
-        # None only; any other value is named, not printed
+        # None only, and its lists hold scalars or are float arrays of one
+        # shape; any other value is named, not printed
         with pytest.raises(TypeError, match=f"^cannot serialize {kind}$"):
             dump_json(value)
 

@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 import re
@@ -17,6 +16,7 @@ from qamp import (
     matmul_oracle,
     matrix_from_obj,
     matrix_to_obj,
+    oracle_product,
     prepare,
     prepared_from_obj,
     prepared_to_obj,
@@ -265,8 +265,9 @@ class TestMatmulOracle:
         # at run sizes a block holds every l, and only n >= 6 has more than
         # one; with the cap brought down the blocks split the l range and
         # the rows as they do there, and the bits must not move; nor may
-        # they under the run's daggered factors and transposed products,
-        # which the oracle reads straight from the entries
+        # they under any manipulation set, whose factors the oracle orients
+        # from the entries, summing a transposed product as the product of
+        # the transposed factors in exchanged order
         dim = 1 << n
         monkeypatch.setattr(complexmat, "ORACLE_BLOCK", block_cap(case, dim, dim, dim))
         rng = np.random.default_rng(60 + n)
@@ -274,16 +275,23 @@ class TestMatmulOracle:
             a, b = (ComplexMatrix(n, mixed_entries(rng, n)) for _ in range(2))
             got = matmul_oracle(a, b).entries
             assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
-            # the first flag set, the plain product, is the check above
-            for flags in list(itertools.product((False, True), repeat=3))[1:]:
-                dagger_a, dagger_b, transpose = flags
-                x = dagger_oracle(a) if dagger_a else a
-                y = dagger_oracle(b) if dagger_b else b
-                want = matmul_oracle_numpy(x, y).entries
-                if transpose:
-                    want = want.T.copy()
-                got = complexmat._matmul(a.entries, b.entries, *flags)
-                assert got.tobytes() == want.tobytes(), flags
+            pm1, pm2 = prepare(a, 0.75), prepare(b, 0.75)
+            m1, m2, dag = pm1.matrix, pm2.matrix, dagger_oracle
+            # the README's table: manipulations -> (factors, transposed)
+            table = {
+                (): ((m1, m2), False),
+                ("dagger1",): ((dag(m1), m2), False),
+                ("dagger2",): ((m1, dag(m2)), False),
+                ("dagger1", "dagger2"): ((dag(m1), dag(m2)), False),
+                ("swap_order",): ((m2, m1), False),
+                ("dagger1", "swap_order"): ((m1, dag(m2)), True),
+                ("dagger2", "swap_order"): ((dag(m1), m2), True),
+                ("dagger1", "dagger2", "swap_order"): ((dag(m2), dag(m1)), False),
+            }
+            for manips, (factors, transposed) in table.items():
+                want = matmul_oracle_numpy(*factors).entries
+                got, _b = oracle_product(pm1, pm2, manips)
+                assert got.entries.tobytes() == (want.T.copy() if transposed else want).tobytes(), manips
 
     def test_bilinear(self):
         rng = np.random.default_rng(37)

@@ -36,7 +36,7 @@ from qamp.multiplier import (
 from qamp.registers import RegisterLayout, basis_index, layout_for
 from qamp.encoder import EncodedBlock, _components, decode, joint_amplitudes
 from support import manipulated_build, mixed_entries, prepared_from_tilde, random_prepared
-from exact import error_bound, exact_product, max_error
+from exact import entry_bounds, entry_errors, error_bound, exact_product, max_error
 from bruteforce import (
     bf_initial_state,
     bf_pipeline_matrices,
@@ -511,6 +511,23 @@ class TestExactProduct:
             oracle, _b = oracle_product(pm1, pm2, manips)
             assert max_error(run, exact) <= bound, sorted(manips)
             assert max_error(oracle, exact) <= bound, sorted(manips)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_run_and_oracle_are_within_the_entrywise_bound_of_the_exact_product(self, n):
+        # each entry within (2 dim + 8) 2^-53 (|X||Y|)_jk, the bound that
+        # tests/exact.py derives; the worst ratio measured over n = 1..4 and
+        # all eight subsets is 0.137 for the run and 0.087 for the oracle,
+        # so a bound ten times smaller fails
+        pm1, pm2 = self.operands(n)
+        for manips in ALL_SUBSETS:
+            exact = exact_product(pm1.matrix, pm2.matrix, manips)
+            bounds = entry_bounds(pm1.matrix, pm2.matrix, manips)
+            run = run_pipeline(pm1, pm2, manips, verify=False).matrix_hat
+            oracle, _b = oracle_product(pm1, pm2, manips)
+            for name, got in (("run", run), ("oracle", oracle)):
+                errors = entry_errors(got, exact)
+                for j, k in itertools.product(range(pm1.matrix.dim), repeat=2):
+                    assert errors[j][k] <= bounds[j][k], (name, sorted(manips), j, k)
 
     def test_a_transposed_product_is_far_outside_the_bound(self):
         pm1, pm2 = self.operands(2)

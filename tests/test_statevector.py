@@ -74,6 +74,10 @@ class TestInitBasis:
         with pytest.raises(ParameterError):
             init_basis(2, 4)
 
+    def test_negative_qubit_count(self):
+        with pytest.raises(DimensionError, match="^qubit count must be nonnegative, got -1$"):
+            init_basis(-1, 0)
+
 
 class TestGateSpec:
     def test_swap_needs_two_targets(self):
@@ -103,6 +107,30 @@ class TestGateSpec:
     def test_bad_polarity(self):
         with pytest.raises(ValidationError):
             GateSpec("X", (0,), ((1, 2),))
+
+    @pytest.mark.parametrize(
+        "build,what,value",
+        [
+            (lambda: GateSpec.h(2.9), "gate qubit", "2.9"),
+            (lambda: GateSpec.x(True), "gate qubit", "True"),
+            (lambda: GateSpec("X", (1.5,), ((True, 1),)), "gate qubit", "1.5"),
+            (lambda: GateSpec.z(0, ((np.True_, 1),)), "gate qubit", "True"),
+            (lambda: GateSpec.x(0, ((1, True),)), "control polarity", "True"),
+            (lambda: GateSpec.swap(0, 1, ((2, 1.0),)), "control polarity", "1.0"),
+        ],
+        ids=["float-target", "bool-target", "float-target-bool-control", "numpy-bool-control",
+             "bool-polarity", "float-polarity"],
+    )
+    def test_qubits_and_polarities_must_be_integers_not_bools(self, build, what, value):
+        # int() would floor 2.9 to qubit 2 and take True for qubit 1
+        with pytest.raises(ParameterError, match=f"^{what} must be an integer, not a bool, got .*{value}"):
+            build()
+
+    def test_numpy_integers_are_taken_as_ints(self):
+        gate = GateSpec("H", (np.int64(1),), ((np.int32(0), np.int8(1)),))
+        assert gate == GateSpec.h(1, ((0, 1),))
+        assert {type(v) for v in (*gate.targets, *gate.controls[0])} == {int}
+        assert GateSpec.x(np.arange(2)).targets == (0, 1)
 
 
 class TestApplyGate:
@@ -207,6 +235,10 @@ class TestRealKernels:
             with pytest.raises(ValidationError, match="real"):
                 StateVector(1, amps)
 
+    def test_amplitude_count_must_match_the_qubits(self):
+        with pytest.raises(DimensionError, match=r"^expected 4 amplitudes for 2 qubits, got shape \(2,\)$"):
+            StateVector(2, [0.6, 0.8])
+
     @pytest.mark.parametrize("gate", KINDS, ids=gate_id)
     def test_every_gate_kind_keeps_float64(self, gate):
         sv = random_state(np.random.default_rng(5), 4)
@@ -285,6 +317,26 @@ class TestProjection:
         out, prob = project_and_renormalize(sv, 0, 1)
         assert prob == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(out.amplitudes, [0, 1], atol=1e-12)
+
+    def test_outcome_must_be_zero_or_one(self):
+        with pytest.raises(ParameterError, match="^outcome must be 0 or 1, got 2$"):
+            project_and_renormalize(StateVector(1, [SQ2, SQ2]), 0, 2)
+
+    @pytest.mark.parametrize("outcome", [True, np.True_, 1.0, 0.5], ids=["bool", "numpy-bool", "float", "half"])
+    def test_outcome_must_be_an_integer_not_a_bool(self, outcome):
+        sv = StateVector(1, [SQ2, SQ2])
+        with pytest.raises(ParameterError, match="^outcome must be an integer, not a bool"):
+            project_and_renormalize(sv, 0, outcome)
+        with pytest.raises(ParameterError, match="^outcome must be an integer, not a bool"):
+            sv.probability(0, outcome)
+
+    @pytest.mark.parametrize("qubit", [True, 1.0], ids=["bool", "float"])
+    def test_qubit_must_be_an_integer_not_a_bool(self, qubit):
+        sv = StateVector(2, [0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ParameterError, match="^qubit must be an integer, not a bool"):
+            project_and_renormalize(sv, qubit, 1)
+        with pytest.raises(ParameterError, match="^qubit must be an integer, not a bool"):
+            sv.probability(qubit, 1)
 
     def test_zero_weight_outcome(self):
         with pytest.raises(MeasurementError) as err:
