@@ -20,13 +20,12 @@ product, while the bound reads 1.1e-19 there.  Prints the run's wall time
 beside those of its own oracle call and of the estimate, and the oracle
 error beside its bound.
 
-At n = 5, the first width at which w1's sum runs in bands of rows, the
-decoded product and the oracle's under each of the eight manipulation
-sets are also held to the exact product formed in rational arithmetic by
-tests/exact.py, within the same normwise bound and within its entrywise
-bound (2 dim + 8) 2^-53 (|X||Y|)_jk on each entry; the worst ratio of an
-error to each bound over the eight sets is printed.  The rational
-products take about 1.5 s a set.
+At n = 5 the decoded product and the oracle's under each of the eight
+manipulation sets are also held to the exact product formed in rational
+arithmetic by tests/exact.py, within the same normwise bound and within
+its entrywise bound (2 dim + 8) 2^-53 (|X||Y|)_jk on each entry; the worst
+ratio of an error to each bound over the eight sets is printed.  The
+rational products take about 1.5 s a set.
 """
 
 import itertools

@@ -20,12 +20,6 @@ from .errors import DimensionError, MethodUndefinedError, ParameterError, Valida
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
 
-#: complex amplitudes in one block of :func:`matmul_oracle`'s sum, a chunk
-#: of inner indices by a band of rows plus the slot for the band's running
-#: sum, 256 KiB; 2**13 made the n = 9 oracle 15 % slower, and 2**15, at
-#: most 5 % faster there, would put an n = 5 run above four of w1's rows
-ORACLE_BLOCK = 1 << 14
-
 #: tolerance on the slack identity |b|^2 + sum |entries|^2 = 1, and relative
 #: tolerance on the scale record weight * (s_original + c)^2 = s_original
 NORM_TOL = 1e-12
@@ -178,16 +172,6 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
     return PreparedMatrix(matrix=scaled, b=complex(b), s_original=s, c=float(c))
 
 
-def block_shape(terms: int, rows: int, width: int, cap: int) -> tuple[int, int]:
-    """(chunk, band) for an ordered sum of ``terms`` arrays of shape
-    (``rows``, ``width``) taken a block at a time: ``chunk`` terms by
-    ``band`` rows, plus one slot for the band's running sum, in at most
-    ``cap`` amplitudes, or one term and one row when even that is larger."""
-    chunk = min(terms, max(1, cap // width - 1))
-    band = min(rows, max(1, cap // ((chunk + 1) * width)))
-    return chunk, band
-
-
 def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Reference product accumulated entrywise from real/imaginary components.
 
@@ -195,27 +179,21 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     against, so it uses no matrix product or BLAS call, which would reorder
     the sums.  Every (j, k) entry accumulates, from +0.0 and over the inner
     index l in order, re += a0*b0 - a1*b1 and im += a0*b1 + a1*b0: the
-    plain triple loop, run a block of (l, j) values at a time
-    (:func:`block_shape`, at most :data:`ORACLE_BLOCK` complex amplitudes),
-    chunks of l in order.  Per block, one complex einsum writes the term
-    a[j, l] * b[l, k] for every (l, j, k) of the block, numpy's complex
-    product being the formula above, and one reduction along l adds the
-    terms onto the running sums of the band's rows, held in the block's
-    first slot; numpy reduces along that axis one slice after another, so
-    in l order (:func:`_matmul`, handed a's transpose as one C-contiguous
-    copy and b's entries as they are).  Each entry therefore rounds exactly
-    as the scalar loop does.  (einsum writes a zero product as +0.0, but a
-    sum that starts at +0.0 never holds -0.0, and adding either zero to it
-    gives the same bits.)
+    plain triple loop, as one complex einsum (:func:`_matmul`, handed a's
+    transpose as one C-contiguous copy and b's entries as they are), numpy's
+    complex product being the formula above.  Each entry therefore rounds
+    exactly as the scalar loop does.
 
     That equality rests on numpy's einsum loop for complex128, not on
-    arithmetic written here: it must round each of the four real products
-    and not fuse a0*b0 - a1*b1 into one multiply-add, as a build with FMA
-    in its baseline and contraction on could.  numpy's own complex
-    multiply does not keep it on an FMA machine.  The tests that hold
-    this function byte for byte to the scalar loop on numpy float64
-    scalars (``matmul_oracle_numpy``), whose every operation rounds, are
-    what guard it on each platform and numpy version.
+    arithmetic written here: it must add each entry's terms in l order and
+    round each of the four real products, not fuse a0*b0 - a1*b1 into one
+    multiply-add, as a build with FMA in its baseline and contraction on
+    could.  numpy's own complex multiply does not keep it on an FMA
+    machine.  The tests that hold this function byte for byte to the
+    scalar loop on numpy float64 scalars (``matmul_oracle_numpy``), whose
+    every operation rounds, and the order canary
+    (``test_complexmat.py::TestEinsumOrder``) are what guard it on each
+    platform and numpy version.
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
@@ -226,29 +204,14 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ordered sum over l of x[l, j] * y[l, k], entry (j, k), taken as
     :func:`matmul_oracle` takes it: x holds the first factor's columns as
     rows and y the second factor's rows, so that term l of entry (j, k) of
-    their product is x[l, j] * y[l, k].  Both are taken as given, and are
-    best C-contiguous: a chunk of their rows is then one run of memory.
+    their product is x[l, j] * y[l, k].  Both must be C-contiguous.
 
-    One complex einsum writes the terms of a block, and numpy's complex
-    product is the scalar loop's x0*y0 - x1*y1 and x0*y1 + x1*y0 as long
-    as einsum does not fuse them (see :func:`matmul_oracle`); one reduction
-    along l adds them onto the band's running sums.  The chunks of l go in
-    order, each over every band of rows, so that a chunk of y stays in
-    cache.
+    One einsum takes the whole sum.  With both operands C-contiguous,
+    numpy's iterator puts the summed index l outermost, so every entry adds
+    its terms in l order, in place, onto the +0.0 that einsum writes first;
+    a -0.0 term added to it gives +0.0, as in the scalar loop.
     """
-    dim = len(x)
-    sums = np.zeros((dim, dim), dtype=np.complex128)
-    chunk, band = block_shape(dim, dim, dim, ORACLE_BLOCK)
-    slots = np.empty((chunk + 1) * band * dim, dtype=np.complex128)
-    for l in range(0, dim, chunk):
-        for j in range(0, dim, band):
-            rows = sums[j : j + band]
-            factors = x[l : l + chunk, j : j + band]
-            block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
-            np.copyto(block[0], rows)
-            np.einsum("lj,lk->ljk", factors, y[l : l + chunk], out=block[1:])
-            np.add.reduce(block, axis=0, out=rows)
-    return sums
+    return np.einsum("lj,lk->jk", x, y)
 
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:

@@ -54,13 +54,10 @@ its slack pair (:func:`_operand_factors`, the one operand reader); no
 component tensor is built.
 The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
 the two slack pairs, since an operand's K = 0 slab holds just the slack;
-the K1 = K2 = 1 quarter sums one outer product per c, a block at a time,
-a chunk of c values by a band of rows in at most :data:`BLOCK`
-amplitudes, with a few numpy calls per block, and every amplitude still
-takes its terms in c order.  :func:`flag_and_measure` writes w2's flagged
-output from the quarters straight into the payload, a component tensor
-indexed [K1, R1, C2, M1] (2**(2n+2) amplitudes), then weighs and
-renormalizes it.  The product is read through a complex view of the
+the K1 = K2 = 1 quarter sums one outer product per c, in c order, in
+one einsum.  :func:`flag_and_measure` writes w2's flagged output from the
+quarters straight into the payload, a component tensor indexed [K1, R1,
+C2, M1] (2**(2n+2) amplitudes), then weighs and renormalizes it.  The product is read through a complex view of the
 payload's K1 = 1 slab, and the estimator's K1 = 0 weight straight off
 that tensor.  A run builds no layout: it sizes itself from n, checked
 once at its head (:func:`flagged_state`), and looks the measured qubit up
@@ -92,7 +89,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexmat import ORACLE_BLOCK, ComplexMatrix, PreparedMatrix, _matmul, block_shape
+from .complexmat import ComplexMatrix, PreparedMatrix, _matmul
 from .encoder import RUNTIME_BYTES, EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
 from .errors import DimensionError, MeasurementError, ParameterError
 from .registers import RegisterLayout, layout_for, register_view
@@ -117,13 +114,6 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: (manipulation, conjugator stage) in circuit order: the operand exchange
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
-
-#: amplitudes in one block of the terms :func:`_w1_diagonal` sums over its
-#: K1 = K2 = 1 quarter (a chunk of c values by a band of the quarter's
-#: rows, plus the slot that carries the band's running sum), 256 KiB, so a
-#: block stays in a 2 MiB L2 cache; up to n = 6 a chunk holds every c, and
-#: from n = 5 on the rows are split into bands
-BLOCK = 1 << 15
 
 
 def _check_width(n: int) -> None:
@@ -316,16 +306,15 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     +0.0, so that quarter is +0.0 but for its corner, the product of the
     two slack pairs times 2**(-n/2) plus +0.0 (which turns a -0.0 into
     +0.0, as the sum does).  The K1 = K2 = 1 quarter takes the
-    sum over every c, a block at a time
-    (:func:`qamp.complexmat.block_shape`, at most :data:`BLOCK`
-    amplitudes): one einsum writes the outer products of a chunk of c
-    values for a band of rows, one multiply scales them, and one reduction
-    along the chunk adds them, in c order, onto the band's running sum held
-    in the block's first slot.  The chunks go in c order, each over every
-    band, so that a chunk of the second operand's factors stays in cache.
-    (einsum writes a zero product as +0.0, but
-    the running sum starts at +0.0, so never holds -0.0, and adding either
-    zero to it gives the same bits.)
+    sum over every c in one einsum, written into the quarter.  Both factors
+    are C-contiguous, so numpy's iterator puts c outermost and every
+    amplitude adds its terms in c order, in place, onto the +0.0 that
+    einsum writes first, as :func:`apply_w1` does.  The scale is einsum's
+    third operand, not applied afterwards, so each term is rounded as
+    apply_w1 rounds it, the product of the two factors times the scale.
+    The order canary (``test_fused_stages.py::test_w1_sums_in_c_order``)
+    and the bit-for-bit tests against apply_w1 guard this on each platform
+    and numpy version.
     """
     bits1, bits2 = _orientation(pm1, pm2, manipulations)
     slack1, first = _operand_factors(pm1, *bits1)
@@ -337,17 +326,7 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     # not np.multiply.outer: numpy keeps a small allocation from its first
     # call in some processes only, so a cold run's traced peak would vary
     diagonal[0, :2, :2] = slack1[:, None] * slack2 * scale + 0.0
-    chunk, band = block_shape(dim, half, half, BLOCK)
-    slots = np.empty((chunk + 1) * band * half)
-    for c in range(0, dim, chunk):
-        for r in range(0, half, band):
-            rows = diagonal[1, r : r + band]
-            factors = first[c : c + chunk, r : r + band]
-            block = slots[: (len(factors) + 1) * rows.size].reshape(-1, *rows.shape)
-            np.copyto(block[0], rows)
-            np.einsum("cr,cs->crs", factors, second[c : c + chunk], out=block[1:])
-            np.multiply(block[1:], scale, out=block[1:])
-            np.add.reduce(block, axis=0, out=rows)
+    np.einsum("cr,cs,->rs", first, second, scale, out=diagonal[1])
     return diagonal.reshape(2, dim, 2, dim, 2)
 
 
@@ -394,16 +373,14 @@ def peak_bytes(n: int) -> int:
     bounded by everything a run holds at once: the two quarters of w1's
     row that it computes, 2**(2n+2) float64 amplitudes each, the payload
     and the squares of its weight (a quarter each), the two operands'
-    entries (half a quarter each), the blocks of terms that the row's and
-    the oracle's sums add (:data:`BLOCK` float64 and
-    :data:`qamp.complexmat.ORACLE_BLOCK` complex amplitudes), and
-    :data:`RUNTIME_BYTES`.  The oracle runs once the row and the payload
-    are freed: its two factors and its sums are 2**(2n) complex
-    amplitudes, half a quarter, each, and it transposes no sum after the
-    fact, so beside the operands and the decoded product it holds at most
-    3 quarters."""
-    quarter = 1 << (2 * n + 2)
-    return 8 * (5 * quarter + BLOCK) + 16 * ORACLE_BLOCK + RUNTIME_BYTES
+    entries (half a quarter each), and :data:`RUNTIME_BYTES`, which also
+    holds the buffers of w1's einsum (130 KiB traced from n = 5 on); the
+    sums of w1's row and of the oracle each write straight into their
+    output.  The oracle runs once the row and the payload are freed: its
+    two factors and its sums are 2**(2n) complex amplitudes, half a
+    quarter, each, and it transposes no sum after the fact, so beside the
+    operands and the decoded product it holds at most 3 quarters."""
+    return 8 * 5 * 4 ** (n + 1) + RUNTIME_BYTES
 
 
 def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:

@@ -9,7 +9,7 @@ import numpy as np
 
 from qamp import ComplexMatrix, PreparedMatrix, prepare
 from qamp.conjugator import apply_q, hermitian_conjugate
-from qamp.complexmat import block_shape, matrix_to_obj
+from qamp.complexmat import matrix_to_obj
 from qamp.encoder import EncodedBlock, encode, read_block
 from qamp.multiplier import MANIPULATION_STAGES, build_initial
 from qamp.registers import layout_for, register_view, select
@@ -41,29 +41,10 @@ def mixed_entries(rng, n):
     return entries
 
 
-#: block caps, from the number of terms of an ordered sum and the width of
-#: a term's row, that bring ``block_shape`` to each of its boundaries
-BLOCK_CAPS = {
-    "one-term-chunks": lambda terms, width: 2 * width,
-    "partial-last-chunk": lambda terms, width: 4 * width,
-    "partial-last-band": lambda terms, width: 3 * (terms + 1) * width,
-}
-
-
-def block_cap(case, terms, rows, width):
-    """The cap of ``BLOCK_CAPS[case]`` for a sum of ``terms`` arrays of shape
-    (rows, width), checked to reach that boundary: every chunk one term and
-    every band one row; chunks of several terms, the last one partial; or
-    every term in one chunk and bands of several rows, the last one partial."""
-    cap = BLOCK_CAPS[case](terms, width)
-    chunk, band = block_shape(terms, rows, width, cap)
-    if case == "one-term-chunks":
-        assert chunk == 1 and band == 1
-    elif case == "partial-last-chunk":
-        assert 1 < chunk < terms and terms % chunk and band == 1
-    else:
-        assert chunk == terms and 1 < band < rows and rows % band
-    return cap
+#: terms that add to 0 from +0.0 in index order, 2**53 + 1 rounding back
+#: to 2**53, but to 1 in a pairwise or multi-accumulator order and to 2 in
+#: reverse order: the canary of an ordered sum
+ORDER_CANARY = np.array([2.0**53, 1.0, 1.0, -(2.0**53)])
 
 
 def prepared_from_tilde(entries, b_phase=0.0):

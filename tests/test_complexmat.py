@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qamp import (
     prepared_to_obj,
 )
 from qamp import complexmat
-from support import BLOCK_CAPS, block_cap, matmul_oracle_numpy, mixed_entries, random_matrix
+from support import ORDER_CANARY, matmul_oracle_numpy, mixed_entries, random_matrix
 
 
 def matmul_swapped_loops(a, b):
@@ -259,17 +260,11 @@ class TestMatmulOracle:
             got = matmul_oracle(a, b).entries
             assert got.tobytes() == matmul_oracle_numpy(a, b).entries.tobytes()
 
-    @pytest.mark.parametrize("case", sorted(BLOCK_CAPS))
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_is_the_numpy_scalar_loop_in_every_block_shape(self, n, case, monkeypatch):
-        # at run sizes a block holds every l, and only n >= 6 has more than
-        # one; with the cap brought down the blocks split the l range and
-        # the rows as they do there, and the bits must not move; nor may
-        # they under any manipulation set, whose factors the oracle orients
-        # from the entries, summing a transposed product as the product of
-        # the transposed factors in exchanged order
-        dim = 1 << n
-        monkeypatch.setattr(complexmat, "ORACLE_BLOCK", block_cap(case, dim, dim, dim))
+    def test_is_the_numpy_scalar_loop_under_every_manipulation_set(self, n):
+        # the oracle orients each set's factors from the entries, summing a
+        # transposed product as the product of the transposed factors in
+        # exchanged order, and the bits must be the scalar loop's
         rng = np.random.default_rng(60 + n)
         for _ in range(2):
             a, b = (ComplexMatrix(n, mixed_entries(rng, n)) for _ in range(2))
@@ -313,6 +308,35 @@ class TestMatmulOracle:
             lhs = matmul_oracle(matmul_oracle(a, b), c)
             rhs = matmul_oracle(a, matmul_oracle(b, c))
             assert np.allclose(lhs.entries, rhs.entries, atol=1e-12)
+
+
+class TestEinsumOrder:
+    # the oracle's sum is one einsum, which must add each entry's terms in
+    # index order and round each real product (see matmul_oracle).  Entry
+    # (0, 0) sums the canary's terms, 0 in index order only; entry (1, 1)
+    # sums one term whose real part a*a - a*a is 0 with both products
+    # rounded, but the rounding error of a*a when one is fused into the
+    # subtraction
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_matmul_sums_in_index_order(self, n):
+        dim = 1 << n
+        x = np.zeros((dim, dim), dtype=np.complex128)
+        y = np.zeros((dim, dim), dtype=np.complex128)
+        x[:4, 0] = ORDER_CANARY
+        y[:4, 0] = 1.0
+        a = 1.0 + 2.0**-30
+        x[0, 1] = y[0, 1] = complex(a, a)
+        assert Fraction(a * a) != Fraction(a) ** 2  # so a fused a*a - a*a is not 0
+        got = complexmat._matmul(x, y)
+        for j in (0, 1):
+            re = im = 0.0
+            for l in range(dim):
+                x0, x1, y0, y1 = x[l, j].real, x[l, j].imag, y[l, j].real, y[l, j].imag
+                re += x0 * y0 - x1 * y1
+                im += x0 * y1 + x1 * y0
+            assert re == 0.0
+            want = np.complex128(complex(re, im))
+            assert got[j, j].tobytes() == want.tobytes(), f"numpy {np.__version__}: {got[j, j]!r} at {j}"
 
 
 class TestDaggerOracle:

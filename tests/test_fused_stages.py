@@ -12,21 +12,22 @@ vectors, not encodings, so every amplitude is exercised.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path computes only
 the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
 of the C1 = R2 = 0 slice of w1 after w0 on the build followed by Q3, Q2
-and Q1 as the manipulations ask, and with its block cap brought down to
-each block boundary.  The flagging step, which runs w2 from that diagonal
-and keeps only the payload tensor, is held bit for bit to the payload slice of w2, w3
-and the conditional measurement on the full register; its input is the
-diagonal of a random row, and the reference gets the whole row, embedded
-by name.  States are float64 only; a complex128 draw runs as its real and
+and Q1 as the manipulations ask, and its one einsum must add every
+amplitude's terms in c order (the order canary).  The flagging step,
+which runs w2 from that diagonal and keeps only the payload tensor, is
+held bit for bit to the payload slice of w2, w3 and the conditional
+measurement on the full register; its input is the diagonal of a random
+row, and the reference gets the whole row, embedded by name.  States are float64 only; a complex128 draw runs as its real and
 imaginary parts.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qamp import ComplexMatrix, MeasurementError, multiplier, prepare
+from qamp import ComplexMatrix, MeasurementError, prepare
 from qamp.conjugator import apply_q, hermitian_conjugate
 from qamp.multiplier import (
     MANIPULATIONS,
@@ -45,12 +46,12 @@ from qamp.registers import layout_for, register_view, select
 from qamp.statevector import GateSpec, StateVector, apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 from support import (
-    BLOCK_CAPS,
-    block_cap,
+    ORDER_CANARY,
     join_parts,
     manipulated_build,
     mixed_entries,
     pinned,
+    prepared_from_tilde,
     random_prepared,
     real_parts,
     sylvester_block,
@@ -198,17 +199,12 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
-    # the K1 = K2 = 1 quarter of the row, (2 dim) x (2 dim), is summed a
-    # block at a time, and at n <= 4 the default block holds all of it;
-    # with the cap brought down the blocks split the c range and the rows
-    # as they do from n = 5 on, and the diagonal must not move.  Operand
-    # components mix +-0.0 with magnitudes of either sign
+def test_w1_row_is_bit_for_bit_on_signed_zeros(n):
+    # operand components mix +-0.0 with magnitudes of either sign, so the
+    # diagonal must keep the sum's +0.0 start where every term is a zero
     layout = layout_for(n)
     working = layout.without("B", "BT")
     quarter_layout = working.without("C1", "R2", "K1", "K2")
-    dim = 1 << n
-    caps = {case: block_cap(case, dim, 2 * dim, 2 * dim) for case in BLOCK_CAPS}
     rng = np.random.default_rng(4100 + n)
     pm1, pm2 = (
         prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75, b_phase=phase) for phase in (None, 2.0)
@@ -221,13 +217,42 @@ def test_w1_row_is_blocked_bit_for_bit(n, monkeypatch):
                 pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k}).tobytes()
                 for k in (0, 1)
             )
-            for case, cap in caps.items():
-                monkeypatch.setattr(multiplier, "BLOCK", cap)
-                diagonal = _w1_diagonal(pm1, pm2, manips)
-                names = diagonal_names(manips)
-                order = [0] + [1 + names.index(name) for name in quarter_layout.view_names]
-                got = diagonal.transpose(order)
-                assert np.ascontiguousarray(got).tobytes() == want, (manips, case)
+            diagonal = _w1_diagonal(pm1, pm2, manips)
+            names = diagonal_names(manips)
+            order = [0] + [1 + names.index(name) for name in quarter_layout.view_names]
+            got = diagonal.transpose(order)
+            assert np.ascontiguousarray(got).tobytes() == want, manips
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_w1_sums_in_c_order(n):
+    # the K1 = K2 = 1 quarter is one einsum, which must add each amplitude's
+    # terms in c order and round each as apply_w1 does, the product of the
+    # two factors, then times the scale.  Amplitude (R1, C2) = (0, 0), both
+    # labels real, sums the canary's terms, 0 in c order only; (1, 1) sums
+    # q * scale and then its negation, 0 unless the second product is fused
+    # with the addition, which the rounding of q * scale shows at odd n,
+    # where the scale 2**(-n/2) is no power of two
+    dim = 1 << n
+    scale = 2.0 ** (-n / 2)
+    unit = {2: 2.0, 9: 22.62741699796952}[n]
+    assert unit * scale == 1.0  # so the canary's terms reach the sum exact
+    q = 1.0 + 2.0**-30
+    a1 = np.zeros((dim, dim), dtype=np.complex128)
+    a2 = np.zeros((dim, dim), dtype=np.complex128)
+    a1[0, :4] = ORDER_CANARY * unit * 2.0**-60
+    a1[1, :2] = q * 2.0**-40, -q * 2.0**-40
+    a2[:4, 0] = a2[:2, 1] = 0.25
+    quarter = _w1_diagonal(prepared_from_tilde(a1), prepared_from_tilde(a2), ())[1, :, 0, :, 0]
+    for r in (0, 1):
+        want = 0.0
+        for c in range(dim):
+            want += a1[r, c].real * a2[c, r].real * scale
+        assert want == 0.0
+        got = quarter[r, r]
+        assert got.tobytes() == np.float64(want).tobytes(), f"numpy {np.__version__}: {got!r} at {r}"
+    if n % 2:  # a fused -q * scale + fl(q * scale) is that rounding error
+        assert Fraction(q * scale) != Fraction(q) * Fraction(scale)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
