@@ -317,7 +317,7 @@ class TestEinsumOrder:
     # sums one term whose real part a*a - a*a is 0 with both products
     # rounded, but the rounding error of a*a when one is fused into the
     # subtraction
-    @pytest.mark.parametrize("n", [2, 9])
+    @pytest.mark.parametrize("n", [2, 3, 9])
     def test_matmul_sums_in_index_order(self, n):
         dim = 1 << n
         x = np.zeros((dim, dim), dtype=np.complex128)

@@ -224,7 +224,7 @@ def test_w1_row_is_bit_for_bit_on_signed_zeros(n):
             assert np.ascontiguousarray(got).tobytes() == want, manips
 
 
-@pytest.mark.parametrize("n", [2, 9])
+@pytest.mark.parametrize("n", [2, 3, 9])
 def test_w1_sums_in_c_order(n):
     # the K1 = K2 = 1 quarter is one einsum, which must add each amplitude's
     # terms in c order and round each as apply_w1 does, the product of the
@@ -232,10 +232,11 @@ def test_w1_sums_in_c_order(n):
     # labels real, sums the canary's terms, 0 in c order only; (1, 1) sums
     # q * scale and then its negation, 0 unless the second product is fused
     # with the addition, which the rounding of q * scale shows at odd n,
-    # where the scale 2**(-n/2) is no power of two
+    # where the scale 2**(-n/2) is no power of two: n = 3 checks that on
+    # an eight-term row, n = 9 on a long one
     dim = 1 << n
     scale = 2.0 ** (-n / 2)
-    unit = {2: 2.0, 9: 22.62741699796952}[n]
+    unit = {2: 2.0, 3: 2.82842712474619, 9: 22.62741699796952}[n]
     assert unit * scale == 1.0  # so the canary's terms reach the sum exact
     q = 1.0 + 2.0**-30
     a1 = np.zeros((dim, dim), dtype=np.complex128)
