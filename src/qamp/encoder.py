@@ -154,10 +154,11 @@ def check_memory(layout: RegisterLayout) -> None:
     and a temporary of up to half a state, the most that one gate of
     :func:`qamp.statevector.apply_gates` makes (H's ``a0 + a1``, or the
     slice that an X or SWAP exchanges); w1 holds one C1 slice, the
-    build only its output.  The runtime allowance also covers what does
-    not grow with the state: numpy's ufunc buffers and a weight's chunk of
-    at most :data:`qamp.statevector._FSUM_CHUNK` = 2**12 Python floats,
-    128 KiB, which is one state at n = 2."""
+    build only its output.  The runtime allowance also covers numpy's
+    ufunc buffers, which do not grow with the state.  A weight, taken
+    between gates, holds a float64 copy of the squares and their nonzero
+    mask, at most 9/16 of a state for a marginal, and hands ``math.fsum``
+    one Python float at a time."""
     needed = 20 * (1 << layout.total_qubits) + RUNTIME_BYTES
     require_memory(layout.n, needed, f"5/2 states of {layout.total_qubits} qubits and the runtime")
 

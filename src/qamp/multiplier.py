@@ -48,9 +48,9 @@ the manipulations come down to two bits per operand
 (:func:`_orientation`).
 
 So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
-one 2**(n+1) x 2**(n+1) array each, from one copy of each operand's
-entries, transposed and conjugated in place as the manipulations ask, and
-its slack pair (:func:`_operand_factors`, the one operand reader); no
+one 2**(n+1) x 2**(n+1) array each, from each operand's entries, read in
+place or in one copy transposed and conjugated as the manipulations ask,
+and its slack pair (:func:`_operand_factors`, the one operand reader); no
 component tensor is built.
 The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
 the two slack pairs, since an operand's K = 0 slab holds just the slack;
@@ -190,21 +190,20 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
 
     ``slack`` is the operand's K = 0 amplitudes at R = C = 0, (b.re, b.im)
     or, where the operand is conjugated, (b.re, -b.im); the rest of its
-    K = 0 slab is zero.  ``slab`` is its K = 1 slab, a (2**n, 2**(n+1))
-    float64 array: one copy of the entries, transposed where asked, viewed
-    as complex and conjugated in place where asked, so that its complex
-    view is the entries, their transpose, their conjugate or their
-    conjugate transpose.  Both are bit for bit the operand's amplitudes
+    K = 0 slab is zero.  ``slab`` is its K = 1 slab, a C-contiguous
+    (2**n, 2**(n+1)) float64 view of complex entries read in one oriented
+    call: the entries themselves, read in place, where neither bit is set,
+    else one C-ordered copy of their transpose (``np.ascontiguousarray``),
+    their conjugate or their conjugate transpose (``np.conjugate`` with
+    ``order="C"``).  Both are bit for bit the operand's amplitudes
     after :func:`qamp.conjugator.apply_q` per manipulation, or after
     :func:`qamp.conjugator.hermitian_conjugate` when both bits are set,
     since copying, conjugating and negating are exact.  The encoded
     state's norm is checked as :func:`qamp.encoder.encode` checks it.
     """
-    slab = np.empty((pm.matrix.dim, 2 * pm.matrix.dim))
-    entries = slab.view(np.complex128)
-    np.copyto(entries, pm.matrix.entries.T if transposed else pm.matrix.entries)
-    if conjugated:
-        np.conjugate(entries, out=entries)
+    entries = pm.matrix.entries.T if transposed else pm.matrix.entries
+    entries = np.conjugate(entries, order="C") if conjugated else np.ascontiguousarray(entries)
+    slab = entries.view(np.float64)
     slack = np.array((pm.b.real, -pm.b.imag if conjugated else pm.b.imag))
     _check_norm(float(np.vdot(slab, slab)) + float(slack @ slack))
     return slack, slab
@@ -294,10 +293,10 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
 
     Each operand's two factors come straight from its entries
     (:func:`_operand_factors`, oriented by :func:`_orientation`): its
-    slack pair, and its K = 1 slab as one copy of the entries, transposed
-    and conjugated as the manipulations ask, with a row per value of the
-    register it is summed over (C1 for the first operand, R2 for the
-    second) and the other register and the label along the row.
+    slack pair, and its K = 1 slab, the entries or one copy of them
+    transposed and conjugated as the manipulations ask, with a row per
+    value of the register it is summed over (C1 for the first operand, R2
+    for the second) and the other register and the label along the row.
 
     A manipulation never renames K, and an operand's K = 0 slab holds only
     the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0, and
@@ -373,14 +372,16 @@ def peak_bytes(n: int) -> int:
     bounded by everything a run holds at once: the two quarters of w1's
     row that it computes, 2**(2n+2) float64 amplitudes each, the payload
     and the squares of its weight (a quarter each), the two operands'
-    entries (half a quarter each), and :data:`RUNTIME_BYTES`, which also
-    holds the buffers of w1's einsum (130 KiB traced from n = 5 on); the
-    sums of w1's row and of the oracle each write straight into their
-    output.  The oracle runs once the row and the payload are freed: its
+    entries (half a quarter each; w1 reads a plain operand's entries in
+    place and one oriented copy of any other, freed before the payload is
+    written), the weight's nonzero mask (an eighth of a quarter), and
+    :data:`RUNTIME_BYTES`, which also holds the buffers of w1's einsum
+    (130 KiB traced from n = 5 on); the sums of w1's row and of the oracle
+    each write straight into their output.  The oracle runs once the row and the payload are freed: its
     two factors and its sums are 2**(2n) complex amplitudes, half a
     quarter, each, and it transposes no sum after the fact, so beside the
     operands and the decoded product it holds at most 3 quarters."""
-    return 8 * 5 * 4 ** (n + 1) + RUNTIME_BYTES
+    return (8 * 5 + 1) * 4 ** (n + 1) + RUNTIME_BYTES
 
 
 def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:

@@ -40,7 +40,6 @@ is :func:`_weight`'s.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +48,6 @@ import numpy as np
 from .errors import DimensionError, MeasurementError, ParameterError, ValidationError
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-#: squares handed to ``math.fsum`` at a time by :func:`_weight`, as Python
-#: floats of 32 bytes each (object and list slot), 128 KiB: a dense
-#: weight then peaks at 1.25 times its view's bytes from 2**16 amplitudes
-#: on, where 2**16 made it 5 times, with the same bits
-_FSUM_CHUNK = 1 << 12
 
 GATE_KINDS = ("X", "Z", "H", "SWAP")
 
@@ -96,14 +89,13 @@ def _weight(view: np.ndarray) -> float:
     order of the amplitudes nor on how many zeros the view carries, so a
     subspace weighs the same, bit for bit, in every state that holds it.
     The squares reach ``math.fsum`` largest first, which keeps its partial
-    sums few and so takes less time, and a chunk at a time, so a dense view
-    never becomes one Python float per amplitude at once."""
+    sums few and so takes less time, through a memoryview of the float64
+    copy, which hands over one Python float at a time: beside the copy a
+    dense view holds no Python float per amplitude."""
     squares = view[view != 0]  # a copy, squared and sorted in place
     np.multiply(squares, squares, out=squares)
     squares.sort()  # sorting the reversed view instead would copy it
-    largest = squares[::-1]
-    chunks = (largest[i : i + _FSUM_CHUNK].tolist() for i in range(0, largest.size, _FSUM_CHUNK))
-    return math.fsum(itertools.chain.from_iterable(chunks))
+    return math.fsum(memoryview(squares[::-1]))
 
 
 def _negate(view: np.ndarray) -> None:
@@ -124,7 +116,8 @@ class StateVector:
     """Real amplitudes over the 2**num_qubits basis states.
 
     A float64 array is kept as given; other real input is converted to
-    float64, and complex input raises :class:`ValidationError`.
+    float64, and complex or non-finite input raises
+    :class:`ValidationError`.
     """
 
     num_qubits: int
@@ -142,6 +135,8 @@ class StateVector:
                 f"expected {1 << max(self.num_qubits, 0)} amplitudes for "
                 f"{self.num_qubits} qubits, got shape {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError("amplitudes must be finite")
         self.amplitudes = arr
 
     def norm(self) -> float:

@@ -230,6 +230,41 @@ class TestEntryFactors:
                 rest[:r1, :c1, :r2, :c2] = 0.0
                 assert not np.any(rest), (sorted(manips), k1, k2)
 
+    @pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+    @pytest.mark.parametrize("conjugated", [False, True], ids=["kept", "conjugated"])
+    def test_slab_is_the_copied_and_conjugated_entries(self, transposed, conjugated):
+        # one oriented read of the entries gives, byte for byte, the slab
+        # that copying them into a float64 slab and conjugating its complex
+        # view in place gives, signed zeros included; the slab is
+        # C-contiguous, which w1's einsum needs to sum in c order, and a
+        # plain operand's slab is its entries themselves
+        n = 3
+        pm = prepare(ComplexMatrix(n, mixed_entries(np.random.default_rng(197), n)), 0.75, b_phase=1.0)
+        slack, slab = multiplier._operand_factors(pm, transposed, conjugated)
+        reference = np.empty((1 << n, 2 << n))
+        entries = reference.view(np.complex128)
+        np.copyto(entries, pm.matrix.entries.T if transposed else pm.matrix.entries)
+        if conjugated:
+            np.conjugate(entries, out=entries)
+        assert slab.dtype == np.float64 and slab.flags.c_contiguous
+        assert slab.shape == reference.shape and slab.tobytes() == reference.tobytes()
+        b = complex(pm.b)
+        assert slack.tolist() == [b.real, -b.imag if conjugated else b.imag]
+        assert np.shares_memory(slab, pm.matrix.entries) == (not transposed and not conjugated)
+
+    def test_run_and_estimate_leave_the_operands_unchanged(self):
+        # a plain operand's slab is its entries, read in place: no run or
+        # estimate under any manipulation set writes to either operand
+        rng = np.random.default_rng(199)
+        pm1, pm2 = (
+            prepare(ComplexMatrix(2, mixed_entries(rng, 2)), 0.75, b_phase=phase) for phase in (0.5, 2.0)
+        )
+        before = [(pm.matrix.entries.tobytes(), pm.b) for pm in (pm1, pm2)]
+        for manips in ALL_SUBSETS:
+            run_pipeline(pm1, pm2, manips)
+            estimate_g(pm1, pm2, manips, shots=10, seed=0)
+            assert [(pm.matrix.entries.tobytes(), pm.b) for pm in (pm1, pm2)] == before, sorted(manips)
+
     @pytest.mark.parametrize("defect", [2e-10, -2e-10, math.nan])
     def test_norm_defect_is_refused_by_a_run(self, defect):
         # a hand-built operand whose encoded squared norm misses 1 by more

@@ -235,6 +235,14 @@ class TestRealKernels:
             with pytest.raises(ValidationError, match="real"):
                 StateVector(1, amps)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_amplitudes_are_refused(self, value):
+        # a NaN or infinite amplitude would read as a NaN probability, or a
+        # NaN state after a projection, with at most a RuntimeWarning
+        for amps in ([value, 0.5, 0.5, 0.0], np.array([0.5, 0.5, 0.0, value])):
+            with pytest.raises(ValidationError, match=r"^amplitudes must be finite$"):
+                StateVector(2, amps)
+
     def test_amplitude_count_must_match_the_qubits(self):
         with pytest.raises(DimensionError, match=r"^expected 4 amplitudes for 2 qubits, got shape \(2,\)$"):
             StateVector(2, [0.6, 0.8])
@@ -388,11 +396,13 @@ class TestProjection:
             _, prob = project_and_renormalize(moved, top, 1)
             assert np.array([prob]).tobytes() == np.array([want]).tobytes()
 
-    def test_dense_weight_is_exact_within_one_and_a_half_views(self):
-        # 2**16 dense amplitudes reach math.fsum over several chunks, and the
-        # weight is still math.fsum of the squares, bit for bit; beside the
-        # copy of the squares only one chunk's Python floats is held
-        view = np.random.default_rng(71).normal(size=1 << 16)
+    @pytest.mark.parametrize("k", [10, 12, 14, 16])
+    def test_dense_weight_is_exact_within_nine_eighths_of_a_view(self, k):
+        # a dense view's weight is math.fsum of the squares, bit for bit,
+        # and it holds no Python float per amplitude: beside the nonzero
+        # mask (an eighth of the view) and the copy of the squares (one
+        # view) only 8 KiB is allowed
+        view = np.random.default_rng(71).normal(size=1 << k)
         want = math.fsum(v * v for v in view.tolist())
         tracemalloc.start()
         try:
@@ -401,4 +411,4 @@ class TestProjection:
         finally:
             tracemalloc.stop()
         assert np.array([got]).tobytes() == np.array([want]).tobytes()
-        assert peak <= 1.5 * view.nbytes
+        assert peak <= 1.125 * view.nbytes + 8192, (peak, view.nbytes)
