@@ -132,6 +132,48 @@ MUTANTS = (
         "if not np.isfinite(arr).all():",
         "if False:",
     ),
+    (
+        "integer rule: a bool taken as an integer",
+        "errors.py",
+        "isinstance(value, bool) or not isinstance(value, (int, np.integer))",
+        "not isinstance(value, (int, np.integer))",
+    ),
+    (
+        "real rule: a bool taken as a real number",
+        "errors.py",
+        "isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))",
+        "not isinstance(value, (int, float, np.integer, np.floating))",
+    ),
+    (
+        "width rule: a width of 0 taken",
+        "errors.py",
+        "if n < 1:",
+        "if n < 0:",
+    ),
+    (
+        "prepare: the slack is 1 - w, not its square root",
+        "complexmat.py",
+        "mag = math.sqrt(1.0 - w)",
+        "mag = 1.0 - w",
+    ),
+    (
+        "prepare: entries scaled by 1/sqrt(s + c), not 1/(s + c)",
+        "complexmat.py",
+        "a.entries / (s + c)",
+        "a.entries / math.sqrt(s + c)",
+    ),
+    (
+        "cli: a dimension mismatch exits 2, not 3",
+        "cli.py",
+        "EXIT_DIMENSION = 3",
+        "EXIT_DIMENSION = 2",
+    ),
+    (
+        "memory check: a run that needs exactly the physical memory refused",
+        "encoder.py",
+        "if needed > available:",
+        "if needed >= available:",
+    ),
 )
 
 

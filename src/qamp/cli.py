@@ -47,6 +47,7 @@ from .errors import (
     MethodUndefinedError,
     ParameterError,
     ValidationError,
+    _width,
 )
 from .estimator import estimate_g
 from .multiplier import oracle_product, resource_report, run_pipeline
@@ -269,8 +270,7 @@ def cmd_multiply(args) -> int:
 
 def cmd_conjugate(args) -> int:
     matrix = matrix_from_obj(_load_json(args.input))
-    if matrix.n < 1:
-        raise ParameterError("conjugate needs a matrix of width n >= 1")
+    _width(matrix.n)
     # the parsed and the prepared entries, their conjugate transpose and the
     # result's copy, 16 bytes an entry each
     needed = 4 * 16 * matrix.dim**2 + RUNTIME_BYTES

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MethodUndefinedError, ParameterError, ValidationError
+from .errors import DimensionError, MethodUndefinedError, ParameterError, ValidationError, _integer, _real
 
 #: absolute per-entry tolerance when holding a decoded result against an oracle
 ORACLE_TOL = 1e-10
@@ -34,9 +34,9 @@ class ComplexMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        self.n = _integer(self.n, "register width", DimensionError)
+        if self.n < 0:
             raise DimensionError(f"register width must be a nonnegative integer, got {self.n!r}")
-        self.n = int(self.n)
         dim = 1 << self.n
         arr = np.array(self.entries, dtype=np.complex128, order="C")
         if arr.shape != (dim, dim):
@@ -119,18 +119,10 @@ def _check_scale(s: float, c: float, error: type) -> None:
         raise error(f"the scale (s + c)^2 overflows float64 for s={s!r} and c={c!r}")
 
 
-def _check_real(value, what: str) -> None:
-    """Raise :class:`ParameterError`, naming ``what`` and the value, unless
-    ``value`` is a real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ParameterError(f"{what} must be a real number, got {value!r}")
-
-
 def _check_c(c: float) -> None:
     """Raise :class:`ParameterError` unless the slack parameter ``c`` is a
     positive and finite real number, not a bool."""
-    _check_real(c, "slack parameter c")
-    if not (c > 0) or not math.isfinite(c):  # also rejects NaN
+    if not (_real(c, "slack parameter c") > 0) or not math.isfinite(c):  # also rejects NaN
         raise ParameterError(f"slack parameter c must be positive and finite, got {c}")
 
 
@@ -150,8 +142,7 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
     """
     _check_c(c)
     if b_phase is not None:
-        _check_real(b_phase, "slack phase b_phase")
-        if not math.isfinite(b_phase):
+        if not math.isfinite(_real(b_phase, "slack phase b_phase")):
             raise ParameterError(f"slack phase b_phase must be finite, got {b_phase}")
     if not np.all(np.isfinite(a.entries)):
         raise ValidationError("matrix entries must be finite")
@@ -230,15 +221,11 @@ def matrix_to_obj(m: ComplexMatrix) -> dict:
     return {"n": m.n, "entries": pairs.tolist()}
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValidationError(
-            f"{where} must fit in float64, got an integer of {value.bit_length()} bits"
-        ) from None
+def _finite(value, where: str) -> float:
+    """A document's number as a float: a real number, numpy ones included
+    (:func:`qamp.errors._real`), that is finite; otherwise a
+    :class:`ValidationError` naming the field ``where``."""
+    number = _real(value, where, ValidationError)
     if not math.isfinite(number):
         raise ValidationError(f"{where} must be finite, got {value!r}")
     return number
@@ -247,7 +234,7 @@ def _require_number(value, where: str) -> float:
 def _pair(value, where: str) -> complex:
     if not isinstance(value, list) or len(value) != 2:
         raise ValidationError(f"{where} must be a [re, im] pair")
-    return complex(_require_number(value[0], where), _require_number(value[1], where))
+    return complex(_finite(value[0], where), _finite(value[1], where))
 
 
 def _numbers(entries: list, dim: int) -> list | None:
@@ -269,8 +256,8 @@ def matrix_from_obj(obj) -> ComplexMatrix:
         raise ValidationError("matrix document must be a JSON object")
     if "n" not in obj:
         raise ValidationError("missing field: n")
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    n = _integer(obj["n"], "field n", ValidationError)
+    if n < 0:
         raise ValidationError(f"field n must be a nonnegative integer, got {n!r}")
     if "entries" not in obj:
         raise ValidationError("missing field: entries")
@@ -287,8 +274,8 @@ def matrix_from_obj(obj) -> ComplexMatrix:
             components = None
         if components is not None and np.isfinite(components).all():
             return ComplexMatrix(n, components.view(np.complex128).reshape(dim, dim))
-    # a check failed, or a number is of a subclass of int or float: the
-    # walk names the first offending field, or reads the entries
+    # a check failed, or a number is of another type, such as a numpy
+    # one: the walk names the first offending field, or reads the entries
     out = np.zeros((dim, dim), dtype=np.complex128)
     for j, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
@@ -322,8 +309,8 @@ def prepared_from_obj(obj) -> PreparedMatrix:
     pm = PreparedMatrix(
         matrix=m,
         b=b,
-        s_original=_require_number(obj["s_original"], "field s_original"),
-        c=_require_number(obj["c"], "field c"),
+        s_original=_finite(obj["s_original"], "field s_original"),
+        c=_finite(obj["c"], "field c"),
     )
     if pm.b == 0:
         raise MethodUndefinedError(

@@ -27,10 +27,8 @@ bits; no qubit of the layout controls them.
 
 from __future__ import annotations
 
-import numbers
-
 from .encoder import EncodedBlock
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _integer
 from .registers import RegisterLayout
 from .statevector import GateSpec, StateVector, apply_gates
 
@@ -68,7 +66,6 @@ def apply_q(state: StateVector, which: int, layout: RegisterLayout) -> StateVect
     """Apply operand manipulation 1, 2 or 3, selected by an integer that is
     not a bool.  Each is involutory and norm preserving (a permutation of
     amplitudes with one sign flip)."""
-    integer = isinstance(which, numbers.Integral) and not isinstance(which, bool)
-    if not integer or which not in Q_ACTIONS:
+    if _integer(which, "manipulation selector") not in Q_ACTIONS:
         raise ParameterError(f"manipulation selector must be 1, 2 or 3, got {which!r}")
     return apply_gates(state, _gates(layout, *Q_ACTIONS[which]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexmat import PreparedMatrix
-from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError
+from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError, _integer
 from .multiplier import _check_manipulations, flagged_state
 from .statevector import _weight
 
@@ -67,11 +67,11 @@ def estimate_g(
     which has the identical distribution at a fraction of the cost.
     """
     manips = _check_manipulations(manipulations)
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ParameterError(f"shots must be an integer, got {shots!r}")
+    shots = _integer(shots, "shots")
     if not 1 <= shots <= MAX_SHOTS:
         raise ParameterError(f"shots must be between 1 and {MAX_SHOTS}, got {shots}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    seed = _integer(seed, "seed")
+    if seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     s1 = float(abs(pm1.b * pm2.b) ** 2)
     if s1 == 0.0:
@@ -85,10 +85,7 @@ def estimate_g(
     # never negative, but rounding can take it past 1
     zeros = int(np.random.default_rng(seed).binomial(shots, min(1.0, s1_tilde_exact)))
     if zeros == 0:
-        raise EstimateUnavailableError(
-            f"no zero outcomes in {shots} shots, cannot form the recovery ratio",
-            counts={0: 0, 1: shots},
-        )
+        raise EstimateUnavailableError(f"no zero outcomes in {shots} shots, cannot form the recovery ratio")
     p_hat = zeros / shots
     g_hat = math.sqrt(s1 / p_hat)
     # delta-method propagation of the binomial standard error through
@@ -101,7 +98,7 @@ def estimate_g(
         s1_tilde_exact=float(s1_tilde_exact),
         s1_tilde_sampled=p_hat,
         g_hat=g_hat,
-        shots=int(shots),
-        seed=int(seed),
+        shots=shots,
+        seed=seed,
         stderr=stderr,
     )

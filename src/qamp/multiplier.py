@@ -91,7 +91,7 @@ import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix, _matmul
 from .encoder import RUNTIME_BYTES, EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
-from .errors import DimensionError, MeasurementError, ParameterError
+from .errors import DimensionError, MeasurementError, ParameterError, _width
 from .registers import RegisterLayout, layout_for, register_view
 from .statevector import (
     _SQRT1_2,
@@ -114,11 +114,6 @@ PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
 #: (manipulation, conjugator stage) in circuit order: the operand exchange
 #: first, then the second operand's conjugation, then the first's
 MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
-
-
-def _check_width(n: int) -> None:
-    if n < 1:
-        raise ParameterError(f"matrix register width must be at least 1, got {n}")
 
 
 def _check_widths(pm1: PreparedMatrix, pm2: PreparedMatrix) -> None:
@@ -162,10 +157,10 @@ class ProductResult:
     scale_back: float
 
 
-def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
+def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manips):
     """Whether each operand's entries are read transposed and conjugated
-    after the manipulations, once the manipulations and the operands' widths
-    are checked: a (transposed, conjugated) pair per operand.
+    after the checked manipulations ``manips``: a (transposed, conjugated)
+    pair per operand.
 
     The run takes each operand's entries with one row per value of its
     summed register, C1 for the first and R2 for the second, and entry
@@ -179,8 +174,6 @@ def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations):
     order it comes first, so that after it M1 holds the second operand's
     label and M2 the first's.
     """
-    manips = _check_manipulations(manipulations)
-    _check_widths(pm1, pm2)
     swap, d1, d2 = ("swap_order" in manips, "dagger1" in manips, "dagger2" in manips)
     return ((swap == d1, d2 if swap else d1), (swap != d2, d1 if swap else d2))
 
@@ -418,7 +411,7 @@ def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:
     weight = _weight(payload)
     if weight == 0.0:
         bt = layout_for(dim.bit_length() - 1).start("BT")
-        raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability", probability=0.0)
+        raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability")
     np.divide(payload, math.sqrt(weight), out=payload)
     return payload, weight
 
@@ -479,11 +472,15 @@ def flagged_state(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tu
     tensor indexed [K1, R1, C2, M1] of shape (2, 2**n, 2**n, 2), and the
     branch's pre-projection weight.  Only the K1 = K2 quarters of w1's row
     (:func:`_w1_diagonal`) and the payload (:func:`flag_and_measure`) are
-    computed.  A width n below 1 is refused first, and then a run whose
-    :func:`peak_bytes` would not fit in physical memory, before anything is
-    allocated.
+    computed.  Each input is checked once, here or by the caller: a width
+    n below 1 is refused first, then operands of different widths, and
+    then a run whose :func:`peak_bytes` would not fit in physical memory,
+    before anything is allocated.  ``manipulations`` must already be
+    checked (:func:`_check_manipulations`), as :func:`run_pipeline` and
+    :func:`qamp.estimator.estimate_g` check them.
     """
-    _check_width(pm1.n)
+    _width(pm1.n)
+    _check_widths(pm1, pm2)
     require_memory(pm1.n, peak_bytes(pm1.n), "what a run holds at once and the runtime")
     return flag_and_measure(_w1_diagonal(pm1, pm2, manipulations))
 
@@ -561,12 +558,10 @@ def resource_report(n: int) -> ResourceReport:
     linearly in n, i.e. logarithmically in the matrix size: the contraction
     CNOTs and the Hadamard layer each act on disjoint qubits (depth 1), the
     label algebra adds a constant, and each manipulation is at most 2n+1
-    disjoint-qubit gates.  ``n`` must be an integer, and not a bool.
+    disjoint-qubit gates.  ``n`` must be a matrix register width
+    (:func:`qamp.errors._width`).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"matrix register width must be an integer, got {n!r}")
-    n = int(n)
-    _check_width(n)
+    n = _width(n)
     w3_controls = 2 * (n + 1)
     w3_depth = (2 * w3_controls - 3) + 1
     depth_total = 1 + 1 + 3 + w3_depth

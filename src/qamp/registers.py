@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, ParameterError, ValidationError, _integer, _width
 
 #: canonical allocation order, from qubit 0 upward
 CANONICAL_ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")
@@ -111,16 +111,12 @@ def _packed(widths) -> dict:
 def layout_for(n: int) -> RegisterLayout:
     """Canonical layout: 4n+6 qubits.  Repeated calls with an equal n,
     however it is passed, return the same (immutable) instance.  ``n``
-    must be an integer, and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"matrix register width must be an integer, got {n!r}")
-    return _layout_for(int(n))
+    must be a matrix register width (:func:`qamp.errors._width`)."""
+    return _layout_for(_width(n))
 
 
 @lru_cache(maxsize=64)
 def _layout_for(n: int) -> RegisterLayout:
-    if n < 1:
-        raise ParameterError(f"matrix register width must be at least 1, got {n}")
     widths = ((name, n if name in ("R1", "C1", "R2", "C2") else 1) for name in CANONICAL_ORDER)
     return RegisterLayout(n=n, slices=_packed(widths))
 
@@ -128,12 +124,12 @@ def _layout_for(n: int) -> RegisterLayout:
 def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
     """Amplitude index for a per-subsystem assignment; unnamed subsystems are 0.
 
-    Values are little-endian within each slice.
+    Values are integers, not bools, little-endian within each slice.
     """
     index = 0
     for name, value in assignment.items():
         r = layout.qubits(name)
-        v = int(value)
+        v = _integer(value, f"value of {name}")
         if not 0 <= v < (1 << len(r)):
             raise ValidationError(f"value {value} overflows subsystem {name} of width {len(r)}")
         index |= v << r.start

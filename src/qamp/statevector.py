@@ -45,30 +45,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MeasurementError, ParameterError, ValidationError
+from .errors import DimensionError, MeasurementError, ParameterError, ValidationError, _integer
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 GATE_KINDS = ("X", "Z", "H", "SWAP")
 
 
-def _index(value, what: str) -> int:
-    """``value`` as an int once it is checked to be an integer, a numpy one
-    included, and not a bool; otherwise a :class:`ParameterError` naming
-    ``what`` and the value, where ``int()`` would floor 2.9 to qubit 2 or
-    take True for qubit 1."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{what} must be an integer, not a bool, got {value!r}")
-    return int(value)
-
-
 def _check_qubit(num_qubits: int, qubit: int) -> None:
-    if not 0 <= _index(qubit, "qubit") < num_qubits:
+    if not 0 <= _integer(qubit, "qubit") < num_qubits:
         raise DimensionError(f"qubit {qubit} out of range for a {num_qubits}-qubit state")
 
 
 def _check_outcome(outcome: int) -> None:
-    if _index(outcome, "outcome") not in (0, 1):
+    if _integer(outcome, "outcome") not in (0, 1):
         raise ParameterError(f"outcome must be 0 or 1, got {outcome}")
 
 
@@ -115,15 +105,16 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
 class StateVector:
     """Real amplitudes over the 2**num_qubits basis states.
 
-    A float64 array is kept as given; other real input is converted to
-    float64, and complex or non-finite input raises
-    :class:`ValidationError`.
+    ``num_qubits`` is an integer, not a bool.  A float64 array is kept as
+    given; other real input is converted to float64, and complex or
+    non-finite input raises :class:`ValidationError`.
     """
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        self.num_qubits = _integer(self.num_qubits, "qubit count")
         arr = self.amplitudes
         if np.iscomplexobj(arr):
             raise ValidationError(
@@ -168,8 +159,8 @@ class GateSpec:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        targets = tuple(_index(t, "gate qubit") for t in self.targets)
-        controls = tuple((_index(q, "gate qubit"), _index(p, "control polarity")) for q, p in self.controls)
+        targets = tuple(_integer(t, "gate qubit") for t in self.targets)
+        controls = tuple((_integer(q, "gate qubit"), _integer(p, "control polarity")) for q, p in self.controls)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
         if self.kind not in GATE_KINDS:
@@ -211,7 +202,10 @@ class GateSpec:
 
 
 def init_basis(num_qubits: int, basis_index: int) -> StateVector:
-    """Real state with amplitude 1 on a single basis index."""
+    """Real state with amplitude 1 on a single basis index; the qubit count
+    and the index are integers, not bools."""
+    num_qubits = _integer(num_qubits, "qubit count")
+    basis_index = _integer(basis_index, "basis index")
     if num_qubits < 0:
         raise DimensionError(f"qubit count must be nonnegative, got {num_qubits}")
     dim = 1 << num_qubits
@@ -277,9 +271,7 @@ def project_and_renormalize(
     kept = _pinned(state.amplitudes, state.num_qubits, pin)
     prob = _weight(kept)
     if prob == 0.0:
-        raise MeasurementError(
-            f"outcome {outcome} on qubit {qubit} has zero probability", probability=0.0
-        )
+        raise MeasurementError(f"outcome {outcome} on qubit {qubit} has zero probability")
     amps = np.zeros_like(state.amplitudes)
     np.divide(kept, math.sqrt(prob), out=_pinned(amps, state.num_qubits, pin))
     return StateVector(state.num_qubits, amps), prob

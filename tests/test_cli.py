@@ -490,8 +490,8 @@ class TestOutOfRangeInput:
     def test_width_below_one_exit_2(self, tmp_path, capsys):
         # an n = 0 file parses and prepares, but no run takes it
         path = write_json(tmp_path / "z.json", {"n": 0, "entries": [[[0.3, 0.2]]]})
-        for command in ("multiply", "estimate-g"):
-            assert main([command, path, path]) == 2, command
+        for command, operands in (("multiply", 2), ("conjugate", 1), ("estimate-g", 2)):
+            assert main([command, *[path] * operands]) == 2, command
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == (
                 "",

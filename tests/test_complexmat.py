@@ -69,6 +69,14 @@ class TestPrepare:
         with pytest.raises(ParameterError, match=f"got {re.escape(repr(c))}$"):
             prepare(ComplexMatrix(1, [[2, 0], [0, 0]]), c)
 
+    def test_integers_beyond_float64_are_parameter_errors(self):
+        # math.isfinite raises an OverflowError on such an int
+        a = ComplexMatrix(1, [[2, 0], [0, 0]])
+        with pytest.raises(ParameterError, match="^slack parameter c must fit in float64, got an integer of 1329 bits$"):
+            prepare(a, 10**400)
+        with pytest.raises(ParameterError, match="^slack phase b_phase must fit in float64, got an integer of 1329 bits$"):
+            prepare(a, 1.0, b_phase=10**400)
+
     def test_direct_substitution(self):
         pm = prepare(ComplexMatrix(1, [[2, 0], [0, 0]]), c=1.0)
         assert np.allclose(pm.matrix.entries, [[0.4, 0], [0, 0]], atol=1e-15)
@@ -397,9 +405,9 @@ class TestFileSchema:
             # components that np.array(..., dtype=np.float64) would read as
             # 1.0, 1.5 and nan, or refuse with an OverflowError, and literals
             # that json.loads reads as nan and inf: the whole message
-            pytest.param(component(True), "entries[1][0] must be a number, got True", id="true"),
-            pytest.param(component("1.5"), "entries[1][0] must be a number, got '1.5'", id="string"),
-            pytest.param(component(None), "entries[1][0] must be a number, got None", id="null"),
+            pytest.param(component(True), "entries[1][0] must be a real number, got True", id="true"),
+            pytest.param(component("1.5"), "entries[1][0] must be a real number, got '1.5'", id="string"),
+            pytest.param(component(None), "entries[1][0] must be a real number, got None", id="null"),
             pytest.param(
                 {"n": 1, "entries": [[[1, 0], [0, 0]], [[0, 0, 0], [0, 0]]]},
                 "entries[1][0] must be a [re, im] pair",
@@ -425,11 +433,20 @@ class TestFileSchema:
             matrix_from_obj(obj)
 
     def test_numpy_float_entries_are_read_by_the_walk(self):
-        # numpy floats are float subclasses: the fast path leaves them to
-        # the walk, which reads them as the numbers they are
-        pairs = [[[np.float64(0.5), -0.0], [1, np.float64(-2.5)]], [[0.0, 0.25], [np.float64(3.0), 4]]]
-        m = matrix_from_obj({"n": 1, "entries": pairs})
+        # numpy numbers are not of the exact types int and float: the fast
+        # path leaves them to the walk, which reads them as the numbers
+        # they are, as it reads a numpy integer n; a numpy bool is refused
+        pairs = [
+            [[np.float64(0.5), -0.0], [np.int64(1), np.float64(-2.5)]],
+            [[0.0, np.float32(0.25)], [np.float64(3.0), 4]],
+        ]
+        m = matrix_from_obj({"n": np.int64(1), "entries": pairs})
+        assert m.n == 1 and type(m.n) is int
         assert m.entries.tobytes() == np.array(pairs, dtype=np.float64).tobytes()
+        pairs[1][1][0] = np.True_
+        message = rf"^entries\[1\]\[1\] must be a real number, got {re.escape(repr(np.True_))}$"
+        with pytest.raises(ValidationError, match=message):
+            matrix_from_obj({"n": 1, "entries": pairs})
 
     @pytest.mark.parametrize("key", ["b", "s_original", "c"])
     def test_prepared_document_names_a_missing_field(self, key):

@@ -88,7 +88,7 @@ class TestApplyQ:
         # True == 1 == 1.0, so a membership test alone would run manipulation 1
         layout = layout_for(1)
         sv = encode(prepared_from_tilde([[0.5, 0], [0, 0]]), "first", layout)
-        with pytest.raises(ParameterError, match="must be 1, 2 or 3"):
+        with pytest.raises(ParameterError, match="^manipulation selector must be an integer, not a bool"):
             apply_q(sv, which, layout)
         want = apply_q(sv, 1, layout).amplitudes
         assert apply_q(sv, np.int64(1), layout).amplitudes.tobytes() == want.tobytes()

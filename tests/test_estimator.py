@@ -103,9 +103,8 @@ class TestEstimateG:
         # slack so tiny that no zero outcome ever appears in a small sample
         eps = 1e-8
         near_full = prepared_from_tilde([[math.sqrt(1 - eps), 0], [0, 0]])
-        with pytest.raises(EstimateUnavailableError) as err:
+        with pytest.raises(EstimateUnavailableError):
             estimate_g(near_full, near_full, shots=1000, seed=3)
-        assert err.value.counts == {0: 0, 1: 1000}
 
     def test_shots_validation(self):
         pm1, pm2 = desk_pair()
@@ -119,7 +118,7 @@ class TestEstimateG:
         # a count of draws is an integer: 1.5 would draw one shot and
         # divide by 1.5
         for shots in (1.5, 10.0, True, "10"):
-            with pytest.raises(ParameterError, match=f"shots must be an integer, got {shots!r}"):
+            with pytest.raises(ParameterError, match=f"^shots must be an integer, not a bool, got {shots!r}$"):
                 estimate_g(pm1, pm2, shots=shots, seed=0)
         assert estimate_g(pm1, pm2, shots=np.int64(10), seed=0).shots == 10
 
@@ -127,8 +126,11 @@ class TestEstimateG:
         # numpy's generator takes only nonnegative integer seeds; anything
         # else is refused by name before the run
         pm1, pm2 = desk_pair()
-        for seed in (-1, -(2**70), 1.5, True):
-            with pytest.raises(ParameterError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+        for seed in (-1, -(2**70)):
+            with pytest.raises(ParameterError, match=f"^seed must be a nonnegative integer, got {seed!r}$"):
+                estimate_g(pm1, pm2, shots=10, seed=seed)
+        for seed in (1.5, True):
+            with pytest.raises(ParameterError, match=f"^seed must be an integer, not a bool, got {seed!r}$"):
                 estimate_g(pm1, pm2, shots=10, seed=seed)
         for seed in (0, np.int64(3), 2**70):
             assert estimate_g(pm1, pm2, shots=10, seed=seed).seed == seed

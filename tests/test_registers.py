@@ -152,6 +152,14 @@ class TestBasisIndex:
             seen.add(basis_index(layout, dict(zip(names, values))))
         assert seen == set(range(1 << layout.total_qubits))
 
+    @pytest.mark.parametrize("value", [1.9, "1", True, np.True_], ids=["float", "str", "True", "numpy-True"])
+    def test_values_must_be_integers_not_bools(self, value):
+        # int() would floor 1.9 to 1, parse "1" and take True for 1
+        layout = layout_for(1)
+        with pytest.raises(ParameterError, match=f"^value of R1 must be an integer, not a bool, got {re.escape(repr(value))}$"):
+            basis_index(layout, {"R1": value})
+        assert basis_index(layout, {"R1": np.int64(1)}) == basis_index(layout, {"R1": 1}) == 4
+
     def test_value_overflow(self):
         with pytest.raises(ValidationError):
             basis_index(layout_for(1), {"M1": 2})
