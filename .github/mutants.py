@@ -55,10 +55,16 @@ MUTANTS = (
         "product = product",
     ),
     (
-        "w1: the scale applied after the sum, not as einsum's operand",
+        "w1: the scale as einsum's third operand, not applied once after the sum",
         "multiplier.py",
+        'np.einsum("cr,cs->rs", first, second, out=diagonal[1])\n    np.multiply(diagonal[1], scale, out=diagonal[1])',
         'np.einsum("cr,cs,->rs", first, second, scale, out=diagonal[1])',
-        'np.multiply(np.einsum("cr,cs->rs", first, second), scale, out=diagonal[1])',
+    ),
+    (
+        "apply_w1: each term scaled as it is added, not the sum once",
+        "multiplier.py",
+        "(out, x, out=out)\n        np.multiply(out, scale, out=out)",
+        "(out, x * scale, out=out)",
     ),
     (
         "flag_and_measure: the real part adds where w2 subtracts",

@@ -28,7 +28,8 @@ NORM_TOL = 1e-12
 @dataclass
 class ComplexMatrix:
     """Dense square complex matrix of size 2**n x 2**n, entries finite,
-    held as a C-contiguous complex128 copy of what the caller passed."""
+    held as a C-contiguous complex128 copy of what the caller passed, or
+    as a result the package has just computed (:meth:`_fresh`)."""
 
     n: int
     entries: np.ndarray
@@ -37,6 +38,10 @@ class ComplexMatrix:
         self.n = _integer(self.n, "register width", DimensionError)
         if self.n < 0:
             raise DimensionError(f"register width must be a nonnegative integer, got {self.n!r}")
+        # no array holds 2**64 rows, so a wider n is refused without
+        # computing 2**n, which alone can exhaust memory
+        if self.n >= 64:
+            raise DimensionError(f"register width {self.n} is too wide for any matrix")
         dim = 1 << self.n
         arr = np.array(self.entries, dtype=np.complex128, order="C")
         if arr.shape != (dim, dim):
@@ -46,6 +51,19 @@ class ComplexMatrix:
         if not np.isfinite(arr).all():
             raise ValidationError("matrix entries must be finite")
         self.entries = arr
+
+    @classmethod
+    def _fresh(cls, n: int, entries: np.ndarray, *, finite: bool = False) -> ComplexMatrix:
+        """A matrix holding ``entries`` itself, neither copied nor reshaped:
+        a C-contiguous complex128 (2**n, 2**n) array that the package has
+        just computed and holds no other reference to.  Its finiteness is
+        scanned, as the constructor scans it, unless ``finite`` says that
+        the computation cannot overflow."""
+        if not finite and not np.isfinite(entries).all():
+            raise ValidationError("matrix entries must be finite")
+        matrix = object.__new__(cls)
+        matrix.n, matrix.entries = n, entries
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -84,16 +102,20 @@ class PreparedMatrix:
         return self.s_original + self.c
 
     def validate(self) -> None:
+        b = self.b
+        if isinstance(b, bool) or not isinstance(b, (int, float, complex, np.number)):
+            raise ValidationError(f"b must be a number, got {b!r}")
+        s = _real(self.s_original, "s_original", ValidationError)
+        c = _real(self.c, "c", ValidationError)
         w = self.matrix.weight()
         if w >= 1.0:
             raise ValidationError(f"scaled matrix weight {w} is not strictly below 1")
         try:
-            total = abs(self.b) ** 2 + w
+            total = abs(b) ** 2 + w
         except OverflowError:  # |b| or its square beyond float64
             total = math.inf
         if not abs(total - 1.0) <= NORM_TOL:  # also refuses a NaN slack
             raise ValidationError(f"|b|^2 + weight = {total!r} deviates from 1 beyond {NORM_TOL}")
-        s, c = self.s_original, self.c
         if not (c > 0) or not (s >= 0):  # also rejects NaN
             raise ValidationError(f"need c > 0 and s_original >= 0, got c={c!r}, s_original={s!r}")
         _check_scale(s, c, ValidationError)
@@ -101,8 +123,9 @@ class PreparedMatrix:
         # squares underflow, s and the weight are each off by up to half the
         # smallest subnormal, 2**-1074, per entry, and the weight's error is
         # scaled up by (s + c)^2
-        unscaled = w * self.scale * self.scale
-        underflow = self.matrix.dim**2 * 2.0**-1074 * (1.0 + self.scale * self.scale)
+        scale = s + c
+        unscaled = w * scale * scale
+        underflow = self.matrix.dim**2 * 2.0**-1074 * (1.0 + scale * scale)
         if abs(unscaled - s) > NORM_TOL * s + underflow:
             raise ValidationError(
                 f"s_original={s!r} and c={c!r} disagree with the entries: "

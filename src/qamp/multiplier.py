@@ -7,6 +7,7 @@ in this order:
       matching second-operand row qubit, so terms whose inner indices agree
       land on R2 = 0
   w1  Hadamards over C1 fold the inner-index sum into the C1 = 0 slice
+      (summed unscaled in c order, then scaled once by 2**(-n/2))
   w2  label algebra on (M1, M2) combines component products into real and
       imaginary parts of complex products, then K2 is relabeled so payload
       terms end at K2 = 0
@@ -30,8 +31,8 @@ holds a register state.  Walking back from that branch:
 - w3 and the measurement keep w2's M2 = K2 = 0 output;
 - w2 writes K2 = 0 from K2 = K1, so it reads only the K1 = K2 diagonal of
   the C1 = R2 = 0 row of w1's output, two of the row's four quarters;
-- w1's C1 = 0 row is 2**(-n/2) times the sum over c of w0's (C1 = c,
-  R2 = 0) slice;
+- w1's C1 = 0 row is the sum over c of w0's (C1 = c, R2 = 0) slice,
+  added in c order from +0.0 and then multiplied once by 2**(-n/2);
 - w0 fills that slice from the build's (C1 = c, R2 = c) after the
   manipulations, which is the first operand's factor at C1 = c times the
   second's at R2 = c.  Each manipulation is a signed permutation of the
@@ -54,8 +55,9 @@ and its slack pair (:func:`_operand_factors`, the one operand reader); no
 component tensor is built.
 The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
 the two slack pairs, since an operand's K = 0 slab holds just the slack;
-the K1 = K2 = 1 quarter sums one outer product per c, in c order, in
-one einsum.  :func:`flag_and_measure` writes w2's flagged output from the
+the K1 = K2 = 1 quarter sums one unscaled outer product per c, in c
+order, in one two-operand einsum, and multiplies the sum by 2**(-n/2)
+once.  :func:`flag_and_measure` writes w2's flagged output from the
 quarters straight into the payload, a component tensor indexed [K1, R1,
 C2, M1] (2**(2n+2) amplitudes), then weighs and renormalizes it.  The product is read through a complex view of the
 payload's K1 = 1 slab, and the estimator's K1 = 0 weight straight off
@@ -75,8 +77,8 @@ As public stages, w0, w2 and w3 run their own gate lists through the gate
 engine (:func:`qamp.statevector.apply_gates`): w0 the n contraction
 CNOTs, w2 its four label gates, w3 its one X on both ancillae.  w1
 alone is one pass over the register view, an ordered sum over the C1 axis
-with the Sylvester Hadamard matrix, since the run's K1 = K2 = 1 quarter
-is bit for bit that sum.
+with the Sylvester Hadamard matrix's signs, scaled once, since the run's
+K1 = K2 = 1 quarter is bit for bit that sum.
 
 Before allocating, a run is refused when its :func:`peak_bytes` (what a
 run holds at once and :data:`RUNTIME_BYTES`) exceed physical memory.
@@ -246,22 +248,24 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
 
     The layer is one pass over the register view of a new output state; the
     input is not mutated.  It contracts the C1 axis with the Sylvester
-    Hadamard matrix H as an ordered sum, with no matrix product: each
-    output slice C1 = j starts from +0.0 and adds H[j, c] * x[c]
-    elementwise over c in order.  Its C1 = 0 slice is therefore the sum the
-    run path accumulates (:func:`_w1_diagonal`), bit for bit.
+    Hadamard matrix H, every entry of which is +-2**(-n/2), as an ordered
+    sum, with no matrix product: each output slice C1 = j starts from
+    +0.0, adds or subtracts x[c] elementwise over c in order by the sign
+    of H[j, c], and is then multiplied once by 2**(-n/2).  Negating is
+    exact, so each slice rounds as one sum of its signed terms and one
+    product.  Its C1 = 0 slice, all signs +, is therefore the sum the run
+    path accumulates (:func:`_w1_diagonal`), bit for bit.
     """
-    hadamard = _sylvester(layout.n)
+    scale = 2.0 ** (-layout.n / 2)
     amps = np.empty_like(state.amplitudes)
     src, names = register_view(state.amplitudes, layout)
     dst, _ = register_view(amps, layout)
     src, dst = (np.moveaxis(view, names.index("C1"), 0) for view in (src, dst))
-    term = np.empty_like(src[0])
-    for out, signs in zip(dst, hadamard):
+    for out, negative in zip(dst, _sylvester(layout.n) < 0):
         out[...] = 0.0
-        for x, h in zip(src, signs):
-            np.multiply(x, h, out=term)
-            np.add(out, term, out=out)
+        for x, minus in zip(src, negative):
+            (np.subtract if minus else np.add)(out, x, out=out)
+        np.multiply(out, scale, out=out)
     return StateVector(state.num_qubits, amps)
 
 
@@ -280,9 +284,9 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     slice is the first operand's factor at C1 = c times the second's at
     R2 = c, whatever the manipulations renamed, since C1 stays in the first
     operand's block and R2 in the second's.  Row 0 of the Hadamard matrix
-    is 2**(-n/2) throughout, so the row is the sum over c of 2**(-n/2)
-    times the outer product of those two factors, accumulated in c order
-    from +0.0 as :func:`apply_w1` does.
+    is 2**(-n/2) throughout, so the row is the sum over c of the outer
+    product of those two factors, accumulated in c order from +0.0 and
+    then multiplied once by 2**(-n/2), as :func:`apply_w1` does.
 
     Each operand's two factors come straight from its entries
     (:func:`_operand_factors`, oriented by :func:`_orientation`): its
@@ -295,18 +299,20 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0, and
     every amplitude of the c = 0 term outside its 2 x 2 corner (R1 = C2 =
     0), is +-0.0.  Added to a sum that started at +0.0, those zeros give
-    +0.0, so that quarter is +0.0 but for its corner, the product of the
-    two slack pairs times 2**(-n/2) plus +0.0 (which turns a -0.0 into
-    +0.0, as the sum does).  The K1 = K2 = 1 quarter takes the
-    sum over every c in one einsum, written into the quarter.  Both factors
-    are C-contiguous, so numpy's iterator puts c outermost and every
-    amplitude adds its terms in c order, in place, onto the +0.0 that
-    einsum writes first, as :func:`apply_w1` does.  The scale is einsum's
-    third operand, not applied afterwards, so each term is rounded as
-    apply_w1 rounds it, the product of the two factors times the scale.
-    The order canary (``test_fused_stages.py::test_w1_sums_in_c_order``)
-    and the bit-for-bit tests against apply_w1 guard this on each platform
-    and numpy version.
+    +0.0, and so does their scaling, so that quarter is +0.0 but for its
+    corner: the product of the two slack pairs plus +0.0 (which turns a
+    -0.0 into +0.0, as the sum does), times 2**(-n/2).  The K1 = K2 = 1
+    quarter takes the unscaled sum over every c in one two-operand einsum,
+    written into the quarter, and then one in-place multiply by the scale.
+    Both factors are C-contiguous, so numpy's iterator puts c outermost
+    and every amplitude adds its terms in c order, in place, onto the +0.0
+    that einsum writes first, as :func:`apply_w1` does; each term is the
+    rounded product of the two factors, fused with no addition.  At even n
+    the scale is a power of two, so these are the bits that scaling each
+    term would give, wherever nothing underflows.  The order canary
+    (``test_fused_stages.py::test_w1_sums_in_c_order``) and the
+    bit-for-bit tests against apply_w1 guard this on each platform and
+    numpy version.
     """
     bits1, bits2 = _orientation(pm1, pm2, manipulations)
     slack1, first = _operand_factors(pm1, *bits1)
@@ -317,8 +323,9 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     diagonal = np.zeros((2, half, half))
     # not np.multiply.outer: numpy keeps a small allocation from its first
     # call in some processes only, so a cold run's traced peak would vary
-    diagonal[0, :2, :2] = slack1[:, None] * slack2 * scale + 0.0
-    np.einsum("cr,cs,->rs", first, second, scale, out=diagonal[1])
+    diagonal[0, :2, :2] = (slack1[:, None] * slack2 + 0.0) * scale
+    np.einsum("cr,cs->rs", first, second, out=diagonal[1])
+    np.multiply(diagonal[1], scale, out=diagonal[1])
     return diagonal.reshape(2, dim, 2, dim, 2)
 
 
@@ -369,11 +376,12 @@ def peak_bytes(n: int) -> int:
     place and one oriented copy of any other, freed before the payload is
     written), the weight's nonzero mask (an eighth of a quarter), and
     :data:`RUNTIME_BYTES`, which also holds the buffers of w1's einsum
-    (130 KiB traced from n = 5 on); the sums of w1's row and of the oracle
-    each write straight into their output.  The oracle runs once the row and the payload are freed: its
-    two factors and its sums are 2**(2n) complex amplitudes, half a
-    quarter, each, and it transposes no sum after the fact, so beside the
-    operands and the decoded product it holds at most 3 quarters."""
+    (1.5 KiB traced at each n from 2 to 9); the sums of w1's row and of
+    the oracle each write straight into their output.  The oracle runs
+    once the row and the payload are freed: its two factors and its sums
+    are 2**(2n) complex amplitudes, half a quarter, each, and it
+    transposes no sum after the fact, so beside the operands and the
+    decoded product it holds at most 3 quarters."""
     return (8 * 5 + 1) * 4 ** (n + 1) + RUNTIME_BYTES
 
 
@@ -461,8 +469,8 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     else:  # A2 A1
         x, y, b_hat = a2.T, a1, b1 * b2
     entries = _matmul(np.ascontiguousarray(x), np.ascontiguousarray(y))
-    del x, y  # the factors are freed before the sums are copied out
-    return ComplexMatrix(pm1.n, entries), b_hat
+    del x, y  # the factors are freed before the sums are scanned
+    return ComplexMatrix._fresh(pm1.n, entries), b_hat
 
 
 def flagged_state(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tuple[np.ndarray, float]:
@@ -507,7 +515,8 @@ def run_pipeline(
     if "swap_order" in manips:
         product = product.T
     entries = np.multiply(product, g_exact, order="C")
-    matrix_hat = ComplexMatrix(pm1.n, entries)
+    # a fresh complex128 array, finite since the payload is normalized
+    matrix_hat = ComplexMatrix._fresh(pm1.n, entries, finite=True)
     b_hat = complex(payload[0, 0, 0, 0], payload[0, 0, 0, 1]) * g_exact
     # only the decoded product is held through the oracle
     del payload, product, entries

@@ -54,6 +54,12 @@ class TestComplexMatrix:
         with pytest.raises(ValidationError):
             ComplexMatrix(1, [[complex(0, float("inf")), 0], [0, 0]])
 
+    @pytest.mark.parametrize("n", [64, 2**62], ids=["64", "2**62"])
+    def test_width_too_wide_for_any_matrix_is_refused_before_two_to_the_n(self, n):
+        # 1 << 2**62 alone would need 2**59 bytes
+        with pytest.raises(DimensionError, match=f"^register width {n} is too wide for any matrix$"):
+            ComplexMatrix(n, [[1]])
+
     @pytest.mark.parametrize("n", [True, False])
     def test_width_must_not_be_a_bool(self, n):
         # the entries fit the width the bool would stand for
@@ -186,6 +192,32 @@ class TestPreparedMatrix:
         bad = PreparedMatrix(ok.matrix, ok.b, s_original, c)
         with pytest.raises(ValidationError):
             bad.validate()
+
+    @pytest.mark.parametrize(
+        "b,s_original,c,message",
+        [
+            (math.sqrt(0.5), 0.5, True, "^c must be a real number, got True$"),
+            (math.sqrt(0.5), True, 0.5, "^s_original must be a real number, got True$"),
+            (math.sqrt(0.5), 10**400, 0.5, "^s_original must fit in float64, got an integer of 1329 bits$"),
+            (math.sqrt(0.5), 0.5, "0.5", "^c must be a real number, got '0.5'$"),
+            ("x", 0.5, 0.5, "^b must be a number, got 'x'$"),
+            (True, 0.5, 0.5, "^b must be a number, got True$"),
+        ],
+        ids=["bool-c", "bool-s_original", "huge-s_original", "str-c", "str-b", "bool-b"],
+    )
+    def test_validate_checks_the_record_types_before_any_arithmetic(self, b, s_original, c, message):
+        # each is refused by name before any arithmetic: a bool c would
+        # count as 1, an int s_original beyond float64 would overflow in
+        # s + c, and a str b would fail in abs(b)
+        ok = PreparedMatrix(ComplexMatrix(1, [[0.5, 0], [0, 0.5]]), math.sqrt(0.5), 0.5, 0.5)
+        ok.validate()
+        bad = PreparedMatrix(ok.matrix, b, s_original, c)
+        with pytest.raises(ValidationError, match=message):
+            bad.validate()
+
+    @pytest.mark.parametrize("kind", [float, complex, np.complex128, np.float64])
+    def test_validate_takes_a_slack_of_any_numeric_type(self, kind):
+        PreparedMatrix(ComplexMatrix(1, [[0.5, 0], [0, 0.5]]), kind(math.sqrt(0.5)), 0.5, 0.5).validate()
 
     def test_validate_refuses_nan_slack(self):
         # |b|^2 + weight is NaN, which no tolerance comparison can pass

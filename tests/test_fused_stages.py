@@ -32,6 +32,8 @@ from qamp.conjugator import apply_q, hermitian_conjugate
 from qamp.multiplier import (
     MANIPULATIONS,
     PAYLOAD_ZEROS,
+    _operand_factors,
+    _orientation,
     _sylvester,
     _w1_diagonal,
     apply_w0,
@@ -226,34 +228,66 @@ def test_w1_row_is_bit_for_bit_on_signed_zeros(n):
 
 @pytest.mark.parametrize("n", [2, 3, 9])
 def test_w1_sums_in_c_order(n):
-    # the K1 = K2 = 1 quarter is one einsum, which must add each amplitude's
-    # terms in c order and round each as apply_w1 does, the product of the
-    # two factors, then times the scale.  Amplitude (R1, C2) = (0, 0), both
-    # labels real, sums the canary's terms, 0 in c order only; (1, 1) sums
-    # q * scale and then its negation, 0 unless the second product is fused
-    # with the addition, which the rounding of q * scale shows at odd n,
-    # where the scale 2**(-n/2) is no power of two: n = 3 checks that on
-    # an eight-term row, n = 9 on a long one
+    # the K1 = K2 = 1 quarter is one two-operand einsum, which must add each
+    # amplitude's unscaled terms in c order from +0.0 and round every
+    # product, followed by one multiply by the scale, as apply_w1 does.
+    # With both labels real, amplitude (R1, C2) = (0, 0) sums the canary's
+    # terms, 0 in c order only; (1, 1) sums q * q and then its negation, 0
+    # unless the second product is fused with the addition; (2, 2) sums 1
+    # and 6 (times 2**-6), whose sum scaled once rounds otherwise than the
+    # two terms scaled one by one at odd n, where the scale 2**(-n/2) is no
+    # power of two.  n = 3 checks that on an eight-term row, n = 9 on a
+    # long one
     dim = 1 << n
     scale = 2.0 ** (-n / 2)
-    unit = {2: 2.0, 3: 2.82842712474619, 9: 22.62741699796952}[n]
-    assert unit * scale == 1.0  # so the canary's terms reach the sum exact
     q = 1.0 + 2.0**-30
     a1 = np.zeros((dim, dim), dtype=np.complex128)
     a2 = np.zeros((dim, dim), dtype=np.complex128)
-    a1[0, :4] = ORDER_CANARY * unit * 2.0**-60
+    a1[0, :4] = ORDER_CANARY * 2.0**-60
     a1[1, :2] = q * 2.0**-40, -q * 2.0**-40
-    a2[:4, 0] = a2[:2, 1] = 0.25
+    a1[2, :2] = 2.0**-4, 6 * 2.0**-4
+    a2[:4, 0] = a2[:2, 2] = 0.25
+    a2[:2, 1] = 0.25 * q
     quarter = _w1_diagonal(prepared_from_tilde(a1), prepared_from_tilde(a2), ())[1, :, 0, :, 0]
-    for r in (0, 1):
-        want = 0.0
-        for c in range(dim):
-            want += a1[r, c].real * a2[c, r].real * scale
-        assert want == 0.0
+    for r in (0, 1, 2):
+        terms = [a1[r, c].real * a2[c, r].real for c in range(dim)]
+        total = 0.0
+        for term in terms:
+            total += term
+        want = total * scale
         got = quarter[r, r]
         assert got.tobytes() == np.float64(want).tobytes(), f"numpy {np.__version__}: {got!r} at {r}"
-    if n % 2:  # a fused -q * scale + fl(q * scale) is that rounding error
-        assert Fraction(q * scale) != Fraction(q) * Fraction(scale)
+        if r == 2:
+            assert want != total  # the scale is applied
+            each = 0.0
+            for term in terms:
+                each += term * scale
+            assert (each != want) == bool(n % 2)  # and is applied once, after the sum
+        else:
+            assert want == 0.0
+    # a fused -q * q + fl(q * q) is the rounding error of q * q
+    assert Fraction(q * q) != Fraction(q) ** 2
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_w1_quarters_keep_the_per_term_bits_at_even_n(n):
+    # at even n the scale is a power of two, so scaling w1's sum once gives
+    # the bits of scaling each term as it is added: the quarters equal the
+    # three-operand einsum with the scale as its third operand, and the
+    # corner the slack pairs' product times the scale plus +0.0
+    rng = np.random.default_rng(4200 + n)
+    pm1, pm2 = (random_prepared(rng, n, complex_b=True) for _ in range(2))
+    scale = 2.0 ** (-n / 2)
+    half = 2 << n
+    for r in range(4):
+        for manips in itertools.combinations(sorted(MANIPULATIONS), r):
+            (slack1, first), (slack2, second) = (
+                _operand_factors(pm, *bits) for pm, bits in zip((pm1, pm2), _orientation(pm1, pm2, manips))
+            )
+            old = np.zeros((2, half, half))
+            old[0, :2, :2] = slack1[:, None] * slack2 * scale + 0.0
+            old[1] = np.einsum("cr,cs,->rs", first, second, scale)
+            assert _w1_diagonal(pm1, pm2, manips).tobytes() == old.tobytes(), manips
 
 
 @pytest.mark.parametrize("n", range(1, 9))
