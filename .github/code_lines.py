@@ -1,4 +1,5 @@
-"""Print the code-line count of each module of src/qamp and their total.
+"""Print the code-line count of each module of src/qamp, the totals of
+the run path and of the full-register reference, and the package total.
 
 A code line is a line that holds a token of code: comments, blank lines
 and docstrings (the first string statement of a module, class or function,
@@ -8,8 +9,9 @@ counts each line that holds one of its tokens (found with ``tokenize``).
     python3 .github/code_lines.py [package directory]
 
 The directory defaults to src/qamp beside this script; pass another
-checkout's to compare two trees.  Prints one line per module and a total,
-and always exits 0.
+checkout's to compare two trees.  Prints one line per module, then the
+run path's total (every module but the reference's), the reference's total
+(:data:`REFERENCE`) and the package total, and always exits 0.
 """
 
 import ast
@@ -28,6 +30,9 @@ LAYOUT = {
     tokenize.ENCODING,
     tokenize.ENDMARKER,
 }
+
+#: the full-register reference, which no run-path module imports
+REFERENCE = ("statevector.py", "encoder.py", "conjugator.py")
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -54,12 +59,14 @@ def code_lines(source: str) -> int:
 def main(argv: list[str]) -> int:
     default = Path(__file__).resolve().parent.parent / "src" / "qamp"
     package = Path(argv[1]) if len(argv) > 1 else default
-    total = 0
+    totals = {"run path": 0, "reference": 0}
     for path in sorted(package.glob("*.py")):
         count = code_lines(path.read_text())
-        total += count
+        totals["reference" if path.name in REFERENCE else "run path"] += count
         print(f"{path.name:20} {count:5}")
-    print(f"{'total':20} {total:5}")
+    totals["total"] = sum(totals.values())
+    for name, count in totals.items():
+        print(f"{name:20} {count:5}")
     return 0
 
 

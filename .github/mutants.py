@@ -62,7 +62,7 @@ MUTANTS = (
     ),
     (
         "apply_w1: each term scaled as it is added, not the sum once",
-        "multiplier.py",
+        "conjugator.py",
         "(out, x, out=out)\n        np.multiply(out, scale, out=out)",
         "(out, x * scale, out=out)",
     ),
@@ -92,7 +92,7 @@ MUTANTS = (
     ),
     (
         "weight: magnitudes summed instead of squares",
-        "statevector.py",
+        "multiplier.py",
         "np.multiply(squares, squares, out=squares)",
         "np.abs(squares, out=squares)",
     ),
@@ -157,6 +157,12 @@ MUTANTS = (
         "if n < 0:",
     ),
     (
+        "ComplexMatrix: a bool entry taken as a number",
+        "complexmat.py",
+        "np.number)) and not issubclass(kind, bool)",
+        "np.number))",
+    ),
+    (
         "prepare: the slack is 1 - w, not its square root",
         "complexmat.py",
         "mag = math.sqrt(1.0 - w)",
@@ -176,7 +182,7 @@ MUTANTS = (
     ),
     (
         "memory check: a run that needs exactly the physical memory refused",
-        "encoder.py",
+        "multiplier.py",
         "if needed > available:",
         "if needed >= available:",
     ),

@@ -11,11 +11,11 @@ independent classical linear-algebra oracle.
 The top level is the run API: the matrices and their documents, the
 oracles, the errors, :func:`run_pipeline`, :func:`estimate_g` and the
 resource count.  The full-register reference that the tests hold the run
-to stays public in the modules that define it: the gate engine in
-:mod:`qamp.statevector`, the layout in :mod:`qamp.registers`, the
-encoding in :mod:`qamp.encoder`, the manipulations and the conjugation in
-:mod:`qamp.conjugator`, and the build, w0..w3 and the conditional
-measurement in :mod:`qamp.multiplier`.
+to is public in the modules that define it, which the run API does not
+import: the gate engine in :mod:`qamp.statevector`, the encoding on a
+register state in :mod:`qamp.encoder`, and the manipulations, the
+conjugation, the build, w0..w3 and the conditional measurement in
+:mod:`qamp.conjugator`.
 """
 
 __version__ = "0.1.0"

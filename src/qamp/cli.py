@@ -39,7 +39,6 @@ from .complexmat import (
     prepared_from_obj,
     prepared_to_obj,
 )
-from .encoder import RUNTIME_BYTES, require_memory
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
@@ -50,7 +49,7 @@ from .errors import (
     _width,
 )
 from .estimator import estimate_g
-from .multiplier import oracle_product, resource_report, run_pipeline
+from .multiplier import RUNTIME_BYTES, oracle_product, require_memory, resource_report, run_pipeline
 from .registers import layout_for
 
 EXIT_OK = 0

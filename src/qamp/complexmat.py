@@ -29,7 +29,13 @@ NORM_TOL = 1e-12
 class ComplexMatrix:
     """Dense square complex matrix of size 2**n x 2**n, entries finite,
     held as a C-contiguous complex128 copy of what the caller passed, or
-    as a result the package has just computed (:meth:`_fresh`)."""
+    as a result the package has just computed (:meth:`_fresh`).
+
+    Every entry must be a number: bools, strings and bytes, which numpy
+    would read as 1, 0 or the number they spell, raise
+    :class:`ValidationError`, and rows of different lengths
+    :class:`DimensionError`.  An int, float or complex array is taken by
+    its dtype alone; any other input is checked entry by entry."""
 
     n: int
     entries: np.ndarray
@@ -43,11 +49,24 @@ class ComplexMatrix:
         if self.n >= 64:
             raise DimensionError(f"register width {self.n} is too wide for any matrix")
         dim = 1 << self.n
-        arr = np.array(self.entries, dtype=np.complex128, order="C")
-        if arr.shape != (dim, dim):
+        entries = self.entries
+        if isinstance(entries, np.ndarray) and entries.dtype.kind != "O":
+            bad = [] if entries.dtype.kind in "iufc" else [f"an array of {entries.dtype}"]
+        else:
+            try:
+                entries = np.array(entries, dtype=object)
+            except ValueError:  # rows nested so unevenly that no object array holds them
+                raise DimensionError(
+                    f"expected a {dim}x{dim} matrix for n={self.n}, got uneven rows"
+                ) from None
+            bad = sorted({t.__name__ for t in map(type, entries.flat) if not _is_number(t)})
+        if entries.shape != (dim, dim):
             raise DimensionError(
-                f"expected a {dim}x{dim} matrix for n={self.n}, got shape {arr.shape}"
+                f"expected a {dim}x{dim} matrix for n={self.n}, got shape {entries.shape}"
             )
+        if bad:
+            raise ValidationError(f"matrix entries must be numbers, got {', '.join(bad)}")
+        arr = np.array(entries, dtype=np.complex128, order="C")
         if not np.isfinite(arr).all():
             raise ValidationError("matrix entries must be finite")
         self.entries = arr
@@ -131,6 +150,12 @@ class PreparedMatrix:
                 f"s_original={s!r} and c={c!r} disagree with the entries: "
                 f"weight * (s_original + c)^2 = {unscaled!r}"
             )
+
+
+def _is_number(kind: type) -> bool:
+    """Whether ``kind`` is a number type, a numpy one included, and not
+    bool."""
+    return issubclass(kind, (int, float, complex, np.number)) and not issubclass(kind, bool)
 
 
 def _check_scale(s: float, c: float, error: type) -> None:

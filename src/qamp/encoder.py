@@ -12,55 +12,72 @@ with every other amplitude zero, so all amplitudes are real and their
 squares sum to one.  State preparation is direct amplitude assignment; no
 gate-level preparation circuit is synthesized.
 
-Amplitudes are written and read through the register view of
-:mod:`qamp.registers`, so each encoding is a small (K, R, C, M) component
-tensor placed into a slice of it.  :func:`joint_amplitudes` writes a
-product of two such tensors as one broadcast multiply into the state,
-whatever blocks they sit on; the full-register build
-(:func:`qamp.multiplier.build_initial`) hands it both operands' tensors on
-their own blocks.  Reading back is split the same
-way: :func:`read_block` reads the component tensor of a block,
+The register view (:func:`register_view`) is a state reshaped to one axis
+per subsystem, most significant subsystem first, and each encoding is a
+small (K, R, C, M) component tensor placed into a slice of it
+(:func:`select`).  :func:`joint_amplitudes` writes a product of two such
+tensors as one broadcast multiply into the state, whatever blocks they sit
+on; the full-register build (:func:`qamp.conjugator.build_initial`) hands
+it both operands' tensors on their own blocks.  Reading back is split the
+same way: :func:`read_block` reads the component tensor of a block,
 :func:`residual` weighs everything outside the encoding support, and
-:func:`decode` does both.  No CLI command encodes or reads a register
-state: the pipeline's run path takes each operand's amplitudes straight
-from its entries and slack (:func:`qamp.multiplier._operand_factors`,
-which checks the norm as :func:`_components` does, through
-:func:`_check_norm`), ``qamp conjugate`` reads the conjugate transpose
-straight off the prepared entries, and the run's
-result, the flagged payload, is a component tensor already.  The
-functions here stay as the full-register reference.
-
-Nothing derived from a layout is kept on it: :func:`_inside` works out a
-block's index and axis order on each call, microseconds beside the
-milliseconds of a full-register decode.
+:func:`decode` does both.  Nothing derived from a layout is kept on it:
+:func:`_inside` works out a block's index and axis order on each call,
+microseconds beside the milliseconds of a full-register decode.
 
 :func:`check_memory` refuses a layout whose stages cannot fit in physical
-memory (5/2 states and :data:`RUNTIME_BYTES`), and :func:`joint_amplitudes`
-calls it before allocating; :func:`require_memory` is the comparison
-behind it.  It takes only the width n, so the run path and ``qamp
-conjugate`` make it for their own, smaller peaks before their first
-allocation without building a layout.
+memory (5/2 states and :data:`qamp.multiplier.RUNTIME_BYTES`), and
+:func:`joint_amplitudes` calls it before allocating, through the same
+comparison as the run's preflight (:func:`qamp.multiplier.require_memory`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix
-from .errors import DimensionError, ParameterError, ValidationError
-from .registers import RegisterLayout, register_view, select
-from .statevector import StateVector, _weight
+from .errors import DimensionError, ParameterError, ValidationError, _integer
+from .multiplier import RUNTIME_BYTES, _check_norm, _weight, require_memory
+from .registers import RegisterLayout
+from .statevector import StateVector
 
-#: encode refuses states whose squared norm strays further than this from 1
-ENCODE_NORM_TOL = 1e-10
 
-#: resident bytes of the process around a run's or a stage's arrays: the
-#: interpreter and numpy (36 MB before an n = 5 run on Python 3.11 with
-#: numpy 2.4)
-RUNTIME_BYTES = 64 << 20
+def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
+    """Amplitude index for a per-subsystem assignment; unnamed subsystems are 0.
+
+    Values are integers, not bools, little-endian within each slice.
+    """
+    index = 0
+    for name, value in assignment.items():
+        r = layout.qubits(name)
+        v = _integer(value, f"value of {name}")
+        if not 0 <= v < (1 << len(r)):
+            raise ValidationError(f"value {value} overflows subsystem {name} of width {len(r)}")
+        index |= v << r.start
+    return index
+
+
+def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``amps`` reshaped to one axis per subsystem, and the subsystem names
+    in axis order (most significant first)."""
+    if amps.shape != (1 << layout.total_qubits,):
+        raise DimensionError(
+            f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
+        )
+    return amps.reshape(layout.view_shape), layout.view_names
+
+
+def select(view: np.ndarray, names: tuple[str, ...], pins: Mapping) -> np.ndarray:
+    """Subview with each pinned subsystem restricted to a value (kept as a
+    length-1 axis) or a slice of values."""
+    index = []
+    for name in names:
+        pin = pins.get(name, slice(None))
+        index.append(pin if isinstance(pin, slice) else slice(pin, pin + 1))
+    return view[tuple(index)]
 
 
 @dataclass(frozen=True)
@@ -114,37 +131,12 @@ def _components(pm: PreparedMatrix) -> np.ndarray:
     return tensor
 
 
-def _check_norm(squares: float) -> None:
-    """Raise :class:`ValidationError` when an encoded state's squared norm
-    ``squares`` strays from 1 by more than :data:`ENCODE_NORM_TOL`, or is
-    NaN."""
-    defect = abs(squares - 1.0)
-    if not defect <= ENCODE_NORM_TOL:  # also refuses NaN
-        raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
-
-
 def _spread(tensor: np.ndarray, registers, names: tuple[str, ...]) -> np.ndarray:
     """``tensor`` (one axis per entry of ``registers``) transposed into the
     register view's axis order, with length-1 axes for every other subsystem."""
     order = sorted(range(len(registers)), key=lambda i: names.index(registers[i]))
     shape = [tensor.shape[registers.index(n)] if n in registers else 1 for n in names]
     return tensor.transpose(order).reshape(shape)
-
-
-def physical_memory_bytes() -> int:
-    """Physical memory of this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def require_memory(n: int, needed: int, what: str) -> None:
-    """Raise :class:`ParameterError`, naming width ``n`` and the bytes, when
-    ``needed`` bytes for ``what`` would not fit in physical memory."""
-    available = physical_memory_bytes()
-    if needed > available:
-        raise ParameterError(
-            f"n={n} needs {needed} bytes for {what}, "
-            f"more than the {available} bytes of physical memory"
-        )
 
 
 def check_memory(layout: RegisterLayout) -> None:
@@ -158,7 +150,9 @@ def check_memory(layout: RegisterLayout) -> None:
     ufunc buffers, which do not grow with the state.  A weight, taken
     between gates, holds a float64 copy of the squares and their nonzero
     mask, at most 9/16 of a state for a marginal, and hands ``math.fsum``
-    one Python float at a time."""
+    one Python float at a time.  The comparison is the run's
+    (:func:`qamp.multiplier.require_memory`), which reads
+    :func:`qamp.multiplier.physical_memory_bytes` on each call."""
     needed = 20 * (1 << layout.total_qubits) + RUNTIME_BYTES
     require_memory(layout.n, needed, f"5/2 states of {layout.total_qubits} qubits and the runtime")
 

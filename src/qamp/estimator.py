@@ -20,8 +20,7 @@ import numpy as np
 
 from .complexmat import PreparedMatrix
 from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError, _integer
-from .multiplier import _check_manipulations, flagged_state
-from .statevector import _weight
+from .multiplier import _check_manipulations, _weight, flagged_state
 
 #: no longer used for sampling, which is one draw; kept only because the
 #: benchmark's replay reports ceil(shots / SHARD_SIZE) as ``estimator.shards``

@@ -65,20 +65,12 @@ that tensor.  A run builds no layout: it sizes itself from n, checked
 once at its head (:func:`flagged_state`), and looks the measured qubit up
 on ``layout_for(n)`` only to name it when the branch has zero weight.
 
-The stage functions address subsystems by name and run unchanged on any
-layout.  :func:`build_initial`, :func:`qamp.conjugator.apply_q`,
-:func:`apply_w0`..:func:`apply_w3` on the whole register and
-:func:`conditional_measure` stay as the full-register reference, and the
-run path's payload and weight are bit for bit theirs:
-w1's ordered sum is the one the quarters make, and every flagged
-amplitude comes from the same operations in both.
-
-As public stages, w0, w2 and w3 run their own gate lists through the gate
-engine (:func:`qamp.statevector.apply_gates`): w0 the n contraction
-CNOTs, w2 its four label gates, w3 its one X on both ancillae.  w1
-alone is one pass over the register view, an ordered sum over the C1 axis
-with the Sylvester Hadamard matrix's signs, scaled once, since the run's
-K1 = K2 = 1 quarter is bit for bit that sum.
+The full-register stages that the run is held to, bit for bit, are in
+:mod:`qamp.conjugator`; this module imports nothing of them, nor of the
+gate engine or the encoding on a register state.  It holds what the run
+and that reference share: the exactly rounded weight (:func:`_weight`),
+the encoded norm check (:func:`_check_norm`) and the memory preflight
+(:func:`require_memory`).
 
 Before allocating, a run is refused when its :func:`peak_bytes` (what a
 run holds at once and :data:`RUNTIME_BYTES`) exceed physical memory.
@@ -87,35 +79,84 @@ run holds at once and :data:`RUNTIME_BYTES`) exceed physical memory.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexmat import ComplexMatrix, PreparedMatrix, _matmul
-from .encoder import RUNTIME_BYTES, EncodedBlock, _check_norm, _components, joint_amplitudes, require_memory
-from .errors import DimensionError, MeasurementError, ParameterError, _width
-from .registers import RegisterLayout, layout_for, register_view
-from .statevector import (
-    _SQRT1_2,
-    GateSpec,
-    StateVector,
-    _weight,
-    apply_gates,
-    project_and_renormalize,
-)
+from .errors import DimensionError, MeasurementError, ParameterError, ValidationError, _width
+from .registers import layout_for
 
 MANIPULATIONS = frozenset({"dagger1", "dagger2", "swap_order"})
 
-#: the post-selection ancillae; only the payload flagging touches them
-ANCILLAE = ("B", "BT")
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-#: subsystems that are all |0> exactly on the payload subspace, in the
-#: order of w3's controls
-PAYLOAD_ZEROS = ("C1", "R2", "M2", "K2")
+#: an encoded state whose squared norm strays further than this from 1 is
+#: refused
+ENCODE_NORM_TOL = 1e-10
 
-#: (manipulation, conjugator stage) in circuit order: the operand exchange
-#: first, then the second operand's conjugation, then the first's
-MANIPULATION_STAGES = (("swap_order", 3), ("dagger2", 2), ("dagger1", 1))
+#: resident bytes of the process around a run's or a stage's arrays: the
+#: interpreter and numpy (36 MB before an n = 5 run on Python 3.11 with
+#: numpy 2.4)
+RUNTIME_BYTES = 64 << 20
+
+#: the full-register stages that perfbench's replay imports from this
+#: module; :func:`__getattr__` forwards them to :mod:`qamp.conjugator`
+#: until the replay imports them from there
+_FORWARDED = frozenset(
+    ("build_initial", "apply_w0", "apply_w1", "apply_w2", "apply_w3", "conditional_measure")
+)
+
+
+def __getattr__(name: str):
+    """Look a stage of :data:`_FORWARDED` up in :mod:`qamp.conjugator` on
+    each access, without keeping it here."""
+    if name not in _FORWARDED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import conjugator
+
+    return getattr(conjugator, name)
+
+
+def _weight(view: np.ndarray) -> float:
+    """Exactly rounded sum of squares over a view: ``math.fsum`` of the
+    squares of its nonzero amplitudes.  The result depends neither on the
+    order of the amplitudes nor on how many zeros the view carries, so a
+    subspace weighs the same, bit for bit, in every state that holds it.
+    The squares reach ``math.fsum`` largest first, which keeps its partial
+    sums few and so takes less time, through a memoryview of the float64
+    copy, which hands over one Python float at a time: beside the copy a
+    dense view holds no Python float per amplitude."""
+    squares = view[view != 0]  # a copy, squared and sorted in place
+    np.multiply(squares, squares, out=squares)
+    squares.sort()  # sorting the reversed view instead would copy it
+    return math.fsum(memoryview(squares[::-1]))
+
+
+def _check_norm(squares: float) -> None:
+    """Raise :class:`ValidationError` when an encoded state's squared norm
+    ``squares`` strays from 1 by more than :data:`ENCODE_NORM_TOL`, or is
+    NaN."""
+    defect = abs(squares - 1.0)
+    if not defect <= ENCODE_NORM_TOL:  # also refuses NaN
+        raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
+
+
+def physical_memory_bytes() -> int:
+    """Physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def require_memory(n: int, needed: int, what: str) -> None:
+    """Raise :class:`ParameterError`, naming width ``n`` and the bytes, when
+    ``needed`` bytes for ``what`` would not fit in physical memory."""
+    available = physical_memory_bytes()
+    if needed > available:
+        raise ParameterError(
+            f"n={n} needs {needed} bytes for {what}, "
+            f"more than the {available} bytes of physical memory"
+        )
 
 
 def _check_widths(pm1: PreparedMatrix, pm2: PreparedMatrix) -> None:
@@ -172,9 +213,9 @@ def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manips):
     operand's row and column registers, which transposes that operand, and
     negates the label = 1 half of M1 or M2, which conjugates whichever
     operand's label sits there.  Manipulation 3 trades both operands'
-    registers and crosses their labels, and in :data:`MANIPULATION_STAGES`
-    order it comes first, so that after it M1 holds the second operand's
-    label and M2 the first's.
+    registers and crosses their labels, and in
+    :data:`qamp.conjugator.MANIPULATION_STAGES` order it comes first, so
+    that after it M1 holds the second operand's label and M2 the first's.
     """
     swap, d1, d2 = ("swap_order" in manips, "dagger1" in manips, "dagger2" in manips)
     return ((swap == d1, d2 if swap else d1), (swap != d2, d1 if swap else d2))
@@ -194,7 +235,8 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     after :func:`qamp.conjugator.apply_q` per manipulation, or after
     :func:`qamp.conjugator.hermitian_conjugate` when both bits are set,
     since copying, conjugating and negating are exact.  The encoded
-    state's norm is checked as :func:`qamp.encoder.encode` checks it.
+    state's norm is checked as :func:`qamp.encoder.encode` checks it
+    (:func:`_check_norm`).
     """
     entries = pm.matrix.entries.T if transposed else pm.matrix.entries
     entries = np.conjugate(entries, order="C") if conjugated else np.ascontiguousarray(entries)
@@ -204,77 +246,13 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     return slack, slab
 
 
-def build_initial(pm1: PreparedMatrix, pm2: PreparedMatrix, layout: RegisterLayout) -> StateVector:
-    """Joint state of both encoded operands over ``layout``.
-
-    Amplitudes are the products of the two encodings' real amplitudes,
-    written once by :func:`qamp.encoder.joint_amplitudes`; ancillae, if the
-    layout has them, start in |0>.  The manipulations are
-    :func:`qamp.conjugator.apply_q` on this state.
-    """
-    _check_widths(pm1, pm2)
-    if pm1.n != layout.n:
-        raise DimensionError(f"layout is sized for n={layout.n}, operands have n={pm1.n}")
-    operands = [
-        (_components(pm), EncodedBlock.for_side(layout, side))
-        for pm, side in ((pm1, "first"), (pm2, "second"))
-    ]
-    return StateVector(layout.total_qubits, joint_amplitudes(layout, operands))
-
-
-def apply_w0(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Contraction CNOTs: C1 qubit j controls R2 qubit j, for every j.
-
-    Together they XOR C1 into R2.
-    """
-    gates = [GateSpec.x(r, ((c, 1),)) for c, r in zip(layout.qubits("C1"), layout.qubits("R2"))]
-    return apply_gates(state, gates)
-
-
-def _sylvester(n: int) -> np.ndarray:
-    """The 2**n x 2**n Hadamard transform: entry (j, k) is 2**(-n/2) with
-    the sign (-1)**popcount(j & k)."""
-    index = np.arange(1 << n)
-    both = index[:, None] & index
-    parity = np.zeros_like(both)
-    for bit in range(n):
-        parity ^= both >> bit
-    scale = 2.0 ** (-n / 2)
-    return np.where(parity & 1, -scale, scale)
-
-
-def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Hadamard every C1 qubit, summing the contracted index into C1 = 0.
-
-    The layer is one pass over the register view of a new output state; the
-    input is not mutated.  It contracts the C1 axis with the Sylvester
-    Hadamard matrix H, every entry of which is +-2**(-n/2), as an ordered
-    sum, with no matrix product: each output slice C1 = j starts from
-    +0.0, adds or subtracts x[c] elementwise over c in order by the sign
-    of H[j, c], and is then multiplied once by 2**(-n/2).  Negating is
-    exact, so each slice rounds as one sum of its signed terms and one
-    product.  Its C1 = 0 slice, all signs +, is therefore the sum the run
-    path accumulates (:func:`_w1_diagonal`), bit for bit.
-    """
-    scale = 2.0 ** (-layout.n / 2)
-    amps = np.empty_like(state.amplitudes)
-    src, names = register_view(state.amplitudes, layout)
-    dst, _ = register_view(amps, layout)
-    src, dst = (np.moveaxis(view, names.index("C1"), 0) for view in (src, dst))
-    for out, negative in zip(dst, _sylvester(layout.n) < 0):
-        out[...] = 0.0
-        for x, minus in zip(src, negative):
-            (np.subtract if minus else np.add)(out, x, out=out)
-        np.multiply(out, scale, out=out)
-    return StateVector(state.num_qubits, amps)
-
-
 def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.ndarray:
-    """The K1 = K2 diagonal of the C1 = R2 = 0 slice of :func:`apply_w1`
-    after :func:`apply_w0` on :func:`build_initial` and
+    """The K1 = K2 diagonal of the C1 = R2 = 0 slice of
+    :func:`qamp.conjugator.apply_w1` after :func:`qamp.conjugator.apply_w0`
+    on :func:`qamp.conjugator.build_initial` and
     :func:`qamp.conjugator.apply_q` per manipulation, bit for bit, without
-    that state: the two quarters of w1's row that w2's
-    flagged output reads (:func:`flag_and_measure`).
+    that state: the two quarters of w1's row that w2's flagged output
+    reads (:func:`flag_and_measure`).
 
     Returns the diagonal as an array indexed [k, R1, first label, C2,
     second label] at K1 = K2 = k: the first operand's label is M1 and the
@@ -286,7 +264,8 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     operand's block and R2 in the second's.  Row 0 of the Hadamard matrix
     is 2**(-n/2) throughout, so the row is the sum over c of the outer
     product of those two factors, accumulated in c order from +0.0 and
-    then multiplied once by 2**(-n/2), as :func:`apply_w1` does.
+    then multiplied once by 2**(-n/2), as :func:`qamp.conjugator.apply_w1`
+    does.
 
     Each operand's two factors come straight from its entries
     (:func:`_operand_factors`, oriented by :func:`_orientation`): its
@@ -306,8 +285,9 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     written into the quarter, and then one in-place multiply by the scale.
     Both factors are C-contiguous, so numpy's iterator puts c outermost
     and every amplitude adds its terms in c order, in place, onto the +0.0
-    that einsum writes first, as :func:`apply_w1` does; each term is the
-    rounded product of the two factors, fused with no addition.  At even n
+    that einsum writes first, as :func:`qamp.conjugator.apply_w1` does;
+    each term is the rounded product of the two factors, fused with no
+    addition.  At even n
     the scale is a power of two, so these are the bits that scaling each
     term would give, wherever nothing underflows.  The order canary
     (``test_fused_stages.py::test_w1_sums_in_c_order``) and the
@@ -329,44 +309,6 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     return diagonal.reshape(2, dim, 2, dim, 2)
 
 
-def apply_w2(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Label algebra combining component products into complex products.
-
-    Controlled on M2 = 1 the M1 amplitudes rotate (|0> -> |1>, |1> -> -|0>,
-    a Z then an X), then a Hadamard on M2 folds the two columns together:
-    the M2 = 0 slice now holds, on M1 = 0, products of real parts minus
-    products of imaginary parts, and on M1 = 1 the mixed sums, each scaled
-    by a further 1/sqrt(2).  Finally a CNOT flips K2 where K1 = 1, landing
-    all payload terms on K2 = 0.
-    """
-    m1, m2 = layout.start("M1"), layout.start("M2")
-    gates = (
-        GateSpec.z(m1, ((m2, 1),)),
-        GateSpec.x(m1, ((m2, 1),)),
-        GateSpec.h(m2),
-        GateSpec.x(layout.start("K2"), ((layout.start("K1"), 1),)),
-    )
-    return apply_gates(state, gates)
-
-
-def apply_w3(state: StateVector, layout: RegisterLayout) -> StateVector:
-    """Flip both ancillae on the payload subspace.
-
-    One gate with 2(n+1) polarity-0 controls, all of C1, R2, M2 and K2;
-    payload and slack terms come out with B = BT = 1, garbage stays at 0.
-    Expects B and BT in |0> on the active support.
-    """
-    controls = tuple((q, 0) for name in PAYLOAD_ZEROS for q in layout.qubits(name))
-    gate = GateSpec.x([layout.start(name) for name in ANCILLAE], controls)
-    return apply_gates(state, (gate,))
-
-
-def conditional_measure(state: StateVector, layout: RegisterLayout) -> tuple[StateVector, float]:
-    """Project onto the flagged branch (BT = 1, equivalently B = 1) and
-    renormalize; returns the branch's pre-projection weight."""
-    return project_and_renormalize(state, layout.start("BT"), 1)
-
-
 def peak_bytes(n: int) -> int:
     """Resident bytes of a process at the peak of a run at width ``n``,
     bounded by everything a run holds at once: the two quarters of w1's
@@ -386,11 +328,11 @@ def peak_bytes(n: int) -> int:
 
 
 def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:
-    """:func:`apply_w2`, :func:`apply_w3` and :func:`conditional_measure`
-    from the K1 = K2 diagonal of w1's row (:func:`_w1_diagonal`, with C1,
-    R2 and the ancillae taken to be in |0>), kept to the payload.  The
-    diagonal's axes are K1 = K2, R1, the first operand's label, C2 and the
-    second's label.
+    """:func:`qamp.conjugator.apply_w2`, :func:`qamp.conjugator.apply_w3`
+    and :func:`qamp.conjugator.conditional_measure` from the K1 = K2
+    diagonal of w1's row (:func:`_w1_diagonal`, with C1, R2 and the
+    ancillae taken to be in |0>), kept to the payload.  The diagonal's axes
+    are K1 = K2, R1, the first operand's label, C2 and the second's label.
 
     w3 moves the payload slice (C1, R2, M2 and K2 all 0) to B = BT = 1 and
     nothing else lands there, so the flagged branch is w2's M2 = K2 = 0
@@ -498,8 +440,8 @@ def run_pipeline(
 ) -> ProductResult:
     """Run the whole circuit, decode, and verify against the classical oracle.
 
-    Manipulations apply in the order of :data:`MANIPULATION_STAGES`.  The
-    product and the slack are read off the flagged payload's K1 = 1 and
+    Manipulations apply in the order of
+    :data:`qamp.conjugator.MANIPULATION_STAGES`.  The product and the slack are read off the flagged payload's K1 = 1 and
     K1 = 0 slabs, the product's entries through a complex view of the
     slab's (re, im) pairs, multiplied by ``g_exact`` into a C-contiguous
     array.  With ``verify`` false the oracle is not run and

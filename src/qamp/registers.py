@@ -6,19 +6,15 @@ column register (C), a one-qubit real/imaginary label (M) and a one-qubit
 slack flag (K); B and BT are the two post-selection ancillae.  There is
 one layout per n, 4n + 6 qubits.
 
-The register view is the state reshaped to one axis per subsystem, most
-significant subsystem first.  Encoding, decoding and w1, the one circuit
-stage not run gate by gate (:func:`qamp.multiplier.apply_w1`), address
-amplitudes through it, so each is a small number of slice operations on
-that view; the other stages name their gates' qubits through the layout.
 A layout with some subsystems removed (:meth:`RegisterLayout.without`)
 holds the states on which those subsystems are |0>, such as the operand
-register of the full-register reference for ``qamp conjugate``.
+register of the full-register reference for ``qamp conjugate``.  The
+register view of a state on a layout (:func:`qamp.encoder.register_view`)
+has one axis per subsystem, in :attr:`RegisterLayout.view_names` order.
 
-Apart from the ``"layout"`` field of ``qamp multiply``'s report, layouts
-serve only the full-register reference and its tests: the run path
-(:func:`qamp.multiplier.flagged_state`) and ``qamp conjugate`` size
-themselves from n.
+``qamp multiply`` reports a layout's :meth:`RegisterLayout.summary` as its
+``"layout"`` field, and a run names its measured qubit through
+:func:`layout_for` when the branch has zero weight.
 """
 
 from __future__ import annotations
@@ -28,9 +24,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
-from .errors import DimensionError, ParameterError, ValidationError, _integer, _width
+from .errors import ParameterError, _width
 
 #: canonical allocation order, from qubit 0 upward
 CANONICAL_ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")
@@ -119,38 +113,3 @@ def layout_for(n: int) -> RegisterLayout:
 def _layout_for(n: int) -> RegisterLayout:
     widths = ((name, n if name in ("R1", "C1", "R2", "C2") else 1) for name in CANONICAL_ORDER)
     return RegisterLayout(n=n, slices=_packed(widths))
-
-
-def basis_index(layout: RegisterLayout, assignment: Mapping[str, int]) -> int:
-    """Amplitude index for a per-subsystem assignment; unnamed subsystems are 0.
-
-    Values are integers, not bools, little-endian within each slice.
-    """
-    index = 0
-    for name, value in assignment.items():
-        r = layout.qubits(name)
-        v = _integer(value, f"value of {name}")
-        if not 0 <= v < (1 << len(r)):
-            raise ValidationError(f"value {value} overflows subsystem {name} of width {len(r)}")
-        index |= v << r.start
-    return index
-
-
-def register_view(amps: np.ndarray, layout: RegisterLayout) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``amps`` reshaped to one axis per subsystem, and the subsystem names
-    in axis order (most significant first)."""
-    if amps.shape != (1 << layout.total_qubits,):
-        raise DimensionError(
-            f"state of {amps.size} amplitudes does not fit a {layout.total_qubits}-qubit layout"
-        )
-    return amps.reshape(layout.view_shape), layout.view_names
-
-
-def select(view: np.ndarray, names: tuple[str, ...], pins: Mapping) -> np.ndarray:
-    """Subview with each pinned subsystem restricted to a value (kept as a
-    length-1 axis) or a slice of values."""
-    index = []
-    for name in names:
-        pin = pins.get(name, slice(None))
-        index.append(pin if isinstance(pin, slice) else slice(pin, pin + 1))
-    return view[tuple(index)]

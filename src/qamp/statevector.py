@@ -22,20 +22,15 @@ sequence on the copy.
 
 Weights (:meth:`StateVector.probability`, :func:`project_and_renormalize`
 and the residual of :func:`qamp.encoder.decode`) are exactly rounded sums
-of the nonzero squares, so a branch weighs the same, bit for bit, whether
-it is read off a full-register state or off the payload tensor alone.
+of the nonzero squares (:func:`qamp.multiplier._weight`), so a branch
+weighs the same, bit for bit, whether it is read off a full-register state
+or off the run's payload tensor.
 
-This gate engine is the general-purpose API of this module, not of the
-package's top level, and the full-register reference runs on it: the manipulations, the conjugation, w0, w2 and w3
-are gate lists handed to :func:`apply_gates` (:mod:`qamp.conjugator`,
-:mod:`qamp.multiplier`); only the build and w1 write the register view
+The full-register circuit (:mod:`qamp.conjugator`) runs on this engine:
+the manipulations, the conjugation, w0, w2 and w3 are gate lists handed to
+:func:`apply_gates`; only the build and w1 write the register view
 directly.  A gate holds at most half a state beside the one it updates:
-H's ``a0 + a1``, or the slice that an X or SWAP exchanges.  The pipeline
-itself holds no register state: it computes the K1 = K2 quarters of w1's
-C1 = R2 = 0 row straight from the two operands' entries and slack and
-writes w2's flagged output from them into the payload, a [K1, R1, C2, M1]
-component tensor (:func:`qamp.multiplier.flag_and_measure`), whose weight
-is :func:`_weight`'s.
+H's ``a0 + a1``, or the slice that an X or SWAP exchanges.
 """
 
 from __future__ import annotations
@@ -46,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, MeasurementError, ParameterError, ValidationError, _integer
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+from .multiplier import _SQRT1_2, _weight
 
 GATE_KINDS = ("X", "Z", "H", "SWAP")
 
@@ -71,21 +65,6 @@ def _pinned(amps: np.ndarray, num_qubits: int, pins) -> np.ndarray:
         # axis 0 of the C-ordered reshape is the most significant qubit
         index[num_qubits - 1 - qubit] = slice(bit, bit + 1)
     return amps.reshape((2,) * num_qubits)[tuple(index)]
-
-
-def _weight(view: np.ndarray) -> float:
-    """Exactly rounded sum of squares over a view: ``math.fsum`` of the
-    squares of its nonzero amplitudes.  The result depends neither on the
-    order of the amplitudes nor on how many zeros the view carries, so a
-    subspace weighs the same, bit for bit, in every state that holds it.
-    The squares reach ``math.fsum`` largest first, which keeps its partial
-    sums few and so takes less time, through a memoryview of the float64
-    copy, which hands over one Python float at a time: beside the copy a
-    dense view holds no Python float per amplitude."""
-    squares = view[view != 0]  # a copy, squared and sorted in place
-    np.multiply(squares, squares, out=squares)
-    squares.sort()  # sorting the reversed view instead would copy it
-    return math.fsum(memoryview(squares[::-1]))
 
 
 def _negate(view: np.ndarray) -> None:
@@ -140,7 +119,12 @@ class StateVector:
         return _weight(_pinned(self.amplitudes, self.num_qubits, ((qubit, outcome),)))
 
     def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
+        """A copy of this state, holding a copy of its amplitudes, which
+        the constructor has already checked, so they are not checked
+        again."""
+        state = object.__new__(StateVector)
+        state.num_qubits, state.amplitudes = self.num_qubits, self.amplitudes.copy()
+        return state
 
 
 @dataclass(frozen=True)

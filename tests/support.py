@@ -10,9 +10,9 @@ import numpy as np
 from qamp import ComplexMatrix, PreparedMatrix, prepare
 from qamp.conjugator import apply_q, hermitian_conjugate
 from qamp.complexmat import matrix_to_obj
-from qamp.encoder import EncodedBlock, encode, read_block
-from qamp.multiplier import MANIPULATION_STAGES, build_initial
-from qamp.registers import layout_for, register_view, select
+from qamp.encoder import EncodedBlock, encode, read_block, register_view, select
+from qamp.conjugator import MANIPULATION_STAGES, build_initial
+from qamp.registers import layout_for
 
 
 def random_matrix(rng, n, scale=1.0):
@@ -94,7 +94,7 @@ def matmul_oracle_numpy(a, b):
 def sylvester_block(n):
     """The 2**n x 2**n Hadamard matrix by the recursive ``np.block``
     construction, scaled by 2**(-n/2): the reference for
-    ``multiplier._sylvester``."""
+    ``conjugator._sylvester``."""
     h = np.ones((1, 1))
     for _ in range(n):
         h = np.block([[h, h], [h, -h]])

@@ -38,9 +38,9 @@ RUN_API = [
 
 #: the full-register reference, public only in the module that defines it
 REFERENCE = {
-    conjugator: ["apply_q", "hermitian_conjugate"],
-    encoder: ["EncodedBlock", "encode", "decode"],
-    multiplier: [
+    conjugator: [
+        "apply_q",
+        "hermitian_conjugate",
         "build_initial",
         "apply_w0",
         "apply_w1",
@@ -48,7 +48,8 @@ REFERENCE = {
         "apply_w3",
         "conditional_measure",
     ],
-    registers: ["RegisterLayout", "layout_for", "basis_index"],
+    encoder: ["EncodedBlock", "encode", "decode", "basis_index"],
+    registers: ["RegisterLayout", "layout_for"],
     statevector: ["GateSpec", "StateVector", "init_basis", "project_and_renormalize"],
 }
 
@@ -67,3 +68,13 @@ def test_top_level_is_the_documented_run_api():
             assert hasattr(module, name) and not hasattr(qamp, name), name
     for owner, name in DELETED.items():
         assert not hasattr(owner, name) and not hasattr(qamp, name), name
+
+
+def test_multiplier_forwards_the_replayed_stages():
+    # perfbench's replay imports the full-register stages from
+    # qamp.multiplier, which looks each up in qamp.conjugator on every
+    # access and keeps none of them; any other missing name is refused
+    for name in multiplier._FORWARDED:
+        assert getattr(multiplier, name) is getattr(conjugator, name), name
+        assert name not in vars(multiplier), name
+    assert not hasattr(multiplier, "apply_q")

@@ -3,15 +3,17 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import support
-from qamp import cli, conjugator, encoder, estimator, multiplier, registers, statevector
+from qamp import cli, multiplier, registers
 from qamp.cli import build_parser, dump_json, main
 from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj, prepare
 from qamp.errors import ParameterError
@@ -190,7 +192,7 @@ class TestMultiply:
         # physical memory reported one byte short of an n = 2 run's peak: five
         # quarters of w1's row of 2**6 amplitudes each, the weight's mask
         # of an eighth of a quarter and the runtime
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67111488 - 1)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67111488 - 1)
         entries = [[[0.1 * (j + k), 0.0] for k in range(4)] for j in range(4)]
         a = write_json(tmp_path / "a.json", {"n": 2, "entries": entries})
         assert main(["multiply", a, a]) == 2
@@ -335,7 +337,7 @@ class TestConjugate:
     def test_runs_where_multiply_is_refused_for_memory(self, tmp_path, capsys, monkeypatch):
         # too little memory for a multiply at n = 2, plenty for the four
         # 4 x 4 complex arrays that conjugate holds
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67111488 - 1)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67111488 - 1)
         entries = np.random.default_rng(239).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
         assert main(["multiply", src, src]) == 2
@@ -350,7 +352,7 @@ class TestConjugate:
         # physical memory one byte short of what conjugate holds at n = 2:
         # the parsed and the prepared entries, their conjugate transpose and
         # the result's copy, 16 * 16 bytes each, and the runtime
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: 67109888 - 1)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67109888 - 1)
 
         def refused(*_args, **_kwargs):
             raise AssertionError("conjugate allocated before its preflight")
@@ -685,31 +687,75 @@ class TestReport:
         assert main(["report", "--n", "0"]) == 2
 
 
+#: the modules of the full-register reference
+REFERENCE_MODULES = ("qamp.statevector", "qamp.encoder", "qamp.conjugator")
+
+#: run in a fresh interpreter with the commands' argument lists as JSON in
+#: argv[1]: prints, as JSON, a [step, exit code, reference modules loaded
+#: so far] triple after `import qamp`, `import qamp.cli` and each command
+FRESH_SESSION = f"""
+import contextlib, io, json, sys
+
+def loaded():
+    return [name for name in {REFERENCE_MODULES!r} if name in sys.modules]
+
+import qamp
+steps = [["import qamp", 0, loaded()]]
+import qamp.cli
+steps.append(["import qamp.cli", 0, loaded()])
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qamp.cli.main(argv)
+    steps.append([" ".join(argv), code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def _command_lines(a: str, p: str, n: int) -> list[list[str]]:
+    """Every command once on matrix file ``a`` and prepared file ``p``
+    of width ``n``: prepare -o, multiply with and without --no-verify
+    under four flag sets, conjugate, estimate-g and report."""
+    argvs = [["prepare", a, "-o", p]]
+    every = ["--dagger-a", "--dagger-b", "--swap-order"]
+    for flags in ([], ["--dagger-a"], ["--dagger-b", "--swap-order"], every):
+        argvs += [["multiply", p, a, *flags], ["multiply", a, a, "--no-verify", *flags]]
+    return argvs + [["conjugate", a], ["estimate-g", p, a, "--shots", "1000"], ["report", "--n", str(n)]]
+
+
 class TestNoRegisterState:
+    def test_no_command_imports_the_reference(self, tmp_path):
+        # `import qamp`, `import qamp.cli` and every command, in a fresh
+        # interpreter, leave each full-register module unloaded
+        rng = np.random.default_rng(249)
+        a = write_json(tmp_path / "a.json", matrix_to_obj(support.random_matrix(rng, 2)))
+        argvs = _command_lines(a, str(tmp_path / "p.json"), 2)
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", FRESH_SESSION, json.dumps(argvs)],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        steps = json.loads(done.stdout)
+        assert len(steps) == 2 + len(argvs)
+        assert steps == [[step, 0, []] for step, _code, _loaded in steps]
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_command_builds_a_register_state(self, tmp_path, capsys, monkeypatch, n):
-        # every command works on entries, slabs and payload tensors: it
-        # neither builds a StateVector nor views amplitudes by register, and
+        # no command loads the register-state modules (the test above), and
         # only multiply, for its "layout" report field, looks up a layout
         def refused(*_args, **_kwargs):
-            raise AssertionError("a command built a register state or layout")
+            raise AssertionError("a command built a layout")
 
-        monkeypatch.setattr(statevector.StateVector, "__post_init__", refused)
-        for module in (registers, encoder, conjugator, multiplier, estimator, cli):
-            if hasattr(module, "register_view"):
-                monkeypatch.setattr(module, "register_view", refused)
         rng = np.random.default_rng(250 + n)
         a = write_json(tmp_path / "a.json", matrix_to_obj(support.random_matrix(rng, n)))
-        p = str(tmp_path / "p.json")
-        argvs = [["prepare", a, "-o", p]]
-        every = ["--dagger-a", "--dagger-b", "--swap-order"]
-        for flags in ([], ["--dagger-a"], ["--dagger-b", "--swap-order"], every):
-            argvs += [["multiply", p, a, *flags], ["multiply", a, a, "--no-verify", *flags]]
-        for argv in argvs:
+        argvs = _command_lines(a, str(tmp_path / "p.json"), n)
+        for argv in argvs[:-3]:
             assert main(argv) == 0, argv
         monkeypatch.setattr(registers, "_layout_for", refused)
         monkeypatch.setattr(cli, "layout_for", refused)
-        for argv in (["conjugate", a], ["estimate-g", p, a, "--shots", "1000"], ["report", "--n", str(n)]):
+        for argv in argvs[-3:]:
             assert main(argv) == 0, argv
         capsys.readouterr()
 

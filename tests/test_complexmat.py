@@ -60,6 +60,41 @@ class TestComplexMatrix:
         with pytest.raises(DimensionError, match=f"^register width {n} is too wide for any matrix$"):
             ComplexMatrix(n, [[1]])
 
+    @pytest.mark.parametrize(
+        "entries,kind",
+        [
+            ([["1", "2j"], ["3", "4"]], "str"),
+            ([[b"1", 2], [3, 4]], "bytes"),
+            ([[True, False], [1, 2]], "bool"),
+            (np.array([[True, False], [False, True]]), "an array of bool"),
+        ],
+        ids=["strings", "bytes", "bools", "bool-array"],
+    )
+    def test_entries_must_be_numbers(self, entries, kind):
+        # numpy would read these as the numbers they spell, or as 1 and 0
+        with pytest.raises(ValidationError, match=f"^matrix entries must be numbers, got {kind}$"):
+            ComplexMatrix(1, entries)
+
+    def test_ragged_rows_are_a_dimension_error(self):
+        with pytest.raises(DimensionError, match=r"^expected a 2x2 matrix for n=1, got shape \(2,\)$"):
+            ComplexMatrix(1, [[1, 2], [3]])
+
+    def test_number_arrays_are_taken_by_their_dtype(self, monkeypatch):
+        # int, float and complex arrays, and so every matrix that the
+        # package builds, are not checked entry by entry
+        def refused(_kind):
+            raise AssertionError("an array of numbers was checked entry by entry")
+
+        monkeypatch.setattr(complexmat, "_is_number", refused)
+        for dtype in (np.int8, np.int64, np.uint16, np.float32, np.float64, np.complex128):
+            m = ComplexMatrix(1, np.array([[1, 0], [2, 3]], dtype=dtype))
+            assert m.entries.tolist() == [[1, 0], [2, 3]], dtype
+        a = matrix_from_obj({"n": 1, "entries": [[[1, 0], [0, 2]], [[0.5, 0], [3, 0]]]})
+        pm = prepare(a, 1.0)
+        dagger_oracle(a)
+        matmul_oracle(a, a)
+        oracle_product(pm, pm, {"dagger1"})
+
     @pytest.mark.parametrize("n", [True, False])
     def test_width_must_not_be_a_bool(self, n):
         # the entries fit the width the bool would stand for

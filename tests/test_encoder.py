@@ -13,8 +13,9 @@ from qamp import (
     run_pipeline,
 )
 from qamp.statevector import StateVector
-from qamp.conjugator import apply_q, hermitian_conjugate
-from qamp.multiplier import (
+from qamp.conjugator import (
+    apply_q,
+    hermitian_conjugate,
     apply_w0,
     apply_w1,
     apply_w2,
@@ -22,9 +23,9 @@ from qamp.multiplier import (
     build_initial,
     conditional_measure,
 )
-from qamp.registers import basis_index, layout_for
-from qamp import encoder
-from qamp.encoder import EncodedBlock, decode, encode, read_block
+from qamp.registers import layout_for
+from qamp import multiplier
+from qamp.encoder import EncodedBlock, basis_index, decode, encode, read_block
 from support import prepared_from_tilde, random_prepared
 
 
@@ -161,7 +162,7 @@ class TestMemoryPreflight:
     NEEDED = 5 * QUARTER + QUARTER // 8 + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED - 1)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: self.NEEDED - 1)
         pm = random_prepared(np.random.default_rng(5), 5)
         tracemalloc.start()
         try:
@@ -173,7 +174,7 @@ class TestMemoryPreflight:
         assert peak < self.QUARTER
 
     def test_runs_when_the_peak_just_fits(self, monkeypatch):
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: self.NEEDED)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: self.NEEDED)
         pm = random_prepared(np.random.default_rng(5), 5)
         assert run_pipeline(pm, pm).oracle_error < 1e-10
 
@@ -228,7 +229,7 @@ class TestStageMemoryCheck:
         needed = self.needed(layout)
         rng = np.random.default_rng(311)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: needed - 1)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: needed - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ParameterError, match=f"needs {needed} bytes"):
@@ -238,5 +239,5 @@ class TestStageMemoryCheck:
             tracemalloc.stop()
         # a state of 2**14 float64 amplitudes is 128 KiB
         assert peak < 8 << layout.total_qubits
-        monkeypatch.setattr(encoder, "physical_memory_bytes", lambda: needed)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: needed)
         assert build_initial(pm1, pm2, layout).num_qubits == layout.total_qubits

@@ -28,23 +28,26 @@ import numpy as np
 import pytest
 
 from qamp import ComplexMatrix, MeasurementError, prepare
-from qamp.conjugator import apply_q, hermitian_conjugate
-from qamp.multiplier import (
-    MANIPULATIONS,
+from qamp.conjugator import (
     PAYLOAD_ZEROS,
-    _operand_factors,
-    _orientation,
     _sylvester,
-    _w1_diagonal,
+    apply_q,
     apply_w0,
     apply_w1,
     apply_w2,
     apply_w3,
     conditional_measure,
+    hermitian_conjugate,
+)
+from qamp.multiplier import (
+    MANIPULATIONS,
+    _operand_factors,
+    _orientation,
+    _w1_diagonal,
     flag_and_measure,
 )
-from qamp.encoder import EncodedBlock, _inside
-from qamp.registers import layout_for, register_view, select
+from qamp.encoder import EncodedBlock, _inside, register_view, select
+from qamp.registers import layout_for
 from qamp.statevector import GateSpec, StateVector, apply_gates
 from bruteforce import bf_q, bf_w0, bf_w1, bf_w2, bf_w3
 from support import (

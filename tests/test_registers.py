@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qamp import ParameterError, ValidationError
-from qamp.registers import basis_index, layout_for
+from qamp.encoder import basis_index
+from qamp.registers import layout_for
 
 # independent slice-offset computation from the documented canonical order
 ORDER = ("M1", "M2", "R1", "C1", "R2", "C2", "K1", "K2", "B", "BT")

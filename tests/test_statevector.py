@@ -8,17 +8,18 @@ from hypothesis import given, settings, strategies as st
 from qamp import DimensionError, MeasurementError, ParameterError, ValidationError, run_pipeline
 from qamp.encoder import EncodedBlock, encode
 from qamp.statevector import GateSpec, StateVector, apply_gates, init_basis, project_and_renormalize
-from qamp.conjugator import apply_q, hermitian_conjugate
-from qamp.multiplier import (
+from qamp.conjugator import (
+    apply_q,
     apply_w0,
     apply_w1,
     apply_w2,
     apply_w3,
     build_initial,
     conditional_measure,
+    hermitian_conjugate,
 )
 from qamp.registers import layout_for
-from qamp import statevector
+from qamp import multiplier, statevector
 from bruteforce import gate_unitary
 from support import join_parts, random_prepared, real_parts
 
@@ -261,6 +262,20 @@ class TestRealKernels:
             with pytest.raises(ValidationError, match=r"^amplitudes must be finite$"):
                 StateVector(2, amps)
 
+    def test_copy_is_not_checked_again(self, monkeypatch):
+        # a copy holds its own amplitudes, which the constructor already
+        # scanned, so it is built without the constructor's checks
+        state = StateVector(2, np.array([0.5, -0.5, 0.5, 0.5]))
+
+        def refused(_self):
+            raise AssertionError("a copy was checked again")
+
+        monkeypatch.setattr(StateVector, "__post_init__", refused)
+        copy = state.copy()
+        assert type(copy) is StateVector and copy.num_qubits == 2
+        assert copy.amplitudes is not state.amplitudes
+        assert copy.amplitudes.tobytes() == state.amplitudes.tobytes()
+
     @pytest.mark.parametrize("num_qubits", [True, np.True_, 1.0], ids=["bool", "numpy-bool", "float"])
     def test_qubit_count_must_be_an_integer_not_a_bool(self, num_qubits):
         with pytest.raises(ParameterError, match="^qubit count must be an integer, not a bool, got "):
@@ -429,7 +444,7 @@ class TestProjection:
         want = math.fsum(v * v for v in view.tolist())
         tracemalloc.start()
         try:
-            got = statevector._weight(view)
+            got = multiplier._weight(view)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
