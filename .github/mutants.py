@@ -16,9 +16,10 @@ Prints each mutant's name, what killed it and its time to be killed.
 Exits 1 naming every mutant that survived or whose text did not occur
 exactly once, 2 when the unmutated copy fails, and 0 otherwise.
 
-A mutant that cannot change behaviour stays off the list: dropping
-_weight's sort or its zero mask leaves an exactly rounded sum of the same
-squares, so no check can kill it.
+A mutant that cannot change behaviour stays off the list: dropping the
+zero mask of the squares (_squares) leaves an exactly rounded sum of the
+same squares, since the extraction certifies each sum it returns and
+counting the zeros only loosens its bound, so no check can kill it.
 """
 
 import os
@@ -89,6 +90,18 @@ MUTANTS = (
         "multiplier.py",
         "-pm.b.imag if conjugated",
         "pm.b.imag if conjugated",
+    ),
+    (
+        "weight: the uncertified candidate returned",
+        "multiplier.py",
+        "if low == math.fsum((*parts, rest, bound)):\n            return low",
+        "return math.fsum((*parts, rest))",
+    ),
+    (
+        "weight: the fallback's squares taken unsorted",
+        "multiplier.py",
+        "squares.sort()",
+        "squares.view()",
     ),
     (
         "weight: magnitudes summed instead of squares",

@@ -230,7 +230,8 @@ def _load_operands(args):
 def cmd_multiply(args) -> int:
     pm1, pm2, manips, flags = _load_operands(args)
     result = run_pipeline(pm1, pm2, manips, verify=args.verify)
-    rescaled = ComplexMatrix(result.matrix_hat.n, result.matrix_hat.entries * result.scale_back)
+    # scaling back can overflow, so the fresh product is scanned
+    rescaled = ComplexMatrix._fresh(result.matrix_hat.n, result.matrix_hat.entries * result.scale_back)
 
     report = {
         "version": __version__,
@@ -278,7 +279,7 @@ def cmd_conjugate(args) -> int:
     # the operand's entries after its conjugation circuit, scaled back
     entries = np.conjugate(pm.matrix.entries.T, order="C")
     np.multiply(entries, pm.scale, out=entries)
-    _write_output(dump_json(matrix_to_obj(ComplexMatrix(matrix.n, entries))), args.output)
+    _write_output(dump_json(matrix_to_obj(ComplexMatrix._fresh(matrix.n, entries))), args.output)
     return EXIT_OK
 
 

@@ -200,7 +200,7 @@ def prepare(a: ComplexMatrix, c: float = 1.0, b_phase: float | None = None) -> P
         raise ParameterError(
             f"c={c} is too small for this matrix: 1/(s + c) overflows float64 for s={s!r}"
         )
-    scaled = ComplexMatrix(a.n, a.entries / (s + c))
+    scaled = ComplexMatrix._fresh(a.n, a.entries / (s + c))
     w = scaled.weight()
     if w >= 1.0:
         raise ParameterError(
@@ -236,7 +236,7 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """
     if a.n != b.n:
         raise DimensionError(f"cannot multiply matrices of widths n={a.n} and n={b.n}")
-    return ComplexMatrix(a.n, _matmul(np.ascontiguousarray(a.entries.T), b.entries))
+    return ComplexMatrix._fresh(a.n, _matmul(np.ascontiguousarray(a.entries.T), b.entries))
 
 
 def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -254,8 +254,9 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return ComplexMatrix(a.n, a.entries.conj().T)
+    """Conjugate transpose, one C-ordered copy: conjugating cannot
+    overflow."""
+    return ComplexMatrix._fresh(a.n, np.conjugate(a.entries.T, order="C"), finite=True)
 
 
 # --- file schema -----------------------------------------------------------
@@ -321,7 +322,7 @@ def matrix_from_obj(obj) -> ComplexMatrix:
         except OverflowError:  # an integer beyond float64
             components = None
         if components is not None and np.isfinite(components).all():
-            return ComplexMatrix(n, components.view(np.complex128).reshape(dim, dim))
+            return ComplexMatrix._fresh(n, components.view(np.complex128).reshape(dim, dim), finite=True)
     # a check failed, or a number is of another type, such as a numpy
     # one: the walk names the first offending field, or reads the entries
     out = np.zeros((dim, dim), dtype=np.complex128)
@@ -330,7 +331,7 @@ def matrix_from_obj(obj) -> ComplexMatrix:
             raise ValidationError(f"entries[{j}] must be a list of {dim} [re, im] pairs")
         for k, pair in enumerate(row):
             out[j, k] = _pair(pair, f"entries[{j}][{k}]")
-    return ComplexMatrix(n, out)
+    return ComplexMatrix._fresh(n, out, finite=True)
 
 
 def prepared_to_obj(pm: PreparedMatrix) -> dict:

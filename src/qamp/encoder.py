@@ -149,8 +149,9 @@ def check_memory(layout: RegisterLayout) -> None:
     build only its output.  The runtime allowance also covers numpy's
     ufunc buffers, which do not grow with the state.  A weight, taken
     between gates, holds a float64 copy of the squares and their nonzero
-    mask, at most 9/16 of a state for a marginal, and hands ``math.fsum``
-    one Python float at a time.  The comparison is the run's
+    mask, at most 9/16 of a state for a marginal, and then one chunk
+    buffer in the freed mask's room, or 5 KiB where that is more
+    (:func:`qamp.multiplier._weight`).  The comparison is the run's
     (:func:`qamp.multiplier.require_memory`), which reads
     :func:`qamp.multiplier.physical_memory_bytes` on each call."""
     needed = 20 * (1 << layout.total_qubits) + RUNTIME_BYTES

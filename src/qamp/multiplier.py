@@ -51,10 +51,11 @@ the manipulations come down to two bits per operand
 So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
 one 2**(n+1) x 2**(n+1) array each, from each operand's entries, read in
 place or in one copy transposed and conjugated as the manipulations ask,
-and its slack pair (:func:`_operand_factors`, the one operand reader); no
-component tensor is built.
+and its slack pair, two Python floats (:func:`_operand_factors`, the one
+operand reader); no component tensor is built.
 The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
-the two slack pairs, since an operand's K = 0 slab holds just the slack;
+the two slack pairs, taken in Python floats with the IEEE operations that
+numpy would round alike, since an operand's K = 0 slab holds just the slack;
 the K1 = K2 = 1 quarter sums one unscaled outer product per c, in c
 order, in one two-operand einsum, and multiplies the sum by 2**(-n/2)
 once.  :func:`flag_and_measure` writes w2's flagged output from the
@@ -68,7 +69,9 @@ on ``layout_for(n)`` only to name it when the branch has zero weight.
 The full-register stages that the run is held to, bit for bit, are in
 :mod:`qamp.conjugator`; this module imports nothing of them, nor of the
 gate engine or the encoding on a register state.  It holds what the run
-and that reference share: the exactly rounded weight (:func:`_weight`),
+and that reference share: the exactly rounded weight (:func:`_weight`,
+an error-free extraction certified on each call, with ``math.fsum`` of
+the sorted squares as its fallback),
 the encoded norm check (:func:`_check_norm`) and the memory preflight
 (:func:`require_memory`).
 
@@ -119,19 +122,121 @@ def __getattr__(name: str):
     return getattr(conjugator, name)
 
 
-def _weight(view: np.ndarray) -> float:
-    """Exactly rounded sum of squares over a view: ``math.fsum`` of the
-    squares of its nonzero amplitudes.  The result depends neither on the
-    order of the amplitudes nor on how many zeros the view carries, so a
-    subspace weighs the same, bit for bit, in every state that holds it.
-    The squares reach ``math.fsum`` largest first, which keeps its partial
-    sums few and so takes less time, through a memoryview of the float64
-    copy, which hands over one Python float at a time: beside the copy a
-    dense view holds no Python float per amplitude."""
-    squares = view[view != 0]  # a copy, squared and sorted in place
+def _squares(view: np.ndarray) -> np.ndarray:
+    """The squares of a view's nonzero amplitudes, in a new float64 array
+    that holds nothing else; the nonzero mask, an eighth of the view's
+    bytes, is freed on return."""
+    squares = view[view != 0]  # a copy, squared in place
     np.multiply(squares, squares, out=squares)
+    return squares
+
+
+def _sorted_fsum(view: np.ndarray) -> float:
+    """``math.fsum`` of a view's nonzero squares: what :func:`_weight`
+    returns where it cannot certify its own sum.  The squares reach it
+    largest first, which keeps its partial sums few and raises
+    ``OverflowError`` whenever the finite squares sum past float64, an
+    overflowed square among them or not, through a memoryview of the
+    float64 copy, which hands over one Python float at a time: beside the
+    copy a dense view holds no Python float per amplitude."""
+    squares = _squares(view)
     squares.sort()  # sorting the reversed view instead would copy it
     return math.fsum(memoryview(squares[::-1]))
+
+
+def _weight(view: np.ndarray) -> float:
+    """Exactly rounded sum of squares over a view: ``math.fsum`` of the
+    squares of its nonzero amplitudes, bit for bit.  The result depends
+    neither on the order of the amplitudes nor on how many zeros the view
+    carries, so a subspace weighs the same, bit for bit, in every state
+    that holds it.
+
+    The sum is taken by error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I: faithful rounding", SIAM J.
+    Sci. Comput. 2008) in a few numpy passes, and certified on each call;
+    a call that cannot be certified falls back to :func:`_sorted_fsum`.
+    Let N be the count of nonzero squares, m = N.bit_length(), so that
+    N < 2**m, u = 2**-53, and 2**e > |p| for every value p to be split,
+    at first the squares (e from ``math.frexp`` of the largest).
+
+    Split.  With sigma = 2**(m+e), each p splits as p = q + r with
+    q = fl(fl(sigma + p) - sigma).  As |p| < 2**e <= sigma / 2,
+    fl(sigma + p) lies in [sigma / 2, 2 sigma], so subtracting sigma is
+    exact (Sterbenz), and q is p rounded to a multiple of u sigma, with
+    |r| <= u sigma.  r = p - q is a float: it is p where q = 0, and
+    otherwise a multiple of ulp(p) (which q is too, since |p| < sigma / 2)
+    no larger than |p|, since q is nonzero only where |p| reaches half the
+    grid's step.  Every |q| <= 2**e, so every partial sum of the q is a
+    multiple of u sigma below N 2**e < sigma: each is a float, and tau,
+    the sum of the q, is exact in any order, numpy's pairwise sum of each
+    chunk and the chunk sums added in turn included.
+
+    Certify.  The residuals' float sum R, taken the same way, is off from
+    their exact sum by at most gamma(N - 1) times the sum of |r|, with
+    gamma(k) = k u / (1 - k u) <= 2 k u, in any order; that is below
+    2 N**2 u**2 sigma <= B = 2**(2m+1-106) sigma.  Addition rounds no
+    result below the normal range, so neither the split nor the sums lose
+    these properties there.  The exact sum S = tau + sum r thus lies in
+    [tau + R - B, tau + R + B].  ``math.fsum`` rounds each end exactly, and
+    rounding is monotone, so when the two ends round to the same float,
+    that float is S rounded: the float that ``math.fsum`` of the squares
+    gives.  Otherwise the residuals, each of magnitude at most
+    u sigma < 2**(m+e-52), are split once more in place with that power of
+    two as the new 2**e, and S = tau + tau' + sum r' is certified the same
+    way with the new B.  The squares' array always holds what is left of
+    S beside the parts already taken, so where it then holds only zeros,
+    ``math.fsum`` of the parts is S rounded: a sum of few squares often
+    lies exactly halfway between two floats, which no B > 0 certifies.
+
+    Guards.  An overflowed square (inf) or NaN, a sigma beyond float64
+    (m + e > 1023) and a B that underflows (below 2**-1074, so not a
+    bound) each go straight to the fallback, which also raises what
+    ``math.fsum`` raises when the squares' sum overflows.
+
+    Memory.  The squares are one float64 copy of the nonzero amplitudes,
+    split into their residuals in place.  The q go through one chunk
+    buffer in the room of the freed nonzero mask, an eighth of the view's
+    size in floats, but at least 640 (5 KiB), so that a run's payload at
+    n = 4 (514 nonzero squares of 1024) takes one pass, and at most 2**16
+    (512 KiB), so that a chunk and its q stay in cache between passes.  So
+    beside the copy a dense view holds no Python float per amplitude and
+    no second copy.
+    """
+    squares = _squares(view)
+    count = squares.size
+    if not count:
+        return 0.0
+    buffer = np.empty(min(count, max(640, min(view.size >> 3, 1 << 16))))
+    m = count.bit_length()
+    # the ufuncs' reduce, not ndarray.max or .sum: the method's first call
+    # in a process keeps a small allocation in some processes only, so a
+    # cold run's traced peak would vary
+    top = float(np.maximum.reduce(squares))
+    e = math.frexp(top)[1]  # 2**e > top
+    parts = []  # tau of each split, exact
+    for _ in range(2):
+        bound = math.ldexp(1.0, 3 * m + e - 105)  # 2**(2m+1-106) sigma
+        if not (top < math.inf and m + e <= 1023 and bound):  # also refuses NaN
+            break
+        sigma = math.ldexp(1.0, m + e)
+        tau = rest = 0.0
+        for start in range(0, count, buffer.size):
+            chunk = squares[start : start + buffer.size]
+            q = buffer[: chunk.size]
+            np.add(chunk, sigma, out=q)
+            np.subtract(q, sigma, out=q)
+            tau += float(np.add.reduce(q))
+            np.subtract(chunk, q, out=chunk)
+            rest += float(np.add.reduce(chunk))
+        parts.append(tau)
+        low = math.fsum((*parts, rest, -bound))
+        if low == math.fsum((*parts, rest, bound)):
+            return low
+        e += m - 52  # the residuals lie below u sigma = 2**(m+e-53)
+    if not np.count_nonzero(squares):  # nothing is left of S beside the parts
+        return math.fsum(parts)
+    del squares, buffer
+    return _sorted_fsum(view)
 
 
 def _check_norm(squares: float) -> None:
@@ -143,9 +248,13 @@ def _check_norm(squares: float) -> None:
         raise ValidationError(f"encoded state norm defect {defect:.3e} exceeds {ENCODE_NORM_TOL}")
 
 
+#: physical memory of this machine, read once at import
+_PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def physical_memory_bytes() -> int:
-    """Physical memory of this machine."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """Physical memory of this machine (:data:`_PHYSICAL_MEMORY`)."""
+    return _PHYSICAL_MEMORY
 
 
 def require_memory(n: int, needed: int, what: str) -> None:
@@ -224,9 +333,10 @@ def _orientation(pm1: PreparedMatrix, pm2: PreparedMatrix, manips):
 def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     """One operand's (slack, slab) pair, read straight from its entries.
 
-    ``slack`` is the operand's K = 0 amplitudes at R = C = 0, (b.re, b.im)
-    or, where the operand is conjugated, (b.re, -b.im); the rest of its
-    K = 0 slab is zero.  ``slab`` is its K = 1 slab, a C-contiguous
+    ``slack`` is the operand's K = 0 amplitudes at R = C = 0 as a tuple of
+    two floats, (b.re, b.im) or, where the operand is conjugated,
+    (b.re, -b.im); the rest of its K = 0 slab is zero.  ``slab`` is its
+    K = 1 slab, a C-contiguous
     (2**n, 2**(n+1)) float64 view of complex entries read in one oriented
     call: the entries themselves, read in place, where neither bit is set,
     else one C-ordered copy of their transpose (``np.ascontiguousarray``),
@@ -236,14 +346,15 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     :func:`qamp.conjugator.hermitian_conjugate` when both bits are set,
     since copying, conjugating and negating are exact.  The encoded
     state's norm is checked as :func:`qamp.encoder.encode` checks it
-    (:func:`_check_norm`).
+    (:func:`_check_norm`): the slab's sum of squares (``np.vdot``) plus
+    the slack's, taken in Python floats.
     """
     entries = pm.matrix.entries.T if transposed else pm.matrix.entries
     entries = np.conjugate(entries, order="C") if conjugated else np.ascontiguousarray(entries)
     slab = entries.view(np.float64)
-    slack = np.array((pm.b.real, -pm.b.imag if conjugated else pm.b.imag))
-    _check_norm(float(np.vdot(slab, slab)) + float(slack @ slack))
-    return slack, slab
+    re, im = pm.b.real, -pm.b.imag if conjugated else pm.b.imag
+    _check_norm(float(np.vdot(slab, slab)) + (re * re + im * im))
+    return (re, im), slab
 
 
 def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.ndarray:
@@ -269,8 +380,8 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
 
     Each operand's two factors come straight from its entries
     (:func:`_operand_factors`, oriented by :func:`_orientation`): its
-    slack pair, and its K = 1 slab, the entries or one copy of them
-    transposed and conjugated as the manipulations ask, with a row per
+    slack pair, two floats, and its K = 1 slab, the entries or one copy of
+    them transposed and conjugated as the manipulations ask, with a row per
     value of the register it is summed over (C1 for the first operand, R2
     for the second) and the other register and the label along the row.
 
@@ -280,7 +391,9 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     0), is +-0.0.  Added to a sum that started at +0.0, those zeros give
     +0.0, and so does their scaling, so that quarter is +0.0 but for its
     corner: the product of the two slack pairs plus +0.0 (which turns a
-    -0.0 into +0.0, as the sum does), times 2**(-n/2).  The K1 = K2 = 1
+    -0.0 into +0.0, as the sum does), times 2**(-n/2), each of its four
+    amplitudes taken in Python floats, whose product, sum and product
+    round as numpy's do.  The K1 = K2 = 1
     quarter takes the unscaled sum over every c in one two-operand einsum,
     written into the quarter, and then one in-place multiply by the scale.
     Both factors are C-contiguous, so numpy's iterator puts c outermost
@@ -301,9 +414,10 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
     scale = 2.0 ** (-pm1.n / 2)
     half = 2 * dim
     diagonal = np.zeros((2, half, half))
-    # not np.multiply.outer: numpy keeps a small allocation from its first
-    # call in some processes only, so a cold run's traced peak would vary
-    diagonal[0, :2, :2] = (slack1[:, None] * slack2 + 0.0) * scale
+    (a0, a1), (b0, b1) = slack1, slack2
+    corner = diagonal[0]
+    corner[0, 0], corner[0, 1] = (a0 * b0 + 0.0) * scale, (a0 * b1 + 0.0) * scale
+    corner[1, 0], corner[1, 1] = (a1 * b0 + 0.0) * scale, (a1 * b1 + 0.0) * scale
     np.einsum("cr,cs->rs", first, second, out=diagonal[1])
     np.multiply(diagonal[1], scale, out=diagonal[1])
     return diagonal.reshape(2, dim, 2, dim, 2)
@@ -316,7 +430,9 @@ def peak_bytes(n: int) -> int:
     and the squares of its weight (a quarter each), the two operands'
     entries (half a quarter each; w1 reads a plain operand's entries in
     place and one oriented copy of any other, freed before the payload is
-    written), the weight's nonzero mask (an eighth of a quarter), and
+    written), the weight's nonzero mask (an eighth of a quarter), then,
+    once the mask is freed, the weight's chunk buffer in its room (at
+    least 5 KiB, which :data:`RUNTIME_BYTES` covers), and
     :data:`RUNTIME_BYTES`, which also holds the buffers of w1's einsum
     (1.5 KiB traced at each n from 2 to 9); the sums of w1's row and of
     the oracle each write straight into their output.  The oracle runs
@@ -466,7 +582,9 @@ def run_pipeline(
     oracle_error = math.nan
     if verify:
         expected, _expected_b = oracle_product(pm1, pm2, manips)
-        oracle_error = float(np.max(np.abs(matrix_hat.entries - expected.entries)))
+        # the ufunc's reduce, as in _weight, not ndarray.max
+        error = np.abs(matrix_hat.entries - expected.entries)
+        oracle_error = float(np.maximum.reduce(error, axis=None))
     return ProductResult(
         matrix_hat=matrix_hat,
         b_hat=b_hat,

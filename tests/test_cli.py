@@ -380,6 +380,33 @@ class TestConjugate:
         assert code == (2 if kind == "huge" else 0)
 
 
+class TestNoConstructorCopy:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_commands_print_the_same_bytes_without_the_constructor(self, tmp_path, capsys, monkeypatch, n):
+        # every matrix that a command builds is a result the package has
+        # just computed (ComplexMatrix._fresh): with the copying constructor
+        # patched to raise, each command prints what it printed with it
+        rng = np.random.default_rng(380 + n)
+        a, b = (write_json(tmp_path / f"{name}.json", matrix_to_obj(support.random_matrix(rng, n))) for name in "ab")
+        prepared = str(tmp_path / "p.json")
+        assert main(["prepare", a, "-o", prepared]) == 0
+        argvs = [["prepare", a], ["conjugate", b], ["estimate-g", a, prepared, "--shots", "1000"]]
+        argvs += [["multiply", a, b, *flags] for flags in ([], ["--no-verify"])]
+        argvs += [["multiply", prepared, b, *flags] for flags in ([], ["--dagger-a", "--dagger-b", "--swap-order"])]
+
+        def session():
+            return [(main(argv), capsys.readouterr()) for argv in argvs]
+
+        want = session()
+
+        def refuse(self):
+            raise AssertionError("the copying constructor ran")
+
+        monkeypatch.setattr(ComplexMatrix, "__post_init__", refuse)
+        assert session() == want
+        assert all(code == 0 for code, _ in want)
+
+
 class TestEstimateG:
     def test_desk_case(self, desk_matrix, tmp_path, capsys):
         prepared = tmp_path / "p.json"

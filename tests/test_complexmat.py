@@ -21,6 +21,7 @@ from qamp import (
     prepare,
     prepared_from_obj,
     prepared_to_obj,
+    run_pipeline,
 )
 from qamp import complexmat
 from support import ORDER_CANARY, matmul_oracle_numpy, mixed_entries, random_matrix
@@ -100,6 +101,23 @@ class TestComplexMatrix:
         # the entries fit the width the bool would stand for
         with pytest.raises(DimensionError, match=f"got {n!r}$"):
             ComplexMatrix(n, np.eye(1 << n))
+
+    def test_results_share_no_memory_with_the_inputs(self):
+        # the package hands its own fresh results to ComplexMatrix._fresh
+        # without a copy, so none of them may hold a view of an input
+        rng = np.random.default_rng(103)
+        a, b = random_matrix(rng, 2), random_matrix(rng, 2)
+        pm1, pm2 = prepare(a, 0.75), prepare(b, 0.75, b_phase=1.0)
+        inputs = (a, b, pm1.matrix, pm2.matrix)
+        results = [pm1.matrix, pm2.matrix, matrix_from_obj(matrix_to_obj(a)), dagger_oracle(a), matmul_oracle(a, b)]
+        for manips in ((), ("dagger2",), ("dagger1", "swap_order")):
+            results.append(oracle_product(pm1, pm2, manips)[0])
+            results.append(run_pipeline(pm1, pm2, manips).matrix_hat)
+        for result in results:
+            assert result.entries.dtype == np.complex128 and result.entries.flags.c_contiguous
+            for source in inputs:
+                if result is not source:
+                    assert not np.shares_memory(result.entries, source.entries)
 
 
 class TestPrepare:

@@ -288,7 +288,7 @@ def test_w1_quarters_keep_the_per_term_bits_at_even_n(n):
                 _operand_factors(pm, *bits) for pm, bits in zip((pm1, pm2), _orientation(pm1, pm2, manips))
             )
             old = np.zeros((2, half, half))
-            old[0, :2, :2] = slack1[:, None] * slack2 * scale + 0.0
+            old[0, :2, :2] = np.asarray(slack1)[:, None] * np.asarray(slack2) * scale + 0.0
             old[1] = np.einsum("cr,cs,->rs", first, second, scale)
             assert _w1_diagonal(pm1, pm2, manips).tobytes() == old.tobytes(), manips
 

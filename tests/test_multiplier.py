@@ -35,6 +35,7 @@ from qamp import conjugator, encoder, multiplier, registers
 from qamp.multiplier import flagged_state
 from qamp.registers import RegisterLayout, layout_for
 from qamp.encoder import EncodedBlock, _components, basis_index, decode, joint_amplitudes
+import weights
 from support import manipulated_build, mixed_entries, prepared_from_tilde, random_prepared
 from exact import entry_bounds, entry_errors, error_bound, exact_product, max_error
 from bruteforce import (
@@ -218,9 +219,9 @@ class TestEntryFactors:
             amps = amps.reshape(2, dim, 2 * dim, 2, dim, 2 * dim)
             for k1, k2, f1, f2 in (
                 (1, 1, first, second),
-                (1, 0, first, slack2[None]),
-                (0, 1, slack1[None], second),
-                (0, 0, slack1[None], slack2[None]),
+                (1, 0, first, np.asarray(slack2)[None]),
+                (0, 1, np.asarray(slack1)[None], second),
+                (0, 0, np.asarray(slack1)[None], np.asarray(slack2)[None]),
             ):
                 got = np.multiply.outer(f1, f2)
                 (r1, c1), (r2, c2) = f1.shape, f2.shape
@@ -249,7 +250,7 @@ class TestEntryFactors:
         assert slab.dtype == np.float64 and slab.flags.c_contiguous
         assert slab.shape == reference.shape and slab.tobytes() == reference.tobytes()
         b = complex(pm.b)
-        assert slack.tolist() == [b.real, -b.imag if conjugated else b.imag]
+        assert np.asarray(slack).tolist() == [b.real, -b.imag if conjugated else b.imag]
         assert np.shares_memory(slab, pm.matrix.entries) == (not transposed and not conjugated)
 
     def test_run_and_estimate_leave_the_operands_unchanged(self):
@@ -457,6 +458,46 @@ class TestW3AndMeasurement:
         sv = init_basis(layout.total_qubits, basis_index(layout, {"M2": 1}))
         with pytest.raises(MeasurementError):
             conditional_measure(sv, layout)
+
+
+class TestWeight:
+    @pytest.mark.parametrize("family", sorted(weights.FAMILIES))
+    def test_is_fsum_of_the_squares_bit_for_bit(self, family):
+        # empty and one-element views included; subnormal squares, squares
+        # that underflow to zero and sums past float64 take the fallback
+        for index, (name, view) in enumerate(weights.views(711, 6 * 60, max_bits=10)):
+            if name == family:
+                got = weights.outcome(multiplier._weight, view)
+                assert got == weights.outcome(weights.reference, view), (index, view.size)
+
+    def test_a_tie_is_certified_not_guessed(self):
+        # the squares 1, 2**-54, 2**-54 and 2**-160 sum to 1 + 2**-53 +
+        # 2**-160, just above the tie between 1 and 1 + 2**-52; the first
+        # extraction keeps 1 and leaves residuals whose float sum is 2**-53,
+        # so its uncertified candidate reads 1.0
+        view = np.array([1.0, 2.0**-27, 2.0**-27, 2.0**-80])
+        assert 1.0 + 2.0**-53 == 1.0
+        want = 1.0 + 2.0**-52
+        assert math.fsum(view * view) == want
+        assert multiplier._weight(view) == want
+        assert multiplier._weight(view[::-1]) == want
+
+    def test_run_payloads_never_fall_back(self, monkeypatch):
+        # the extraction certifies every payload weight of a run at n = 1..6
+        # under each manipulation set, and the estimator's K1 = 0 weight;
+        # the fallback would give the same bits, only slower
+        fallbacks = []
+        sorted_fsum = multiplier._sorted_fsum
+        monkeypatch.setattr(multiplier, "_sorted_fsum", lambda view: fallbacks.append(view.size) or sorted_fsum(view))
+        rng = np.random.default_rng(431)
+        for n in range(1, 7):
+            pm1, pm2 = (random_prepared(rng, n, complex_b=True) for _ in range(2))
+            for manips in ALL_SUBSETS:
+                run_pipeline(pm1, pm2, manips, verify=False)
+                estimate_g(pm1, pm2, manips, shots=10)
+        assert fallbacks == []
+        multiplier._weight(np.array([1.0, 2.0**-27, 2.0**-27, 2.0**-80]))
+        assert fallbacks == [4]
 
 
 class TestOracleProduct:
