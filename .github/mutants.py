@@ -58,8 +58,8 @@ MUTANTS = (
     (
         "w1: the scale as einsum's third operand, not applied once after the sum",
         "multiplier.py",
-        'np.einsum("cr,cs->rs", first, second, out=diagonal[1])\n    np.multiply(diagonal[1], scale, out=diagonal[1])',
-        'np.einsum("cr,cs,->rs", first, second, scale, out=diagonal[1])',
+        "quarter = _matmul(first, second)\n    np.multiply(quarter, scale, out=quarter)",
+        'quarter = np.einsum("lj,lk,->jk", first, second, scale)',
     ),
     (
         "apply_w1: each term scaled as it is added, not the sum once",
@@ -70,14 +70,20 @@ MUTANTS = (
     (
         "flag_and_measure: the real part adds where w2 subtracts",
         "multiplier.py",
-        "np.subtract(diagonal[:, :, 0, :, 0]",
-        "np.add(diagonal[:, :, 0, :, 0]",
+        "np.subtract(quarter[:, 0, :, 0]",
+        "np.add(quarter[:, 0, :, 0]",
     ),
     (
         "flag_and_measure: the imaginary part subtracts where w2 adds",
         "multiplier.py",
-        "np.add(diagonal[:, :, 1, :, 0]",
-        "np.subtract(diagonal[:, :, 1, :, 0]",
+        "np.add(quarter[:, 1, :, 0]",
+        "np.subtract(quarter[:, 1, :, 0]",
+    ),
+    (
+        "flag_and_measure: the slack's real part adds where w2 subtracts",
+        "multiplier.py",
+        "pairs[-1] = c00 - c11",
+        "pairs[-1] = c00 + c11",
     ),
     (
         "operand reader: a conjugated operand's entries not conjugated",
@@ -120,6 +126,12 @@ MUTANTS = (
         "multiplier.py",
         'd2 = "dagger2" in manips',
         'd2 = "dagger2" not in manips',
+    ),
+    (
+        "estimator: the slack's imaginary square dropped from the K1 = 0 weight",
+        "estimator.py",
+        "slack.real * slack.real + slack.imag * slack.imag",
+        "slack.real * slack.real",
     ),
     (
         "estimator: p_hat over one shot too many",

@@ -7,10 +7,10 @@ Exits 1 unless the decoded product matches the oracle within the
 forward-error bound of a float64 product of two dim x dim matrices,
 (2 dim + 8) 2^-53 ||A1||_F ||A2||_F with both norms taken from the
 prepared weights, the branch weight is g^2 / 2^(n+1) to 1e-12 relative,
-the estimator's exact K1 = 0 weight, read off the flagged payload, is
-|b1 b2|^2 / g^2 to 1e-12 relative (10^4 shots, seed 0), and ru_maxrss,
-the whole process's peak resident size, stays under the bytes the memory
-preflight asked for.
+the estimator's exact K1 = 0 weight, the squared magnitude of the flagged
+branch's slack, is |b1 b2|^2 / g^2 to 1e-12 relative (10^4 shots, seed
+0), and ru_maxrss, the whole process's peak resident size, stays under
+the bytes the memory preflight asked for (multiplier.peak_bytes).
 Both weights fall with n (the branch weight like 2^-(n+1)), so an absolute
 bound would check less at every larger n; the relative drift measured at
 n = 1..10 is at most 2.4e-16.  So do the product's entries, since prepare

@@ -243,7 +243,11 @@ def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The ordered sum over l of x[l, j] * y[l, k], entry (j, k), taken as
     :func:`matmul_oracle` takes it: x holds the first factor's columns as
     rows and y the second factor's rows, so that term l of entry (j, k) of
-    their product is x[l, j] * y[l, k].  Both must be C-contiguous.
+    their product is x[l, j] * y[l, k].  Both must be C-contiguous.  It
+    also sums w1's K1 = K2 = 1 quarter on the run path
+    (:func:`qamp.multiplier._w1_quarter`), on the operands' float64 factors
+    with l the contracted index c, so one einsum carries the order that
+    both sums rest on.
 
     One einsum takes the whole sum.  With both operands C-contiguous,
     numpy's iterator puts the summed index l outermost, so every entry adds

@@ -141,7 +141,9 @@ def apply_w1(state: StateVector, layout: RegisterLayout) -> StateVector:
     of H[j, c], and is then multiplied once by 2**(-n/2).  Negating is
     exact, so each slice rounds as one sum of its signed terms and one
     product.  Its C1 = 0 slice, all signs +, is therefore the sum the run
-    path accumulates (:func:`qamp.multiplier._w1_diagonal`), bit for bit.
+    path accumulates, bit for bit, where it reads it: the K1 = K2 = 1
+    quarter and the K1 = K2 = 0 corner at R2 = 0
+    (:func:`qamp.multiplier._w1_quarter`).
     """
     scale = 2.0 ** (-layout.n / 2)
     amps = np.empty_like(state.amplitudes)

@@ -6,9 +6,13 @@ that weight divided by the squared normalization factor, so measuring K1
 over many runs recovers the factor as a square-root ratio.  The measurement
 destroys the product state, so one extra run is nominally needed to keep it.
 
-The shots are independent draws from the exact K1 marginal, which is read
-off the flagged payload's K1 = 0 slab as an exactly rounded weight, so their
-zero-outcome count is one binomial draw, a fixed function of (shots, seed).
+The shots are independent draws from the exact K1 marginal: the K1 = 0
+weight is the squared magnitude of the flagged branch's one slack
+amplitude, so their zero-outcome count is one binomial draw, a fixed
+function of (shots, seed).  That weight adds two squares with one rounded
+addition, which is the exactly rounded weight that the full-register
+measurement reads (:func:`qamp.multiplier._weight` of the K1 = 0 half),
+bit for bit: the rest of that half is zero.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from .complexmat import PreparedMatrix
 from .errors import EstimateUnavailableError, MethodUndefinedError, ParameterError, _integer
-from .multiplier import _check_manipulations, _weight, flagged_state
+from .multiplier import _check_manipulations, flagged_state
 
 #: no longer used for sampling, which is one draw; kept only because the
 #: benchmark's replay reports ceil(shots / SHARD_SIZE) as ``estimator.shards``
@@ -77,9 +81,8 @@ def estimate_g(
         raise MethodUndefinedError(
             "slack product is zero for these inputs, the recovery ratio is undefined"
         )
-    payload, _branch = flagged_state(pm1, pm2, manips)
-
-    s1_tilde_exact = _weight(payload[0])
+    _product, slack, _branch = flagged_state(pm1, pm2, manips)
+    s1_tilde_exact = slack.real * slack.real + slack.imag * slack.imag
     # the zero-outcome count of the shots, one binomial draw; a weight is
     # never negative, but rounding can take it past 1
     zeros = int(np.random.default_rng(seed).binomial(shots, min(1.0, s1_tilde_exact)))
@@ -94,7 +97,7 @@ def estimate_g(
     stderr = 0.5 * math.sqrt(s1 / p) * math.sqrt(q / (p * shots))
     return GEstimate(
         s1=s1,
-        s1_tilde_exact=float(s1_tilde_exact),
+        s1_tilde_exact=s1_tilde_exact,
         s1_tilde_sampled=p_hat,
         g_hat=g_hat,
         shots=shots,

@@ -22,7 +22,8 @@ prefactor going into the measurement.
 
 :func:`flagged_state` is the one place this stage sequence, with the
 optional manipulations ahead of w0, is written; :func:`run_pipeline` and
-:func:`qamp.estimator.estimate_g` both read their results off its output.
+:func:`qamp.estimator.estimate_g` both read their results off what it
+returns, and no other module knows how the flagged branch is laid out.
 
 The run path computes only what reaches the flagged branch, the payload
 slice (C1, R2, M2 and K2 all 0) that the measurement keeps, and never
@@ -48,23 +49,25 @@ transposed, and a negated label = 1 half is their complex conjugate, so
 the manipulations come down to two bits per operand
 (:func:`_orientation`).
 
-So a run is two steps.  :func:`_w1_diagonal` writes the two quarters,
-one 2**(n+1) x 2**(n+1) array each, from each operand's entries, read in
-place or in one copy transposed and conjugated as the manipulations ask,
-and its slack pair, two Python floats (:func:`_operand_factors`, the one
-operand reader); no component tensor is built.
-The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2 corner, the product of
-the two slack pairs, taken in Python floats with the IEEE operations that
-numpy would round alike, since an operand's K = 0 slab holds just the slack;
-the K1 = K2 = 1 quarter sums one unscaled outer product per c, in c
-order, in one two-operand einsum, and multiplies the sum by 2**(-n/2)
-once.  :func:`flag_and_measure` writes w2's flagged output from the
-quarters straight into the payload, a component tensor indexed [K1, R1,
-C2, M1] (2**(2n+2) amplitudes), then weighs and renormalizes it.  The product is read through a complex view of the
-payload's K1 = 1 slab, and the estimator's K1 = 0 weight straight off
-that tensor.  A run builds no layout: it sizes itself from n, checked
-once at its head (:func:`flagged_state`), and looks the measured qubit up
-on ``layout_for(n)`` only to name it when the branch has zero weight.
+So a run is two steps.  :func:`_w1_quarter` sums the K1 = K2 = 1
+quarter, one 2**(n+1) x 2**(n+1) array, from each operand's entries,
+read in place or in one copy transposed and conjugated as the
+manipulations ask, in the ordered einsum that the oracle sums with
+(:func:`qamp.complexmat._matmul`), and scales it once; no component
+tensor is built.  The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2
+corner, since an operand's K = 0 slab holds just the slack, so it is never
+allocated: the corner's four amplitudes are the products of the two slack
+pairs (two Python floats each, from :func:`_operand_factors`, the one
+operand reader), taken in Python floats with the IEEE operations that
+numpy would round alike.  :func:`flag_and_measure` writes w2's flagged
+output from the quarter and the corner as the paper's post-selected
+branch holds it, an encoded unnormalized matrix: 2**(2n) + 1 (re, im)
+pairs, the product's entries in row-major order and then the slack.  It
+weighs and renormalizes that one array, and the run reads the product
+through a complex view of it and the slack as one complex number.  A run
+builds no layout: it sizes itself from n, checked once at its head
+(:func:`flagged_state`), and looks the measured qubit up on
+``layout_for(n)`` only to name it when the branch has zero weight.
 
 The full-register stages that the run is held to, bit for bit, are in
 :mod:`qamp.conjugator`; this module imports nothing of them, nor of the
@@ -196,8 +199,8 @@ def _weight(view: np.ndarray) -> float:
     Memory.  The squares are one float64 copy of the nonzero amplitudes,
     split into their residuals in place.  The q go through one chunk
     buffer in the room of the freed nonzero mask, an eighth of the view's
-    size in floats, but at least 640 (5 KiB), so that a run's payload at
-    n = 4 (514 nonzero squares of 1024) takes one pass, and at most 2**16
+    size in floats, but at least 640 (5 KiB), so that a run's flagged
+    branch at n = 4 (514 squares) takes one pass, and at most 2**16
     (512 KiB), so that a chunk and its q stay in cache between passes.  So
     beside the copy a dense view holds no Python float per amplitude and
     no second copy.
@@ -357,17 +360,20 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     return (re, im), slab
 
 
-def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.ndarray:
+def _w1_quarter(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tuple[np.ndarray, tuple]:
     """The K1 = K2 diagonal of the C1 = R2 = 0 slice of
     :func:`qamp.conjugator.apply_w1` after :func:`qamp.conjugator.apply_w0`
     on :func:`qamp.conjugator.build_initial` and
     :func:`qamp.conjugator.apply_q` per manipulation, bit for bit, without
-    that state: the two quarters of w1's row that w2's flagged output
-    reads (:func:`flag_and_measure`).
+    that state: what of w1's row w2's flagged output reads
+    (:func:`flag_and_measure`).
 
-    Returns the diagonal as an array indexed [k, R1, first label, C2,
-    second label] at K1 = K2 = k: the first operand's label is M1 and the
-    second's M2, or M2 and M1 when the operand exchange crossed them.
+    Returns the K1 = K2 = 1 quarter, an array indexed [R1, first label,
+    C2, second label], and the K1 = K2 = 0 quarter's 2 x 2 corner at
+    R1 = C2 = 0, four Python floats in the order (0, 0), (0, 1), (1, 0),
+    (1, 1) of (first label, second label).  The first operand's label is
+    M1 and the second's M2, or M2 and M1 when the operand exchange crossed
+    them.
 
     On the product state w0 only moves amplitudes: at R2 = 0 its C1 = c
     slice is the first operand's factor at C1 = c times the second's at
@@ -387,68 +393,72 @@ def _w1_diagonal(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> np.
 
     A manipulation never renames K, and an operand's K = 0 slab holds only
     the slack, at R = C = 0, so at K1 = K2 = 0 every term with c > 0, and
-    every amplitude of the c = 0 term outside its 2 x 2 corner (R1 = C2 =
-    0), is +-0.0.  Added to a sum that started at +0.0, those zeros give
-    +0.0, and so does their scaling, so that quarter is +0.0 but for its
-    corner: the product of the two slack pairs plus +0.0 (which turns a
-    -0.0 into +0.0, as the sum does), times 2**(-n/2), each of its four
-    amplitudes taken in Python floats, whose product, sum and product
-    round as numpy's do.  The K1 = K2 = 1
-    quarter takes the unscaled sum over every c in one two-operand einsum,
-    written into the quarter, and then one in-place multiply by the scale.
-    Both factors are C-contiguous, so numpy's iterator puts c outermost
-    and every amplitude adds its terms in c order, in place, onto the +0.0
-    that einsum writes first, as :func:`qamp.conjugator.apply_w1` does;
-    each term is the rounded product of the two factors, fused with no
-    addition.  At even n
-    the scale is a power of two, so these are the bits that scaling each
-    term would give, wherever nothing underflows.  The order canary
-    (``test_fused_stages.py::test_w1_sums_in_c_order``) and the
-    bit-for-bit tests against apply_w1 guard this on each platform and
-    numpy version.
+    every amplitude of the c = 0 term outside its corner, is +-0.0.  Added
+    to a sum that started at +0.0, those zeros give +0.0, and so does their
+    scaling, so that quarter is +0.0 but for its corner and is not
+    allocated.  Each corner amplitude is the product of a slack component
+    of each operand plus +0.0 (which turns a -0.0 into +0.0, as the sum
+    does), times 2**(-n/2), taken in Python floats, whose product, sum and
+    product round as numpy's do.  The K1 = K2 = 1 quarter is the unscaled
+    sum over every c, taken by :func:`qamp.complexmat._matmul`, the one
+    two-operand einsum that also sums the oracle, and then one in-place
+    multiply by the scale.  Both factors are C-contiguous, so numpy's
+    iterator puts c outermost and every amplitude adds its terms in c
+    order, in place, onto the +0.0 that einsum writes first, as
+    :func:`qamp.conjugator.apply_w1` does; each term is the rounded
+    product of the two factors, fused with no addition.  At even n the
+    scale is a power of two, so these are the bits that scaling each term
+    would give, wherever nothing underflows.  The order canaries
+    (``test_fused_stages.py::test_w1_sums_in_c_order`` and
+    ``test_complexmat.py::TestEinsumOrder``) and the bit-for-bit tests
+    against apply_w1 guard this on each platform and numpy version.
     """
     bits1, bits2 = _orientation(pm1, pm2, manipulations)
     slack1, first = _operand_factors(pm1, *bits1)
     slack2, second = _operand_factors(pm2, *bits2)
     dim = 1 << pm1.n
     scale = 2.0 ** (-pm1.n / 2)
-    half = 2 * dim
-    diagonal = np.zeros((2, half, half))
-    (a0, a1), (b0, b1) = slack1, slack2
-    corner = diagonal[0]
-    corner[0, 0], corner[0, 1] = (a0 * b0 + 0.0) * scale, (a0 * b1 + 0.0) * scale
-    corner[1, 0], corner[1, 1] = (a1 * b0 + 0.0) * scale, (a1 * b1 + 0.0) * scale
-    np.einsum("cr,cs->rs", first, second, out=diagonal[1])
-    np.multiply(diagonal[1], scale, out=diagonal[1])
-    return diagonal.reshape(2, dim, 2, dim, 2)
+    quarter = _matmul(first, second)
+    np.multiply(quarter, scale, out=quarter)
+    corner = tuple((a * b + 0.0) * scale for a in slack1 for b in slack2)
+    return quarter.reshape(dim, 2, dim, 2), corner
 
 
 def peak_bytes(n: int) -> int:
     """Resident bytes of a process at the peak of a run at width ``n``,
-    bounded by everything a run holds at once: the two quarters of w1's
-    row that it computes, 2**(2n+2) float64 amplitudes each, the payload
-    and the squares of its weight (a quarter each), the two operands'
-    entries (half a quarter each; w1 reads a plain operand's entries in
-    place and one oriented copy of any other, freed before the payload is
-    written), the weight's nonzero mask (an eighth of a quarter), then,
-    once the mask is freed, the weight's chunk buffer in its room (at
-    least 5 KiB, which :data:`RUNTIME_BYTES` covers), and
-    :data:`RUNTIME_BYTES`, which also holds the buffers of w1's einsum
-    (1.5 KiB traced at each n from 2 to 9); the sums of w1's row and of
-    the oracle each write straight into their output.  The oracle runs
-    once the row and the payload are freed: its two factors and its sums
-    are 2**(2n) complex amplitudes, half a quarter, each, and it
-    transposes no sum after the fact, so beside the operands and the
-    decoded product it holds at most 3 quarters."""
-    return (8 * 5 + 1) * 4 ** (n + 1) + RUNTIME_BYTES
+    bounded by the most that any phase of a run holds at once, in bytes per
+    4**(n+1), the amplitudes of a quarter of w1's row: 8 for the two
+    operands' entries (4 each), which every phase holds, and then
+
+    - while w1 sums: 8 for the quarter and 8 for the oriented copies of
+      the entries (4 each, for an operand that is not read in place);
+    - while the branch is flagged and weighed: the copies are freed, and
+      the quarter is held beside the branch (4, its 2**(2n) + 1 (re, im)
+      pairs), the squares of its weight (at most 4) and the weight's
+      nonzero mask (0.5), then, once the mask is freed, the weight's chunk
+      buffer in its room;
+    - while the product is decoded: the branch (4) and the decoded product
+      (4);
+    - while the oracle runs, once the branch is freed: the decoded product
+      (4), the oracle's two factors and its sums (4 each), then its error's
+      difference and magnitudes.
+
+    The most is 24.5, while the branch is weighed, and :data:`RUNTIME_BYTES`
+    is added.  It also holds the few bytes that the branch's slack adds,
+    the weight's chunk buffer below its 5 KiB floor and the buffers of
+    w1's einsum (1.5 KiB traced at each n from 2 to 9); the sums of w1's
+    quarter and of the oracle each write straight into their output."""
+    return 49 * 4 ** (n + 1) // 2 + RUNTIME_BYTES
 
 
-def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:
+def flag_and_measure(quarter: np.ndarray, corner: tuple) -> tuple[np.ndarray, complex, float]:
     """:func:`qamp.conjugator.apply_w2`, :func:`qamp.conjugator.apply_w3`
     and :func:`qamp.conjugator.conditional_measure` from the K1 = K2
-    diagonal of w1's row (:func:`_w1_diagonal`, with C1, R2 and the
-    ancillae taken to be in |0>), kept to the payload.  The diagonal's axes
-    are K1 = K2, R1, the first operand's label, C2 and the second's label.
+    diagonal of w1's row, kept to the payload: its K1 = K2 = 1 quarter,
+    indexed [R1, first label, C2, second label], and its K1 = K2 = 0
+    corner, four floats in (first label, second label) order, as
+    :func:`_w1_quarter` returns them, with C1, R2 and the ancillae taken
+    to be in |0> and the rest of the K1 = K2 = 0 quarter +0.0.
 
     w3 moves the payload slice (C1, R2, M2 and K2 all 0) to B = BT = 1 and
     nothing else lands there, so the flagged branch is w2's M2 = K2 = 0
@@ -457,29 +467,36 @@ def flag_and_measure(diagonal: np.ndarray) -> tuple[np.ndarray, float]:
     (0, 0) minus (1, 1) and M1 = 1 from (0, 1) plus (1, 0), scaled by
     sqrt(1/2).  Both read the same with the two labels exchanged, bit for
     bit, since IEEE addition commutes, so labels crossed by the operand
-    exchange need no care.
+    exchange need no care.  At K1 = 0 that gives zeros but at R1 = C2 = 0,
+    the slack (c00 - c11, c10 + c01).
 
-    Returns the renormalized payload, a float64 tensor indexed [K1, R1,
-    C2, M1], and the branch's pre-projection weight.  The tensor is bit for
-    bit the B = BT = 1 payload slice of the full-register stages, which
-    leave zeros everywhere else, and the weight is bit for bit theirs: both
-    are exactly rounded sums of the same nonzero squares.  The diagonal is
-    not mutated.
+    The branch is written as 2**(2n) + 1 (re, im) pairs, one float64
+    array: the product's entries at K1 = 1 in row-major (R1, C2) order,
+    then the slack.  The pairs are scaled by sqrt(1/2), weighed
+    (:func:`_weight`) and divided by the weight's square root.  Returns the
+    product, a (2**n, 2**n) complex view of the entries' pairs, the slack
+    as a complex number and the branch's pre-projection weight.  The pairs
+    are bit for bit the nonzero part of the B = BT = 1 payload slice of
+    the full-register stages, which leave +0.0 on the rest of that slice
+    and zeros everywhere else, and the weight is bit for bit theirs: both
+    are exactly rounded sums of the same nonzero squares, which neither
+    the order nor the zeros change.  The quarter is not mutated.
     """
-    dim = diagonal.shape[1]
-    payload = np.empty((2, dim, dim, 2))
-    # the payload is [K1, R1, C2, M1]; out is [K1, M1, R1, C2]
-    out = payload.transpose(0, 3, 1, 2)
-    # diagonal[:, :, ma, :, mb] is the (R1, C2) matrix at each K1 = K2
-    np.subtract(diagonal[:, :, 0, :, 0], diagonal[:, :, 1, :, 1], out=out[:, 0])
-    np.add(diagonal[:, :, 1, :, 0], diagonal[:, :, 0, :, 1], out=out[:, 1])
-    np.multiply(payload, _SQRT1_2, out=payload)
-    weight = _weight(payload)
+    dim = quarter.shape[0]
+    pairs = np.empty((dim * dim + 1, 2))
+    entries = pairs[:-1].reshape(dim, dim, 2)
+    np.subtract(quarter[:, 0, :, 0], quarter[:, 1, :, 1], out=entries[..., 0])
+    np.add(quarter[:, 1, :, 0], quarter[:, 0, :, 1], out=entries[..., 1])
+    c00, c01, c10, c11 = corner
+    pairs[-1] = c00 - c11, c10 + c01
+    np.multiply(pairs, _SQRT1_2, out=pairs)
+    weight = _weight(pairs)
     if weight == 0.0:
         bt = layout_for(dim.bit_length() - 1).start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability")
-    np.divide(payload, math.sqrt(weight), out=payload)
-    return payload, weight
+    np.divide(pairs, math.sqrt(weight), out=pairs)
+    branch = pairs.view(np.complex128)[:, 0]
+    return branch[:-1].reshape(dim, dim), complex(branch[-1]), weight
 
 
 def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -> tuple[ComplexMatrix, complex]:
@@ -531,24 +548,26 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     return ComplexMatrix._fresh(pm1.n, entries), b_hat
 
 
-def flagged_state(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tuple[np.ndarray, float]:
+def flagged_state(
+    pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations
+) -> tuple[np.ndarray, complex, float]:
     """Run the circuit up to and including the conditional measurement.
 
-    Returns the renormalized payload of the flagged branch, a float64
-    tensor indexed [K1, R1, C2, M1] of shape (2, 2**n, 2**n, 2), and the
-    branch's pre-projection weight.  Only the K1 = K2 quarters of w1's row
-    (:func:`_w1_diagonal`) and the payload (:func:`flag_and_measure`) are
-    computed.  Each input is checked once, here or by the caller: a width
-    n below 1 is refused first, then operands of different widths, and
-    then a run whose :func:`peak_bytes` would not fit in physical memory,
-    before anything is allocated.  ``manipulations`` must already be
-    checked (:func:`_check_manipulations`), as :func:`run_pipeline` and
+    Returns the renormalized flagged branch as :func:`flag_and_measure`
+    does: the product, a (2**n, 2**n) complex128 view, the slack, a complex
+    number, and the branch's pre-projection weight.  Only w1's K1 = K2 = 1
+    quarter and K1 = K2 = 0 corner (:func:`_w1_quarter`) and the branch
+    are computed.  Each input is checked once, here or by the caller: a
+    width n below 1 is refused first, then operands of different widths,
+    and then a run whose :func:`peak_bytes` would not fit in physical
+    memory, before anything is allocated.  ``manipulations`` must already
+    be checked (:func:`_check_manipulations`), as :func:`run_pipeline` and
     :func:`qamp.estimator.estimate_g` check them.
     """
     _width(pm1.n)
     _check_widths(pm1, pm2)
     require_memory(pm1.n, peak_bytes(pm1.n), "what a run holds at once and the runtime")
-    return flag_and_measure(_w1_diagonal(pm1, pm2, manipulations))
+    return flag_and_measure(*_w1_quarter(pm1, pm2, manipulations))
 
 
 def run_pipeline(
@@ -557,27 +576,24 @@ def run_pipeline(
     """Run the whole circuit, decode, and verify against the classical oracle.
 
     Manipulations apply in the order of
-    :data:`qamp.conjugator.MANIPULATION_STAGES`.  The product and the slack are read off the flagged payload's K1 = 1 and
-    K1 = 0 slabs, the product's entries through a complex view of the
-    slab's (re, im) pairs, multiplied by ``g_exact`` into a C-contiguous
-    array.  With ``verify`` false the oracle is not run and
-    ``oracle_error`` is NaN.
+    :data:`qamp.conjugator.MANIPULATION_STAGES`.  The product and the slack
+    are read off the flagged branch (:func:`flagged_state`), the product's
+    entries multiplied by ``g_exact`` into a C-contiguous array.  With
+    ``verify`` false the oracle is not run and ``oracle_error`` is NaN.
     """
     manips = _check_manipulations(manipulations)
-    payload, branch_probability = flagged_state(pm1, pm2, manips)
+    product, slack, branch_probability = flagged_state(pm1, pm2, manips)
 
     # the flagged branch carries weight G^2 / 2^(n+1)
     g_exact = math.sqrt(branch_probability * float(1 << (pm1.n + 1)))
-    # the K1 = 1 slab's (re, im) pairs as complex entries, a view
-    product = payload[1].view(np.complex128)[..., 0]
     if "swap_order" in manips:
         product = product.T
     entries = np.multiply(product, g_exact, order="C")
-    # a fresh complex128 array, finite since the payload is normalized
+    # a fresh complex128 array, finite since the branch is normalized
     matrix_hat = ComplexMatrix._fresh(pm1.n, entries, finite=True)
-    b_hat = complex(payload[0, 0, 0, 0], payload[0, 0, 0, 1]) * g_exact
+    b_hat = slack * g_exact
     # only the decoded product is held through the oracle
-    del payload, product, entries
+    del product, entries
 
     oracle_error = math.nan
     if verify:
@@ -599,9 +615,10 @@ def run_pipeline(
 class ResourceReport:
     """Analytic circuit-size accounting.
 
-    The simulator computes only two quarters of w1's row from the operands
-    and writes w2's flagged output straight into the payload tensor, so
-    these numbers describe the abstract circuit rather than the kernels.
+    The simulator computes only one quarter of w1's row and another's
+    corner from the operands and writes w2's flagged output straight into
+    the branch's (re, im) pairs, so these numbers describe the abstract
+    circuit rather than the kernels.
     The elementary depth of the payload-flagging gate follows a
     chained-Toffoli model for a gate with k controls (2k - 3 layers, plus
     one CNOT to copy onto the second ancilla), which is linear in the

@@ -24,7 +24,7 @@ Weights (:meth:`StateVector.probability`, :func:`project_and_renormalize`
 and the residual of :func:`qamp.encoder.decode`) are exactly rounded sums
 of the nonzero squares (:func:`qamp.multiplier._weight`), so a branch
 weighs the same, bit for bit, whether it is read off a full-register state
-or off the run's payload tensor.
+or off the (re, im) pairs that a run holds.
 
 The full-register circuit (:mod:`qamp.conjugator`) runs on this engine:
 the manipulations, the conjugation, w0, w2 and w3 are gate lists handed to

@@ -189,15 +189,16 @@ class TestMultiply:
         assert err.startswith("error: ") and "zero probability" in err
 
     def test_oversized_run_refused_exit_2(self, tmp_path, capsys, monkeypatch):
-        # physical memory reported one byte short of an n = 2 run's peak: five
-        # quarters of w1's row of 2**6 amplitudes each, the weight's mask
-        # of an eighth of a quarter and the runtime
-        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67111488 - 1)
+        # physical memory reported one byte short of an n = 2 run's peak:
+        # 24.5 bytes per amplitude of a quarter of w1's row of 2**6
+        # amplitudes (three quarters and the weight's mask of an eighth of
+        # the branch's half quarter) and the runtime
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67110432 - 1)
         entries = [[[0.1 * (j + k), 0.0] for k in range(4)] for j in range(4)]
         a = write_json(tmp_path / "a.json", {"n": 2, "entries": entries})
         assert main(["multiply", a, a]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "needs 67111488 bytes" in err
+        assert err.startswith("error: ") and "needs 67110432 bytes" in err
 
     def test_prepared_file_inconsistent_scale_exit_2(self, tmp_path, capsys):
         # the desk file records s_original = 0.5; with 5.0 the rescaled
@@ -230,9 +231,9 @@ class TestMultiply:
         flagged = multiplier.flagged_state
 
         def off(*args):
-            payload, weight = flagged(*args)
-            payload[1] *= 1 + 1e-6
-            return payload, weight
+            product, slack, weight = flagged(*args)
+            product *= 1 + 1e-6
+            return product, slack, weight
 
         monkeypatch.setattr(multiplier, "flagged_state", off)
         rng = np.random.default_rng(263)
@@ -337,11 +338,11 @@ class TestConjugate:
     def test_runs_where_multiply_is_refused_for_memory(self, tmp_path, capsys, monkeypatch):
         # too little memory for a multiply at n = 2, plenty for the four
         # 4 x 4 complex arrays that conjugate holds
-        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67111488 - 1)
+        monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: 67110432 - 1)
         entries = np.random.default_rng(239).normal(size=(4, 4, 2))
         src = write_json(tmp_path / "m.json", {"n": 2, "entries": entries.tolist()})
         assert main(["multiply", src, src]) == 2
-        assert "needs 67111488 bytes" in capsys.readouterr().err
+        assert "needs 67110432 bytes" in capsys.readouterr().err
         assert main(["conjugate", src]) == 0
         out = json.loads(capsys.readouterr().out)
         got = np.array([[complex(*pair) for pair in row] for row in out["entries"]])

@@ -153,13 +153,14 @@ class TestDecode:
 
 
 class TestMemoryPreflight:
-    # n = 5: a run is allowed five quarters of w1's row, 2**12 float64
-    # amplitudes each (the K1 = K2 quarters, the payload and its
-    # squares, the two operands' entries), the weight's nonzero mask of
-    # an eighth of a quarter, and the 64 MiB runtime allowance; a quarter
-    # (32 KiB) is well above what raising the refusal allocates
+    # n = 5: a run is allowed three quarters of w1's row, 2**12 float64
+    # amplitudes each (the two operands' entries, the K1 = K2 = 1 quarter,
+    # and the flagged branch and its squares, half a quarter each), the
+    # weight's nonzero mask of an eighth of the branch, and the 64 MiB
+    # runtime allowance; a quarter (32 KiB) is well above what raising the
+    # refusal allocates
     QUARTER = 8 * (1 << 12)
-    NEEDED = 5 * QUARTER + QUARTER // 8 + (64 << 20)
+    NEEDED = 3 * QUARTER + QUARTER // 16 + (64 << 20)
 
     def test_refuses_before_allocating(self, monkeypatch):
         monkeypatch.setattr(multiplier, "physical_memory_bytes", lambda: self.NEEDED - 1)

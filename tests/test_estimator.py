@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +13,14 @@ from qamp import (
     ParameterError,
     PreparedMatrix,
     estimate_g,
+    prepare,
     run_pipeline,
 )
-from support import prepared_from_tilde, random_prepared
+from qamp.conjugator import apply_w0, apply_w1, apply_w2, apply_w3, conditional_measure
+from qamp.encoder import EncodedBlock, decode
+from qamp.multiplier import MANIPULATIONS
+from qamp.registers import layout_for
+from support import manipulated_build, mixed_entries, prepared_from_tilde, random_prepared
 
 
 def desk_pair():
@@ -134,3 +142,39 @@ class TestEstimateG:
                 estimate_g(pm1, pm2, shots=10, seed=seed)
         for seed in (0, np.int64(3), 2**70):
             assert estimate_g(pm1, pm2, shots=10, seed=seed).seed == seed
+
+
+class TestSlackBits:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_slack_results_are_the_full_register_chains(self, n):
+        # the estimate's exact K1 = 0 weight and the run's b_hat, both read
+        # off the flagged branch's one slack amplitude, against the full
+        # register chain, bit for bit: the K1 = 0 probability after the
+        # conditional measurement, and the decoded slack times g.  The
+        # entries' components mix +-0.0 with magnitudes of either sign, and
+        # the slacks are complex or have a +0.0 or -0.0 component
+        layout = layout_for(n)
+        rng = np.random.default_rng(4300 + n)
+        pms = [prepare(ComplexMatrix(n, mixed_entries(rng, n)), 0.75) for _ in range(2)]
+        forms = (
+            lambda m: complex(m, -0.0),
+            lambda m: complex(-0.0, m),
+            lambda m: complex(0.0, -m),
+            lambda m: m * cmath.exp(2j),
+        )
+        for i, j in zip(range(4), (1, 2, 3, 3)):
+            pm1, pm2 = (dataclasses.replace(pm, b=form(pm.b.real)) for pm, form in zip(pms, (forms[i], forms[j])))
+            for r in range(4):
+                for manips in itertools.combinations(sorted(MANIPULATIONS), r):
+                    state = manipulated_build(pm1, pm2, layout, manips)
+                    for stage in (apply_w0, apply_w1, apply_w2, apply_w3):
+                        state = stage(state, layout)
+                    state, branch = conditional_measure(state, layout)
+                    g = math.sqrt(branch * float(1 << (n + 1)))
+                    _matrix, b, _residual = decode(state, EncodedBlock.pipeline_output(layout))
+                    s1_tilde = state.probability(layout.start("K1"), 0)
+                    est = estimate_g(pm1, pm2, manips, shots=10, seed=0)
+                    res = run_pipeline(pm1, pm2, manips, verify=False)
+                    case = (i, j, manips)
+                    assert np.array([est.s1_tilde_exact]).tobytes() == np.array([s1_tilde]).tobytes(), case
+                    assert np.array([res.b_hat]).tobytes() == np.array([b * g]).tobytes(), case

@@ -10,15 +10,18 @@ into a pass over the register view: it sums its Hadamard layer in a
 different order and must agree to 1e-15.  The states are random dense
 vectors, not encodings, so every amplitude is exercised.  At n = 1 each
 stage is also held to its brute-force unitary.  The run path computes only
-the K1 = K2 diagonal of w1's row; it is held bit for bit to those slices
-of the C1 = R2 = 0 slice of w1 after w0 on the build followed by Q3, Q2
-and Q1 as the manipulations ask, and its one einsum must add every
-amplitude's terms in c order (the order canary).  The flagging step,
-which runs w2 from that diagonal and keeps only the payload tensor, is
-held bit for bit to the payload slice of w2, w3 and the conditional
-measurement on the full register; its input is the diagonal of a random
-row, and the reference gets the whole row, embedded by name.  States are float64 only; a complex128 draw runs as its real and
-imaginary parts.
+the K1 = K2 = 1 quarter of w1's row and the K1 = K2 = 0 quarter's 2 x 2
+corner; the quarter is held bit for bit to that slice of the C1 = R2 = 0
+slice of w1 after w0 on the build followed by Q3, Q2 and Q1 as the
+manipulations ask, and the K1 = K2 = 0 slice to the corner and +0.0
+everywhere else, and the quarter's one einsum must add every amplitude's
+terms in c order (the order canary).  The flagging step, which runs w2
+from the quarter and the corner and keeps only the flagged branch, the
+product's entries and the slack, is held bit for bit to the payload slice
+of w2, w3 and the conditional measurement on the full register; its input
+is a random row whose K1 = K2 = 0 diagonal is zero outside its corner, and
+the reference gets the whole row, embedded by name.  States are float64
+only; a complex128 draw runs as its real and imaginary parts.
 """
 
 import itertools
@@ -43,7 +46,7 @@ from qamp.multiplier import (
     MANIPULATIONS,
     _operand_factors,
     _orientation,
-    _w1_diagonal,
+    _w1_quarter,
     flag_and_measure,
 )
 from qamp.encoder import EncodedBlock, _inside, register_view, select
@@ -174,18 +177,31 @@ def test_fused_stages_match_bruteforce_unitaries_n1(dtype):
 
 
 def diagonal_names(manips):
-    """The subsystems on axes 1 to 4 of :func:`_w1_diagonal`'s diagonal:
-    R1, the first operand's label, C2 and the second's label, which the
+    """The subsystems on the axes of :func:`_w1_quarter`'s quarter: R1,
+    the first operand's label, C2 and the second's label, which the
     operand exchange crosses."""
     crossed = "swap_order" in manips
     return ("R1", "M2" if crossed else "M1", "C2", "M1" if crossed else "M2")
 
 
+def w1_diagonal(pm1, pm2, manips):
+    """The K1 = K2 diagonal of w1's row from :func:`_w1_quarter`, indexed
+    [k, R1, first label, C2, second label]: the quarter at k = 1, and at
+    k = 0 the corner at R1 = C2 = 0 and +0.0 everywhere else."""
+    quarter, corner = _w1_quarter(pm1, pm2, manips)
+    assert all(type(amplitude) is float for amplitude in corner)
+    diagonal = np.zeros((2, *quarter.shape))
+    diagonal[0, 0, :, 0, :] = np.reshape(corner, (2, 2))
+    diagonal[1] = quarter
+    return diagonal
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4], ids=plain)
 def test_w1_row_is_the_c1_zero_row_of_w1(n):
-    # the run path sums the K1 = K2 diagonal of w1's C1 = 0 row over the
-    # R2 = 0 slice straight from the operand tensors; odd and even n both,
-    # since the Hadamard scale is a power of two only at even n
+    # the run path sums the K1 = K2 = 1 quarter of w1's C1 = 0 row over the
+    # R2 = 0 slice straight from the operand tensors, and the reference's
+    # K1 = K2 = 0 quarter must be its corner and +0.0 elsewhere; odd and
+    # even n both, since the Hadamard scale is a power of two only at even n
     working = layout_for(n).without("B", "BT")
     quarter_layout = working.without("C1", "R2", "K1", "K2")
     rng = np.random.default_rng(4000 * n)
@@ -195,7 +211,7 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
             state = manipulated_build(pm1, pm2, working, manips)
             state = apply_w1(apply_w0(state, working), working)
-            diagonal = _w1_diagonal(pm1, pm2, manips)
+            diagonal = w1_diagonal(pm1, pm2, manips)
             names = diagonal_names(manips)
             for k in (0, 1):
                 want = pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k})
@@ -206,7 +222,8 @@ def test_w1_row_is_the_c1_zero_row_of_w1(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_w1_row_is_bit_for_bit_on_signed_zeros(n):
     # operand components mix +-0.0 with magnitudes of either sign, so the
-    # diagonal must keep the sum's +0.0 start where every term is a zero
+    # quarter and the corner must keep the sum's +0.0 start where every
+    # term is a zero
     layout = layout_for(n)
     working = layout.without("B", "BT")
     quarter_layout = working.without("C1", "R2", "K1", "K2")
@@ -222,7 +239,7 @@ def test_w1_row_is_bit_for_bit_on_signed_zeros(n):
                 pinned(state.amplitudes, working, {"C1": 0, "R2": 0, "K1": k, "K2": k}).tobytes()
                 for k in (0, 1)
             )
-            diagonal = _w1_diagonal(pm1, pm2, manips)
+            diagonal = w1_diagonal(pm1, pm2, manips)
             names = diagonal_names(manips)
             order = [0] + [1 + names.index(name) for name in quarter_layout.view_names]
             got = diagonal.transpose(order)
@@ -251,7 +268,7 @@ def test_w1_sums_in_c_order(n):
     a1[2, :2] = 2.0**-4, 6 * 2.0**-4
     a2[:4, 0] = a2[:2, 2] = 0.25
     a2[:2, 1] = 0.25 * q
-    quarter = _w1_diagonal(prepared_from_tilde(a1), prepared_from_tilde(a2), ())[1, :, 0, :, 0]
+    quarter = _w1_quarter(prepared_from_tilde(a1), prepared_from_tilde(a2), ())[0][:, 0, :, 0]
     for r in (0, 1, 2):
         terms = [a1[r, c].real * a2[c, r].real for c in range(dim)]
         total = 0.0
@@ -281,16 +298,16 @@ def test_w1_quarters_keep_the_per_term_bits_at_even_n(n):
     rng = np.random.default_rng(4200 + n)
     pm1, pm2 = (random_prepared(rng, n, complex_b=True) for _ in range(2))
     scale = 2.0 ** (-n / 2)
-    half = 2 << n
     for r in range(4):
         for manips in itertools.combinations(sorted(MANIPULATIONS), r):
             (slack1, first), (slack2, second) = (
                 _operand_factors(pm, *bits) for pm, bits in zip((pm1, pm2), _orientation(pm1, pm2, manips))
             )
-            old = np.zeros((2, half, half))
-            old[0, :2, :2] = np.asarray(slack1)[:, None] * np.asarray(slack2) * scale + 0.0
-            old[1] = np.einsum("cr,cs,->rs", first, second, scale)
-            assert _w1_diagonal(pm1, pm2, manips).tobytes() == old.tobytes(), manips
+            corner = np.asarray(slack1)[:, None] * np.asarray(slack2) * scale + 0.0
+            quarter = np.einsum("cr,cs,->rs", first, second, scale)
+            got_quarter, got_corner = _w1_quarter(pm1, pm2, manips)
+            assert got_quarter.tobytes() == quarter.tobytes(), manips
+            assert np.array(got_corner).tobytes() == corner.tobytes(), manips
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -322,35 +339,48 @@ def embed_row(row, names, layout):
     return StateVector(layout.total_qubits, amps)
 
 
-def diagonal_of(row, names):
+def quarter_and_corner(row, names):
     """The K1 = K2 diagonal of ``row`` (axes named by ``names``, K1 and K2
-    at positions 0 and 3) as :func:`_w1_diagonal` returns it: indexed
-    [k, R1, first label, C2, second label]."""
+    at positions 0 and 3) as :func:`_w1_quarter` returns it: the
+    K1 = K2 = 1 quarter, indexed [R1, first label, C2, second label], and
+    the four floats of the K1 = K2 = 0 quarter's corner at R1 = C2 = 0."""
     assert (names[0], names[3]) == ("K1", "K2")
-    return np.stack([row[k, :, :, k] for k in (0, 1)])
+    return row[1, :, :, 1], tuple(row[0, 0, :, 0, 0, :].ravel().tolist())
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["float64", "complex128"])
 @pytest.mark.parametrize("labels", ["plain", "crossed"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
-    # the flagging step sees only the row's K1 = K2 diagonal, the reference
-    # the whole random row: what lies off the diagonal never reaches the
-    # flagged branch, and the labels' order, crossed or not, does not matter
+    # the flagging step sees only the row's K1 = K2 = 1 quarter and the
+    # K1 = K2 = 0 corner, the reference the whole random row with the rest
+    # of its K1 = K2 = 0 quarter zeroed, as a run leaves it: what lies off
+    # the diagonal never reaches the flagged branch, and the labels' order,
+    # crossed or not, does not matter
     layout = layout_for(n)
+    dim = 1 << n
     names = ROW_NAMES[labels]
     rng = np.random.default_rng(2000 * n + (labels == "crossed"))
     for state in random_states(rng, 2 * n + 4, dtype):
-        row = state.amplitudes.reshape(2, 1 << n, 2, 2, 1 << n, 2)
-        diagonal = diagonal_of(row, names)
-        before = diagonal.copy()
-        got, got_weight = flag_and_measure(diagonal)
+        row = state.amplitudes.reshape(2, dim, 2, 2, dim, 2)
+        corner = row[0, 0, :, 0, 0, :].copy()
+        row[0, :, :, 0] = 0.0
+        row[0, 0, :, 0, 0, :] = corner
+        quarter, corner = quarter_and_corner(row, names)
+        before = quarter.copy()
+        product, slack, got_weight = flag_and_measure(quarter, corner)
         full = embed_row(row, names, layout)
         want, want_weight = conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)
-        assert got.shape == (2, 1 << n, 1 << n, 2)
-        assert got.dtype == want.amplitudes.dtype == np.float64
-        # the tensor is the reference's B = BT = 1 payload slice, indexed
-        # [K1, R1, C2, M1], and the reference holds nothing else
+        assert product.shape == (dim, dim) and product.dtype == np.complex128
+        assert type(slack) is complex
+        assert want.amplitudes.dtype == np.float64
+        # the reference's B = BT = 1 payload slice, indexed [K1, R1, C2,
+        # M1], holds the product's entries at K1 = 1, the slack at K1 = 0
+        # and R1 = C2 = 0 and +0.0 elsewhere, and the reference holds
+        # nothing else
+        got = np.zeros((2, dim, dim, 2))
+        got[1] = product.view(np.float64).reshape(dim, dim, 2)
+        got[0, 0, 0] = slack.real, slack.imag
         wanted = _inside(want.amplitudes, EncodedBlock.pipeline_output(layout))
         assert got.tobytes() == wanted.tobytes()
         rest = want.amplitudes.copy()
@@ -359,14 +389,15 @@ def test_flag_and_measure_is_w3_then_measure(n, labels, dtype):
         select(view, view_names, pins)[...] = 0.0
         assert not np.any(rest)
         assert np.array([got_weight]).tobytes() == np.array([want_weight]).tobytes()
-        assert diagonal.tobytes() == before.tobytes()
+        assert quarter.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("labels", ["plain", "crossed"])
 def test_flag_and_measure_zero_branch_is_an_error(labels):
     # weight only off the payload subspace: at M2 = 1 with K2 != K1, which
-    # w2 keeps there and the diagonal does not hold, or on the diagonal at
-    # (M2, M1) = (0, 0) and (1, 1), which w2's difference cancels
+    # w2 keeps there and neither the quarter nor the corner holds, or in
+    # the quarter at (M2, M1) = (0, 0) and (1, 1), which w2's difference
+    # cancels
     layout = layout_for(2)
     names = ROW_NAMES[labels]
     off = {"K1": 1, "K2": 0, "M2": 1, "M1": 0, "R1": 0, "C2": 0}
@@ -378,7 +409,7 @@ def test_flag_and_measure_zero_branch_is_an_error(labels):
         for pins in placed:
             row[tuple(pins[name] for name in names)] = 1.0
         with pytest.raises(MeasurementError) as got:
-            flag_and_measure(diagonal_of(row, names))
+            flag_and_measure(*quarter_and_corner(row, names))
         full = embed_row(row, names, layout)
         with pytest.raises(MeasurementError) as want:
             conditional_measure(apply_w3(apply_w2(full, layout), layout), layout)

@@ -169,7 +169,7 @@ class TestBuildInitial:
 class TestManipulatedBlocks:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slack_slab_is_zero_off_the_corner(self, n):
-        # _w1_diagonal sums over c only where K1 = K2 = 1: that needs each
+        # _w1_quarter sums over c only where K1 = K2 = 1: that needs each
         # operand's K axis to stay its own K whatever the manipulations
         # trade, and its K = 0 slab to be zero everywhere but R = C = 0,
         # on the state after the manipulations
@@ -483,9 +483,9 @@ class TestWeight:
         assert multiplier._weight(view[::-1]) == want
 
     def test_run_payloads_never_fall_back(self, monkeypatch):
-        # the extraction certifies every payload weight of a run at n = 1..6
-        # under each manipulation set, and the estimator's K1 = 0 weight;
-        # the fallback would give the same bits, only slower
+        # the extraction certifies every flagged branch's weight of a run
+        # and of an estimate at n = 1..6 under each manipulation set; the
+        # fallback would give the same bits, only slower
         fallbacks = []
         sorted_fsum = multiplier._sorted_fsum
         monkeypatch.setattr(multiplier, "_sorted_fsum", lambda view: fallbacks.append(view.size) or sorted_fsum(view))
@@ -713,7 +713,8 @@ class TestRunPipeline:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_is_its_stages_bit_for_bit(self, n):
         # the public stages on the full register, against run_pipeline (which
-        # computes only the K1 = K2 quarters of w1's row and the payload)
+        # computes only the K1 = K2 = 1 quarter of w1's row, the K1 = K2 = 0
+        # corner and the flagged branch)
         rng = np.random.default_rng(211 + n)
         pm1 = random_prepared(rng, n, complex_b=True)
         pm2 = random_prepared(rng, n, complex_b=True)
@@ -749,9 +750,9 @@ class TestRunPipeline:
             run_pipeline(pm1, pm2, (), layout_for(2))
 
     def test_run_path_is_the_light_cone(self, monkeypatch):
-        # a run sums w1's K1 = K2 quarters straight from the operand
-        # tensors and writes the payload tensor from them, with no matrix
-        # product, and neither the run nor the estimate builds or looks up
+        # a run sums w1's K1 = K2 = 1 quarter straight from the operand
+        # tensors and writes the flagged branch from it and the K1 = K2 = 0
+        # corner, with no matrix product, and neither the run nor the estimate builds or looks up
         # a layout; that they load no full-register module is
         # test_cli.py::TestNoRegisterState::test_no_command_imports_the_reference
         def refused(*_args, **_kwargs):
@@ -769,8 +770,9 @@ class TestRunPipeline:
         rng = np.random.default_rng(227)
         pm1, pm2 = random_prepared(rng, 2), random_prepared(rng, 2)
         manips = {"dagger1", "dagger2", "swap_order"}
-        payload, _weight = flagged_state(pm1, pm2, manips)
-        assert payload.shape == (2, 4, 4, 2) and payload.dtype == np.float64
+        product, slack, _weight = flagged_state(pm1, pm2, manips)
+        assert product.shape == (4, 4) and product.dtype == np.complex128
+        assert type(slack) is complex
         run_pipeline(pm1, pm2, manips)
         estimate_g(pm1, pm2, manips, shots=10, seed=0)
 
@@ -898,8 +900,8 @@ class TestResourceReport:
 
 class TestMemory:
     def test_peak_is_a_few_states(self):
-        # the largest array of a run is the K1 = K2 diagonal of w1's row,
-        # 2**-(2n+3) of the full state, and what it holds beside it is
+        # the largest array of a run is the K1 = K2 = 1 quarter of w1's
+        # row, 2**-(2n+4) of the full state, and what it holds beside it is
         # about as large again
         rng = np.random.default_rng(331)
         pm1, pm2 = random_prepared(rng, 3, complex_b=True), random_prepared(rng, 3, complex_b=True)
@@ -912,18 +914,22 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 0.1 * state_bytes, f"peak {peak / state_bytes:.2f} x the float64 state"
 
-    def test_peak_is_a_few_rows(self):
+    def test_peak_is_under_three_quarters_of_a_row(self):
         # w1's row at n = 5 is 8 * 2**(2n+4) bytes (128 KiB), and a run
-        # computes only half of it; the whole run, oracle included, holds no
-        # more than four rows' worth at once, while the 3n+4-qubit light cone
-        # alone would take 4 MiB
+        # computes only a quarter of it; beside the operands, a run, oracle
+        # included, and an estimate each hold no more than three quarters
+        # of a row's worth at once (the quarter, the flagged branch and its
+        # weight's squares and mask), while the 3n+4-qubit light cone alone
+        # would take 4 MiB
         rng = np.random.default_rng(337)
         pm1, pm2 = random_prepared(rng, 5, complex_b=True), random_prepared(rng, 5, complex_b=True)
+        manips = {"dagger1", "dagger2", "swap_order"}
         row_bytes = 8 << (2 * 5 + 4)
-        tracemalloc.start()
-        try:
-            run_pipeline(pm1, pm2, {"dagger1", "dagger2", "swap_order"})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * row_bytes, f"peak {peak / row_bytes:.2f} x w1's row"
+        for call in (run_pipeline, lambda *args: estimate_g(*args, shots=10)):
+            tracemalloc.start()
+            try:
+                call(pm1, pm2, manips)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.75 * row_bytes, f"peak {peak / row_bytes:.2f} x w1's row"
