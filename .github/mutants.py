@@ -206,6 +206,18 @@ MUTANTS = (
         "EXIT_DIMENSION = 2",
     ),
     (
+        "cli: an estimate that cannot be formed exits 2, not 4",
+        "cli.py",
+        "isinstance(exc, (MethodUndefinedError, EstimateUnavailableError))",
+        "isinstance(exc, MethodUndefinedError)",
+    ),
+    (
+        "cli: a report's flags keep the command name",
+        "cli.py",
+        'name not in ("command", "func")',
+        'name != "func"',
+    ),
+    (
         "memory check: a run that needs exactly the physical memory refused",
         "multiplier.py",
         "if needed > available:",

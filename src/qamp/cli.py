@@ -11,9 +11,11 @@ straight off the prepared entries, the bits the conjugation circuit leaves
 on the operand's own registers.
 
 Exit codes: 0 success (and all requested verifications passed), 1 failed
-verification, 2 parse/parameter problems or a post-selection branch of zero
-weight, 3 dimension mismatch, 4 the normalization estimate is undefined (an
-operand without slack) or unavailable.
+verification, 2 parse/parameter problems, a post-selection branch of zero
+weight or any other package error, 3 dimension mismatch, 4 the
+normalization estimate is undefined (an operand without slack) or
+unavailable.  :func:`main` maps each package error to its code in one
+place and prints it as one ``error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ from .complexmat import (
 from .errors import (
     DimensionError,
     EstimateUnavailableError,
-    MeasurementError,
     MethodUndefinedError,
     ParameterError,
+    QampError,
     ValidationError,
     _width,
 )
@@ -169,6 +171,16 @@ def _write_output(text: str, path: str | None) -> None:
         raise ParameterError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _write_report(args, fields: dict) -> None:
+    """Write a command's report: the tool version, the command and every
+    parsed argument but the command and its handler, in the parser's order,
+    then ``fields``; to the command's ``--output``, or to standard output
+    when it has no such option."""
+    flags = {name: value for name, value in vars(args).items() if name not in ("command", "func")}
+    report = {"version": __version__, "command": args.command, "flags": flags, **fields}
+    _write_output(dump_json(report), getattr(args, "output", None))
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -218,25 +230,21 @@ def _add_operand_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _load_operands(args):
-    """(first operand, second operand, manipulations, report flags) from the
-    arguments of :func:`_add_operand_arguments`.  ``--c`` is checked even
-    when both operands are prepared files, since the report echoes it."""
+    """(first operand, second operand, manipulations) from the arguments of
+    :func:`_add_operand_arguments`.  ``--c`` is checked even when both
+    operands are prepared files, since the report echoes it."""
     _check_c(args.c)
     manips = {name for name, option in MANIPULATION_OPTIONS.items() if getattr(args, option)}
-    flags = {name: getattr(args, name) for name in ("a", "b", *MANIPULATION_OPTIONS.values(), "c")}
-    return _load_operand(args.a, args.c), _load_operand(args.b, args.c), manips, flags
+    return _load_operand(args.a, args.c), _load_operand(args.b, args.c), manips
 
 
 def cmd_multiply(args) -> int:
-    pm1, pm2, manips, flags = _load_operands(args)
+    pm1, pm2, manips = _load_operands(args)
     result = run_pipeline(pm1, pm2, manips, verify=args.verify)
     # scaling back can overflow, so the fresh product is scanned
     rescaled = ComplexMatrix._fresh(result.matrix_hat.n, result.matrix_hat.entries * result.scale_back)
 
     report = {
-        "version": __version__,
-        "command": "multiply",
-        "flags": {**flags, "verify": args.verify, "output": args.output},
         "layout": layout_for(pm1.n).summary(),
         "manipulations": sorted(manips),
         "matrix_hat": matrix_to_obj(result.matrix_hat),
@@ -254,7 +262,7 @@ def cmd_multiply(args) -> int:
             "tolerance": ORACLE_TOL,
             "pass": ok,
         }
-    _write_output(dump_json(report), args.output)
+    _write_report(args, report)
     if not ok:
         expected, _ = oracle_product(pm1, pm2, manips)
         diff = np.abs(result.matrix_hat.entries - expected.entries)
@@ -284,12 +292,9 @@ def cmd_conjugate(args) -> int:
 
 
 def cmd_estimate_g(args) -> int:
-    pm1, pm2, manips, flags = _load_operands(args)
+    pm1, pm2, manips = _load_operands(args)
     est = estimate_g(pm1, pm2, manips, shots=args.shots, seed=args.seed)
     report = {
-        "version": __version__,
-        "command": "estimate-g",
-        "flags": {**flags, "shots": args.shots, "seed": args.seed},
         "s1": est.s1,
         "s1_tilde_exact": est.s1_tilde_exact,
         "s1_tilde_sampled": est.s1_tilde_sampled,
@@ -300,19 +305,12 @@ def cmd_estimate_g(args) -> int:
         "seed": est.seed,
         "nominal_runs": est.nominal_runs,
     }
-    _write_output(dump_json(report), None)
+    _write_report(args, report)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    rep = resource_report(args.n)
-    report = {
-        "version": __version__,
-        "command": "report",
-        "flags": {"n": args.n},
-        **dataclasses.asdict(rep),
-    }
-    _write_output(dump_json(report), None)
+    _write_report(args, dataclasses.asdict(resource_report(args.n)))
     return EXIT_OK
 
 
@@ -379,15 +377,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ParameterError, MeasurementError) as exc:
+    except QampError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DimensionError):
+            return EXIT_DIMENSION
+        if isinstance(exc, (MethodUndefinedError, EstimateUnavailableError)):
+            return EXIT_ESTIMATE
         return EXIT_USAGE
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (MethodUndefinedError, EstimateUnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATE
 
 
 def entry() -> None:

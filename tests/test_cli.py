@@ -16,7 +16,15 @@ import support
 from qamp import cli, multiplier, registers
 from qamp.cli import build_parser, dump_json, main
 from qamp.complexmat import ComplexMatrix, dagger_oracle, matrix_to_obj, prepare
-from qamp.errors import ParameterError
+from qamp.errors import (
+    DimensionError,
+    EstimateUnavailableError,
+    MeasurementError,
+    MethodUndefinedError,
+    ParameterError,
+    QampError,
+    ValidationError,
+)
 from qamp.estimator import estimate_g
 
 IDENTITY_HALF = {
@@ -462,30 +470,40 @@ class TestEstimateG:
         assert reports[0] != reports[2]  # the default c = 1 prepares other operands
 
     def test_manipulation_flags(self, tmp_path, capsys):
+        # every report's flags hold each argument of its command, keys in
+        # the parser's order whatever the order on the command line
         rng = np.random.default_rng(43)
         matrices = [ComplexMatrix(2, rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) for _ in "ab"]
         a, b = (write_json(tmp_path / f"{name}.json", matrix_to_obj(m)) for name, m in zip("ab", matrices))
         pm1, pm2 = (prepare(m, 1.0) for m in matrices)
+        out = str(tmp_path / "report.json")
         for options, manips in (
             ([], set()),
             (["--dagger-a", "--swap-order"], {"dagger1", "swap_order"}),
             (["--dagger-b"], {"dagger2"}),
         ):
-            assert main(["estimate-g", a, b, *options, "--shots", "1000", "--seed", "2"]) == 0
+            operand_flags = [
+                ("a", a),
+                ("b", b),
+                ("dagger_a", "dagger1" in manips),
+                ("dagger_b", "dagger2" in manips),
+                ("swap_order", "swap_order" in manips),
+                ("c", 1.0),
+            ]
+            assert main(["estimate-g", "--seed", "2", a, b, *options, "--shots", "1000"]) == 0
             report = json.loads(capsys.readouterr().out)
             want = estimate_g(pm1, pm2, manips, shots=1000, seed=2)
             assert report["s1_tilde_exact"] == want.s1_tilde_exact
             assert report["g_hat"] == want.g_hat
-            assert report["flags"] == {
-                "a": a,
-                "b": b,
-                "dagger_a": "dagger1" in manips,
-                "dagger_b": "dagger2" in manips,
-                "swap_order": "swap_order" in manips,
-                "c": 1.0,
-                "shots": 1000,
-                "seed": 2,
-            }
+            assert list(report["flags"].items()) == [*operand_flags, ("shots", 1000), ("seed", 2)]
+            assert main(["multiply", "--no-verify", *options, a, b]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert list(report["flags"].items()) == [*operand_flags, ("verify", False), ("output", None)]
+            assert main(["multiply", "-o", out, *options, a, b]) == 0
+            report = json.loads(Path(out).read_text())
+            assert list(report["flags"].items()) == [*operand_flags, ("verify", True), ("output", out)]
+        assert main(["report", "--n", "2"]) == 0
+        assert list(json.loads(capsys.readouterr().out)["flags"].items()) == [("n", 2)]
 
     def test_shots_beyond_int64_exit_2(self, desk_matrix, capsys):
         assert main(["estimate-g", desk_matrix, desk_matrix, "--shots", str(2**63)]) == 2
@@ -501,6 +519,33 @@ class TestEstimateG:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
+
+
+#: each package error -> the exit code that the README documents for it
+EXIT_CODES = {
+    QampError: 2,
+    DimensionError: 3,
+    ParameterError: 2,
+    ValidationError: 2,
+    MeasurementError: 2,
+    MethodUndefinedError: 4,
+    EstimateUnavailableError: 4,
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [QampError, *QampError.__subclasses__()], ids=lambda error: error.__name__)
+    def test_each_package_error(self, monkeypatch, capsys, error):
+        # a command that raises any package error, the base class too, exits
+        # with its documented code and one error line, and writes no report
+        def fail(_n):
+            raise error("the message")
+
+        monkeypatch.setattr(cli, "resource_report", fail)
+        assert main(["report", "--n", "1"]) == EXIT_CODES[error]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the message\n"
 
 
 class TestOutOfRangeInput:
