@@ -52,14 +52,39 @@ MUTANTS = (
     (
         "run_pipeline: the operand exchange's transpose dropped",
         "multiplier.py",
-        "product = product.T",
-        "product = product",
+        "entries = np.ascontiguousarray(product.T)",
+        "entries = product.copy()",
+    ),
+    (
+        "run_pipeline: the verified error reads the oracle's transpose",
+        "multiplier.py",
+        "np.subtract(matrix_hat.entries, expected, out=expected)",
+        "np.subtract(matrix_hat.entries, expected.T, out=expected)",
     ),
     (
         "w1: the scale as einsum's third operand, not applied once after the sum",
         "multiplier.py",
-        "quarter = _matmul(first, second)\n    np.multiply(quarter, scale, out=quarter)",
-        'quarter = np.einsum("lj,lk,->jk", first, second, scale)',
+        "quarter = _matmul(first, second)\n"
+        "    else:\n"
+        "        quarter = np.empty((rows, rows))\n"
+        "        for start in range(0, rows, band):\n"
+        "            _matmul(first[:, start : start + band], second, out=quarter[start : start + band])\n"
+        "    np.multiply(quarter, scale, out=quarter)",
+        'quarter = np.einsum("lj,lk,->jk", first, second, scale)\n'
+        "    else:\n"
+        "        quarter = np.empty((rows, rows))\n"
+        "        for start in range(0, rows, band):\n"
+        "            _matmul(first[:, start : start + band], second, out=quarter[start : start + band])\n"
+        "        np.multiply(quarter, scale, out=quarter)",
+    ),
+    (
+        "w1: the bands split the summed index c",
+        "multiplier.py",
+        "for start in range(0, rows, band):\n"
+        "            _matmul(first[:, start : start + band], second, out=quarter[start : start + band])",
+        "quarter[...] = 0.0\n"
+        "        for start in range(0, dim, band):\n"
+        "            quarter += _matmul(first[start : start + band], second[start : start + band])",
     ),
     (
         "apply_w1: each term scaled as it is added, not the sum once",
@@ -82,14 +107,20 @@ MUTANTS = (
     (
         "flag_and_measure: the slack's real part adds where w2 subtracts",
         "multiplier.py",
-        "pairs[-1] = c00 - c11",
-        "pairs[-1] = c00 + c11",
+        "pairs[-1, 0], pairs[-1, 1] = c00 - c11",
+        "pairs[-1, 0], pairs[-1, 1] = c00 + c11",
     ),
     (
-        "operand reader: a conjugated operand's entries not conjugated",
+        "operand reader: a transposed conjugated operand's entries not conjugated",
         "multiplier.py",
-        'np.conjugate(entries, order="C") if conjugated',
-        "np.ascontiguousarray(entries) if conjugated",
+        "_dagger(entries) if conjugated",
+        "np.ascontiguousarray(entries.T) if conjugated",
+    ),
+    (
+        "operand reader: an untransposed conjugated operand's entries not conjugated",
+        "multiplier.py",
+        "entries = np.conjugate(entries)",
+        "entries = entries.copy()",
     ),
     (
         "operand reader: a conjugated operand's slack keeps its sign",
@@ -102,6 +133,12 @@ MUTANTS = (
         "multiplier.py",
         "if low == math.fsum((*parts, rest, bound)):\n            return low",
         "return math.fsum((*parts, rest))",
+    ),
+    (
+        "weight: the one-pass path returns the uncertified candidate",
+        "multiplier.py",
+        "if low == math.fsum((tau, rest, bound)):\n        return low\n    return None",
+        "return math.fsum((tau, rest))",
     ),
     (
         "weight: the fallback's squares taken unsorted",

@@ -17,8 +17,11 @@ n = 1..10 is at most 2.4e-16.  So do the product's entries, since prepare
 scales each operand by 1/(s + c): at n = 10 the largest is 5.3e-11, so
 the absolute ORACLE_TOL = 1e-10 would pass an all-zero or a transposed
 product, while the bound reads 1.1e-19 there.  Prints the run's wall time
-beside those of its own oracle call and of the estimate, and the oracle
-error beside its bound.
+beside those of its own oracle call and of the estimate, each with the
+process's CPU time over it (time.process_time, all threads), the
+OPENBLAS_NUM_THREADS it ran under, and the oracle error beside its bound.
+CPU time well above wall time shows a BLAS worker thread spinning beside
+the run.
 
 At n = 5 the decoded product and the oracle's under each of the eight
 manipulation sets are also held to the exact product formed in rational
@@ -30,6 +33,7 @@ rational products take about 1.5 s a set.
 
 import itertools
 import math
+import os
 import resource
 import sys
 import time
@@ -53,17 +57,21 @@ pm1, pm2 = (
     prepare(ComplexMatrix(n, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))), 1.0)
     for _ in range(2)
 )
+
+
+def timed(call, *args, **kwargs):
+    """``call``'s result, its wall time and the process's CPU time over it,
+    in seconds."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    result = call(*args, **kwargs)
+    return result, time.perf_counter() - wall, time.process_time() - cpu
+
+
 # the estimate runs first: beside each run the process holds only the
 # operands and small results, as peak_bytes allows for
-start = time.perf_counter()
-est = estimate_g(pm1, pm2, manips, shots=10**4, seed=0)
-estimate_wall = time.perf_counter() - start
-start = time.perf_counter()
-res = run_pipeline(pm1, pm2, manips)
-wall = time.perf_counter() - start
-start = time.perf_counter()
-expected, b = oracle_product(pm1, pm2, manips)
-oracle_wall = time.perf_counter() - start
+est, estimate_wall, estimate_cpu = timed(estimate_g, pm1, pm2, manips, shots=10**4, seed=0)
+res, wall, cpu = timed(run_pipeline, pm1, pm2, manips)
+(expected, b), oracle_wall, oracle_cpu = timed(oracle_product, pm1, pm2, manips)
 maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 g2 = abs(b) ** 2 + expected.weight()
 branch, s1_tilde = g2 / 2 ** (n + 1), abs(pm1.b * pm2.b) ** 2 / g2
@@ -72,7 +80,9 @@ s1_drift = abs(est.s1_tilde_exact - s1_tilde) / s1_tilde
 needed = peak_bytes(n)
 bound = (2 * dim + 8) * 2.0**-53 * math.sqrt(pm1.matrix.weight()) * math.sqrt(pm2.matrix.weight())
 print(
-    f"n={n} wall {wall:.3f} s, oracle_product {oracle_wall:.3f} s, estimate_g {estimate_wall:.3f} s, "
+    f"n={n} OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}: wall (CPU) "
+    f"run {wall:.3f} s ({cpu:.3f} s), oracle_product {oracle_wall:.3f} s ({oracle_cpu:.3f} s), "
+    f"estimate_g {estimate_wall:.3f} s ({estimate_cpu:.3f} s), "
     f"ru_maxrss {maxrss} of {needed} bytes asked, oracle_error {res.oracle_error:.3e} of bound {bound:.3e}, "
     f"relative branch drift {drift:.3e}, relative s1_tilde drift {s1_drift:.3e}"
 )

@@ -35,6 +35,7 @@ from .complexmat import (
     ComplexMatrix,
     ORACLE_TOL,
     _check_c,
+    _dagger,
     matrix_from_obj,
     matrix_to_obj,
     prepare,
@@ -285,7 +286,7 @@ def cmd_conjugate(args) -> int:
     require_memory(matrix.n, needed, "the entries it holds and the runtime")
     pm = prepare(matrix, DEFAULT_C)
     # the operand's entries after its conjugation circuit, scaled back
-    entries = np.conjugate(pm.matrix.entries.T, order="C")
+    entries = _dagger(pm.matrix.entries)
     np.multiply(entries, pm.scale, out=entries)
     _write_output(dump_json(matrix_to_obj(ComplexMatrix._fresh(matrix.n, entries))), args.output)
     return EXIT_OK

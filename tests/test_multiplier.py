@@ -552,6 +552,34 @@ class TestOracleProduct:
                 call(pm1, pm2, manips)
 
 
+class TestVerifiedError:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_is_the_largest_difference_from_the_public_oracle(self, n):
+        # the run verifies through the oracle's sums without its wrapper;
+        # its error must be, bit for bit, the one the public oracle gives
+        rng = np.random.default_rng(260 + n)
+        pm1, pm2 = (random_prepared(rng, n, complex_b=True) for _ in range(2))
+        for manips in ALL_SUBSETS:
+            res = run_pipeline(pm1, pm2, manips)
+            expected, _b = oracle_product(pm1, pm2, manips)
+            want = np.max(np.abs(res.matrix_hat.entries - expected.entries))
+            assert np.array([res.oracle_error]).tobytes() == np.array([want]).tobytes(), sorted(manips)
+
+    def test_an_overflowing_product_is_refused_before_the_oracle(self, monkeypatch):
+        # the operands whose product oracle_product refuses as not finite:
+        # the run refuses them at its norm check, before any oracle sum.
+        # Every operand it takes has entries of magnitude at most 1, so
+        # every sum of the oracle is at most dim and needs no scan
+        sums = []
+        monkeypatch.setattr(multiplier, "_oracle_sum", lambda *args: sums.append(args))
+        big = ComplexMatrix(1, 1e200 * np.eye(2))
+        pm = dataclasses.replace(prepare(ComplexMatrix(1, np.eye(2)), 1.0), matrix=big)
+        for manips in ALL_SUBSETS:
+            with pytest.raises(ValidationError, match="^encoded state norm defect inf exceeds 1e-10$"):
+                run_pipeline(pm, pm, manips)
+        assert sums == []
+
+
 class TestExactProduct:
     """The run and the oracle against the exact product (tests/exact.py)."""
 
